@@ -64,6 +64,29 @@ def _truncate_finite(times: np.ndarray, states: np.ndarray):
     return times[:last], states[:last], True
 
 
+def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
+           tol: float, t_eval, method: str):
+    """One checked adaptive run; returns (times, (len(y0), n) values, stats)."""
+    if not tau1 > tau0:
+        raise ValueError(f"tau1 must exceed tau0, got [{tau0}, {tau1}]")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    sol = solve_ivp(field_fn, (tau0, tau1), y0, method=method,
+                    rtol=tol, atol=tol, t_eval=t_eval, dense_output=False)
+    if not sol.success:
+        reached = float(sol.t[-1]) if sol.t.size else tau0
+        raise IntegrationError(f"adaptive solver failed: {sol.message}", reached)
+    stats = {"nfev": int(sol.nfev), "njev": int(sol.njev),
+             "nlu": int(sol.nlu), "status": int(sol.status)}
+    return sol.t, sol.y, stats
+
+
+def _trajectory(times, states, meta: dict) -> Trajectory:
+    times, states, truncated = _truncate_finite(times, states)
+    return Trajectory(times=times, states=states, truncated=truncated,
+                      meta=meta)
+
+
 def integrate_ode(field_fn: Callable, x0, tau0: float, tau1: float,
                   tol: float = 1e-10, t_eval=None,
                   method: str = "DOP853") -> Trajectory:
@@ -71,21 +94,59 @@ def integrate_ode(field_fn: Callable, x0, tau0: float, tau1: float,
 
     Dense output is evaluated at t_eval when given, otherwise at the
     solver's own accepted steps.  Raises IntegrationError on step-size
-    underflow, reporting how far the solver got.
+    underflow, reporting how far the solver got.  The solver statistics
+    (nfev, njev, nlu, status) are kept in the trajectory's meta.
     """
-    if not tau1 > tau0:
-        raise ValueError(f"tau1 must exceed tau0, got [{tau0}, {tau1}]")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    sol = solve_ivp(field_fn, (tau0, tau1), x0, method=method,
-                    rtol=tol, atol=tol, t_eval=t_eval, dense_output=False)
-    if not sol.success:
-        reached = float(sol.t[-1]) if sol.t.size else tau0
-        raise IntegrationError(f"adaptive solver failed: {sol.message}", reached)
-    times, states, truncated = _truncate_finite(sol.t, sol.y.T)
-    return Trajectory(times=times, states=states, truncated=truncated,
-                      meta={"integrator": method, "tol": tol, "seed": "deterministic"})
+    times, values, stats = _solve(field_fn, x0, tau0, tau1, tol, t_eval,
+                                  method)
+    return _trajectory(times, values.T, {"integrator": method, "tol": tol,
+                                         "seed": "deterministic", **stats})
+
+
+def integrate_ode_batch(field_fn: Callable, x0s, tau0: float, tau1: float,
+                        tol: float = 1e-10, t_eval=None,
+                        method: str = "DOP853") -> list:
+    """Integrate m starts of one field as a single stacked system.
+
+    x0s has shape (m, d).  The m states are stacked component-major into
+    one vector of length d*m, and field_fn(tau, y) is called with y of
+    shape (d, m), so a field written with array operations (rhs_primary)
+    serves every member in one call; it returns d arrays of length m.
+    One adaptive run with shared steps replaces m runs, and the result is
+    split into m Trajectory objects, each truncated at its own first
+    non-finite sample.  A failed run raises IntegrationError; a member
+    that blows up makes the shared run fail where its solo run would.
+
+    The run uses rtol = atol = tol/sqrt(m).  The solver accepts a step
+    when the RMS over all d*m components of error/(atol + rtol*|y|) is at
+    most 1 (Hairer, Norsett & Wanner, Solving ODEs I).  With the scaled
+    tolerance that reads: the sum of squared scaled errors over all
+    components is at most d.  One member's share of that sum is at most
+    the whole, so its own RMS over d components is at most 1, the test a
+    solo run at tol applies.  DOP853 blends a 5th- and a 3rd-order
+    estimate of this form, so the bound holds there up to that blend;
+    tests/test_integrators.py measures each member against solo solves.
+    Each member's meta carries the shared solver statistics, batch_size
+    m and batch_tol, the tolerance the run used.
+    """
+    x0s = np.asarray(x0s, dtype=float)
+    if x0s.ndim != 2 or x0s.size == 0:
+        raise ValueError(f"x0s must be a non-empty (m, d) array, got shape "
+                         f"{x0s.shape}")
+    m, d = x0s.shape
+
+    def stacked(t, y):
+        return np.asarray(field_fn(t, y.reshape(d, m)), dtype=float).ravel()
+
+    batch_tol = tol / math.sqrt(m)
+    times, values, stats = _solve(stacked, x0s.T.ravel(), tau0, tau1,
+                                  batch_tol, t_eval, method)
+    meta = {"integrator": method, "tol": tol, "seed": "deterministic",
+            **stats, "batch_size": m, "batch_tol": batch_tol}
+    # member k's components sit at rows k, m + k, ...; views, no copies
+    return [_trajectory(times, values[k::m].T, dict(meta))
+            for k in range(m)]
 
 
 @dataclass(frozen=True)

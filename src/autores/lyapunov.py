@@ -203,18 +203,21 @@ def certify(p: SystemParams, ref, d_range=(1e-3, 0.3),
                     reason=f"{names[which]} inequality violated",
                     tau=float(tt[idx]), R=float(R[idx]), Psi=float(Psi[idx]))
             continue
-        if _tube_ok(d_hi, tau0, tau_hi, grid, p, ref, q)[0]:
-            d_best, margin = d_hi, _tube_ok(d_hi, tau0, tau_hi, grid, p, ref, q)[1]
+        ok_hi, worst_hi, _ = _tube_ok(d_hi, tau0, tau_hi, grid, p, ref, q)
+        if ok_hi:
+            d_best, margin = d_hi, worst_hi
         else:
-            a_, b_ = d_lo, d_hi
+            # margin is the worst slack of the last accepted radius
+            a_, b_, margin = d_lo, d_hi, worst_lo
             for _ in range(40):
                 mid = 0.5 * (a_ + b_)
-                if _tube_ok(mid, tau0, tau_hi, grid, p, ref, q)[0]:
-                    a_ = mid
+                ok_mid, worst_mid, _ = _tube_ok(mid, tau0, tau_hi, grid, p,
+                                                ref, q)
+                if ok_mid:
+                    a_, margin = mid, worst_mid
                 else:
                     b_ = mid
             d_best = a_
-            margin = _tube_ok(d_best, tau0, tau_hi, grid, p, ref, q)[1]
         if best is None or d_best > best[0]:
             best = (d_best, float(tau0), margin)
 

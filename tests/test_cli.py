@@ -169,6 +169,31 @@ def test_figures_fig2_quick(tmp_path):
         assert run["verdict"] in ("captured", "escaped", "indeterminate")
 
 
+# fig1 verdicts in grid order (r0 = 0.25 .. 2.0 outer, psi0 at quarter
+# turns inner), as the one-solve-per-start integration gives them
+FIG1_VERDICTS = (["escaped", "captured", "escaped", "escaped"]
+                 + ["captured", "captured", "captured", "escaped"] * 7)
+
+
+def test_figures_fig1(tmp_path):
+    code, out = _run(tmp_path, "figures", {"which": "fig1"})
+    assert code == 0
+    index = json.loads((out / "index.json").read_text())
+    assert index["figure"] == "fig1"
+    runs = index["runs"]
+    assert len(runs) == 32
+    assert len(list(out.glob("fig1_*.csv"))) == 32
+    for run in runs:
+        lines = (out / run["file"]).read_text().splitlines()
+        assert lines[:2] == ["# schema autores.trajectory/1", "tau,r,psi"]
+        rows = lines[2:]
+        assert len(rows) == 2400
+        assert float(rows[-1].split(",")[0]) == 60.0
+    verdicts = [run["verdict"] for run in runs]
+    assert verdicts == FIG1_VERDICTS
+    assert verdicts.count("captured") == 22
+
+
 def test_console_script_runs():
     proc = subprocess.run([sys.executable, "-m", "autores.cli", "--version"],
                           capture_output=True, text=True)
