@@ -459,7 +459,7 @@ def _cmd_figures(cfg: dict, out: Path, threads: int):
                   for psi0 in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)]
         t_eval = np.linspace(0.0, cfg["horizon"], 2400)
         trajs = integrate_ode_batch(lambda t, y: rhs_primary(y, t, p),
-                                    starts, 0.0, cfg["horizon"], tol=1e-10,
+                                    starts, 0.0, cfg["horizon"],
                                     t_eval=t_eval)
         index = []
         for k, ((r0, psi0), traj) in enumerate(zip(starts, trajs)):

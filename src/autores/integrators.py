@@ -66,7 +66,7 @@ def _truncate_finite(times: np.ndarray, states: np.ndarray):
 
 def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
            tol: float, t_eval, method: str):
-    """One checked adaptive run; returns (times, (len(y0), n) values, stats)."""
+    """One checked adaptive run; returns (times, (len(y0), n) values, nfev)."""
     if not tau1 > tau0:
         raise ValueError(f"tau1 must exceed tau0, got [{tau0}, {tau1}]")
     if not tol > 0:
@@ -76,9 +76,7 @@ def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
     if not sol.success:
         reached = float(sol.t[-1]) if sol.t.size else tau0
         raise IntegrationError(f"adaptive solver failed: {sol.message}", reached)
-    stats = {"nfev": int(sol.nfev), "njev": int(sol.njev),
-             "nlu": int(sol.nlu), "status": int(sol.status)}
-    return sol.t, sol.y, stats
+    return sol.t, sol.y, int(sol.nfev)
 
 
 def _trajectory(times, states, meta: dict) -> Trajectory:
@@ -94,20 +92,23 @@ def integrate_ode(field_fn: Callable, x0, tau0: float, tau1: float,
 
     Dense output is evaluated at t_eval when given, otherwise at the
     solver's own accepted steps.  Raises IntegrationError on step-size
-    underflow, reporting how far the solver got.  The solver statistics
-    (nfev, njev, nlu, status) are kept in the trajectory's meta.
+    underflow, reporting how far the solver got.  The solver's count of
+    field evaluations is kept as meta["nfev"].
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    times, values, stats = _solve(field_fn, x0, tau0, tau1, tol, t_eval,
-                                  method)
+    times, values, nfev = _solve(field_fn, x0, tau0, tau1, tol, t_eval,
+                                 method)
     return _trajectory(times, values.T, {"integrator": method, "tol": tol,
-                                         "seed": "deterministic", **stats})
+                                         "seed": "deterministic",
+                                         "nfev": nfev})
+
+
+_BATCH_TOL = 1e-10  # per-member tolerance of integrate_ode_batch
 
 
 def integrate_ode_batch(field_fn: Callable, x0s, tau0: float, tau1: float,
-                        tol: float = 1e-10, t_eval=None,
-                        method: str = "DOP853") -> list:
-    """Integrate m starts of one field as a single stacked system.
+                        t_eval=None) -> list:
+    """Integrate m starts of one field as a single stacked DOP853 system.
 
     x0s has shape (m, d).  The m states are stacked component-major into
     one vector of length d*m, and field_fn(tau, y) is called with y of
@@ -118,17 +119,19 @@ def integrate_ode_batch(field_fn: Callable, x0s, tau0: float, tau1: float,
     non-finite sample.  A failed run raises IntegrationError; a member
     that blows up makes the shared run fail where its solo run would.
 
-    The run uses rtol = atol = tol/sqrt(m).  The solver accepts a step
-    when the RMS over all d*m components of error/(atol + rtol*|y|) is at
-    most 1 (Hairer, Norsett & Wanner, Solving ODEs I).  With the scaled
-    tolerance that reads: the sum of squared scaled errors over all
-    components is at most d.  One member's share of that sum is at most
-    the whole, so its own RMS over d components is at most 1, the test a
-    solo run at tol applies.  DOP853 blends a 5th- and a 3rd-order
-    estimate of this form, so the bound holds there up to that blend;
-    tests/test_integrators.py measures each member against solo solves.
-    Each member's meta carries the shared solver statistics, batch_size
-    m and batch_tol, the tolerance the run used.
+    The run uses rtol = atol = tol/sqrt(m) with tol = 1e-10.  For a solver that
+    accepts a step when the RMS over all d*m components of
+    error/(atol + rtol*|y|) is at most 1 (Hairer, Norsett & Wanner,
+    Solving ODEs I), the scaled tolerance reads: the sum of squared
+    scaled errors over all components is at most d.  One member's share
+    of that sum is at most the whole, so its own RMS over d components is
+    at most 1, the test a solo run at tol applies.  DOP853 does not
+    use a plain RMS norm: it blends a 5th- and a 3rd-order estimate, and
+    a large 3rd-order estimate from one member can shrink the blended
+    norm, so the rule is not exact there.  It is checked by measurement
+    instead: tests/test_integrators.py holds each member within 2x the
+    error of its solo solve.  Each member's meta["nfev"] is the shared
+    count of the run.
     """
     x0s = np.asarray(x0s, dtype=float)
     if x0s.ndim != 2 or x0s.size == 0:
@@ -139,11 +142,10 @@ def integrate_ode_batch(field_fn: Callable, x0s, tau0: float, tau1: float,
     def stacked(t, y):
         return np.asarray(field_fn(t, y.reshape(d, m)), dtype=float).ravel()
 
-    batch_tol = tol / math.sqrt(m)
-    times, values, stats = _solve(stacked, x0s.T.ravel(), tau0, tau1,
-                                  batch_tol, t_eval, method)
-    meta = {"integrator": method, "tol": tol, "seed": "deterministic",
-            **stats, "batch_size": m, "batch_tol": batch_tol}
+    times, values, nfev = _solve(stacked, x0s.T.ravel(), tau0, tau1,
+                                 _BATCH_TOL / math.sqrt(m), t_eval, "DOP853")
+    meta = {"integrator": "DOP853", "tol": _BATCH_TOL,
+            "seed": "deterministic", "nfev": nfev}
     # member k's components sit at rows k, m + k, ...; views, no copies
     return [_trajectory(times, values[k::m].T, dict(meta))
             for k in range(m)]
