@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .model import (
     SystemParams,
     State,
-    ErrorState,
     Schedule,
     NoiseSchedule,
     constant_schedule,
@@ -16,7 +15,6 @@ from .asymptotics import AsymptoticExpansion, expand, solve_psi0
 __all__ = [
     "SystemParams",
     "State",
-    "ErrorState",
     "Schedule",
     "NoiseSchedule",
     "constant_schedule",

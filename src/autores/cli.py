@@ -22,11 +22,11 @@ import numpy as np
 
 from . import __version__
 from .model import (SystemParams, NoiseSchedule, Schedule, constant_schedule,
-                    diffusion_matrix, drift_perturbed, rhs_primary)
+                    perturbed_terms, rhs_primary)
 from .asymptotics import expand, evaluate
 from .integrators import (IntegrationError, NoiseStream, Trajectory,
                           default_dt, integrate_ode, integrate_ode_batch,
-                          integrate_sde, reference_solution)
+                          integrate_sde, reference_solution, step_grid)
 from .lyapunov import (NoCertificate, certify, chain_a, spot_check,
                        thresholds, thresholds_beta)
 from .ensemble import (EnsembleConfig, classify_capture,
@@ -472,15 +472,14 @@ def _cmd_figures(cfg: dict, out: Path, threads: int):
         return
     # fig2: one sample path per noise amplitude from a fixed start
     index = []
+    tau = step_grid(0.0, cfg["horizon"], cfg["dt"])[0]
     for k, mu in enumerate((0.1, 0.35, 0.55)):
         noise = NoiseSchedule(mu=mu, sigma1=constant_schedule(0.0),
                               sigma2=constant_schedule(1.0), h=1.0)
         stream = NoiseStream(cfg["master_seed"], k)
-        traj = integrate_sde(
-            lambda t, y: drift_perturbed(y, t, p, noise),
-            lambda t, y: diffusion_matrix(y, t, noise),
-            [1.09, 2.15], 0.0, cfg["horizon"], cfg["dt"], mu, stream,
-            record_every=cfg["record_every"])
+        traj = integrate_sde(perturbed_terms(p, noise, tau), [1.09, 2.15],
+                             0.0, cfg["horizon"], cfg["dt"], mu, stream,
+                             record_every=cfg["record_every"])
         name = f"fig2_mu{mu:.2f}.csv"
         _traj_csv(out / name, "autores.trajectory", ("tau", "r", "psi"), traj)
         index.append({"file": name, "mu": mu,

@@ -16,12 +16,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import SystemParams, NoiseSchedule
-from .integrators import NoiseStream, Trajectory, ReferenceSolution, sde_step_count
-from .lyapunov import StabilityCertificate, noise_class_check
+from .model import SystemParams, NoiseSchedule, error_terms, perturbed_terms
+from .integrators import (NoiseStream, Trajectory, ReferenceSolution,
+                          em_paths, sde_step_count, step_grid)
+from .lyapunov import (StabilityCertificate, chain_U, eval_V,
+                       noise_class_check)
 
 BLOCK_PATHS = 128   # vectorization width; results do not depend on it being hit
-CHUNK_STEPS = 2048  # noise increments are drawn per path in chunks this long
 
 
 @dataclass(frozen=True)
@@ -119,132 +120,112 @@ class EnsembleStats:
         }
 
 
-def _precompute_step_grid(cfg: EnsembleConfig, ref: Optional[ReferenceSolution]):
-    """Per-step quantities shared by all paths: times, step sizes, schedule
-    values, and reference samples (NaN outside the reference domain)."""
-    tau0, tau1 = cfg.tau0, cfg.tau0 + cfg.horizon
-    n_steps = sde_step_count(tau0, tau1, cfg.dt)
-    k = np.arange(n_steps)
-    tau_at = tau0 + k * cfg.dt                       # step start times
-    tau_next = np.minimum(tau0 + (k + 1) * cfg.dt, tau1)
-    tau_next[-1] = tau1
-    h = tau_next - tau_at
-    s1 = np.asarray(cfg.noise.sigma1(tau_at), dtype=float)
-    s2 = np.asarray(cfg.noise.sigma2(tau_at), dtype=float)
+def _precompute_step_grid(cfg: EnsembleConfig,
+                          ref: Optional[ReferenceSolution]):
+    """The step grid shared by all paths (step_grid) and the reference
+    samples (r*, psi*) at the step end times, NaN outside the reference
+    domain."""
+    grid = step_grid(cfg.tau0, cfg.tau0 + cfg.horizon, cfg.dt)
+    tau_next = grid[1]
+    rs = np.full(tau_next.size, np.nan)
+    ps = np.full(tau_next.size, np.nan)
     if ref is not None:
         inside = (tau_next >= ref.tau_min) & (tau_next <= ref.tau_max)
-        rs = np.full(n_steps, np.nan)
-        ps = np.full(n_steps, np.nan)
         if inside.any():
             rs[inside], ps[inside] = ref.state(tau_next[inside])
-    else:
-        rs = np.full(n_steps, np.nan)
-        ps = np.full(n_steps, np.nan)
-    return tau_at, tau_next, h, s1, s2, rs, ps
+    return grid, (rs, ps)
 
 
-def _run_block(cfg: EnsembleConfig, lo: int, hi: int, grid,
-               tv_window_start: float):
-    """Integrate paths [lo, hi); returns per-path statistics arrays.
+def _run_blocks(cfg: EnsembleConfig, threads: int, grid, terms, observer):
+    """Integrate all paths in fixed-width blocks with em_paths and merge the
+    per-block results in path order, so they do not depend on the thread
+    count or the block width.
 
-    Pure function of (cfg, lo, hi): safe to run on any thread.
+    observer(m) makes a fresh observer for a block of m paths; it is
+    called after every step and its result(x, escaped_at) returns a dict
+    of arrays whose last axis runs over the paths.  Each block is a pure
+    function of (cfg, lo, hi): safe to run on any thread.
     """
-    tau_at, tau_next, h, s1, s2, rs, ps = grid
-    n_steps = tau_at.size
-    m = hi - lo
-    p = cfg.params
-    mu = cfg.noise.mu
-    sqrt_dt = math.sqrt(cfg.dt)
+    def run(block):
+        lo, hi = block
+        x = np.empty((2, hi - lo))
+        x[0], x[1] = float(cfg.x0[0]), float(cfg.x0[1])
+        obs = observer(hi - lo)
+        streams = [NoiseStream(cfg.master_seed, j) for j in range(lo, hi)]
+        escaped_at = em_paths(terms, x, grid, cfg.dt, cfg.noise.mu, streams,
+                              obs, ball_radius=cfg.ball_radius)
+        return obs.result(x, escaped_at)
 
-    rngs = [NoiseStream(cfg.master_seed, j).generator() for j in range(lo, hi)]
-    r = np.full(m, float(cfg.x0[0]))
-    psi = np.full(m, float(cfg.x0[1]))
-    if cfg.ball_radius > 0:
-        # ball start draws come first from each path's stream
-        for i, rng in enumerate(rngs):
-            u, ang = rng.uniform(size=2)
-            rad = cfg.ball_radius * math.sqrt(u)
-            r[i] += rad * math.cos(2 * math.pi * ang)
-            psi[i] += rad * math.sin(2 * math.pi * ang)
+    blocks = [(lo, min(lo + BLOCK_PATHS, cfg.n_paths))
+              for lo in range(0, cfg.n_paths, BLOCK_PATHS)]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            results = list(ex.map(run, blocks))
+    else:
+        results = [run(b) for b in blocks]
+    return {key: np.concatenate([res[key] for res in results], axis=-1)
+            for key in results[0]}
 
-    alive = np.ones(m, dtype=bool)
-    escaped_at = np.full(m, np.nan)
-    sup_psi = np.zeros(m)
-    sup_rw = np.zeros(m)
-    sup_rr = np.zeros(m)
-    # exit times are elapsed since tau0; censored paths carry the horizon
-    exit_time = np.full(m, cfg.horizon)
-    exited = np.zeros(m, dtype=bool)
-    # phase range over the classification window; the total-variation rule
-    # used for deterministic paths diverges on diffusion paths as dt -> 0,
-    # so the noisy classifier bounds max-min instead (identical verdicts
-    # in the zero-noise limit)
-    psi_lo = np.full(m, np.inf)
-    psi_hi = np.full(m, -np.inf)
 
-    eps1 = cfg.eps1
-    gamma, lam = p.gamma, p.lam
-    k0 = 0
-    while k0 < n_steps and alive.any():
-        k1 = min(k0 + CHUNK_STEPS, n_steps)
-        dw = np.empty((m, k1 - k0, 2))
-        for i, rng in enumerate(rngs):
-            dw[i] = rng.standard_normal((k1 - k0, 2))
-        dw *= sqrt_dt
-        for k in range(k0, k1):
-            hk = h[k]
-            if hk != cfg.dt:  # partial step rescales increment variance
-                w1 = dw[:, k - k0, 0] * math.sqrt(hk / cfg.dt)
-                w2 = dw[:, k - k0, 1] * math.sqrt(hk / cfg.dt)
-            else:
-                w1 = dw[:, k - k0, 0]
-                w2 = dw[:, k - k0, 1]
-            sin_psi = np.sin(psi)
-            cos_psi = np.cos(psi)
-            dr = r * sin_psi - gamma * r
-            dp = r - lam * tau_at[k] + cos_psi
-            r_new = r + dr * hk + mu * (s1[k] * r * sin_psi * w1)
-            psi_new = psi + dp * hk + mu * (s1[k] * cos_psi * w1 + s2[k] * w2)
-            bad = ~np.isfinite(r_new) | ~np.isfinite(psi_new)
-            newly_dead = alive & bad
-            if newly_dead.any():
-                escaped_at[newly_dead] = tau_next[k]
-                alive[newly_dead] = False
-            step_mask = alive & ~bad
-            r = np.where(step_mask, r_new, r)
-            psi = np.where(step_mask, psi_new, psi)
+class _TubeObserver:
+    """Deviation, exit and capture statistics of one block of paths."""
 
-            if not math.isnan(rs[k]):
-                # deviation metrics exist only on the reference domain
-                dev_psi = np.abs(psi - ps[k])
-                dev_r = np.abs(r - rs[k])
-                wgt = 1.0 / math.sqrt(tau_next[k])
-                upd = step_mask
-                sup_psi = np.where(upd, np.maximum(sup_psi, dev_psi), sup_psi)
-                sup_rw = np.where(upd, np.maximum(sup_rw, dev_r * wgt), sup_rw)
-                sup_rr = np.where(upd, np.maximum(sup_rr, dev_r), sup_rr)
-                out = (dev_psi >= eps1) | (dev_r * wgt >= eps1)
-                newly_out = upd & out & ~exited
-                if newly_out.any():
-                    exit_time[newly_out] = tau_next[k] - cfg.tau0
-                    exited[newly_out] = True
-            if tau_next[k] >= tv_window_start:
-                psi_lo = np.where(step_mask, np.minimum(psi_lo, psi), psi_lo)
-                psi_hi = np.where(step_mask, np.maximum(psi_hi, psi), psi_hi)
-        k0 = k1
+    def __init__(self, cfg: EnsembleConfig, grid, star, m: int):
+        self.cfg = cfg
+        self.tau_next = grid[1]
+        self.rs, self.ps = star
+        self.sup_psi = np.zeros(m)
+        self.sup_rw = np.zeros(m)
+        self.sup_rr = np.zeros(m)
+        # exit times are elapsed since tau0; censored paths carry the horizon
+        self.exit_time = np.full(m, cfg.horizon)
+        self.exited = np.zeros(m, dtype=bool)
+        # phase range over the classification window; the total-variation
+        # rule used for deterministic paths diverges on diffusion paths as
+        # dt -> 0, so the noisy classifier bounds max-min instead
+        # (identical verdicts in the zero-noise limit)
+        self.window_start = cfg.tau0 + 0.8 * cfg.horizon
+        self.psi_lo = np.full(m, np.inf)
+        self.psi_hi = np.full(m, -np.inf)
 
-    tau_end = cfg.tau0 + cfg.horizon
-    captured = alive & (r > lam * tau_end / 2.0) & (psi_hi - psi_lo < 2.0 * math.pi)
-    # escape by blow-up counts as an exit wherever the tube was being tracked
-    exit_time = np.where(~exited & ~alive & np.isfinite(escaped_at),
-                         escaped_at - cfg.tau0, exit_time)
-    exited = exited | ~alive
-    return {
-        "sup_psi": sup_psi, "sup_rw": sup_rw, "sup_rr": sup_rr,
-        "exit_time": exit_time, "exited": exited,
-        "captured": captured, "escaped_at": escaped_at,
-        "end_r": r, "end_psi": psi,
-    }
+    def __call__(self, k, x, moved):
+        if k < 0:  # the start state carries no statistics
+            return
+        r, psi = x
+        tau = self.tau_next[k]
+        if not math.isnan(self.rs[k]):
+            # deviation metrics exist only on the reference domain
+            eps1 = self.cfg.eps1
+            dev_psi = np.abs(psi - self.ps[k])
+            dev_r = np.abs(r - self.rs[k])
+            dev_rw = dev_r * (1.0 / math.sqrt(tau))
+            np.maximum(self.sup_psi, dev_psi, out=self.sup_psi, where=moved)
+            np.maximum(self.sup_rw, dev_rw, out=self.sup_rw, where=moved)
+            np.maximum(self.sup_rr, dev_r, out=self.sup_rr, where=moved)
+            newly_out = moved & ((dev_psi >= eps1) | (dev_rw >= eps1))
+            newly_out &= ~self.exited
+            if newly_out.any():
+                self.exit_time[newly_out] = tau - self.cfg.tau0
+                self.exited |= newly_out
+        if tau >= self.window_start:
+            np.minimum(self.psi_lo, psi, out=self.psi_lo, where=moved)
+            np.maximum(self.psi_hi, psi, out=self.psi_hi, where=moved)
+
+    def result(self, x, escaped_at):
+        cfg = self.cfg
+        dead = ~np.isnan(escaped_at)
+        captured = ~dead & _captured(x[0], cfg.tau0 + cfg.horizon,
+                                     self.psi_hi - self.psi_lo, cfg.params)
+        # escape by blow-up counts as an exit wherever the tube was being
+        # tracked
+        exit_time = np.where(dead & ~self.exited, escaped_at - cfg.tau0,
+                             self.exit_time)
+        return {
+            "sup_psi": self.sup_psi, "sup_rw": self.sup_rw,
+            "sup_rr": self.sup_rr, "exit_time": exit_time,
+            "exited": self.exited | dead, "captured": captured,
+            "escaped_at": escaped_at, "end_r": x[0], "end_psi": x[1],
+        }
 
 
 def run_ensemble(cfg: EnsembleConfig, ref: Optional[ReferenceSolution] = None,
@@ -263,27 +244,11 @@ def run_ensemble(cfg: EnsembleConfig, ref: Optional[ReferenceSolution] = None,
         raise ValueError(
             f"noise schedule not in class (bound {check['bound']}, "
             f"h {cfg.noise.h}); pass out_of_class_ok=True to run anyway")
-    grid = _precompute_step_grid(cfg, ref)
-    tv_window_start = cfg.tau0 + 0.8 * cfg.horizon
-    blocks = [(lo, min(lo + BLOCK_PATHS, cfg.n_paths))
-              for lo in range(0, cfg.n_paths, BLOCK_PATHS)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(
-                lambda b: _run_block(cfg, b[0], b[1], grid, tv_window_start),
-                blocks))
-    else:
-        results = [_run_block(cfg, lo, hi, grid, tv_window_start)
-                   for lo, hi in blocks]
-    # merge in path order; aggregation below is then thread-count independent
-    def cat(key):
-        return np.concatenate([res[key] for res in results])
-
-    sup_psi = cat("sup_psi")
-    sup_rw = cat("sup_rw")
-    exit_time = cat("exit_time")
-    exited = cat("exited")
-    captured = cat("captured")
+    grid, star = _precompute_step_grid(cfg, ref)
+    res = _run_blocks(cfg, threads, grid,
+                      perturbed_terms(cfg.params, cfg.noise, grid[0]),
+                      lambda m: _TubeObserver(cfg, grid, star, m))
+    sup_psi, sup_rw, captured = res["sup_psi"], res["sup_rw"], res["captured"]
     n = cfg.n_paths
     k_psi = int(np.sum(sup_psi >= cfg.eps1))
     k_r = int(np.sum(sup_rw >= cfg.eps1))
@@ -296,16 +261,35 @@ def run_ensemble(cfg: EnsembleConfig, ref: Optional[ReferenceSolution] = None,
         exceed_r_interval=wilson_interval(k_r, n),
         capture_fraction=k_cap / n,
         capture_interval=wilson_interval(k_cap, n),
-        exit_times=exit_time,
-        censored=~exited,
+        exit_times=res["exit_time"],
+        censored=~res["exited"],
         sup_psi_dev=sup_psi,
         sup_r_dev_weighted=sup_rw,
-        sup_r_dev_raw=cat("sup_rr"),
+        sup_r_dev_raw=res["sup_rr"],
         captured=captured,
-        escaped_at=cat("escaped_at"),
-        end_states=np.column_stack([cat("end_r"), cat("end_psi")]),
+        escaped_at=res["escaped_at"],
+        end_states=np.column_stack([res["end_r"], res["end_psi"]]),
         out_of_class=out_of_class,
     )
+
+
+def _captured(r_end, tau_end: float, phase_stat, p: SystemParams):
+    """The capture rule: final amplitude above lam*tau_end/2 and the
+    phase statistic over the classification window below 2*pi."""
+    return (r_end > p.lam * tau_end / 2.0) & (phase_stat < 2.0 * math.pi)
+
+
+def _classify(traj: Trajectory, p: SystemParams, phase_stat) -> str:
+    tau_end = float(traj.times[-1])
+    if tau_end < 50.0:
+        return "indeterminate"
+    if traj.truncated:
+        return "escaped"
+    t_start = traj.times[0] + 0.8 * (tau_end - traj.times[0])
+    psi_tail = traj.states[traj.times >= t_start, 1]
+    if _captured(float(traj.states[-1, 0]), tau_end, phase_stat(psi_tail), p):
+        return "captured"
+    return "escaped"
 
 
 def classify_capture(traj: Trajectory, p: SystemParams) -> str:
@@ -316,19 +300,8 @@ def classify_capture(traj: Trajectory, p: SystemParams) -> str:
     (blown-up) or slipping-phase path is escaped.  Windows shorter than
     tau_end = 50 are indeterminate.
     """
-    tau_end = float(traj.times[-1])
-    if tau_end < 50.0:
-        return "indeterminate"
-    if traj.truncated:
-        return "escaped"
-    r_end = float(traj.states[-1, 0])
-    t_start = traj.times[0] + 0.8 * (tau_end - traj.times[0])
-    tail = traj.times >= t_start
-    psi_tail = traj.states[tail, 1]
-    tv = float(np.sum(np.abs(np.diff(psi_tail)))) if psi_tail.size > 1 else 0.0
-    if r_end > p.lam * tau_end / 2.0 and tv < 2.0 * math.pi:
-        return "captured"
-    return "escaped"
+    return _classify(traj, p, lambda psi: (
+        float(np.sum(np.abs(np.diff(psi)))) if psi.size > 1 else 0.0))
 
 
 def classify_capture_noisy(traj: Trajectory, p: SystemParams) -> str:
@@ -341,18 +314,8 @@ def classify_capture_noisy(traj: Trajectory, p: SystemParams) -> str:
     locked phase from a slipping one.  The range can.  Both rules agree
     on smooth paths.
     """
-    tau_end = float(traj.times[-1])
-    if tau_end < 50.0:
-        return "indeterminate"
-    if traj.truncated:
-        return "escaped"
-    r_end = float(traj.states[-1, 0])
-    t_start = traj.times[0] + 0.8 * (tau_end - traj.times[0])
-    psi_tail = traj.states[traj.times >= t_start, 1]
-    spread = float(psi_tail.max() - psi_tail.min()) if psi_tail.size else 0.0
-    if r_end > p.lam * tau_end / 2.0 and spread < 2.0 * math.pi:
-        return "captured"
-    return "escaped"
+    return _classify(traj, p, lambda psi: (
+        float(psi.max() - psi.min()) if psi.size else 0.0))
 
 
 def exit_time_scaling(cfgs: Sequence[EnsembleConfig],
@@ -409,106 +372,57 @@ def exit_time_scaling(cfgs: Sequence[EnsembleConfig],
     }
 
 
-def _error_block(cfg: EnsembleConfig, lo: int, hi: int, grid,
-                 cert: StabilityCertificate, chain_const: float,
-                 obs_idx: np.ndarray):
-    """Stopped error-system paths for the supermartingale check.
+class _StoppedU1:
+    """Stopped comparison function U_1 of one block of error-system paths.
 
-    Integrates (R, Psi) with the deviation drift and the shifted-state
-    diffusion, stops each path at its first exit from the certified tube
-    d <= d0, and records the comparison function U_1 = 4V + mu^2 c (T +
-    t0 - t) at the stopped state: observations at obs_idx steps plus the
-    pathwise running supremum over every step.
+    Each path is stopped at its first exit from the certified tube d <=
+    d0 (or at a blow-up); U_1 = 4V + mu^2 h n^2 C (T + t0 - t), chain_U
+    with N = 1 and n = 2, is evaluated at the stopped state and time:
+    observations at obs_idx steps (-1 marks tau0) plus the pathwise
+    running supremum over every step.
     """
-    tau_at, tau_next, h, s1, s2, rs, ps = grid
-    n_steps = tau_at.size
-    m = hi - lo
-    p = cfg.params
-    mu = cfg.noise.mu
-    gamma, nu = p.gamma, p.nu
-    sqrt_dt = math.sqrt(cfg.dt)
-    t0, T = cfg.tau0, cfg.horizon
 
-    rngs = [NoiseStream(cfg.master_seed, j).generator() for j in range(lo, hi)]
-    R = np.full(m, float(cfg.x0[0]))
-    Psi = np.full(m, float(cfg.x0[1]))
-    if cfg.ball_radius > 0:
-        for i, rng in enumerate(rngs):
-            u, ang = rng.uniform(size=2)
-            rad = cfg.ball_radius * math.sqrt(u)
-            R[i] += rad * math.cos(2 * math.pi * ang)
-            Psi[i] += rad * math.sin(2 * math.pi * ang)
+    def __init__(self, cfg: EnsembleConfig, cert: StabilityCertificate,
+                 grid, star, obs_idx: np.ndarray, m: int):
+        self.cfg, self.cert, self.obs_idx = cfg, cert, obs_idx
+        self.tau_next = grid[1]
+        self.rs, self.ps = star
+        # reference sample and clock at the stop; a stopped path's state
+        # is frozen by em_paths itself
+        self.rs_c = np.full(m, self.rs[0])
+        self.ps_c = np.full(m, self.ps[0])
+        self.tau_c = np.full(m, cfg.tau0)
+        self.stopped = np.zeros(m, dtype=bool)
+        self.obs = np.empty((obs_idx.size, m))
+        self.obs_ptr = 0
+        self.u_sup = np.full(m, -np.inf)
 
-    def U1(Rv, Pv, rsv, psv, tau, clock_t):
-        H = (Rv * Rv / 2.0 + (Rv + rsv) * (np.cos(Pv + psv) - np.cos(psv))
-             + Pv * rsv * np.sin(psv))
-        V = (H + gamma * Rv * Pv / 2.0) / (nu * tau)
-        return 4.0 * V + mu * mu * chain_const * (T + t0 - clock_t)
+    def __call__(self, k, x, moved):
+        cfg = self.cfg
+        out = None
+        if k >= 0:
+            np.copyto(self.rs_c, self.rs[k], where=moved)
+            np.copyto(self.ps_c, self.ps[k], where=moved)
+            np.copyto(self.tau_c, self.tau_next[k], where=moved)
+            R, Psi = x
+            out = moved & (R * R + Psi * Psi > self.cert.d0 * self.cert.d0)
+            self.stopped |= out
+        V = eval_V(x, self.tau_c, cfg.params, (self.rs_c, self.ps_c))
+        self.u_now = chain_U(1, cfg.noise.mu, cfg.noise.h, 2, self.cert.B,
+                             self.cert.C, self.cert.q, cfg.horizon, 4.0 * V,
+                             self.tau_c, cfg.tau0)
+        np.maximum(self.u_sup, self.u_now, out=self.u_sup)
+        ptr = self.obs_ptr
+        if ptr < self.obs_idx.size and k == self.obs_idx[ptr]:
+            self.obs[ptr] = self.u_now
+            self.obs_ptr = ptr + 1
+        return out
 
-    stopped = np.zeros(m, dtype=bool)
-    # stopped-state snapshot: (R, Psi, rs, ps, tau)
-    Rs_c, Ps_c = R.copy(), Psi.copy()
-    rs_c = np.full(m, rs[0] if np.isfinite(rs[0]) else np.nan)
-    ps_c = np.full(m, ps[0] if np.isfinite(ps[0]) else np.nan)
-    tau_c = np.full(m, t0)
-
-    rs0, ps0 = rs_c, ps_c
-    u_now = U1(R, Psi, rs0, ps0, np.full(m, t0), np.full(m, t0))
-    u_sup = u_now.copy()
-    obs = np.empty((obs_idx.size, m))
-    obs_ptr = 0
-    if obs_idx.size and obs_idx[0] == -1:  # observation at tau0 itself
-        obs[0] = u_now
-        obs_ptr = 1
-
-    k0 = 0
-    while k0 < n_steps:
-        k1 = min(k0 + CHUNK_STEPS, n_steps)
-        dw = np.empty((m, k1 - k0, 2))
-        for i, rng in enumerate(rngs):
-            dw[i] = rng.standard_normal((k1 - k0, 2))
-        dw *= sqrt_dt
-        for k in range(k0, k1):
-            hk = h[k]
-            scale = 1.0 if hk == cfg.dt else math.sqrt(hk / cfg.dt)
-            w1 = dw[:, k - k0, 0] * scale
-            w2 = dw[:, k - k0, 1] * scale
-            rsk, psk = rs[k], ps[k]
-            live = ~stopped
-            if live.any():
-                cosd = np.cos(Psi + psk)
-                sind = np.sin(Psi + psk)
-                dH_dR = R + cosd - math.cos(psk)
-                dH_dPsi = -(R + rsk) * sind + rsk * math.sin(psk)
-                dR = -dH_dPsi - gamma * R
-                dPsi = dH_dR
-                R_new = R + dR * hk + mu * (s1[k] * (rsk + R) * sind * w1)
-                Psi_new = Psi + dPsi * hk + mu * (s1[k] * cosd * w1 + s2[k] * w2)
-                R = np.where(live, R_new, R)
-                Psi = np.where(live, Psi_new, Psi)
-                out = (R * R + Psi * Psi > cert.d0 * cert.d0) | \
-                      ~np.isfinite(R) | ~np.isfinite(Psi)
-                newly = live & out
-                if newly.any():
-                    Rs_c = np.where(newly, R, Rs_c)
-                    Ps_c = np.where(newly, Psi, Ps_c)
-                    rs_c = np.where(newly, rsk, rs_c)
-                    ps_c = np.where(newly, psk, ps_c)
-                    tau_c = np.where(newly, tau_next[k], tau_c)
-                    stopped |= newly
-            live = ~stopped
-            Rv = np.where(live, R, Rs_c)
-            Pv = np.where(live, Psi, Ps_c)
-            rsv = np.where(live, rsk, rs_c)
-            psv = np.where(live, psk, ps_c)
-            tv = np.where(live, tau_next[k], tau_c)
-            u_now = U1(Rv, Pv, rsv, psv, tv, tv)
-            u_sup = np.maximum(u_sup, u_now)
-            if obs_ptr < obs_idx.size and k == obs_idx[obs_ptr]:
-                obs[obs_ptr] = u_now
-                obs_ptr += 1
-        k0 = k1
-    return {"obs": obs, "u_sup": u_sup, "stopped": stopped}
+    def result(self, x, escaped_at):
+        # stepping ends once every path has stopped; U_1 then stays put
+        self.obs[self.obs_ptr:] = self.u_now
+        return {"obs": self.obs, "u_sup": self.u_sup,
+                "stopped": self.stopped | ~np.isnan(escaped_at)}
 
 
 def supermartingale_check(cfg: EnsembleConfig, cert: StabilityCertificate,
@@ -527,25 +441,14 @@ def supermartingale_check(cfg: EnsembleConfig, cert: StabilityCertificate,
     if N != 1:
         raise NotImplementedError("only the N=1 comparison chain is testable "
                                   "with closed-form constants")
-    grid = _precompute_step_grid(cfg, ref)
+    grid, star = _precompute_step_grid(cfg, ref)
     n_steps = grid[0].size
-    # chain clock constant mu^2 h n^2 C per unit time
-    chain_const = cfg.noise.h * 4.0 * cert.C
     obs_steps = np.unique(np.linspace(0, n_steps - 1, n_obs - 1).astype(int))
     obs_idx = np.concatenate([[-1], obs_steps])  # -1 marks the tau0 snapshot
-    blocks = [(lo, min(lo + BLOCK_PATHS, cfg.n_paths))
-              for lo in range(0, cfg.n_paths, BLOCK_PATHS)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(
-                lambda b: _error_block(cfg, b[0], b[1], grid, cert,
-                                       chain_const, obs_idx), blocks))
-    else:
-        results = [_error_block(cfg, lo, hi, grid, cert, chain_const, obs_idx)
-                   for lo, hi in blocks]
-    obs = np.concatenate([res["obs"] for res in results], axis=1)
-    u_sup = np.concatenate([res["u_sup"] for res in results])
-    stopped = np.concatenate([res["stopped"] for res in results])
+    res = _run_blocks(cfg, threads, grid,
+                      error_terms(cfg.params, cfg.noise, grid[0], star),
+                      lambda m: _StoppedU1(cfg, cert, grid, star, obs_idx, m))
+    obs, u_sup, stopped = res["obs"], res["u_sup"], res["stopped"]
 
     n = cfg.n_paths
     means = obs.mean(axis=1)

@@ -66,9 +66,9 @@ def _truncate_finite(times: np.ndarray, states: np.ndarray):
 
 def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
            tol: float, t_eval, method: str):
-    """One checked adaptive run; returns (times, (len(y0), n) values, nfev)."""
-    if not tau1 > tau0:
-        raise ValueError(f"tau1 must exceed tau0, got [{tau0}, {tau1}]")
+    """One checked adaptive run; returns (times, (len(y0), n) values, nfev).
+
+    tau1 may lie below tau0 for a backward run."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     sol = solve_ivp(field_fn, (tau0, tau1), y0, method=method,
@@ -77,6 +77,11 @@ def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
         reached = float(sol.t[-1]) if sol.t.size else tau0
         raise IntegrationError(f"adaptive solver failed: {sol.message}", reached)
     return sol.t, sol.y, int(sol.nfev)
+
+
+def _check_window(tau0: float, tau1: float):
+    if not tau1 > tau0:
+        raise ValueError(f"tau1 must exceed tau0, got [{tau0}, {tau1}]")
 
 
 def _trajectory(times, states, meta: dict) -> Trajectory:
@@ -95,6 +100,7 @@ def integrate_ode(field_fn: Callable, x0, tau0: float, tau1: float,
     underflow, reporting how far the solver got.  The solver's count of
     field evaluations is kept as meta["nfev"].
     """
+    _check_window(tau0, tau1)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     times, values, nfev = _solve(field_fn, x0, tau0, tau1, tol, t_eval,
                                  method)
@@ -137,6 +143,7 @@ def integrate_ode_batch(field_fn: Callable, x0s, tau0: float, tau1: float,
     if x0s.ndim != 2 or x0s.size == 0:
         raise ValueError(f"x0s must be a non-empty (m, d) array, got shape "
                          f"{x0s.shape}")
+    _check_window(tau0, tau1)
     m, d = x0s.shape
 
     def stacked(t, y):
@@ -176,6 +183,17 @@ def sde_step_count(tau0: float, tau1: float, dt: float) -> int:
     return n
 
 
+def step_grid(tau0: float, tau1: float, dt: float):
+    """Euler-Maruyama step grid (tau_at, tau_next, h): per step its start
+    and end time and its size; the last step ends exactly at tau1."""
+    n_steps = sde_step_count(tau0, tau1, dt)
+    k = np.arange(n_steps)
+    tau_at = tau0 + k * dt
+    tau_next = np.minimum(tau0 + (k + 1) * dt, tau1)
+    tau_next[-1] = tau1
+    return tau_at, tau_next, tau_next - tau_at
+
+
 def default_dt(mu: float) -> float:
     """Step size keeping the noise-term discretization below drift error."""
     if mu >= 0.05:
@@ -183,58 +201,128 @@ def default_dt(mu: float) -> float:
     return min(1e-3, mu * mu / 10.0)
 
 
-def integrate_sde(drift: Callable, diffusion: Callable, x0, tau0: float,
-                  tau1: float, dt: float, mu: float, stream: NoiseStream,
+CHUNK_STEPS = 2048  # noise increments are drawn per path in chunks this long
+N_CHANNELS = 2      # Wiener channels per path
+
+
+def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu: float,
+             streams, observe: Callable, ball_radius: float = 0.0,
+             dW: Optional[np.ndarray] = None) -> np.ndarray:
+    """Euler-Maruyama steps of dx = f dtau + mu G dW (Ito) for m paths.
+
+    x is the (d, m) start state and is advanced in place over grid, a
+    step_grid result.  terms(k, x, w) returns the drift f and the product
+    G w at step k, each as d rows, for the (N_CHANNELS, m) increments w.
+    Path i draws from streams[i]: two uniforms for a start in the disc of
+    radius ball_radius around x when ball_radius > 0, then its increments
+    in chunks of CHUNK_STEPS steps, first channel then second per step.
+    A single path may take a precomputed dW of shape (n_steps,
+    N_CHANNELS) instead, so coupled-refinement studies can share one
+    noise realization.  A step shorter than dt rescales its increment
+    variance to its length.
+
+    A step that leaves the finite range is not applied and ends that
+    path.  observe(k, x, moved) sees the start state as step -1 and then
+    the state after every step k, with moved the mask of paths that took
+    the step, or True when every path did; it may return a mask of paths
+    to stop.  Stepping ends once no path is active.  Returns, per path,
+    the end time of the step at which it left the finite range (NaN if
+    it never did).
+    """
+    _, tau_next, h = grid
+    n_steps = h.size
+    m = x.shape[1]
+    rngs = [s.generator() for s in streams]
+    if ball_radius > 0:
+        # ball start draws come first from each path's stream
+        for i, rng in enumerate(rngs):
+            u, ang = rng.uniform(size=2)
+            rad = ball_radius * math.sqrt(u)
+            x[0, i] += rad * math.cos(2 * math.pi * ang)
+            x[1, i] += rad * math.sin(2 * math.pi * ang)
+    sqrt_dt = math.sqrt(dt)
+    active = np.ones(m, dtype=bool)
+    n_active = m
+    escaped_at = np.full(m, np.nan)
+    observe(-1, x, True)
+    x_new = np.empty_like(x)
+    k0 = 0
+    while k0 < n_steps and n_active:
+        k1 = min(k0 + CHUNK_STEPS, n_steps)
+        if dW is None:
+            dw = np.empty((k1 - k0, N_CHANNELS, m))
+            for i, rng in enumerate(rngs):
+                dw[:, :, i] = rng.standard_normal((k1 - k0, N_CHANNELS))
+            dw *= sqrt_dt
+        else:
+            dw = dW[k0:k1, :, None]
+        for k in range(k0, k1):
+            hk = h[k]
+            w = dw[k - k0]
+            if hk != dt:  # partial step rescales increment variance
+                w = w * math.sqrt(hk / dt)
+            f, gw = terms(k, x, w)
+            for xi, fi, gi, out in zip(x, f, gw, x_new):
+                np.add(xi + fi * hk, mu * gi, out=out)
+            finite = np.isfinite(x_new)
+            if n_active == m and np.count_nonzero(finite) == finite.size:
+                moved = True  # the common case, without a mask
+                np.copyto(x, x_new)
+            else:
+                moved = active & finite.all(axis=0)
+                np.copyto(x, x_new, where=moved)
+                n_moved = int(np.count_nonzero(moved))
+                if n_moved < n_active:
+                    escaped_at[active & ~moved] = tau_next[k]
+                    active, n_active = moved, n_moved
+            stop = observe(k, x, moved)
+            if stop is not None:
+                active = active & ~stop
+                n_active = int(np.count_nonzero(active))
+            if not n_active:
+                break
+        k0 = k1
+    return escaped_at
+
+
+def integrate_sde(terms: Callable, x0, tau0: float, tau1: float, dt: float,
+                  mu: float, stream: NoiseStream,
                   dW: Optional[np.ndarray] = None,
                   record_every: int = 1) -> Trajectory:
     """Euler-Maruyama path of dx = f dt + mu G dW in the Ito sense.
 
-    drift(tau, x) returns the drift vector; diffusion(tau, x) the matrix
-    G multiplying the Wiener increments.  Per step the two increments are
-    drawn in fixed order (first channel, then second) from the stream;
-    a precomputed dW array of shape (n_steps, m) overrides the stream so
-    coupled-refinement studies can share one noise realization.  The end
-    time is hit exactly via a shorter final step.  A non-finite state
-    truncates the path and flags the trajectory.
+    terms(k, x, w) -> (f, G w) as in em_paths, for step k of
+    step_grid(tau0, tau1, dt) and x of shape (d, 1); model.perturbed_terms
+    builds it for the perturbed system.  This is em_paths for one path,
+    recording every record_every-th step and the last, so the path for
+    stream (master_seed, j) is bitwise path j of an ensemble with the same
+    start.  A precomputed dW of shape (n_steps, N_CHANNELS) overrides the
+    stream.  The end time is hit exactly via a shorter final step.  A
+    non-finite state truncates the path and flags the trajectory.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     if not (0 <= mu < 1):
         raise ValueError(f"mu must lie in [0, 1), got {mu}")
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    dim = x.size
-    n_steps = sde_step_count(tau0, tau1, dt)
-    n_channels = np.atleast_2d(np.asarray(diffusion(tau0, x))).shape[1]
-    if dW is None:
-        rng = stream.generator()
-        dW = rng.standard_normal((n_steps, n_channels)) * math.sqrt(dt)
-    else:
+    grid = step_grid(tau0, tau1, dt)
+    n_steps = grid[0].size
+    if dW is not None:
         dW = np.asarray(dW, dtype=float)
-        if dW.shape != (n_steps, n_channels):
-            raise ValueError(f"dW must have shape {(n_steps, n_channels)}, got {dW.shape}")
+        if dW.shape != (n_steps, N_CHANNELS):
+            raise ValueError(f"dW must have shape {(n_steps, N_CHANNELS)}, "
+                             f"got {dW.shape}")
+    x = np.atleast_1d(np.asarray(x0, dtype=float))[:, None].copy()
+    times, states = [], []
 
-    times = [tau0]
-    states = [x.copy()]
-    tau = tau0
-    truncated = False
-    for k in range(n_steps):
-        h = min(dt, tau1 - tau)
-        if h <= 0:
-            break
-        f = np.asarray(drift(tau, x), dtype=float)
-        G = np.atleast_2d(np.asarray(diffusion(tau, x), dtype=float))
-        # partial last step rescales the increment variance to h
-        w = dW[k] if h == dt else dW[k] * math.sqrt(h / dt)
-        x = x + f * h + mu * (G @ w)
-        tau = tau1 if k == n_steps - 1 else tau0 + (k + 1) * dt
-        if not np.all(np.isfinite(x)):
-            truncated = True
-            break
-        if (k + 1) % record_every == 0 or k == n_steps - 1:
-            times.append(tau)
-            states.append(x.copy())
+    def record(k, x, moved):
+        if ((k + 1) % record_every == 0 or k == n_steps - 1) and (
+                moved is True or moved[0]):
+            times.append(grid[1][k] if k >= 0 else tau0)
+            states.append(x[:, 0].copy())
+
+    escaped_at = em_paths(terms, x, grid, dt, mu, [stream], record, dW=dW)
     return Trajectory(times=np.array(times), states=np.array(states),
-                      truncated=truncated,
+                      truncated=not math.isnan(escaped_at[0]),
                       meta={"integrator": "euler-maruyama", "dt": dt, "mu": mu,
                             "seed": stream.master_seed,
                             "path_index": stream.path_index})
@@ -279,11 +367,6 @@ class ReferenceSolution:
         tau = self._check_domain(tau)
         return self._spline_r(tau), self._spline_psi(tau)
 
-    def derivative(self, tau):
-        """Exact time derivative via the governing equations (no spline noise)."""
-        tau = self._check_domain(tau)
-        return rhs_primary(self.state(tau), tau, self.params)
-
 
 def reference_solution(params: SystemParams, K: int = 3,
                        tau_seed: float = 100.0, tol: float = 1e-12,
@@ -315,28 +398,22 @@ def reference_solution(params: SystemParams, K: int = 3,
     y_seed = np.array([float(r0), float(psi0)])
 
     def field(tau, y):
-        dr, dpsi = rhs_primary(y, tau, params)
-        return (dr, dpsi)
+        return rhs_primary(y, tau, params)
 
-    n_back = max(2, int(round((tau_seed - tau_min) / grid_step)) + 1)
-    t_back = np.linspace(tau_seed, tau_min, n_back)
-    sol_b = solve_ivp(field, (tau_seed, tau_min), y_seed, method="DOP853",
-                      rtol=tol, atol=tol, t_eval=t_back)
-    if not sol_b.success or not np.all(np.isfinite(sol_b.y)):
-        reached = float(sol_b.t[-1]) if sol_b.t.size else tau_seed
-        raise IntegrationError("backward reference integration lost stability",
-                               reached)
-    n_fwd = max(2, int(round((tau_max - tau_seed) / grid_step)) + 1)
-    t_fwd = np.linspace(tau_seed, tau_max, n_fwd)
-    sol_f = solve_ivp(field, (tau_seed, tau_max), y_seed, method="DOP853",
-                      rtol=tol, atol=tol, t_eval=t_fwd)
-    if not sol_f.success or not np.all(np.isfinite(sol_f.y)):
-        reached = float(sol_f.t[-1]) if sol_f.t.size else tau_seed
-        raise IntegrationError("forward reference integration failed", reached)
+    def leg(tau_end, what):
+        n = max(2, int(round(abs(tau_end - tau_seed) / grid_step)) + 1)
+        t, y, _ = _solve(field, y_seed, tau_seed, tau_end, tol,
+                         np.linspace(tau_seed, tau_end, n), "DOP853")
+        if not np.all(np.isfinite(y)):
+            raise IntegrationError(f"{what} reference integration lost "
+                                   "stability", float(t[-1]))
+        return t, y
 
-    times = np.concatenate([sol_b.t[::-1], sol_f.t[1:]])
-    r_vals = np.concatenate([sol_b.y[0][::-1], sol_f.y[0][1:]])
-    psi_vals = np.concatenate([sol_b.y[1][::-1], sol_f.y[1][1:]])
+    t_b, y_b = leg(tau_min, "backward")
+    t_f, y_f = leg(tau_max, "forward")
+    times = np.concatenate([t_b[::-1], t_f[1:]])
+    r_vals = np.concatenate([y_b[0][::-1], y_f[0][1:]])
+    psi_vals = np.concatenate([y_b[1][::-1], y_f[1][1:]])
     meta = {"K": K, "tau_seed": tau_seed, "tol": tol,
             "seed_residual": res_norm, "grid_step": grid_step,
             "integrator": "DOP853"}

@@ -78,33 +78,35 @@ class ThresholdReport:
         return asdict(self)
 
 
-def eval_V(e, tau, p: SystemParams, ref):
+# V and its derivatives take the reference sample star = (r*, psi*) at tau.
+
+def eval_V(e, tau, p: SystemParams, star):
     """V = [H + gamma R Psi / 2] / (nu tau); accepts arrays."""
     R, Psi = e
     tau = np.asarray(tau, dtype=float)
-    H = hamiltonian(e, tau, p, ref)
+    H = hamiltonian(e, star)
     return (H + p.gamma * R * Psi / 2.0) / (p.nu * tau)
 
 
-def grad_V(e, tau, p: SystemParams, ref):
+def grad_V(e, tau, p: SystemParams, star):
     """Closed-form (dV/dR, dV/dPsi)."""
     R, Psi = e
     tau = np.asarray(tau, dtype=float)
-    dH_dR, dH_dPsi = hamiltonian_partials(e, tau, p, ref)
+    dH_dR, dH_dPsi = hamiltonian_partials(e, star)
     gR = (dH_dR + p.gamma * Psi / 2.0) / (p.nu * tau)
     gP = (dH_dPsi + p.gamma * R / 2.0) / (p.nu * tau)
     return gR, gP
 
 
-def hess_V(e, tau, p: SystemParams, ref):
+def hess_V(e, tau, p: SystemParams, star):
     """Closed-form Hessian entries (V_RR, V_RPsi, V_PsiPsi)."""
     tau = np.asarray(tau, dtype=float)
-    H_RR, H_RP, H_PP = hamiltonian_hessian(e, tau, p, ref)
+    H_RR, H_RP, H_PP = hamiltonian_hessian(e, star)
     s = 1.0 / (p.nu * tau)
     return H_RR * s, (H_RP + p.gamma / 2.0) * s, H_PP * s
 
 
-def dV_dtau(e, tau, p: SystemParams, ref):
+def dV_dtau(e, tau, p: SystemParams, star):
     """Total derivative of V along the deviation flow, in closed form.
 
     Substituting the flow (-dH/dPsi - gamma R, dH/dR) collapses the
@@ -114,9 +116,9 @@ def dV_dtau(e, tau, p: SystemParams, ref):
     """
     R, Psi = e
     tau = np.asarray(tau, dtype=float)
-    V = eval_V(e, tau, p, ref)
-    dH_dR, dH_dPsi = hamiltonian_partials(e, tau, p, ref)
-    dH_dt = hamiltonian_time_partial(e, tau, p, ref)
+    V = eval_V(e, tau, p, star)
+    dH_dR, dH_dPsi = hamiltonian_partials(e, star)
+    dH_dt = hamiltonian_time_partial(e, tau, p, star)
     bracket = (dH_dt
                - (p.gamma / 2.0) * (R * dH_dR + Psi * dH_dPsi)
                - p.gamma ** 2 * R * Psi / 2.0)
@@ -138,9 +140,10 @@ def _inequality_slacks(R, Psi, tau, p: SystemParams, ref, q: float):
     All are normalized by w so slacks are comparable across the tube.
     """
     e = (R, Psi)
+    star = ref.state(tau)
     w = weighted_norm(e, tau, p)
-    V = eval_V(e, tau, p, ref)
-    dV = dV_dtau(e, tau, p, ref)
+    V = eval_V(e, tau, p, star)
+    dV = dV_dtau(e, tau, p, star)
     with np.errstate(invalid="ignore", divide="ignore"):
         lo = np.where(w > 0, (V - 0.25 * w) / np.maximum(w, 1e-300), np.inf)
         hi = np.where(w > 0, (0.75 * w - V) / np.maximum(w, 1e-300), np.inf)
@@ -229,12 +232,13 @@ def certify(p: SystemParams, ref, d_range=(1e-3, 0.3),
     d0, tau0, margin = best
     # measure the smallest B, C fitting the winning tube
     R, Psi, tt = _tube_samples(d0, tau0, tau_hi, grid)
-    V = eval_V((R, Psi), tt, p, ref)
-    gR, gP = grad_V((R, Psi), tt, p, ref)
+    star = ref.state(tt)
+    V = eval_V((R, Psi), tt, p, star)
+    gR, gP = grad_V((R, Psi), tt, p, star)
     grad_sq = gR * gR + gP * gP
     with np.errstate(invalid="ignore", divide="ignore"):
         B = float(np.max(np.where(V > 0, grad_sq / np.maximum(V, 1e-300), 0.0)))
-    h_rr, h_rp, h_pp = hess_V((R, Psi), tt, p, ref)
+    h_rr, h_rp, h_pp = hess_V((R, Psi), tt, p, star)
     # spectral norm of a symmetric 2x2
     mean = (h_rr + h_pp) / 2.0
     disc = np.sqrt(((h_rr - h_pp) / 2.0) ** 2 + h_rp ** 2)
@@ -276,7 +280,7 @@ def chain_U(N: int, mu: float, h: float, n: int, B: float, C: float,
     if min(h, n, C, q) <= 0 or T < 0:
         raise ValueError("constants must be positive and T nonnegative")
     t = np.asarray(t, dtype=float)
-    if np.any(t < t0) or np.any(t > t0 + T):
+    if ((t < t0) | (t > t0 + T)).any():
         raise ValueError("t must lie in [t0, t0 + T]")
     U = np.asarray(U_value, dtype=float)
     Uk = U + mu * mu * h * n * n * C * (T + t0 - t)

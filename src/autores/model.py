@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -44,13 +44,6 @@ class State(NamedTuple):
 
     r: float
     psi: float
-
-
-class ErrorState(NamedTuple):
-    """Deviation from a reference captured solution."""
-
-    R: float
-    Psi: float
 
 
 @dataclass(frozen=True)
@@ -93,44 +86,54 @@ def power_schedule(c: float, p: float) -> Schedule:
     return Schedule(coeff=float(c), power=float(p))
 
 
+def _primary_drift(r, sin_psi, cos_psi, tau, p: SystemParams):
+    return r * sin_psi - p.gamma * r, r - p.lam * tau + cos_psi
+
+
 def rhs_primary(s, tau: ArrayLike, p: SystemParams):
     """Right-hand side of the unperturbed system at state s = (r, psi)."""
     r, psi = s
-    dr = r * np.sin(psi) - p.gamma * r
-    dpsi = r - p.lam * np.asarray(tau, dtype=float) + np.cos(psi)
-    return dr, dpsi
+    return _primary_drift(r, np.sin(psi), np.cos(psi),
+                          np.asarray(tau, dtype=float), p)
 
 
-def drift_perturbed(s, tau: ArrayLike, p: SystemParams, n: NoiseSchedule):
-    """Ito drift of the perturbed system; identical to the unperturbed field."""
-    return rhs_primary(s, tau, p)
+def _noise(s1, s2, r, sin_psi, cos_psi, w):
+    """G w for the diffusion matrix G; the amplitude mu is applied by the
+    integrator.  Rows correspond to (r, psi), columns to the two Wiener
+    channels: row 1 = (sigma1 r sin psi, 0), row 2 = (sigma1 cos psi,
+    sigma2)."""
+    return s1 * r * sin_psi * w[0], s1 * cos_psi * w[0] + s2 * w[1]
 
 
-def diffusion_matrix(s, tau: float, n: NoiseSchedule) -> np.ndarray:
-    """Diffusion matrix G; the amplitude mu is applied by the integrator.
+def perturbed_terms(p: SystemParams, n: NoiseSchedule, tau: np.ndarray):
+    """Euler-Maruyama terms of the perturbed system on step start times tau.
 
-    Rows correspond to (r, psi), columns to the two Wiener channels:
-    row 1 = (sigma1 r sin psi, 0), row 2 = (sigma1 cos psi, sigma2).
+    Returns terms(k, x, w) -> (f, G w) for the state x = (r, psi) and the
+    two Wiener increments w of step k.  The Ito drift is the unperturbed
+    field.  sin and cos are evaluated once per step.
     """
-    r, psi = s
-    s1 = float(np.asarray(n.sigma1(tau)))
-    s2 = float(np.asarray(n.sigma2(tau)))
-    return np.array(
-        [
-            [s1 * r * np.sin(psi), 0.0],
-            [s1 * np.cos(psi), s2],
-        ]
-    )
+    s1 = np.asarray(n.sigma1(tau), dtype=float)
+    s2 = np.asarray(n.sigma2(tau), dtype=float)
+
+    def terms(k, x, w):
+        r, psi = x
+        sin_psi, cos_psi = np.sin(psi), np.cos(psi)
+        return (_primary_drift(r, sin_psi, cos_psi, tau[k], p),
+                _noise(s1[k], s2[k], r, sin_psi, cos_psi, w))
+    return terms
 
 
-def hamiltonian(e, tau: ArrayLike, p: SystemParams, ref) -> ArrayLike:
+# The deviation functions take the reference sample star = (r*, psi*) at
+# the time of interest, so one spline evaluation serves them all.
+
+def hamiltonian(e, star) -> ArrayLike:
     """Energy-like function H for the deviation variables.
 
     H = R^2/2 + (R + r*)[cos(Psi + psi*) - cos psi*] + Psi r* sin psi*
     with (r*, psi*) the reference captured solution at tau.
     """
     R, Psi = e
-    rs, ps = ref.state(tau)
+    rs, ps = star
     return (
         R**2 / 2.0
         + (R + rs) * (np.cos(Psi + ps) - np.cos(ps))
@@ -138,23 +141,28 @@ def hamiltonian(e, tau: ArrayLike, p: SystemParams, ref) -> ArrayLike:
     )
 
 
-def hamiltonian_partials(e, tau: ArrayLike, p: SystemParams, ref):
+def _partials(R, rs, cos_d, sin_d, cos_s, sin_s):
+    """(dH/dR, dH/dPsi) from cos, sin of psi* + Psi (d) and of psi* (s)."""
+    return R + cos_d - cos_s, -(R + rs) * sin_d + rs * sin_s
+
+
+def hamiltonian_partials(e, star):
     """Closed-form (dH/dR, dH/dPsi); no finite differences."""
     R, Psi = e
-    rs, ps = ref.state(tau)
-    dH_dR = R + np.cos(Psi + ps) - np.cos(ps)
-    dH_dPsi = -(R + rs) * np.sin(Psi + ps) + rs * np.sin(ps)
-    return dH_dR, dH_dPsi
+    rs, ps = star
+    return _partials(R, rs, np.cos(Psi + ps), np.sin(Psi + ps),
+                     np.cos(ps), np.sin(ps))
 
 
-def hamiltonian_time_partial(e, tau: ArrayLike, p: SystemParams, ref) -> ArrayLike:
+def hamiltonian_time_partial(e, tau: ArrayLike, p: SystemParams,
+                             star) -> ArrayLike:
     """Closed-form dH/dtau at frozen (R, Psi).
 
     Uses the chain rule through (r*(tau), psi*(tau)), whose derivatives are
     the unperturbed field evaluated on the reference solution.
     """
     R, Psi = e
-    rs, ps = ref.state(tau)
+    rs, ps = star
     drs, dps = rhs_primary((rs, ps), tau, p)
     return (
         drs * (np.cos(Psi + ps) - np.cos(ps))
@@ -163,37 +171,47 @@ def hamiltonian_time_partial(e, tau: ArrayLike, p: SystemParams, ref) -> ArrayLi
     )
 
 
-def hamiltonian_hessian(e, tau: ArrayLike, p: SystemParams, ref):
+def hamiltonian_hessian(e, star):
     """Closed-form second partials (H_RR, H_RPsi, H_PsiPsi)."""
     R, Psi = e
-    rs, ps = ref.state(tau)
+    rs, ps = star
     H_RR = np.ones_like(np.asarray(R, dtype=float))
     H_RPsi = -np.sin(Psi + ps)
     H_PsiPsi = -(R + rs) * np.cos(Psi + ps)
     return H_RR, H_RPsi, H_PsiPsi
 
 
-def rhs_error(e, tau: ArrayLike, p: SystemParams, ref):
+def _error_drift(R, partials, gamma: float):
+    dH_dR, dH_dPsi = partials
+    return -dH_dPsi - gamma * R, dH_dR
+
+
+def rhs_error(e, p: SystemParams, star):
     """Vector field of the deviation system: (-dH/dPsi - gamma R, dH/dR)."""
-    R, Psi = e
-    dH_dR, dH_dPsi = hamiltonian_partials(e, tau, p, ref)
-    return -dH_dPsi - p.gamma * R, dH_dR
+    return _error_drift(e[0], hamiltonian_partials(e, star), p.gamma)
 
 
-def diffusion_error(e, tau: float, ref, n: NoiseSchedule) -> np.ndarray:
-    """Diffusion matrix of the deviation system at (R, Psi).
+def error_terms(p: SystemParams, n: NoiseSchedule, tau: np.ndarray, star):
+    """Euler-Maruyama terms of the deviation system (R, Psi).
 
-    Obtained from the original-variable matrix evaluated at the shifted
-    state (r* + R, psi* + Psi); the reference solution itself satisfies
-    the deterministic equations, so its noise terms cancel.
+    star = (r*, psi*) holds one reference sample per step; the noise
+    schedules are read at the step start times tau.  The diffusion matrix
+    is the original-variable one at the shifted state (r* + R, psi* +
+    Psi); the reference solution itself satisfies the deterministic
+    equations, so its noise terms cancel.  Returns terms(k, x, w) -> (f,
+    G w) like perturbed_terms, with sin and cos evaluated once per step.
     """
-    R, Psi = e
-    rs, ps = ref.state(tau)
-    s1 = float(np.asarray(n.sigma1(tau)))
-    s2 = float(np.asarray(n.sigma2(tau)))
-    return np.array(
-        [
-            [s1 * (rs + R) * np.sin(ps + Psi), 0.0],
-            [s1 * np.cos(ps + Psi), s2],
-        ]
-    )
+    s1 = np.asarray(n.sigma1(tau), dtype=float)
+    s2 = np.asarray(n.sigma2(tau), dtype=float)
+    rs, ps = star
+
+    def terms(k, x, w):
+        R, Psi = x
+        rsk, psk = rs[k], ps[k]
+        shifted = Psi + psk
+        cos_d, sin_d = np.cos(shifted), np.sin(shifted)
+        partials = _partials(R, rsk, cos_d, sin_d, math.cos(psk),
+                             math.sin(psk))
+        return (_error_drift(R, partials, p.gamma),
+                _noise(s1[k], s2[k], rsk + R, sin_d, cos_d, w))
+    return terms

@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from autores.model import NoiseSchedule, constant_schedule
-from autores.integrators import Trajectory
+from autores import ensemble
+from autores.model import NoiseSchedule, constant_schedule, perturbed_terms
+from autores.integrators import (NoiseStream, Trajectory, integrate_sde,
+                                 step_grid)
 from autores.ensemble import (EnsembleConfig, classify_capture,
                               classify_capture_noisy, exit_time_scaling,
                               run_ensemble, supermartingale_check,
@@ -194,3 +197,58 @@ def test_supermartingale_depth_limit(ref, cert, cfg_maker):
     cfg = cfg_maker(mu=0.05, n_paths=100, horizon=1.0)
     with pytest.raises(NotImplementedError):
         supermartingale_check(cfg, cert, N=2, ref=ref)
+
+
+@pytest.mark.parametrize("sigma1", [0.0, 0.02])
+def test_single_path_is_ensemble_path(params, sigma1):
+    # one engine: the single path for (master_seed, j) is path j of the
+    # ensemble, bit for bit; 2050 steps cross a noise chunk boundary and
+    # the grid's step sizes differ from dt in their last bits
+    noise = NoiseSchedule(mu=0.35, sigma1=constant_schedule(sigma1),
+                          sigma2=constant_schedule(1.0), h=1.0)
+    cfg = EnsembleConfig(params=params, noise=noise, tau0=0.0, horizon=2.05,
+                         dt=1e-3, n_paths=100, master_seed=31,
+                         x0=(1.09, 2.15))
+    stats = run_ensemble(cfg, out_of_class_ok=True)
+    tau1 = cfg.tau0 + cfg.horizon
+    tau = step_grid(cfg.tau0, tau1, cfg.dt)[0]
+    terms = perturbed_terms(params, noise, tau)
+    for j in (0, 5):
+        traj = integrate_sde(terms, cfg.x0, cfg.tau0, tau1, cfg.dt, noise.mu,
+                             NoiseStream(cfg.master_seed, j))
+        assert not traj.truncated
+        assert np.array_equal(traj.states[-1], stats.end_states[j])
+
+
+def _stats_equal(a, b):
+    for key in ("exit_times", "censored", "sup_psi_dev", "sup_r_dev_weighted",
+                "sup_r_dev_raw", "captured", "escaped_at", "end_states"):
+        assert np.array_equal(getattr(a, key), getattr(b, key),
+                              equal_nan=True), key
+    assert a.to_dict() == b.to_dict()
+
+
+def test_block_width_invariance(ref, cert, cfg_maker, monkeypatch):
+    ens_cfg = cfg_maker(n_paths=150)
+    err_cfg = cfg_maker(mu=0.05, n_paths=150, horizon=1.0, x0=(0.0, 0.0),
+                        tau0=cert.tau0)
+    monkeypatch.setattr(ensemble, "BLOCK_PATHS", 128)
+    stats = run_ensemble(ens_cfg, ref)
+    report = supermartingale_check(err_cfg, cert, N=1, ref=ref)
+    assert supermartingale_check(err_cfg, cert, N=1, ref=ref,
+                                 threads=3) == report
+    monkeypatch.setattr(ensemble, "BLOCK_PATHS", 64)
+    _stats_equal(run_ensemble(ens_cfg, ref), stats)
+    assert supermartingale_check(err_cfg, cert, N=1, ref=ref) == report
+
+
+def test_supermartingale_all_paths_stopped(ref, cert, cfg_maker):
+    # a tube this thin is left within the first step, so stepping ends
+    # early and U_1 stays at its stopped values on every later band
+    tiny = dataclasses.replace(cert, d0=1e-9)
+    cfg = cfg_maker(mu=0.05, n_paths=100, horizon=1.0, x0=(0.0, 0.0),
+                    tau0=cert.tau0)
+    report = supermartingale_check(cfg, tiny, N=1, ref=ref)
+    assert report["stopped_fraction"] == 1.0
+    assert report["bands"][0]["mean_diff"] != 0.0
+    assert all(band["mean_diff"] == 0.0 for band in report["bands"][1:])

@@ -8,9 +8,11 @@ from autores.asymptotics import STABLE, evaluate, expand
 from autores.integrators import (IntegrationError, NoiseStream, Trajectory,
                                  default_dt, integrate_ode,
                                  integrate_ode_batch, integrate_sde,
-                                 reference_solution, sde_step_count)
+                                 reference_solution, sde_step_count,
+                                 step_grid)
 from autores.ensemble import classify_capture
-from autores.model import rhs_primary
+from autores.model import (NoiseSchedule, constant_schedule, perturbed_terms,
+                           rhs_primary)
 
 
 def test_trajectory_invariants():
@@ -136,14 +138,17 @@ def test_default_dt():
     assert default_dt(0.01) == pytest.approx(1e-5, rel=1e-12)
 
 
-def _zero_matrix(t, y):
-    return np.zeros((1, 2))
+def _terms(drift, g_row):
+    """terms(k, x, w) of a one-dimensional system dx = drift(x) dt + mu
+    g_row . dW, with g_row the single row of G."""
+    g = np.asarray(g_row, dtype=float)
+    return lambda k, x, w: (drift(x), (g[0] * w[0] + g[1] * w[1])[None])
 
 
 def test_sde_zero_noise_is_euler():
     # with G = 0 the scheme is the deterministic Euler map
     stream = NoiseStream(1, 0)
-    traj = integrate_sde(lambda t, y: np.array([-y[0]]), _zero_matrix,
+    traj = integrate_sde(_terms(lambda x: -x, [0.0, 0.0]),
                          [1.0], 0.0, 1.0, 0.25, 0.3, stream)
     x = 1.0
     for _ in range(4):
@@ -156,8 +161,7 @@ def test_sde_pure_noise_variance():
     mu, T, n = 0.4, 2.0, 400
     ends = np.empty(n)
     for j in range(n):
-        traj = integrate_sde(lambda t, y: np.array([0.0]),
-                             lambda t, y: np.array([[1.0, 0.0]]),
+        traj = integrate_sde(_terms(lambda x: 0.0 * x, [1.0, 0.0]),
                              [0.0], 0.0, T, 1e-2, mu, NoiseStream(7, j))
         ends[j] = traj.states[-1, 0]
     var = ends.var(ddof=1)
@@ -167,34 +171,33 @@ def test_sde_pure_noise_variance():
 
 def test_sde_shared_increments_reproduce_path():
     p = SystemParams(lam=1.0, gamma=0.1)
-    drift = lambda t, y: np.asarray(rhs_primary(y, t, p))
-    diff = lambda t, y: np.array([[0.0, 0.0], [0.0, 1.0]])
+    # G = [[0, 0], [0, 1]]
+    noise = NoiseSchedule(mu=0.3, sigma1=constant_schedule(0.0),
+                          sigma2=constant_schedule(1.0))
+    terms = perturbed_terms(p, noise, step_grid(0.0, 2.0, 1e-2)[0])
     n_steps = sde_step_count(0.0, 2.0, 1e-2)
     rng = NoiseStream(11, 0).generator()
     dw = rng.standard_normal((n_steps, 2)) * math.sqrt(1e-2)
-    a = integrate_sde(drift, diff, [1.0, 2.0], 0.0, 2.0, 1e-2, 0.3,
+    a = integrate_sde(terms, [1.0, 2.0], 0.0, 2.0, 1e-2, 0.3,
                       NoiseStream(0, 0), dW=dw)
-    b = integrate_sde(drift, diff, [1.0, 2.0], 0.0, 2.0, 1e-2, 0.3,
+    b = integrate_sde(terms, [1.0, 2.0], 0.0, 2.0, 1e-2, 0.3,
                       NoiseStream(999, 5), dW=dw)
     assert np.array_equal(a.states, b.states)
 
 
 def test_sde_final_partial_step_lands_on_end():
-    traj = integrate_sde(lambda t, y: np.array([1.0]),
-                         lambda t, y: np.array([[0.0]]),
+    traj = integrate_sde(_terms(np.ones_like, [0.0, 0.0]),
                          [0.0], 0.0, 0.55, 0.1, 0.1, NoiseStream(2, 0))
     assert traj.times[-1] == pytest.approx(0.55, abs=1e-14)
     assert traj.states[-1, 0] == pytest.approx(0.55, rel=1e-12)
 
 
 def test_sde_record_every_thins_output():
-    full = integrate_sde(lambda t, y: np.array([0.0]),
-                         lambda t, y: np.array([[1.0]]),
-                         [0.0], 0.0, 1.0, 0.01, 0.2, NoiseStream(3, 1))
-    thin = integrate_sde(lambda t, y: np.array([0.0]),
-                         lambda t, y: np.array([[1.0]]),
-                         [0.0], 0.0, 1.0, 0.01, 0.2, NoiseStream(3, 1),
-                         record_every=10)
+    terms = _terms(lambda x: 0.0 * x, [1.0, 0.0])
+    full = integrate_sde(terms, [0.0], 0.0, 1.0, 0.01, 0.2,
+                         NoiseStream(3, 1))
+    thin = integrate_sde(terms, [0.0], 0.0, 1.0, 0.01, 0.2,
+                         NoiseStream(3, 1), record_every=10)
     assert thin.times.size < full.times.size
     # identical noise, so the recorded subsequence matches
     idx = np.searchsorted(full.times, thin.times)
@@ -203,8 +206,7 @@ def test_sde_record_every_thins_output():
 
 
 def test_sde_truncates_blowup():
-    traj = integrate_sde(lambda t, y: np.array([y[0] ** 2]),
-                         lambda t, y: np.array([[0.0]]),
+    traj = integrate_sde(_terms(lambda x: x ** 2, [0.0, 0.0]),
                          [5.0], 0.0, 2.0, 1e-3, 0.1, NoiseStream(4, 0))
     assert traj.truncated
     assert traj.times[-1] < 2.0

@@ -22,7 +22,7 @@ def _tube_points(d0, tau_lo, tau_hi, n, seed=5):
 def test_sandwich_on_tube(params, ref, cert):
     R, Psi, taus = _tube_points(cert.d0, cert.tau0, 300.0, 500)
     for r_, p_, t_ in zip(R, Psi, taus):
-        v = eval_V((r_, p_), t_, params, ref)
+        v = eval_V((r_, p_), t_, params, ref.state(t_))
         w = weighted_norm((r_, p_), t_, params)
         assert 0.25 * w - 1e-15 <= v <= 0.75 * w + 1e-15
 
@@ -30,8 +30,8 @@ def test_sandwich_on_tube(params, ref, cert):
 def test_decay_inequality_on_tube(params, ref, cert):
     R, Psi, taus = _tube_points(cert.d0, cert.tau0, 300.0, 500, seed=6)
     for r_, p_, t_ in zip(R, Psi, taus):
-        v = eval_V((r_, p_), t_, params, ref)
-        dv = dV_dtau((r_, p_), t_, params, ref)
+        v = eval_V((r_, p_), t_, params, ref.state(t_))
+        dv = dV_dtau((r_, p_), t_, params, ref.state(t_))
         assert dv <= -cert.q * v + 1e-12
 
 
@@ -39,22 +39,24 @@ def test_dV_matches_difference_along_flow(params, ref):
     # independent check: finite difference of V along the deviation flow
     e0 = (0.15, -0.1)
     tau0, h = 40.0, 1e-4
-    traj = integrate_ode(lambda t, y: rhs_error(y, t, params, ref),
+    traj = integrate_ode(lambda t, y: rhs_error(y, params, ref.state(t)),
                          e0, tau0, tau0 + h, tol=1e-12)
-    v0 = eval_V(e0, tau0, params, ref)
-    v1 = eval_V(tuple(traj.states[-1]), tau0 + h, params, ref)
-    assert dV_dtau(e0, tau0, params, ref) == pytest.approx(
+    v0 = eval_V(e0, tau0, params, ref.state(tau0))
+    v1 = eval_V(tuple(traj.states[-1]), tau0 + h, params,
+                ref.state(tau0 + h))
+    assert dV_dtau(e0, tau0, params, ref.state(tau0)) == pytest.approx(
         (v1 - v0) / h, rel=1e-3)
 
 
 def test_grad_matches_finite_difference(params, ref):
     e = (0.1, 0.05)
     tau, h = 30.0, 1e-6
-    gr, gp = grad_V(e, tau, params, ref)
-    fr = (eval_V((e[0] + h, e[1]), tau, params, ref)
-          - eval_V((e[0] - h, e[1]), tau, params, ref)) / (2 * h)
-    fp = (eval_V((e[0], e[1] + h), tau, params, ref)
-          - eval_V((e[0], e[1] - h), tau, params, ref)) / (2 * h)
+    star = ref.state(tau)
+    gr, gp = grad_V(e, tau, params, star)
+    fr = (eval_V((e[0] + h, e[1]), tau, params, star)
+          - eval_V((e[0] - h, e[1]), tau, params, star)) / (2 * h)
+    fp = (eval_V((e[0], e[1] + h), tau, params, star)
+          - eval_V((e[0], e[1] - h), tau, params, star)) / (2 * h)
     assert gr == pytest.approx(fr, rel=1e-5, abs=1e-9)
     assert gp == pytest.approx(fp, rel=1e-5, abs=1e-9)
 

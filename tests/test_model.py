@@ -5,10 +5,10 @@ import pytest
 
 from autores import SystemParams
 from autores.model import (NoiseSchedule, Schedule, constant_schedule,
-                           diffusion_error, diffusion_matrix, drift_perturbed,
-                           hamiltonian, hamiltonian_hessian,
+                           error_terms, hamiltonian, hamiltonian_hessian,
                            hamiltonian_partials, hamiltonian_time_partial,
-                           power_schedule, rhs_error, rhs_primary)
+                           perturbed_terms, power_schedule, rhs_error,
+                           rhs_primary)
 
 
 def test_params_validation():
@@ -57,14 +57,24 @@ def test_drift_matches_unperturbed():
     p = SystemParams(lam=1.0, gamma=0.1)
     n = NoiseSchedule(mu=0.2, sigma1=constant_schedule(0.3),
                       sigma2=constant_schedule(1.0))
-    assert drift_perturbed((1.5, 0.7), 9.0, p, n) == rhs_primary((1.5, 0.7), 9.0, p)
+    drift, _ = perturbed_terms(p, n, np.array([9.0]))(
+        0, np.array([[1.5], [0.7]]), np.zeros((2, 1)))
+    assert tuple(np.ravel(drift)) == rhs_primary((1.5, 0.7), 9.0, p)
+
+
+def _matrix(terms, x):
+    """The diffusion matrix G of terms at step 0, column by column."""
+    cols = [np.ravel(terms(0, x, w[:, None])[1]) for w in np.eye(2)]
+    return np.column_stack(cols)
 
 
 def test_diffusion_matrix_rows():
+    p = SystemParams(lam=1.0, gamma=0.1)
     n = NoiseSchedule(mu=0.2, sigma1=power_schedule(0.5, -1.0),
                       sigma2=constant_schedule(2.0))
     r, psi, tau = 3.0, 0.4, 5.0
-    g = diffusion_matrix((r, psi), tau, n)
+    g = _matrix(perturbed_terms(p, n, np.array([tau])),
+                np.array([[r], [psi]]))
     s1 = 0.5 / tau
     assert g == pytest.approx(np.array([[s1 * r * math.sin(psi), 0.0],
                                         [s1 * math.cos(psi), 2.0]]), rel=1e-14)
@@ -80,8 +90,8 @@ def _fd(fun, e, tau, i, h=1e-6):
 
 def test_hamiltonian_zero_and_critical_at_origin(params, ref):
     for tau in (10.0, 40.0, 200.0):
-        assert hamiltonian((0.0, 0.0), tau, params, ref) == 0.0
-        hr, hp = hamiltonian_partials((0.0, 0.0), tau, params, ref)
+        assert hamiltonian((0.0, 0.0), ref.state(tau)) == 0.0
+        hr, hp = hamiltonian_partials((0.0, 0.0), ref.state(tau))
         assert abs(hr) < 1e-14
         assert abs(hp) < 1e-14
 
@@ -89,8 +99,8 @@ def test_hamiltonian_zero_and_critical_at_origin(params, ref):
 def test_hamiltonian_partials_match_finite_differences(params, ref):
     e = (0.12, -0.2)
     tau = 30.0
-    fun = lambda x, t: hamiltonian(x, t, params, ref)
-    hr, hp = hamiltonian_partials(e, tau, params, ref)
+    fun = lambda x, t: hamiltonian(x, ref.state(t))
+    hr, hp = hamiltonian_partials(e, ref.state(tau))
     assert hr == pytest.approx(_fd(fun, e, tau, 0), rel=1e-6, abs=1e-8)
     assert hp == pytest.approx(_fd(fun, e, tau, 1), rel=1e-6, abs=1e-8)
 
@@ -99,18 +109,19 @@ def test_hamiltonian_time_partial_matches_finite_difference(params, ref):
     e = (0.1, 0.15)
     tau = 50.0
     h = 1e-5
-    fd = (hamiltonian(e, tau + h, params, ref)
-          - hamiltonian(e, tau - h, params, ref)) / (2 * h)
-    assert hamiltonian_time_partial(e, tau, params, ref) == pytest.approx(
+    fd = (hamiltonian(e, ref.state(tau + h))
+          - hamiltonian(e, ref.state(tau - h))) / (2 * h)
+    assert hamiltonian_time_partial(e, tau, params,
+                                    ref.state(tau)) == pytest.approx(
         fd, rel=1e-5, abs=1e-8)
 
 
 def test_hessian_matches_finite_differences(params, ref):
     e = (0.08, -0.1)
     tau = 25.0
-    hrr, hrp, hpp = hamiltonian_hessian(e, tau, params, ref)
-    fr = lambda x, t: hamiltonian_partials(x, t, params, ref)[0]
-    fp = lambda x, t: hamiltonian_partials(x, t, params, ref)[1]
+    hrr, hrp, hpp = hamiltonian_hessian(e, ref.state(tau))
+    fr = lambda x, t: hamiltonian_partials(x, ref.state(t))[0]
+    fp = lambda x, t: hamiltonian_partials(x, ref.state(t))[1]
     assert hrr == pytest.approx(_fd(fr, e, tau, 0), rel=1e-6, abs=1e-8)
     assert hrp == pytest.approx(_fd(fr, e, tau, 1), rel=1e-6, abs=1e-8)
     assert hpp == pytest.approx(_fd(fp, e, tau, 1), rel=1e-6, abs=1e-8)
@@ -119,8 +130,8 @@ def test_hessian_matches_finite_differences(params, ref):
 def test_error_field_from_hamiltonian(params, ref):
     e = (0.1, -0.07)
     tau = 35.0
-    hr, hp = hamiltonian_partials(e, tau, params, ref)
-    dR, dP = rhs_error(e, tau, params, ref)
+    hr, hp = hamiltonian_partials(e, ref.state(tau))
+    dR, dP = rhs_error(e, params, ref.state(tau))
     assert dR == pytest.approx(-hp - params.gamma * e[0], rel=1e-12)
     assert dP == pytest.approx(hr, rel=1e-12)
 
@@ -128,7 +139,7 @@ def test_error_field_from_hamiltonian(params, ref):
 def test_reference_is_equilibrium_of_error_field(params, ref):
     # zero deviation must stay zero up to spline interpolation error
     for tau in (10.0, 60.0, 300.0):
-        dR, dP = rhs_error((0.0, 0.0), tau, params, ref)
+        dR, dP = rhs_error((0.0, 0.0), params, ref.state(tau))
         assert abs(dR) < 1e-9
         assert abs(dP) < 1e-9
 
@@ -139,5 +150,9 @@ def test_diffusion_error_is_shifted_state_matrix(params, ref):
     e = (0.2, -0.3)
     tau = 20.0
     rstar, pstar = ref.state(tau)
-    shifted = diffusion_matrix((e[0] + rstar, e[1] + pstar), tau, n)
-    assert diffusion_error(e, tau, ref, n) == pytest.approx(shifted, rel=1e-14)
+    shifted = _matrix(perturbed_terms(params, n, np.array([tau])),
+                      np.array([[e[0] + rstar], [e[1] + pstar]]))
+    star = (np.array([rstar]), np.array([pstar]))
+    g = _matrix(error_terms(params, n, np.array([tau]), star),
+                np.array([[e[0]], [e[1]]]))
+    assert g == pytest.approx(shifted, rel=1e-14)
