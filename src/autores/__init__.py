@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .model import (
     SystemParams,
-    State,
     Schedule,
     NoiseSchedule,
     constant_schedule,
@@ -14,7 +13,6 @@ from .asymptotics import AsymptoticExpansion, expand, solve_psi0
 
 __all__ = [
     "SystemParams",
-    "State",
     "Schedule",
     "NoiseSchedule",
     "constant_schedule",

@@ -190,10 +190,35 @@ def _traj_csv(path: Path, schema_name: str, header, traj: Trajectory):
 
 # ------------------------------------------------------------ subcommands
 
+_SYSTEM_FIELDS = {
+    "gamma": (_f(0.0, 1.0, lo_open=True, hi_open=True), _REQUIRED),
+    "lam": (_f(0.0, lo_open=True), _REQUIRED),
+}
+
+
+def _run_fields(amplitude: dict, n_paths: int, eps1, own: dict) -> dict:
+    """Schema shared by ensemble and exit-times: system, amplitude (mu or
+    mus), the shared run fields, then the subcommand's own fields."""
+    return {
+        **_SYSTEM_FIELDS, **amplitude,
+        "sigma1": (_schedule, constant_schedule(0.0)),
+        "sigma2": (_schedule, constant_schedule(1.0)),
+        "h": (_f(0.0, lo_open=True), 1.0),
+        "tau0": (_f(0.0), _REQUIRED),
+        "horizon": (_f(0.0, lo_open=True), _REQUIRED),
+        "dt": (_f(0.0, lo_open=True), None),
+        "n_paths": (_i(100, 10_000_000), n_paths),
+        "master_seed": (_i(0), 12345),
+        "x0": (_pair, None),
+        "ball_radius": (_f(0.0), 0.0),
+        "eps1": (_f(0.0, lo_open=True), eps1),
+        **own,
+    }
+
+
 _SCHEMAS = {
     "series": {
-        "gamma": (_f(0.0, 1.0, lo_open=True, hi_open=True), _REQUIRED),
-        "lam": (_f(0.0, lo_open=True), _REQUIRED),
+        **_SYSTEM_FIELDS,
         "order": (_i(0, 64), 3),
         "branch": (_s("stable", "unstable"), "stable"),
         "tau_min": (_f(0.0, lo_open=True), None),
@@ -201,8 +226,7 @@ _SCHEMAS = {
         "tau_n": (_i(2), None),
     },
     "simulate": {
-        "gamma": (_f(0.0, 1.0, lo_open=True, hi_open=True), _REQUIRED),
-        "lam": (_f(0.0, lo_open=True), _REQUIRED),
+        **_SYSTEM_FIELDS,
         "r0": (_f(), _REQUIRED),
         "psi0": (_f(), _REQUIRED),
         "tau0": (_f(0.0), 0.0),
@@ -210,45 +234,14 @@ _SCHEMAS = {
         "samples": (_i(2, 10_000_000), 2000),
         "tol": (_f(0.0, lo_open=True), 1e-10),
     },
-    "ensemble": {
-        "gamma": (_f(0.0, 1.0, lo_open=True, hi_open=True), _REQUIRED),
-        "lam": (_f(0.0, lo_open=True), _REQUIRED),
-        "mu": (_f(0.0, 1.0, lo_open=True, hi_open=True), _REQUIRED),
-        "sigma1": (_schedule, constant_schedule(0.0)),
-        "sigma2": (_schedule, constant_schedule(1.0)),
-        "h": (_f(0.0, lo_open=True), 1.0),
-        "tau0": (_f(0.0), _REQUIRED),
-        "horizon": (_f(0.0, lo_open=True), _REQUIRED),
-        "dt": (_f(0.0, lo_open=True), None),
-        "n_paths": (_i(100, 10_000_000), 500),
-        "master_seed": (_i(0), 12345),
-        "x0": (_pair, None),
-        "ball_radius": (_f(0.0), 0.0),
-        "eps1": (_f(0.0, lo_open=True), 0.1),
-        "reference": (_b, False),
-        "out_of_class_ok": (_b, False),
-    },
-    "exit-times": {
-        "gamma": (_f(0.0, 1.0, lo_open=True, hi_open=True), _REQUIRED),
-        "lam": (_f(0.0, lo_open=True), _REQUIRED),
-        "mus": (_num_list(3), _REQUIRED),
-        "sigma1": (_schedule, constant_schedule(0.0)),
-        "sigma2": (_schedule, constant_schedule(1.0)),
-        "h": (_f(0.0, lo_open=True), 1.0),
-        "tau0": (_f(0.0), _REQUIRED),
-        "horizon": (_f(0.0, lo_open=True), _REQUIRED),
-        "dt": (_f(0.0, lo_open=True), None),
-        "n_paths": (_i(100, 10_000_000), 300),
-        "master_seed": (_i(0), 12345),
-        "x0": (_pair, None),
-        "ball_radius": (_f(0.0), 0.0),
-        "eps1": (_f(0.0, lo_open=True), _REQUIRED),
-        "n_boot": (_i(10, 1_000_000), 1000),
-        "boot_seed": (_i(0), 54321),
-    },
+    "ensemble": _run_fields(
+        {"mu": (_f(0.0, 1.0, lo_open=True, hi_open=True), _REQUIRED)},
+        500, 0.1, {"reference": (_b, False), "out_of_class_ok": (_b, False)}),
+    "exit-times": _run_fields(
+        {"mus": (_num_list(3), _REQUIRED)}, 300, _REQUIRED,
+        {"n_boot": (_i(10, 1_000_000), 1000), "boot_seed": (_i(0), 54321)}),
     "certify": {
-        "gamma": (_f(0.0, 1.0, lo_open=True, hi_open=True), _REQUIRED),
-        "lam": (_f(0.0, lo_open=True), _REQUIRED),
+        **_SYSTEM_FIELDS,
         "d_lo": (_f(0.0, lo_open=True), 1e-3),
         "d_hi": (_f(0.0, lo_open=True), 0.3),
         "tau_lo": (_f(0.0, lo_open=True), 10.0),
@@ -501,7 +494,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError("config", f"no such file: {path}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"invalid JSON: {exc}")
 
 
@@ -590,10 +583,6 @@ def main(argv: Optional[list] = None) -> int:
     sub = args.subcommand
     try:
         cfg, out, threads = _resolve(sub, args)
-    except ConfigError as exc:
-        print(f"autores {sub}: config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         out.mkdir(parents=True, exist_ok=True)
         _HANDLERS[sub](cfg, out, threads)
         _write_manifest(out, sub, _manifest_echo(cfg), threads)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,6 +23,8 @@ from .lyapunov import (StabilityCertificate, chain_U, eval_V,
                        noise_class_check)
 
 BLOCK_PATHS = 128   # vectorization width; results do not depend on it being hit
+N_OBS = 41          # supermartingale_check observation times, tau0 included
+DOOB_LADDER = (1.0, 2.0, 4.0)  # its maximal-bound levels / mean U_1 at tau0
 
 
 @dataclass(frozen=True)
@@ -54,25 +56,13 @@ class EnsembleConfig:
         if n_steps > 50_000_000:
             raise ValueError("horizon/dt implies an unreasonable step budget")
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda": self.params.lam, "gamma": self.params.gamma,
-            "mu": self.noise.mu,
-            "sigma1": {"coeff": self.noise.sigma1.coeff, "power": self.noise.sigma1.power},
-            "sigma2": {"coeff": self.noise.sigma2.coeff, "power": self.noise.sigma2.power},
-            "h": self.noise.h,
-            "tau0": self.tau0, "horizon": self.horizon, "dt": self.dt,
-            "n_paths": self.n_paths, "master_seed": self.master_seed,
-            "x0": list(self.x0), "ball_radius": self.ball_radius,
-            "eps1": self.eps1,
-        }
 
-
-def wilson_interval(k: int, n: int, z: float = 1.959963984540054):
+def wilson_interval(k: int, n: int):
     """Wilson 95% score interval for a binomial proportion."""
     if n <= 0:
         raise ValueError("n must be positive")
     p = k / n
+    z = 1.959963984540054  # two-sided 95% normal quantile
     z2 = z * z
     denom = 1.0 + z2 / n
     center = (p + z2 / (2 * n)) / denom
@@ -427,15 +417,15 @@ class _StoppedU1:
 
 def supermartingale_check(cfg: EnsembleConfig, cert: StabilityCertificate,
                           N: int, ref: ReferenceSolution,
-                          n_obs: int = 41, threads: int = 1,
-                          doob_ladder=(1.0, 2.0, 4.0)) -> dict:
+                          threads: int = 1) -> dict:
     """Empirical supermartingale and maximal-inequality test for U_1.
 
     cfg.x0 is read as the starting deviation (R, Psi).  Paths are stopped
-    at first exit from the certified tube.  The report carries, per
-    observation band, whether the mean is non-increasing within 2 paired
-    standard errors, and the maximal-bound ladder: the fraction of paths
-    whose running sup of U_1 reaches c times the start value, against the
+    at first exit from the certified tube and observed at N_OBS evenly
+    spaced times.  The report carries, per observation band, whether the
+    mean is non-increasing within 2 paired standard errors, and the
+    maximal-bound ladder: the fraction of paths whose running sup of U_1
+    reaches c times the start value, for c in DOOB_LADDER, against the
     mean-start/c bound, within 3 standard errors.
     """
     if N != 1:
@@ -443,7 +433,7 @@ def supermartingale_check(cfg: EnsembleConfig, cert: StabilityCertificate,
                                   "with closed-form constants")
     grid, star = _precompute_step_grid(cfg, ref)
     n_steps = grid[0].size
-    obs_steps = np.unique(np.linspace(0, n_steps - 1, n_obs - 1).astype(int))
+    obs_steps = np.unique(np.linspace(0, n_steps - 1, N_OBS - 1).astype(int))
     obs_idx = np.concatenate([[-1], obs_steps])  # -1 marks the tau0 snapshot
     res = _run_blocks(cfg, threads, grid,
                       error_terms(cfg.params, cfg.noise, grid[0], star),
@@ -468,7 +458,7 @@ def supermartingale_check(cfg: EnsembleConfig, cert: StabilityCertificate,
     mean_start = float(u_start.mean())
     ladder = []
     ladder_ok = True
-    for c_mult in doob_ladder:
+    for c_mult in DOOB_LADDER:
         c = c_mult * mean_start
         frac = float(np.mean(u_sup >= c))
         bound = min(1.0, mean_start / c)

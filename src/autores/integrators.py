@@ -33,8 +33,9 @@ class IntegrationError(RuntimeError):
 class Trajectory:
     """Sampled path: strictly increasing times, one state row per time.
 
-    A path that leaves the finite range is truncated at its last finite
-    sample and flagged; truncation is data (escape happens), not failure.
+    An Euler-Maruyama path that leaves the finite range is truncated at its
+    last finite sample and flagged: escape is data, not failure.  Adaptive
+    runs are never truncated; they raise IntegrationError instead.
     """
 
     times: np.ndarray
@@ -55,27 +56,24 @@ class Trajectory:
             raise ValueError("states must be finite; truncate before construction")
 
 
-def _truncate_finite(times: np.ndarray, states: np.ndarray):
-    """Drop everything at and after the first non-finite sample."""
-    finite = np.all(np.isfinite(states), axis=tuple(range(1, states.ndim)))
-    if finite.all():
-        return times, states, False
-    last = int(np.argmin(finite))  # first False
-    return times[:last], states[:last], True
-
-
 def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
-           tol: float, t_eval, method: str):
-    """One checked adaptive run; returns (times, (len(y0), n) values, nfev).
+           tol: float, t_eval):
+    """One checked DOP853 run; returns (times, (len(y0), n) values, nfev).
 
-    tau1 may lie below tau0 for a backward run."""
+    A failed run or non-finite output raises IntegrationError with the
+    time reached.  tau1 may lie below tau0 for a backward run."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    sol = solve_ivp(field_fn, (tau0, tau1), y0, method=method,
+    sol = solve_ivp(field_fn, (tau0, tau1), y0, method="DOP853",
                     rtol=tol, atol=tol, t_eval=t_eval, dense_output=False)
     if not sol.success:
-        reached = float(sol.t[-1]) if sol.t.size else tau0
+        # sol.t is an empty list when the run fails before any t_eval sample
+        reached = float(sol.t[-1]) if len(sol.t) else tau0
         raise IntegrationError(f"adaptive solver failed: {sol.message}", reached)
+    finite = np.isfinite(sol.y).all(axis=0)
+    if not finite.all():
+        raise IntegrationError("adaptive solver left the finite range",
+                               float(sol.t[np.argmin(finite)]))
     return sol.t, sol.y, int(sol.nfev)
 
 
@@ -84,29 +82,19 @@ def _check_window(tau0: float, tau1: float):
         raise ValueError(f"tau1 must exceed tau0, got [{tau0}, {tau1}]")
 
 
-def _trajectory(times, states, meta: dict) -> Trajectory:
-    times, states, truncated = _truncate_finite(times, states)
-    return Trajectory(times=times, states=states, truncated=truncated,
-                      meta=meta)
-
-
 def integrate_ode(field_fn: Callable, x0, tau0: float, tau1: float,
-                  tol: float = 1e-10, t_eval=None,
-                  method: str = "DOP853") -> Trajectory:
-    """Adaptive integration of dx/dtau = field_fn(tau, x) over [tau0, tau1].
+                  tol: float = 1e-10, t_eval=None) -> Trajectory:
+    """DOP853 integration of dx/dtau = field_fn(tau, x) over [tau0, tau1].
 
     Dense output is evaluated at t_eval when given, otherwise at the
     solver's own accepted steps.  Raises IntegrationError on step-size
-    underflow, reporting how far the solver got.  The solver's count of
-    field evaluations is kept as meta["nfev"].
+    underflow or non-finite output, reporting how far the solver got.
+    The solver's count of field evaluations is kept as meta["nfev"].
     """
     _check_window(tau0, tau1)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    times, values, nfev = _solve(field_fn, x0, tau0, tau1, tol, t_eval,
-                                 method)
-    return _trajectory(times, values.T, {"integrator": method, "tol": tol,
-                                         "seed": "deterministic",
-                                         "nfev": nfev})
+    times, values, nfev = _solve(field_fn, x0, tau0, tau1, tol, t_eval)
+    return Trajectory(times=times, states=values.T, meta={"nfev": nfev})
 
 
 _BATCH_TOL = 1e-10  # per-member tolerance of integrate_ode_batch
@@ -121,9 +109,9 @@ def integrate_ode_batch(field_fn: Callable, x0s, tau0: float, tau1: float,
     shape (d, m), so a field written with array operations (rhs_primary)
     serves every member in one call; it returns d arrays of length m.
     One adaptive run with shared steps replaces m runs, and the result is
-    split into m Trajectory objects, each truncated at its own first
-    non-finite sample.  A failed run raises IntegrationError; a member
-    that blows up makes the shared run fail where its solo run would.
+    split into m Trajectory objects.  Nothing is truncated: a failed run
+    or non-finite output raises IntegrationError, and a member that blows
+    up makes the shared run fail where its solo run would.
 
     The run uses rtol = atol = tol/sqrt(m) with tol = 1e-10.  For a solver that
     accepts a step when the RMS over all d*m components of
@@ -150,12 +138,10 @@ def integrate_ode_batch(field_fn: Callable, x0s, tau0: float, tau1: float,
         return np.asarray(field_fn(t, y.reshape(d, m)), dtype=float).ravel()
 
     times, values, nfev = _solve(stacked, x0s.T.ravel(), tau0, tau1,
-                                 _BATCH_TOL / math.sqrt(m), t_eval, "DOP853")
-    meta = {"integrator": "DOP853", "tol": _BATCH_TOL,
-            "seed": "deterministic", "nfev": nfev}
+                                 _BATCH_TOL / math.sqrt(m), t_eval)
     # member k's components sit at rows k, m + k, ...; views, no copies
-    return [_trajectory(times, values[k::m].T, dict(meta))
-            for k in range(m)]
+    return [Trajectory(times=times, states=values[k::m].T,
+                       meta={"nfev": nfev}) for k in range(m)]
 
 
 @dataclass(frozen=True)
@@ -322,10 +308,12 @@ def integrate_sde(terms: Callable, x0, tau0: float, tau1: float, dt: float,
 
     escaped_at = em_paths(terms, x, grid, dt, mu, [stream], record, dW=dW)
     return Trajectory(times=np.array(times), states=np.array(states),
-                      truncated=not math.isnan(escaped_at[0]),
-                      meta={"integrator": "euler-maruyama", "dt": dt, "mu": mu,
-                            "seed": stream.master_seed,
-                            "path_index": stream.path_index})
+                      truncated=not math.isnan(escaped_at[0]))
+
+
+# reference build settings, see reference_solution
+REF_K, REF_TAU_SEED, REF_SEED_RESIDUAL_TOL = 3, 100.0, 1e-5
+REF_TOL, REF_TAU_MIN, REF_TAU_MAX, REF_GRID_STEP = 1e-12, 5.0, 400.0, 0.05
 
 
 class ReferenceSolution:
@@ -338,83 +326,61 @@ class ReferenceSolution:
     exactly.
 
     The phase approaches psi0 = pi - arcsin(gamma) like psi0 - 1/(nu*tau),
-    nu = sqrt(1 - gamma^2): with gamma = 0.1 it is 0.17 away at the default
-    tau_min = 5 and inside 0.1 only from tau ~ 9.
+    nu = sqrt(1 - gamma^2): with gamma = 0.1 it is 0.17 away at tau_min = 5
+    and inside 0.1 only from tau ~ 9.
     """
 
-    def __init__(self, params: SystemParams, expansion, times: np.ndarray,
-                 r_values: np.ndarray, psi_values: np.ndarray, meta: dict):
-        self.params = params
-        self.expansion = expansion
-        self.times = times
-        self.r_values = r_values
-        self.psi_values = psi_values
+    def __init__(self, times: np.ndarray, r_values: np.ndarray,
+                 psi_values: np.ndarray, meta: dict):
         self.meta = meta
         self.tau_min = float(times[0])
         self.tau_max = float(times[-1])
         self._spline_r = CubicSpline(times, r_values)
         self._spline_psi = CubicSpline(times, psi_values)
 
-    def _check_domain(self, tau):
+    def state(self, tau):
+        """(r*, psi*) at tau; accepts arrays; errors outside the domain."""
         tau = np.asarray(tau, dtype=float)
         if np.any(tau < self.tau_min - 1e-12) or np.any(tau > self.tau_max + 1e-12):
             raise ValueError(
                 f"tau outside reference domain [{self.tau_min}, {self.tau_max}]")
-        return tau
-
-    def state(self, tau):
-        """(r*, psi*) at tau; accepts arrays; errors outside the domain."""
-        tau = self._check_domain(tau)
         return self._spline_r(tau), self._spline_psi(tau)
 
 
-def reference_solution(params: SystemParams, K: int = 3,
-                       tau_seed: float = 100.0, tol: float = 1e-12,
-                       tau_min: float = 5.0, tau_max: float = 400.0,
-                       seed_residual_tol: float = 1e-5,
-                       grid_step: float = 0.05) -> ReferenceSolution:
+def reference_solution(params: SystemParams) -> ReferenceSolution:
     """Build the captured reference solution for the stable branch.
 
-    The series truncation at tau_seed must have equation residual below
-    seed_residual_tol (checked, not assumed; the integration tolerance
-    tol is far below what any practical truncation can reach, so the two
-    thresholds are separate knobs).  Integration runs backward from
-    tau_seed to tau_min and forward to tau_max at tolerance tol.
-
-    The default domain [5, 400] includes the approach to the lock: the
-    phase follows psi0 - 1/(nu*tau), 0.17 from psi0 at tau_min = 5 and
-    inside 0.1 only from tau ~ 9 (see ReferenceSolution).
+    The order-REF_K series at REF_TAU_SEED must leave an equation residual
+    below REF_SEED_RESIDUAL_TOL (checked, not assumed).  Both legs, back to
+    REF_TAU_MIN = 5 and on to REF_TAU_MAX = 400, run through _solve at
+    REF_TOL, sampled every REF_GRID_STEP, so a failed or non-finite leg
+    raises IntegrationError.  The domain includes the approach to the lock
+    (see ReferenceSolution).
     """
-    if not (tau_min < tau_seed < tau_max):
-        raise ValueError("need tau_min < tau_seed < tau_max")
-    exp = asymptotics.expand(params, asymptotics.STABLE, K)
-    res = asymptotics.residual(exp, params, tau_seed)
+    exp = asymptotics.expand(params, asymptotics.STABLE, REF_K)
+    res = asymptotics.residual(exp, params, REF_TAU_SEED)
     res_norm = float(np.hypot(res[0], res[1]))
-    if res_norm > seed_residual_tol:
+    if res_norm > REF_SEED_RESIDUAL_TOL:
         raise ValueError(
-            f"series residual {res_norm:.3e} at tau_seed={tau_seed} exceeds "
-            f"{seed_residual_tol:.3e}; increase K or tau_seed")
-    r0, psi0 = asymptotics.evaluate(exp, params, tau_seed)
+            f"series residual {res_norm:.3e} at tau_seed={REF_TAU_SEED} "
+            f"exceeds {REF_SEED_RESIDUAL_TOL:.3e}")
+    r0, psi0 = asymptotics.evaluate(exp, params, REF_TAU_SEED)
     y_seed = np.array([float(r0), float(psi0)])
 
     def field(tau, y):
         return rhs_primary(y, tau, params)
 
-    def leg(tau_end, what):
-        n = max(2, int(round(abs(tau_end - tau_seed) / grid_step)) + 1)
-        t, y, _ = _solve(field, y_seed, tau_seed, tau_end, tol,
-                         np.linspace(tau_seed, tau_end, n), "DOP853")
-        if not np.all(np.isfinite(y)):
-            raise IntegrationError(f"{what} reference integration lost "
-                                   "stability", float(t[-1]))
-        return t, y
+    def leg(tau_end):
+        n = int(round(abs(tau_end - REF_TAU_SEED) / REF_GRID_STEP)) + 1
+        return _solve(field, y_seed, REF_TAU_SEED, tau_end, REF_TOL,
+                      np.linspace(REF_TAU_SEED, tau_end, n))[:2]
 
-    t_b, y_b = leg(tau_min, "backward")
-    t_f, y_f = leg(tau_max, "forward")
+    t_b, y_b = leg(REF_TAU_MIN)
+    t_f, y_f = leg(REF_TAU_MAX)
     times = np.concatenate([t_b[::-1], t_f[1:]])
     r_vals = np.concatenate([y_b[0][::-1], y_f[0][1:]])
     psi_vals = np.concatenate([y_b[1][::-1], y_f[1][1:]])
-    meta = {"K": K, "tau_seed": tau_seed, "tol": tol,
-            "seed_residual": res_norm, "grid_step": grid_step,
+    meta = {"K": REF_K, "tau_seed": REF_TAU_SEED, "tol": REF_TOL,
+            "seed_residual": res_norm, "grid_step": REF_GRID_STEP,
             "integrator": "DOP853"}
-    return ReferenceSolution(params, exp, times, r_vals, psi_vals, meta)
+    return ReferenceSolution(times, r_vals, psi_vals, meta)

@@ -171,8 +171,8 @@ def _tube_ok(d0, tau0, tau_hi, grid, p, ref, q):
 
 def certify(p: SystemParams, ref, d_range=(1e-3, 0.3),
             tau_range=(10.0, 50.0), grid: int = 32,
-            tau_hi: Optional[float] = None, q: Optional[float] = None):
-    """Search for the largest certified tube.
+            q: Optional[float] = None):
+    """Search for the largest certified tube on [tau0, ref.tau_max].
 
     tau0 candidates ascend through tau_range; for each, the largest d0 in
     d_range passing every inequality on the sampled tube is found by
@@ -184,8 +184,7 @@ def certify(p: SystemParams, ref, d_range=(1e-3, 0.3),
     if grid < 32:
         raise ValueError("grid must be at least 32 points per axis")
     q = p.gamma / 6.0 if q is None else q
-    if tau_hi is None:
-        tau_hi = ref.tau_max
+    tau_hi = ref.tau_max
     d_lo, d_hi = d_range
     tau0_candidates = np.linspace(tau_range[0], tau_range[1], 9)
 

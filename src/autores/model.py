@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -37,13 +37,6 @@ class SystemParams:
         if not (0 < self.gamma < 1):
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         object.__setattr__(self, "nu", math.sqrt(1.0 - self.gamma**2))
-
-
-class State(NamedTuple):
-    """Amplitude and phase shift; psi is unwrapped so phase slipping stays visible."""
-
-    r: float
-    psi: float
 
 
 @dataclass(frozen=True)
@@ -105,6 +98,20 @@ def _noise(s1, s2, r, sin_psi, cos_psi, w):
     return s1 * r * sin_psi * w[0], s1 * cos_psi * w[0] + s2 * w[1]
 
 
+def _intensities(n: NoiseSchedule, tau: np.ndarray):
+    """(sigma1, sigma2) on the step start times tau; ValueError names a
+    schedule that is not finite there (a negative power at tau = 0)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = (np.asarray(n.sigma1(tau), dtype=float),
+             np.asarray(n.sigma2(tau), dtype=float))
+    for name, si in zip(("sigma1", "sigma2"), s):
+        bad = ~np.isfinite(si)
+        if bad.any():
+            raise ValueError(f"{name} is not finite at "
+                             f"tau={float(tau[np.argmax(bad)]):.6g}")
+    return s
+
+
 def perturbed_terms(p: SystemParams, n: NoiseSchedule, tau: np.ndarray):
     """Euler-Maruyama terms of the perturbed system on step start times tau.
 
@@ -112,8 +119,7 @@ def perturbed_terms(p: SystemParams, n: NoiseSchedule, tau: np.ndarray):
     two Wiener increments w of step k.  The Ito drift is the unperturbed
     field.  sin and cos are evaluated once per step.
     """
-    s1 = np.asarray(n.sigma1(tau), dtype=float)
-    s2 = np.asarray(n.sigma2(tau), dtype=float)
+    s1, s2 = _intensities(n, tau)
 
     def terms(k, x, w):
         r, psi = x
@@ -201,8 +207,7 @@ def error_terms(p: SystemParams, n: NoiseSchedule, tau: np.ndarray, star):
     equations, so its noise terms cancel.  Returns terms(k, x, w) -> (f,
     G w) like perturbed_terms, with sin and cos evaluated once per step.
     """
-    s1 = np.asarray(n.sigma1(tau), dtype=float)
-    s2 = np.asarray(n.sigma2(tau), dtype=float)
+    s1, s2 = _intensities(n, tau)
     rs, ps = star
 
     def terms(k, x, w):

@@ -29,20 +29,17 @@ from .integrators import Trajectory, integrate_ode
 
 @dataclass(frozen=True)
 class PendulumParams:
-    """Pendulum constants; mu is carried for completeness but must be 0."""
+    """Constants of the deterministic pendulum."""
 
     eps: float
     alpha: float
     theta: float
-    mu: float = 0.0
 
     def __post_init__(self):
         # eps = 0 is a legal plain damped pendulum; the averaged-system
         # correspondence additionally needs eps > 0, checked in map_params
         if not (0 <= self.eps < 1):
             raise ValueError(f"eps must lie in [0, 1), got {self.eps}")
-        if self.mu != 0.0:
-            raise ValueError("noisy pendulum integration is out of scope; mu must be 0")
 
 
 def map_params(pp: PendulumParams) -> SystemParams:
@@ -90,9 +87,7 @@ def integrate_pendulum(pp: PendulumParams, u0: float, v0: float,
 
     n = max(64, int(t_end * samples_per_unit))
     t_eval = np.linspace(0.0, t_end, n)
-    traj = integrate_ode(field, [u0, v0], 0.0, t_end, tol=tol, t_eval=t_eval)
-    traj.meta["eps"] = eps
-    return traj
+    return integrate_ode(field, [u0, v0], 0.0, t_end, tol=tol, t_eval=t_eval)
 
 
 def extract_envelope(traj: Trajectory):

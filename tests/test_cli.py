@@ -56,6 +56,10 @@ def test_bad_json_exit2(tmp_path, capsys):
     assert main(["series", "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+    path.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    assert main(["series", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
 
 
 def test_missing_config_file_exit2(tmp_path, capsys):
@@ -154,6 +158,28 @@ def test_runtime_error_names_module(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "[autores.ensemble]" in err and "out_of_class" in err
+
+
+def test_schedule_not_finite_exit1(tmp_path, capsys):
+    cfg = {"gamma": 0.1, "lam": 1.0, "mu": 0.1, "tau0": 0.0, "horizon": 1.0,
+           "dt": 1e-3, "n_paths": 100, "x0": [1.0, 2.0],
+           "sigma2": {"coeff": 1.0, "power": -0.5}, "out_of_class_ok": True}
+    code, out = _run(tmp_path, "ensemble", cfg)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "[autores.model]" in err and "sigma2 is not finite at tau=0" in err
+    assert not (out / "ensemble.csv").exists()
+
+
+def test_solver_failure_before_first_sample_exit1(tmp_path, capsys):
+    # DOP853 gives up at once from r0 = 1e200, before reaching any t_eval
+    # sample; that is a runtime error located at tau0, not a traceback
+    cfg = {"gamma": 0.1, "lam": 1.0, "r0": 1e200, "psi0": 0.0, "tau1": 10.0}
+    code, _ = _run(tmp_path, "simulate", cfg)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "runtime error [autores.integrators]: adaptive solver failed" in err
+    assert err.rstrip().endswith("(at tau=0)")
 
 
 def test_figures_fig2_quick(tmp_path):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from autores import ensemble
-from autores.model import NoiseSchedule, constant_schedule, perturbed_terms
+from autores.model import (NoiseSchedule, constant_schedule, perturbed_terms,
+                           power_schedule)
 from autores.integrators import (NoiseStream, Trajectory, integrate_sde,
                                  step_grid)
 from autores.ensemble import (EnsembleConfig, classify_capture,
@@ -62,6 +63,17 @@ def test_out_of_class_schedule_refused(ref, cfg_maker):
         run_ensemble(cfg, ref)
     stats = run_ensemble(cfg, ref, out_of_class_ok=True)
     assert stats.out_of_class
+
+
+def test_schedule_not_finite_on_grid_refused(params):
+    # sigma2 = tau^-1/2 is infinite at tau0 = 0; the run must fail instead
+    # of reporting every path escaped
+    noise = NoiseSchedule(mu=0.1, sigma1=constant_schedule(0.0),
+                          sigma2=power_schedule(1.0, -0.5))
+    cfg = EnsembleConfig(params=params, noise=noise, tau0=0.0, horizon=1.0,
+                         dt=1e-3, n_paths=100, master_seed=1, x0=(1.0, 2.0))
+    with pytest.raises(ValueError, match=r"sigma2 is not finite at tau=0\b"):
+        run_ensemble(cfg, out_of_class_ok=True)
 
 
 def test_thread_count_invariance(ref, cfg_maker):

@@ -1,9 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from autores import SystemParams
+from autores import SystemParams, integrators
 from autores.asymptotics import STABLE, evaluate, expand
 from autores.integrators import (IntegrationError, NoiseStream, Trajectory,
                                  default_dt, integrate_ode,
@@ -104,6 +105,19 @@ def test_batch_blowup_fails_the_run():
         integrate_ode_batch(field_fn, [[0.5], [2.0]], 0.0, 0.9)
     assert batch.value.tau == pytest.approx(0.5, abs=1e-6)
     assert solo.value.tau == pytest.approx(0.5, abs=1e-6)
+
+
+def test_non_finite_solver_output_fails_the_run(monkeypatch):
+    # DOP853 fails before it returns non-finite samples on every blow-up
+    # tried, so a run that does return them is faked; it must raise at
+    # the first non-finite sample, not come back truncated
+    def fake(fun, t_span, y0, **kw):
+        return SimpleNamespace(success=True, t=np.array([0.0, 0.5, 1.0]),
+                               y=np.array([[1.0, np.inf, np.nan]]), nfev=3)
+    monkeypatch.setattr(integrators, "solve_ivp", fake)
+    with pytest.raises(IntegrationError) as exc:
+        integrate_ode(lambda t, y: [0.0], [1.0], 0.0, 1.0)
+    assert exc.value.tau == 0.5
 
 
 def test_batch_rejects_bad_input():

@@ -17,8 +17,6 @@ def test_params_validation():
         PendulumParams(eps=1.0, alpha=1e-4, theta=1e-3)
     with pytest.raises(ValueError):
         PendulumParams(eps=-0.1, alpha=1e-4, theta=1e-3)
-    with pytest.raises(ValueError, match="mu"):
-        PendulumParams(eps=0.05, alpha=1e-4, theta=1e-3, mu=0.01)
 
 
 def test_map_example():
