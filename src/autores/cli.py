@@ -29,8 +29,7 @@ from .integrators import (IntegrationError, NoiseStream, Trajectory,
                           integrate_sde, reference_solution, step_grid)
 from .lyapunov import (NoCertificate, certify, chain_a, spot_check,
                        thresholds, thresholds_beta)
-from .ensemble import (EnsembleConfig, classify_capture,
-                       classify_capture_noisy, exit_time_scaling,
+from .ensemble import (EnsembleConfig, classify_capture, exit_time_scaling,
                        run_ensemble)
 from .pendulum import (inverse_map, seed_from_averaged, integrate_pendulum,
                        envelope_compare)
@@ -294,14 +293,16 @@ _SEED_FIELD = {"ensemble": "master_seed", "exit-times": "master_seed",
 
 def _cmd_series(cfg: dict, out: Path, threads: int):
     p = SystemParams(lam=cfg["lam"], gamma=cfg["gamma"])
-    e = expand(p, cfg["branch"], cfg["order"])
-    _write_json(out / "coefficients.json", e.to_dict(p))
     grid_fields = [cfg["tau_min"], cfg["tau_max"], cfg["tau_n"]]
-    if any(v is not None for v in grid_fields):
+    on_grid = any(v is not None for v in grid_fields)
+    if on_grid:
         if any(v is None for v in grid_fields):
             raise ConfigError("tau_min", "tau_min, tau_max, tau_n go together")
         if cfg["tau_max"] <= cfg["tau_min"]:
             raise ConfigError("tau_max", "must exceed tau_min")
+    e = expand(p, cfg["branch"], cfg["order"])
+    _write_json(out / "coefficients.json", e.to_dict(p))
+    if on_grid:
         tau = np.geomspace(cfg["tau_min"], cfg["tau_max"], cfg["tau_n"])
         r, psi = evaluate(e, p, tau)
         _write_csv(out / "series.csv", "autores.series", ("tau", "r", "psi"),
@@ -476,7 +477,7 @@ def _cmd_figures(cfg: dict, out: Path, threads: int):
         name = f"fig2_mu{mu:.2f}.csv"
         _traj_csv(out / name, "autores.trajectory", ("tau", "r", "psi"), traj)
         index.append({"file": name, "mu": mu,
-                      "verdict": classify_capture_noisy(traj, p)})
+                      "verdict": classify_capture(traj, p)})
     _write_json(out / "index.json", {"figure": "fig2", "runs": index})
 
 

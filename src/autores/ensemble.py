@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,6 +23,7 @@ from .lyapunov import (StabilityCertificate, chain_U, eval_V,
                        noise_class_check)
 
 BLOCK_PATHS = 128   # vectorization width; results do not depend on it being hit
+CAPTURE_WINDOW = 0.8  # capture reads the phase from this share of the run on
 N_OBS = 41          # supermartingale_check observation times, tau0 included
 DOOB_LADDER = (1.0, 2.0, 4.0)  # its maximal-bound levels / mean U_1 at tau0
 
@@ -170,11 +171,9 @@ class _TubeObserver:
         # exit times are elapsed since tau0; censored paths carry the horizon
         self.exit_time = np.full(m, cfg.horizon)
         self.exited = np.zeros(m, dtype=bool)
-        # phase range over the classification window; the total-variation
-        # rule used for deterministic paths diverges on diffusion paths as
-        # dt -> 0, so the noisy classifier bounds max-min instead
-        # (identical verdicts in the zero-noise limit)
-        self.window_start = cfg.tau0 + 0.8 * cfg.horizon
+        # phase range over the classification window, the statistic of
+        # classify_capture
+        self.window_start = cfg.tau0 + CAPTURE_WINDOW * cfg.horizon
         self.psi_lo = np.full(m, np.inf)
         self.psi_hi = np.full(m, -np.inf)
 
@@ -263,49 +262,34 @@ def run_ensemble(cfg: EnsembleConfig, ref: Optional[ReferenceSolution] = None,
     )
 
 
-def _captured(r_end, tau_end: float, phase_stat, p: SystemParams):
+def _captured(r_end, tau_end: float, psi_range, p: SystemParams):
     """The capture rule: final amplitude above lam*tau_end/2 and the
-    phase statistic over the classification window below 2*pi."""
-    return (r_end > p.lam * tau_end / 2.0) & (phase_stat < 2.0 * math.pi)
+    phase range over the classification window below 2*pi."""
+    return (r_end > p.lam * tau_end / 2.0) & (psi_range < 2.0 * math.pi)
 
 
-def _classify(traj: Trajectory, p: SystemParams, phase_stat) -> str:
+def classify_capture(traj: Trajectory, p: SystemParams) -> str:
+    """Capture verdict for a finished trajectory, deterministic or noisy.
+
+    captured: final amplitude above lam*tau_end/2 and the phase's range
+    (max minus min) over the last 20% of the window below 2*pi, the rule
+    run_ensemble applies to every path.  The range stays bounded on a
+    diffusion path, where the total variation grows without bound as the
+    recording step shrinks.  A truncated (blown-up) or slipping-phase
+    path is escaped.  Windows shorter than tau_end = 50 are
+    indeterminate.
+    """
     tau_end = float(traj.times[-1])
     if tau_end < 50.0:
         return "indeterminate"
     if traj.truncated:
         return "escaped"
-    t_start = traj.times[0] + 0.8 * (tau_end - traj.times[0])
+    t_start = traj.times[0] + CAPTURE_WINDOW * (tau_end - traj.times[0])
     psi_tail = traj.states[traj.times >= t_start, 1]
-    if _captured(float(traj.states[-1, 0]), tau_end, phase_stat(psi_tail), p):
+    psi_range = float(psi_tail.max() - psi_tail.min())
+    if _captured(float(traj.states[-1, 0]), tau_end, psi_range, p):
         return "captured"
     return "escaped"
-
-
-def classify_capture(traj: Trajectory, p: SystemParams) -> str:
-    """Capture verdict for a finished trajectory.
-
-    captured: final amplitude above lam*tau_end/2 and the phase's total
-    variation over the last 20% of the window below 2*pi.  A truncated
-    (blown-up) or slipping-phase path is escaped.  Windows shorter than
-    tau_end = 50 are indeterminate.
-    """
-    return _classify(traj, p, lambda psi: (
-        float(np.sum(np.abs(np.diff(psi)))) if psi.size > 1 else 0.0))
-
-
-def classify_capture_noisy(traj: Trajectory, p: SystemParams) -> str:
-    """Capture verdict for a diffusion path.
-
-    Same amplitude test as classify_capture, but the phase criterion is
-    the range (max minus min) over the last 20% of the window instead of
-    the total variation: along a diffusion path the total variation grows
-    without bound as the recording step shrinks, so it cannot separate a
-    locked phase from a slipping one.  The range can.  Both rules agree
-    on smooth paths.
-    """
-    return _classify(traj, p, lambda psi: (
-        float(psi.max() - psi.min()) if psi.size else 0.0))
 
 
 def exit_time_scaling(cfgs: Sequence[EnsembleConfig],
@@ -313,9 +297,10 @@ def exit_time_scaling(cfgs: Sequence[EnsembleConfig],
                       n_boot: int = 1000, seed: int = 12345) -> dict:
     """Fit log(median first-exit time) against log(mu) across ensembles.
 
-    Configs must differ only in noise amplitude and at least three are
-    required.  Censored paths enter at the horizon value; the fit is
-    refused when more than half the paths are censored at every mu.
+    Configs must differ only in the noise amplitude mu (and horizon/dt),
+    not in the noise schedules, and at least three are required.
+    Censored paths enter at the horizon value; the fit is refused when
+    more than half the paths are censored at every mu.
     Returns slope with a bootstrap percentile interval (paths resampled
     per ensemble, n_boot times).
     """
@@ -328,7 +313,8 @@ def exit_time_scaling(cfgs: Sequence[EnsembleConfig],
     for c in cfgs[1:]:
         same = (c.params == base.params and c.tau0 == base.tau0
                 and c.eps1 == base.eps1 and c.x0 == base.x0
-                and c.ball_radius == base.ball_radius)
+                and c.ball_radius == base.ball_radius
+                and replace(c.noise, mu=base.noise.mu) == base.noise)
         if not same:
             raise ValueError("configs must differ only in mu (and horizon/dt)")
     stats = [run_ensemble(c, ref, threads=threads) for c in cfgs]

@@ -10,7 +10,7 @@ statistically independent streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,7 +40,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    meta: dict = field(default_factory=dict)
     truncated: bool = False
 
     def __post_init__(self):
@@ -58,7 +57,7 @@ class Trajectory:
 
 def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
            tol: float, t_eval):
-    """One checked DOP853 run; returns (times, (len(y0), n) values, nfev).
+    """One checked DOP853 run; returns (times, (len(y0), n) values).
 
     A failed run or non-finite output raises IntegrationError with the
     time reached.  tau1 may lie below tau0 for a backward run."""
@@ -74,7 +73,7 @@ def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
     if not finite.all():
         raise IntegrationError("adaptive solver left the finite range",
                                float(sol.t[np.argmin(finite)]))
-    return sol.t, sol.y, int(sol.nfev)
+    return sol.t, sol.y
 
 
 def _check_window(tau0: float, tau1: float):
@@ -89,12 +88,11 @@ def integrate_ode(field_fn: Callable, x0, tau0: float, tau1: float,
     Dense output is evaluated at t_eval when given, otherwise at the
     solver's own accepted steps.  Raises IntegrationError on step-size
     underflow or non-finite output, reporting how far the solver got.
-    The solver's count of field evaluations is kept as meta["nfev"].
     """
     _check_window(tau0, tau1)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    times, values, nfev = _solve(field_fn, x0, tau0, tau1, tol, t_eval)
-    return Trajectory(times=times, states=values.T, meta={"nfev": nfev})
+    times, values = _solve(field_fn, x0, tau0, tau1, tol, t_eval)
+    return Trajectory(times=times, states=values.T)
 
 
 _BATCH_TOL = 1e-10  # per-member tolerance of integrate_ode_batch
@@ -124,8 +122,7 @@ def integrate_ode_batch(field_fn: Callable, x0s, tau0: float, tau1: float,
     a large 3rd-order estimate from one member can shrink the blended
     norm, so the rule is not exact there.  It is checked by measurement
     instead: tests/test_integrators.py holds each member within 2x the
-    error of its solo solve.  Each member's meta["nfev"] is the shared
-    count of the run.
+    error of its solo solve.
     """
     x0s = np.asarray(x0s, dtype=float)
     if x0s.ndim != 2 or x0s.size == 0:
@@ -137,11 +134,10 @@ def integrate_ode_batch(field_fn: Callable, x0s, tau0: float, tau1: float,
     def stacked(t, y):
         return np.asarray(field_fn(t, y.reshape(d, m)), dtype=float).ravel()
 
-    times, values, nfev = _solve(stacked, x0s.T.ravel(), tau0, tau1,
-                                 _BATCH_TOL / math.sqrt(m), t_eval)
+    times, values = _solve(stacked, x0s.T.ravel(), tau0, tau1,
+                           _BATCH_TOL / math.sqrt(m), t_eval)
     # member k's components sit at rows k, m + k, ...; views, no copies
-    return [Trajectory(times=times, states=values[k::m].T,
-                       meta={"nfev": nfev}) for k in range(m)]
+    return [Trajectory(times=times, states=values[k::m].T) for k in range(m)]
 
 
 @dataclass(frozen=True)
@@ -373,7 +369,7 @@ def reference_solution(params: SystemParams) -> ReferenceSolution:
     def leg(tau_end):
         n = int(round(abs(tau_end - REF_TAU_SEED) / REF_GRID_STEP)) + 1
         return _solve(field, y_seed, REF_TAU_SEED, tau_end, REF_TOL,
-                      np.linspace(REF_TAU_SEED, tau_end, n))[:2]
+                      np.linspace(REF_TAU_SEED, tau_end, n))
 
     t_b, y_b = leg(REF_TAU_MIN)
     t_f, y_f = leg(REF_TAU_MAX)

@@ -37,22 +37,9 @@ class PendulumParams:
 
     def __post_init__(self):
         # eps = 0 is a legal plain damped pendulum; the averaged-system
-        # correspondence additionally needs eps > 0, checked in map_params
+        # correspondence additionally needs eps > 0, checked in inverse_map
         if not (0 <= self.eps < 1):
             raise ValueError(f"eps must lie in [0, 1), got {self.eps}")
-
-
-def map_params(pp: PendulumParams) -> SystemParams:
-    """(lam, gamma) of the averaged system; rejects out-of-range values."""
-    if pp.eps <= 0:
-        raise ValueError("eps must be positive for the averaged-system map")
-    lam = 8.0 * pp.alpha / pp.eps ** 2
-    gamma = 2.0 * pp.theta / pp.eps
-    if lam <= 0:
-        raise ValueError(f"derived lam = 8 alpha / eps^2 = {lam} violates lam > 0")
-    if not (0 < gamma < 1):
-        raise ValueError(f"derived gamma = 2 theta / eps = {gamma} violates 0 < gamma < 1")
-    return SystemParams(lam=lam, gamma=gamma)
 
 
 def inverse_map(p: SystemParams, eps: float) -> PendulumParams:

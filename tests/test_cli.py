@@ -115,6 +115,14 @@ def test_series_outputs(tmp_path):
     assert manifest["config"]["order"] == 3
 
 
+def test_series_partial_grid_writes_nothing(tmp_path, capsys):
+    # the tau_* fields go together; a config error leaves no artifact
+    code, out = _run(tmp_path, "series", {**SERIES_CFG, "tau_min": 10.0})
+    assert code == 2
+    assert "tau_min" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_thresholds_outputs(tmp_path):
     cfg = {"kappa": 0.5, "h": 1.0, "n": 2, "A": 3.0, "a": 1.005038,
            "C": 1.0, "eps1": 0.1, "eps2": 0.1,

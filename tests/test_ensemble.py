@@ -4,15 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from autores import ensemble
-from autores.model import (NoiseSchedule, constant_schedule, perturbed_terms,
-                           power_schedule)
+from autores import ensemble, integrators
+from autores.model import (NoiseSchedule, SystemParams, constant_schedule,
+                           perturbed_terms, power_schedule)
 from autores.integrators import (NoiseStream, Trajectory, integrate_sde,
                                  step_grid)
 from autores.ensemble import (EnsembleConfig, classify_capture,
-                              classify_capture_noisy, exit_time_scaling,
-                              run_ensemble, supermartingale_check,
-                              wilson_interval)
+                              exit_time_scaling, run_ensemble,
+                              supermartingale_check, wilson_interval)
 
 
 def _noise(mu, s2=1.0):
@@ -179,16 +178,14 @@ def test_classify_capture_synthetic(params):
 
 
 def test_classify_noisy_tolerates_jitter(params):
-    # dense zigzag: huge total variation, small range
+    # dense zigzag: huge total variation, small range; the verdict reads
+    # the range, so jitter does not break the lock
     t = np.linspace(0.0, 60.0, 2401)
     psi = 3.04 + 0.05 * np.where(np.arange(t.size) % 2 == 0, 1.0, -1.0)
     traj = _traj(t, params.lam * t + params.nu, psi)
-    assert classify_capture(traj, params) == "escaped"
-    assert classify_capture_noisy(traj, params) == "captured"
-    # on a smooth path the two rules agree
+    assert classify_capture(traj, params) == "captured"
     smooth = _traj(t, params.lam * t + params.nu, np.full_like(t, 3.04))
     assert classify_capture(smooth, params) == "captured"
-    assert classify_capture_noisy(smooth, params) == "captured"
 
 
 def test_exit_time_scaling_validation(ref, cfg_maker):
@@ -203,6 +200,10 @@ def test_exit_time_scaling_validation(ref, cfg_maker):
              cfg_maker(mu=0.45, n_paths=100, eps1=0.2)]
     with pytest.raises(ValueError, match="differ only"):
         exit_time_scaling(mixed, ref)
+    schedules = [cfg_maker(mu=m, n_paths=100, noise=_noise(m, s2=s2))
+                 for m, s2 in ((0.2, 1.0), (0.3, 0.2), (0.45, 1.0))]
+    with pytest.raises(ValueError, match="differ only"):
+        exit_time_scaling(schedules, ref)
 
 
 def test_supermartingale_depth_limit(ref, cert, cfg_maker):
@@ -232,6 +233,31 @@ def test_single_path_is_ensemble_path(params, sigma1):
         assert np.array_equal(traj.states[-1], stats.end_states[j])
 
 
+def test_single_path_verdict_is_ensemble_verdict():
+    # classify_capture on a recorded path and the ensemble observer compute
+    # the capture verdict separately; they must agree path by path.  At
+    # dt = 1e-2 the step is too coarse to hold the lock at lam = 1, so
+    # lam = 0.25 gives both verdicts
+    params = SystemParams(lam=0.25, gamma=0.1)
+    noise = _noise(0.35)
+    cfg = EnsembleConfig(params=params, noise=noise, tau0=0.0, horizon=60.0,
+                         dt=1e-2, n_paths=100, master_seed=7,
+                         x0=(1.09, 2.15))
+    stats = run_ensemble(cfg, out_of_class_ok=True)
+    tau1 = cfg.tau0 + cfg.horizon
+    terms = perturbed_terms(params, noise,
+                            step_grid(cfg.tau0, tau1, cfg.dt)[0])
+    captured = np.flatnonzero(stats.captured)[:4]
+    escaped = np.flatnonzero(~stats.captured)[:4]
+    assert captured.size == escaped.size == 4
+    for j in np.concatenate([captured, escaped]):
+        traj = integrate_sde(terms, cfg.x0, cfg.tau0, tau1, cfg.dt, noise.mu,
+                             NoiseStream(cfg.master_seed, int(j)),
+                             record_every=1)
+        verdict = classify_capture(traj, params)
+        assert verdict == ("captured" if stats.captured[j] else "escaped"), j
+
+
 def _stats_equal(a, b):
     for key in ("exit_times", "censored", "sup_psi_dev", "sup_r_dev_weighted",
                 "sup_r_dev_raw", "captured", "escaped_at", "end_states"):
@@ -252,6 +278,19 @@ def test_block_width_invariance(ref, cert, cfg_maker, monkeypatch):
     monkeypatch.setattr(ensemble, "BLOCK_PATHS", 64)
     _stats_equal(run_ensemble(ens_cfg, ref), stats)
     assert supermartingale_check(err_cfg, cert, N=1, ref=ref) == report
+
+    # nor on the length of the noise chunks: 2050 steps span two chunks at
+    # the default length, a ball start draws first, and with sigma1 != 0
+    # both noise channels reach the paths
+    noise = NoiseSchedule(mu=0.3, sigma1=power_schedule(0.02, -1.0),
+                          sigma2=constant_schedule(0.5))
+    ball_cfg = cfg_maker(n_paths=150, horizon=2.05, ball_radius=0.02,
+                         noise=noise)
+    ball = run_ensemble(ball_cfg, ref)
+    for chunk in (500, 7):
+        monkeypatch.setattr(integrators, "CHUNK_STEPS", chunk)
+        _stats_equal(run_ensemble(ball_cfg, ref), ball)
+        assert supermartingale_check(err_cfg, cert, N=1, ref=ref) == report
 
 
 def test_supermartingale_all_paths_stopped(ref, cert, cfg_maker):

@@ -8,7 +8,7 @@ from autores.integrators import Trajectory, integrate_ode
 from autores.ensemble import classify_capture
 from autores.pendulum import (PendulumParams, envelope_compare,
                               extract_envelope, integrate_pendulum,
-                              inverse_map, map_params, seed_from_averaged)
+                              inverse_map, seed_from_averaged)
 
 
 def test_params_validation():
@@ -19,30 +19,17 @@ def test_params_validation():
         PendulumParams(eps=-0.1, alpha=1e-4, theta=1e-3)
 
 
-def test_map_example():
-    pp = PendulumParams(eps=0.05, alpha=3.125e-4, theta=2.5e-3)
-    p = map_params(pp)
-    assert p.lam == pytest.approx(1.0, rel=1e-14)
-    assert p.gamma == pytest.approx(0.1, rel=1e-14)
-
-
-def test_map_rejects_degenerate():
-    with pytest.raises(ValueError, match="gamma"):
-        map_params(PendulumParams(eps=0.05, alpha=3.125e-4, theta=0.0))
-    with pytest.raises(ValueError, match="eps"):
-        map_params(PendulumParams(eps=0.0, alpha=3.125e-4, theta=2.5e-3))
-    # overdamped: gamma = 2 theta / eps >= 1
-    with pytest.raises(ValueError, match="gamma"):
-        map_params(PendulumParams(eps=0.05, alpha=3.125e-4, theta=0.05))
-
-
 def test_inverse_map_round_trip():
+    # the averaged system's lam = 8 alpha / eps^2 and gamma = 2 theta / eps
     p = SystemParams(lam=1.0, gamma=0.1)
+    pp = inverse_map(p, 0.05)
+    assert pp.alpha == pytest.approx(3.125e-4, rel=1e-14)
+    assert pp.theta == pytest.approx(2.5e-3, rel=1e-14)
     for eps in (0.025, 0.05, 0.1):
         pp = inverse_map(p, eps)
-        q = map_params(pp)
-        assert q.lam == pytest.approx(p.lam, rel=1e-14)
-        assert q.gamma == pytest.approx(p.gamma, rel=1e-14)
+        assert pp.eps == eps
+        assert 8.0 * pp.alpha / eps ** 2 == pytest.approx(p.lam, rel=1e-14)
+        assert 2.0 * pp.theta / eps == pytest.approx(p.gamma, rel=1e-14)
     with pytest.raises(ValueError):
         inverse_map(p, 0.0)
     with pytest.raises(ValueError):
