@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import SystemParams
+from .model import SystemParams, rhs_primary
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -110,15 +110,13 @@ def _residual_coeffs(gamma: float, lam: float, psi0: float,
     lhs1 = np.zeros(n)
     lhs1[0] = lam
     for k in range(1, K + 1):
-        if k + 1 < n:
-            lhs1[k + 1] = -k * r[k]
+        lhs1[k + 1] = -k * r[k]
 
     # phase equation: d psi/dtau = R + cos psi  (the lam*tau terms cancel)
     rhs2 = R + cos_psi
     lhs2 = np.zeros(n)
     for k in range(1, K + 1):
-        if k + 1 < n:
-            lhs2[k + 1] = -k * psi[k - 1]
+        lhs2[k + 1] = -k * psi[k - 1]
 
     return (lhs1 - rhs1)[:K + 1], (lhs2 - rhs2)[:K + 1]
 
@@ -194,11 +192,9 @@ def residual(e: AsymptoticExpansion, p: SystemParams, tau) -> Tuple:
     tau = np.asarray(tau, dtype=float)
     if np.any(tau <= 0):
         raise ValueError("residual requires tau > 0")
-    r, psi = evaluate(e, p, tau)
     dr, dpsi = evaluate_derivative(e, p, tau)
-    res_r = dr - (r * np.sin(psi) - p.gamma * r)
-    res_psi = dpsi - (r - p.lam * tau + np.cos(psi))
-    return res_r, res_psi
+    f_r, f_psi = rhs_primary(evaluate(e, p, tau), tau, p)
+    return dr - f_r, dpsi - f_psi
 
 
 def residual_slope(e: AsymptoticExpansion, p: SystemParams,

@@ -12,6 +12,7 @@ digits, LF line endings, UTF-8.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -130,8 +131,6 @@ def _schedule(field, v):
 
 def _validate(cfg: dict, schema: dict, sub: str) -> dict:
     """Strict validation: unknown keys rejected, defaults applied."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("config", "top level must be a JSON object")
     known = set(schema) | {"out_dir", "threads", "seed"}
     for key in cfg:
         if key not in known:
@@ -310,6 +309,8 @@ def _cmd_series(cfg: dict, out: Path, threads: int):
 
 
 def _cmd_simulate(cfg: dict, out: Path, threads: int):
+    if cfg["tau1"] <= cfg["tau0"]:
+        raise ConfigError("tau1", "must exceed tau0")
     p = SystemParams(lam=cfg["lam"], gamma=cfg["gamma"])
     t_eval = np.linspace(cfg["tau0"], cfg["tau1"], cfg["samples"])
     traj = integrate_ode(lambda t, y: rhs_primary(y, t, p),
@@ -380,6 +381,9 @@ def _cmd_exit_times(cfg: dict, out: Path, threads: int):
 
 
 def _cmd_certify(cfg: dict, out: Path, threads: int):
+    for lo, hi in (("d_lo", "d_hi"), ("tau_lo", "tau_hi")):
+        if cfg[hi] <= cfg[lo]:
+            raise ConfigError(hi, f"must exceed {lo}")
     p = SystemParams(lam=cfg["lam"], gamma=cfg["gamma"])
     ref = reference_solution(p)
     res = certify(p, ref, d_range=(cfg["d_lo"], cfg["d_hi"]),
@@ -392,7 +396,7 @@ def _cmd_certify(cfg: dict, out: Path, threads: int):
         })
         return
     doc = {"found": True}
-    doc.update(res.to_dict())
+    doc.update(dataclasses.asdict(res))
     if cfg["spot_checks"] > 0:
         violations = spot_check(res, p, ref, n=cfg["spot_checks"],
                                 seed=cfg["spot_seed"])
@@ -403,15 +407,18 @@ def _cmd_certify(cfg: dict, out: Path, threads: int):
 
 
 def _cmd_thresholds(cfg: dict, out: Path, threads: int):
+    if (cfg["chain_B"] is None) != (cfg["chain_q"] is None):
+        missing = "chain_B" if cfg["chain_B"] is None else "chain_q"
+        raise ConfigError(missing, "chain_B and chain_q go together")
     rep = thresholds(N=cfg["N"], kappa=cfg["kappa"], h=cfg["h"], n=cfg["n"],
                      A=cfg["A"], a=cfg["a"], C=cfg["C"],
                      eps1=cfg["eps1"], eps2=cfg["eps2"])
-    doc = rep.to_dict()
+    doc = dataclasses.asdict(rep)
     if cfg["beta"] is not None:
         doc["beta"] = cfg["beta"]
         doc["beta_horizon_exponent"] = thresholds_beta(cfg["beta"],
                                                        cfg["kappa"])
-    if cfg["chain_B"] is not None and cfg["chain_q"] is not None:
+    if cfg["chain_B"] is not None:
         doc["chain_a"] = [chain_a(k, cfg["n"], cfg["h"], cfg["chain_B"],
                                   cfg["C"], cfg["chain_q"])
                           for k in range(1, cfg["chain_depth"] + 1)]
@@ -433,10 +440,9 @@ def _cmd_pendulum(cfg: dict, out: Path, threads: int):
     m = envelope_compare(traj, avg, pp,
                          transient_fraction=cfg["transient_fraction"],
                          window=cfg["window"])
-    rel = np.abs(m["envelope"] - m["predicted"]) / m["predicted"]
     _write_csv(out / "comparison.csv", "autores.envelope",
                ("tau", "envelope", "predicted", "relerr"),
-               zip(m["tau"], m["envelope"], m["predicted"], rel))
+               zip(m["tau"], m["envelope"], m["predicted"], m["rel_err"]))
     _write_json(out / "metrics.json", {
         "alpha": pp.alpha, "theta": pp.theta, "eps": pp.eps,
         "max_rel_err": m["max_rel_err"], "mean_rel_err": m["mean_rel_err"],
@@ -549,15 +555,8 @@ def _resolve(sub: str, args) -> tuple:
 
 def _manifest_echo(cfg: dict) -> dict:
     """JSON-serializable copy of the resolved config."""
-    doc = {}
-    for key, val in cfg.items():
-        if isinstance(val, Schedule):
-            doc[key] = {"coeff": val.coeff, "power": val.power}
-        elif isinstance(val, tuple):
-            doc[key] = list(val)
-        else:
-            doc[key] = val
-    return doc
+    return {key: dataclasses.asdict(val) if isinstance(val, Schedule) else val
+            for key, val in cfg.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:

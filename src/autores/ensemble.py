@@ -353,9 +353,9 @@ class _StoppedU1:
 
     Each path is stopped at its first exit from the certified tube d <=
     d0 (or at a blow-up); U_1 = 4V + mu^2 h n^2 C (T + t0 - t), chain_U
-    with N = 1 and n = 2, is evaluated at the stopped state and time:
-    observations at obs_idx steps (-1 marks tau0) plus the pathwise
-    running supremum over every step.
+    with n = 2, is evaluated at the stopped state and time: observations
+    at obs_idx steps (-1 marks tau0) plus the pathwise running supremum
+    over every step.
     """
 
     def __init__(self, cfg: EnsembleConfig, cert: StabilityCertificate,
@@ -363,30 +363,27 @@ class _StoppedU1:
         self.cfg, self.cert, self.obs_idx = cfg, cert, obs_idx
         self.tau_next = grid[1]
         self.rs, self.ps = star
-        # reference sample and clock at the stop; a stopped path's state
-        # is frozen by em_paths itself
-        self.rs_c = np.full(m, self.rs[0])
-        self.ps_c = np.full(m, self.ps[0])
-        self.tau_c = np.full(m, cfg.tau0)
         self.stopped = np.zeros(m, dtype=bool)
         self.obs = np.empty((obs_idx.size, m))
         self.obs_ptr = 0
+        self.u_now = np.empty(m)
         self.u_sup = np.full(m, -np.inf)
 
     def __call__(self, k, x, moved):
         cfg = self.cfg
         out = None
         if k >= 0:
-            np.copyto(self.rs_c, self.rs[k], where=moved)
-            np.copyto(self.ps_c, self.ps[k], where=moved)
-            np.copyto(self.tau_c, self.tau_next[k], where=moved)
             R, Psi = x
             out = moved & (R * R + Psi * Psi > self.cert.d0 * self.cert.d0)
             self.stopped |= out
-        V = eval_V(x, self.tau_c, cfg.params, (self.rs_c, self.ps_c))
-        self.u_now = chain_U(1, cfg.noise.mu, cfg.noise.h, 2, self.cert.B,
-                             self.cert.C, self.cert.q, cfg.horizon, 4.0 * V,
-                             self.tau_c, cfg.tau0)
+            tau, star = self.tau_next[k], (self.rs[k], self.ps[k])
+        else:
+            tau, star = cfg.tau0, (self.rs[0], self.ps[0])
+        # em_paths freezes a path that did not move, so its U_1 stays put
+        V = eval_V(x, tau, cfg.params, star)
+        np.copyto(self.u_now, chain_U(cfg.noise.mu, cfg.noise.h, 2,
+                                      self.cert.C, cfg.horizon, 4.0 * V, tau,
+                                      cfg.tau0), where=moved)
         np.maximum(self.u_sup, self.u_now, out=self.u_sup)
         ptr = self.obs_ptr
         if ptr < self.obs_idx.size and k == self.obs_idx[ptr]:
@@ -412,11 +409,17 @@ def supermartingale_check(cfg: EnsembleConfig, cert: StabilityCertificate,
     mean is non-increasing within 2 paired standard errors, and the
     maximal-bound ladder: the fraction of paths whose running sup of U_1
     reaches c times the start value, for c in DOOB_LADDER, against the
-    mean-start/c bound, within 3 standard errors.
+    mean-start/c bound, within 3 standard errors.  The window [tau0,
+    tau0 + horizon] must lie in the reference domain: outside it the error
+    system has no reference to deviate from.
     """
     if N != 1:
         raise NotImplementedError("only the N=1 comparison chain is testable "
                                   "with closed-form constants")
+    tau1 = cfg.tau0 + cfg.horizon
+    if not (ref.tau_min <= cfg.tau0 and tau1 <= ref.tau_max):
+        raise ValueError(f"window [{cfg.tau0}, {tau1}] is not inside the "
+                         f"reference domain [{ref.tau_min}, {ref.tau_max}]")
     grid, star = _precompute_step_grid(cfg, ref)
     n_steps = grid[0].size
     obs_steps = np.unique(np.linspace(0, n_steps - 1, N_OBS - 1).astype(int))

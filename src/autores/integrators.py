@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -188,8 +188,8 @@ N_CHANNELS = 2      # Wiener channels per path
 
 
 def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu: float,
-             streams, observe: Callable, ball_radius: float = 0.0,
-             dW: Optional[np.ndarray] = None) -> np.ndarray:
+             streams, observe: Callable,
+             ball_radius: float = 0.0) -> np.ndarray:
     """Euler-Maruyama steps of dx = f dtau + mu G dW (Ito) for m paths.
 
     x is the (d, m) start state and is advanced in place over grid, a
@@ -198,10 +198,7 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu: float,
     Path i draws from streams[i]: two uniforms for a start in the disc of
     radius ball_radius around x when ball_radius > 0, then its increments
     in chunks of CHUNK_STEPS steps, first channel then second per step.
-    A single path may take a precomputed dW of shape (n_steps,
-    N_CHANNELS) instead, so coupled-refinement studies can share one
-    noise realization.  A step shorter than dt rescales its increment
-    variance to its length.
+    A step shorter than dt rescales its increment variance to its length.
 
     A step that leaves the finite range is not applied and ends that
     path.  observe(k, x, moved) sees the start state as step -1 and then
@@ -231,13 +228,10 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu: float,
     k0 = 0
     while k0 < n_steps and n_active:
         k1 = min(k0 + CHUNK_STEPS, n_steps)
-        if dW is None:
-            dw = np.empty((k1 - k0, N_CHANNELS, m))
-            for i, rng in enumerate(rngs):
-                dw[:, :, i] = rng.standard_normal((k1 - k0, N_CHANNELS))
-            dw *= sqrt_dt
-        else:
-            dw = dW[k0:k1, :, None]
+        dw = np.empty((k1 - k0, N_CHANNELS, m))
+        for i, rng in enumerate(rngs):
+            dw[:, :, i] = rng.standard_normal((k1 - k0, N_CHANNELS))
+        dw *= sqrt_dt
         for k in range(k0, k1):
             hk = h[k]
             w = dw[k - k0]
@@ -269,7 +263,6 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu: float,
 
 def integrate_sde(terms: Callable, x0, tau0: float, tau1: float, dt: float,
                   mu: float, stream: NoiseStream,
-                  dW: Optional[np.ndarray] = None,
                   record_every: int = 1) -> Trajectory:
     """Euler-Maruyama path of dx = f dt + mu G dW in the Ito sense.
 
@@ -278,8 +271,7 @@ def integrate_sde(terms: Callable, x0, tau0: float, tau1: float, dt: float,
     builds it for the perturbed system.  This is em_paths for one path,
     recording every record_every-th step and the last, so the path for
     stream (master_seed, j) is bitwise path j of an ensemble with the same
-    start.  A precomputed dW of shape (n_steps, N_CHANNELS) overrides the
-    stream.  The end time is hit exactly via a shorter final step.  A
+    start.  The end time is hit exactly via a shorter final step.  A
     non-finite state truncates the path and flags the trajectory.
     """
     if not dt > 0:
@@ -288,11 +280,6 @@ def integrate_sde(terms: Callable, x0, tau0: float, tau1: float, dt: float,
         raise ValueError(f"mu must lie in [0, 1), got {mu}")
     grid = step_grid(tau0, tau1, dt)
     n_steps = grid[0].size
-    if dW is not None:
-        dW = np.asarray(dW, dtype=float)
-        if dW.shape != (n_steps, N_CHANNELS):
-            raise ValueError(f"dW must have shape {(n_steps, N_CHANNELS)}, "
-                             f"got {dW.shape}")
     x = np.atleast_1d(np.asarray(x0, dtype=float))[:, None].copy()
     times, states = [], []
 
@@ -302,7 +289,7 @@ def integrate_sde(terms: Callable, x0, tau0: float, tau1: float, dt: float,
             times.append(grid[1][k] if k >= 0 else tau0)
             states.append(x[:, 0].copy())
 
-    escaped_at = em_paths(terms, x, grid, dt, mu, [stream], record, dW=dW)
+    escaped_at = em_paths(terms, x, grid, dt, mu, [stream], record)
     return Trajectory(times=np.array(times), states=np.array(states),
                       truncated=not math.isnan(escaped_at[0]))
 

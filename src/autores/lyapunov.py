@@ -1,6 +1,7 @@
 """Lyapunov machinery: the deviation-energy function V, numeric
-certification of its inequalities, the iterated comparison chain, and
-admissibility thresholds for the finite-time stability guarantees.
+certification of its inequalities, the comparison function U_1 and the
+chain constants, and admissibility thresholds for the finite-time
+stability guarantees.
 
 Certification is sampled, not proved: inequalities are checked on a
 dense grid plus random spot checks, and the certificate records the
@@ -10,7 +11,7 @@ worst observed slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -48,9 +49,6 @@ class StabilityCertificate:
     margin: float
     tau_hi: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class NoCertificate:
@@ -73,9 +71,6 @@ class ThresholdReport:
     Delta: float
     T_mu_exponent: float
     empirical: bool = False
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # V and its derivatives take the reference sample star = (r*, psi*) at tau.
@@ -176,16 +171,21 @@ def certify(p: SystemParams, ref, d_range=(1e-3, 0.3),
 
     tau0 candidates ascend through tau_range; for each, the largest d0 in
     d_range passing every inequality on the sampled tube is found by
-    bisection; the certificate with maximal d0 wins.  B and C are then
-    measured as the smallest constants fitting the winning tube.  Returns
-    NoCertificate (naming the first violated inequality and its location)
-    if nothing in range certifies.
+    bisection; the certificate with maximal d0 wins, the earliest tau0 on
+    a tie, so the search ends at the first tau0 whose d_hi tube passes.
+    B and C are then measured as the smallest constants fitting the
+    winning tube.  Returns NoCertificate (naming the first violated
+    inequality and its location) if nothing in range certifies.  Both
+    ranges must ascend.
     """
     if grid < 32:
         raise ValueError("grid must be at least 32 points per axis")
+    d_lo, d_hi = d_range
+    if not (d_hi > d_lo and tau_range[1] > tau_range[0]):
+        raise ValueError(f"d_range {tuple(d_range)} and tau_range "
+                         f"{tuple(tau_range)} must be ascending")
     q = p.gamma / 6.0 if q is None else q
     tau_hi = ref.tau_max
-    d_lo, d_hi = d_range
     tau0_candidates = np.linspace(tau_range[0], tau_range[1], 9)
 
     best = None  # (d0, tau0, margin)
@@ -207,21 +207,19 @@ def certify(p: SystemParams, ref, d_range=(1e-3, 0.3),
             continue
         ok_hi, worst_hi, _ = _tube_ok(d_hi, tau0, tau_hi, grid, p, ref, q)
         if ok_hi:
-            d_best, margin = d_hi, worst_hi
-        else:
-            # margin is the worst slack of the last accepted radius
-            a_, b_, margin = d_lo, d_hi, worst_lo
-            for _ in range(40):
-                mid = 0.5 * (a_ + b_)
-                ok_mid, worst_mid, _ = _tube_ok(mid, tau0, tau_hi, grid, p,
-                                                ref, q)
-                if ok_mid:
-                    a_, margin = mid, worst_mid
-                else:
-                    b_ = mid
-            d_best = a_
-        if best is None or d_best > best[0]:
-            best = (d_best, float(tau0), margin)
+            best = (d_hi, float(tau0), worst_hi)
+            break  # no later tau0 can beat d_hi
+        # margin is the worst slack of the last accepted radius
+        a_, b_, margin = d_lo, d_hi, worst_lo
+        for _ in range(40):
+            mid = 0.5 * (a_ + b_)
+            ok_mid, worst_mid, _ = _tube_ok(mid, tau0, tau_hi, grid, p, ref, q)
+            if ok_mid:
+                a_, margin = mid, worst_mid
+            else:
+                b_ = mid
+        if best is None or a_ > best[0]:
+            best = (a_, float(tau0), margin)
 
     if best is None:
         return first_violation if first_violation is not None else NoCertificate(
@@ -266,27 +264,19 @@ def chain_a(k: int, n: int, h: float, B: float, C: float, q: float) -> float:
     return (k + 1) * n * n * h * (B + C) / q
 
 
-def chain_U(N: int, mu: float, h: float, n: int, B: float, C: float,
-            q: float, T: float, U_value, t, t0: float):
-    """Iterated comparison function U_N.
+def chain_U(mu: float, h: float, n: int, C: float, T: float, U_value, t,
+            t0: float):
+    """First comparison function U_1 = U + mu^2 h n^2 C (T + t0 - t).
 
-    U_1 = U + mu^2 h n^2 C (T + t0 - t); for k >= 2,
-    U_k = U^k + mu^2 a_{k-1} U_{k-1}.  Nondecreasing in U; equals U at
-    the horizon when N = 1.
+    Nondecreasing in U; equals U at the horizon t = t0 + T.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if min(h, n, C, q) <= 0 or T < 0:
+    if min(h, n, C) <= 0 or T < 0:
         raise ValueError("constants must be positive and T nonnegative")
     t = np.asarray(t, dtype=float)
     if ((t < t0) | (t > t0 + T)).any():
         raise ValueError("t must lie in [t0, t0 + T]")
     U = np.asarray(U_value, dtype=float)
-    Uk = U + mu * mu * h * n * n * C * (T + t0 - t)
-    for k in range(2, N + 1):
-        ak = chain_a(k - 1, n, h, B, C, q)
-        Uk = U ** k + mu * mu * ak * Uk
-    return Uk
+    return U + mu * mu * h * n * n * C * (T + t0 - t)
 
 
 def thresholds(N: int, kappa: float, h: float, n: int, A: float, a: float,

@@ -47,8 +47,6 @@ class Schedule:
     power: float = 0.0
 
     def __call__(self, tau: ArrayLike) -> ArrayLike:
-        if self.power == 0.0:
-            return self.coeff * np.ones_like(np.asarray(tau, dtype=float))
         return self.coeff * np.asarray(tau, dtype=float) ** self.power
 
 

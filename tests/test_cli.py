@@ -1,10 +1,13 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from autores import cli
 from autores.cli import main
 from autores.model import SystemParams
 from autores.asymptotics import expand, evaluate
@@ -135,6 +138,72 @@ def test_thresholds_outputs(tmp_path):
     assert doc["T_mu_exponent"] == -1.0
     assert doc["chain_a"] == [32.0, 48.0, 64.0]
     assert not doc["empirical"]
+
+
+THRESHOLDS_CFG = {"kappa": 0.5, "h": 1.0, "n": 2, "A": 3.0, "a": 1.0,
+                  "C": 1.0, "eps1": 0.1, "eps2": 0.1}
+
+
+@pytest.mark.parametrize("sub, cfg, field", [
+    ("certify", {"gamma": 0.1, "lam": 1.0, "d_lo": 0.5, "d_hi": 0.1},
+     "d_hi"),
+    ("certify", {"gamma": 0.1, "lam": 1.0, "tau_lo": 60.0, "tau_hi": 20.0},
+     "tau_hi"),
+    ("simulate", {"gamma": 0.1, "lam": 1.0, "r0": 1.0, "psi0": 2.0,
+                  "tau0": 10.0, "tau1": 5.0}, "tau1"),
+    ("simulate", {"gamma": 0.1, "lam": 1.0, "r0": 1.0, "psi0": 2.0,
+                  "tau0": 10.0, "tau1": 10.0}, "tau1"),
+    ("thresholds", {**THRESHOLDS_CFG, "chain_B": 1.0}, "chain_q"),
+    ("thresholds", {**THRESHOLDS_CFG, "chain_q": 0.5}, "chain_B"),
+])
+def test_cross_field_rules_exit2(tmp_path, capsys, sub, cfg, field):
+    # the documented rules between two fields are config errors, and a
+    # config error leaves no artifact
+    code, out = _run(tmp_path, sub, cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"field '{field}'" in err
+    assert list(out.iterdir()) == []
+
+
+def _doc_sections():
+    """docs/cli.md as {heading: text} over its '## ' sections."""
+    path = Path(__file__).resolve().parents[1] / "docs" / "cli.md"
+    text = path.read_text(encoding="utf-8")
+    return {sec.split("\n", 1)[0].strip(): sec
+            for sec in text.split("\n## ")[1:]}
+
+
+def _table_fields(section: str) -> set:
+    """The backticked names in the first column of a section's table."""
+    names = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            names.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    return names
+
+
+def test_docs_tables_match_schemas():
+    sections = _doc_sections()
+    for sub in cli.SUBCOMMANDS:
+        documented = _table_fields(sections[sub])
+        if sub == "exit-times":
+            # "those of ensemble minus mu, reference and out_of_class_ok"
+            documented |= _table_fields(sections["ensemble"]) - {
+                "mu", "reference", "out_of_class_ok"}
+        assert documented == set(cli._SCHEMAS[sub]), sub
+
+
+def test_docs_example_configs_validate():
+    sections = _doc_sections()
+    checked = 0
+    for sub in cli.SUBCOMMANDS:
+        for block in re.findall(r"```\n(.*?)```", sections[sub], re.S):
+            if "{" in block:
+                doc = json.loads(block[block.index("{"):])
+                cli._validate(doc, cli._SCHEMAS[sub], sub)
+                checked += 1
+    assert checked >= 3
 
 
 def test_ensemble_reproducible_across_threads(tmp_path):

@@ -212,6 +212,18 @@ def test_supermartingale_depth_limit(ref, cert, cfg_maker):
         supermartingale_check(cfg, cert, N=2, ref=ref)
 
 
+@pytest.mark.parametrize("tau0", [395.0, 2.0])
+def test_supermartingale_refuses_window_outside_reference(ref, cert,
+                                                          cfg_maker, tau0):
+    # the reference covers [5, 400]: past its end the error terms turn NaN
+    # and every path would count as stopped; before its start the start
+    # value of U_1 would be NaN
+    cfg = cfg_maker(mu=0.05, n_paths=100, horizon=10.0, x0=(0.0, 0.0),
+                    tau0=tau0)
+    with pytest.raises(ValueError, match="reference domain"):
+        supermartingale_check(cfg, cert, N=1, ref=ref)
+
+
 @pytest.mark.parametrize("sigma1", [0.0, 0.02])
 def test_single_path_is_ensemble_path(params, sigma1):
     # one engine: the single path for (master_seed, j) is path j of the

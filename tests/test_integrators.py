@@ -4,16 +4,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from autores import SystemParams, integrators
+from autores import integrators
 from autores.asymptotics import STABLE, evaluate, expand
 from autores.integrators import (IntegrationError, NoiseStream, Trajectory,
                                  default_dt, integrate_ode,
                                  integrate_ode_batch, integrate_sde,
-                                 reference_solution, sde_step_count,
-                                 step_grid)
+                                 reference_solution, sde_step_count)
 from autores.ensemble import classify_capture
-from autores.model import (NoiseSchedule, constant_schedule, perturbed_terms,
-                           rhs_primary)
+from autores.model import rhs_primary
 
 
 def test_trajectory_invariants():
@@ -187,22 +185,6 @@ def test_sde_pure_noise_variance():
     var = ends.var(ddof=1)
     se = var * math.sqrt(2.0 / (n - 1))
     assert abs(var - mu * mu * T) < 4 * se
-
-
-def test_sde_shared_increments_reproduce_path():
-    p = SystemParams(lam=1.0, gamma=0.1)
-    # G = [[0, 0], [0, 1]]
-    noise = NoiseSchedule(mu=0.3, sigma1=constant_schedule(0.0),
-                          sigma2=constant_schedule(1.0))
-    terms = perturbed_terms(p, noise, step_grid(0.0, 2.0, 1e-2)[0])
-    n_steps = sde_step_count(0.0, 2.0, 1e-2)
-    rng = NoiseStream(11, 0).generator()
-    dw = rng.standard_normal((n_steps, 2)) * math.sqrt(1e-2)
-    a = integrate_sde(terms, [1.0, 2.0], 0.0, 2.0, 1e-2, 0.3,
-                      NoiseStream(0, 0), dW=dw)
-    b = integrate_sde(terms, [1.0, 2.0], 0.0, 2.0, 1e-2, 0.3,
-                      NoiseStream(999, 5), dW=dw)
-    assert np.array_equal(a.states, b.states)
 
 
 def test_sde_final_partial_step_lands_on_end():

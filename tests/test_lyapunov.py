@@ -6,9 +6,9 @@ import pytest
 from autores.model import (NoiseSchedule, constant_schedule, power_schedule,
                            rhs_error)
 from autores.integrators import integrate_ode
-from autores.lyapunov import (chain_U, chain_a, dV_dtau, eval_V, grad_V,
-                              noise_class_check, spot_check, thresholds,
-                              thresholds_beta, weighted_norm)
+from autores.lyapunov import (certify, chain_U, chain_a, dV_dtau, eval_V,
+                              grad_V, noise_class_check, spot_check,
+                              thresholds, thresholds_beta, weighted_norm)
 
 
 def _tube_points(d0, tau_lo, tau_hi, n, seed=5):
@@ -74,6 +74,16 @@ def test_certificate_regression(params, cert):
     assert 1.0 < cert.C < 1.3
 
 
+@pytest.mark.parametrize("ranges", [
+    {"d_range": (0.5, 0.1)}, {"d_range": (0.3, 0.3)},
+    {"tau_range": (60.0, 20.0)}, {"tau_range": (20.0, 20.0)}])
+def test_certify_refuses_inverted_ranges(params, ref, ranges):
+    # the search reads d_range's upper end as the largest radius and its
+    # tau0 candidates as ascending; an inverted range broke both
+    with pytest.raises(ValueError, match="ascending"):
+        certify(params, ref, **ranges)
+
+
 def test_spot_check_clean(params, ref, cert):
     assert spot_check(cert, params, ref, n=2000, seed=31) == 0
 
@@ -88,19 +98,19 @@ def test_chain_constants():
 
 def test_chain_U_first_level():
     # at the horizon the clock term vanishes and U_1 = U
-    val = chain_U(N=1, mu=0.1, h=1.0, n=2, B=1.0, C=1.0, q=0.5,
-                  T=10.0, U_value=0.7, t=10.0, t0=0.0)
+    val = chain_U(mu=0.1, h=1.0, n=2, C=1.0, T=10.0, U_value=0.7, t=10.0,
+                  t0=0.0)
     assert val == pytest.approx(0.7, rel=1e-14)
     # at the start it carries the full budget
-    val = chain_U(N=1, mu=0.1, h=1.0, n=2, B=1.0, C=1.0, q=0.5,
-                  T=10.0, U_value=0.7, t=0.0, t0=0.0)
+    val = chain_U(mu=0.1, h=1.0, n=2, C=1.0, T=10.0, U_value=0.7, t=0.0,
+                  t0=0.0)
     assert val == pytest.approx(0.7 + 0.01 * 4.0 * 10.0, rel=1e-14)
 
 
 def test_chain_U_validates_clock():
     with pytest.raises(ValueError):
-        chain_U(N=1, mu=0.1, h=1.0, n=2, B=1.0, C=1.0, q=0.5,
-                T=10.0, U_value=0.7, t=11.0, t0=0.0)
+        chain_U(mu=0.1, h=1.0, n=2, C=1.0, T=10.0, U_value=0.7, t=11.0,
+                t0=0.0)
 
 
 def test_threshold_values():
