@@ -25,9 +25,10 @@ from . import __version__
 from .model import (SystemParams, NoiseSchedule, Schedule, constant_schedule,
                     perturbed_terms, rhs_primary)
 from .asymptotics import expand, evaluate
-from .integrators import (IntegrationError, NoiseStream, Trajectory,
-                          default_dt, integrate_ode, integrate_ode_batch,
-                          integrate_sde, reference_solution, step_grid)
+from .integrators import (REF_TAU_MAX, REF_TAU_MIN, IntegrationError,
+                          NoiseStream, Trajectory, default_dt, integrate_ode,
+                          integrate_ode_batch, integrate_sde,
+                          reference_solution, step_grid)
 from .lyapunov import (NoCertificate, certify, chain_a, spot_check,
                        thresholds, thresholds_beta)
 from .ensemble import (EnsembleConfig, classify_capture, exit_time_scaling,
@@ -242,8 +243,9 @@ _SCHEMAS = {
         **_SYSTEM_FIELDS,
         "d_lo": (_f(0.0, lo_open=True), 1e-3),
         "d_hi": (_f(0.0, lo_open=True), 0.3),
-        "tau_lo": (_f(0.0, lo_open=True), 10.0),
-        "tau_hi": (_f(0.0, lo_open=True), 50.0),
+        # tau0 candidates lie in the reference domain, short of its end
+        "tau_lo": (_f(REF_TAU_MIN, REF_TAU_MAX, hi_open=True), 10.0),
+        "tau_hi": (_f(REF_TAU_MIN, REF_TAU_MAX, hi_open=True), 50.0),
         "grid": (_i(32, 4096), 32),
         "q": (_f(0.0, lo_open=True), None),
         "spot_checks": (_i(0, 100_000_000), 10000),

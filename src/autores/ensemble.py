@@ -1,10 +1,10 @@
 """Monte Carlo engine: deviation probabilities, first-exit times,
 capture fractions, and the supermartingale sanity test.
 
-Paths are integrated in fixed-width blocks, vectorized across the block.
-Every path owns a counter-based noise stream keyed by (master_seed,
-path_index), and blocks are merged in path order, so aggregates are
-bit-identical whether one thread or eight run the blocks.
+Paths are integrated in blocks, one per thread, vectorized across the
+block.  Every path owns a counter-based noise stream keyed by
+(master_seed, path_index), and blocks are merged in path order, so
+aggregates are bit-identical whether one thread or eight run the blocks.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .integrators import (NoiseStream, Trajectory, ReferenceSolution,
 from .lyapunov import (StabilityCertificate, chain_U, eval_V,
                        noise_class_check)
 
-BLOCK_PATHS = 128   # vectorization width; results do not depend on it being hit
+MIN_BLOCK_PATHS = 64  # never more than ceil(n_paths / 64) blocks
 CAPTURE_WINDOW = 0.8  # capture reads the phase from this share of the run on
 N_OBS = 41          # supermartingale_check observation times, tau0 included
 DOOB_LADDER = (1.0, 2.0, 4.0)  # its maximal-bound levels / mean U_1 at tau0
@@ -127,10 +127,24 @@ def _precompute_step_grid(cfg: EnsembleConfig,
     return grid, (rs, ps)
 
 
+def _path_blocks(n_paths: int, threads: int) -> list:
+    """The (lo, hi) path ranges of the blocks, in path order.
+
+    One block per thread, each ceil(n_paths / blocks) wide but the last,
+    and never more than ceil(n_paths / MIN_BLOCK_PATHS) blocks: a large
+    thread count neither splits the paths into blocks too narrow to pay
+    for their per-step overhead nor starts more threads than that.
+    """
+    n_blocks = max(1, min(threads, -(-n_paths // MIN_BLOCK_PATHS)))
+    width = -(-n_paths // n_blocks)
+    return [(lo, min(lo + width, n_paths)) for lo in range(0, n_paths, width)]
+
+
 def _run_blocks(cfg: EnsembleConfig, threads: int, grid, terms, observer):
-    """Integrate all paths in fixed-width blocks with em_paths and merge the
-    per-block results in path order, so they do not depend on the thread
-    count or the block width.
+    """Integrate all paths in blocks (_path_blocks) with em_paths, one
+    block per worker thread, and merge the per-block results in path
+    order, so they depend on neither the thread count nor the block
+    width.
 
     observer(m) makes a fresh observer for a block of m paths; it is
     called after every step and its result(x, escaped_at) returns a dict
@@ -147,13 +161,12 @@ def _run_blocks(cfg: EnsembleConfig, threads: int, grid, terms, observer):
                               obs, ball_radius=cfg.ball_radius)
         return obs.result(x, escaped_at)
 
-    blocks = [(lo, min(lo + BLOCK_PATHS, cfg.n_paths))
-              for lo in range(0, cfg.n_paths, BLOCK_PATHS)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
+    blocks = _path_blocks(cfg.n_paths, threads)
+    if len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=len(blocks)) as ex:
             results = list(ex.map(run, blocks))
     else:
-        results = [run(b) for b in blocks]
+        results = [run(blocks[0])]
     return {key: np.concatenate([res[key] for res in results], axis=-1)
             for key in results[0]}
 

@@ -183,8 +183,15 @@ def default_dt(mu: float) -> float:
     return min(1e-3, mu * mu / 10.0)
 
 
-CHUNK_STEPS = 2048  # noise increments are drawn per path in chunks this long
-N_CHANNELS = 2      # Wiener channels per path
+NOISE_BUDGET = 4 << 20  # bytes of noise increments drawn per chunk
+N_CHANNELS = 2          # Wiener channels per path
+N_SCRATCH = 3           # work rows em_paths lends to terms
+
+
+def chunk_steps(m: int) -> int:
+    """Steps per noise chunk for m paths: NOISE_BUDGET bytes of float64
+    increments, at least one step."""
+    return max(1, NOISE_BUDGET // (N_CHANNELS * 8 * m))
 
 
 def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu: float,
@@ -193,20 +200,25 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu: float,
     """Euler-Maruyama steps of dx = f dtau + mu G dW (Ito) for m paths.
 
     x is the (d, m) start state and is advanced in place over grid, a
-    step_grid result.  terms(k, x, w) returns the drift f and the product
-    G w at step k, each as d rows, for the (N_CHANNELS, m) increments w.
-    Path i draws from streams[i]: two uniforms for a start in the disc of
-    radius ball_radius around x when ball_radius > 0, then its increments
-    in chunks of CHUNK_STEPS steps, first channel then second per step.
-    A step shorter than dt rescales its increment variance to its length.
+    step_grid result.  terms(k, x, w, f, gw, scratch) writes the drift f
+    and the product G w at step k into f and gw and returns nothing.  Its
+    arguments are rows of length m: d each of the state x and of f and
+    gw, N_CHANNELS of increments w, and N_SCRATCH work rows in scratch.
+    em_paths allocates these buffers once per call and terms must not
+    keep them.  Path i draws from streams[i]: two uniforms for a start in
+    the disc of radius ball_radius around x when ball_radius > 0, then
+    its increments in chunks of chunk_steps(m) steps, first channel then
+    second per step.  A step shorter than dt rescales its increment
+    variance to its length.
 
     A step that leaves the finite range is not applied and ends that
     path.  observe(k, x, moved) sees the start state as step -1 and then
     the state after every step k, with moved the mask of paths that took
     the step, or True when every path did; it may return a mask of paths
-    to stop.  Stepping ends once no path is active.  Returns, per path,
-    the end time of the step at which it left the finite range (NaN if
-    it never did).
+    to stop.  x is an em_paths buffer that the next step overwrites, so
+    an observer copies what it keeps.  Stepping ends once no path is
+    active.  Returns, per path, the end time of the step at which it left
+    the finite range (NaN if it never did).
     """
     _, tau_next, h = grid
     n_steps = h.size
@@ -220,32 +232,44 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu: float,
             x[0, i] += rad * math.cos(2 * math.pi * ang)
             x[1, i] += rad * math.sin(2 * math.pi * ang)
     sqrt_dt = math.sqrt(dt)
+    # exactly 1.0 where h == dt, so one multiply per chunk rescales the
+    # shorter steps and leaves every other increment as drawn
+    h_scale = np.sqrt(h / dt)[:, None, None]
     active = np.ones(m, dtype=bool)
     n_active = m
     escaped_at = np.full(m, np.nan)
     observe(-1, x, True)
-    x_new = np.empty_like(x)
+    x_out = x
+    x_new, f, gw = (np.empty_like(x) for _ in range(3))
+    # row views made once: terms reads and writes rows, the update whole
+    # arrays, and x swaps with x_new instead of being copied
+    x_rows, new_rows = tuple(x), tuple(x_new)
+    f_rows, gw_rows = tuple(f), tuple(gw)
+    scratch = tuple(np.empty((N_SCRATCH, m)))
+    chunk = chunk_steps(m)
+    dw_buf = np.empty((min(chunk, n_steps), N_CHANNELS, m))
     k0 = 0
     while k0 < n_steps and n_active:
-        k1 = min(k0 + CHUNK_STEPS, n_steps)
-        dw = np.empty((k1 - k0, N_CHANNELS, m))
+        k1 = min(k0 + chunk, n_steps)
+        dw = dw_buf[:k1 - k0]
         for i, rng in enumerate(rngs):
             dw[:, :, i] = rng.standard_normal((k1 - k0, N_CHANNELS))
         dw *= sqrt_dt
+        dw *= h_scale[k0:k1]
         for k in range(k0, k1):
-            hk = h[k]
-            w = dw[k - k0]
-            if hk != dt:  # partial step rescales increment variance
-                w = w * math.sqrt(hk / dt)
-            f, gw = terms(k, x, w)
-            for xi, fi, gi, out in zip(x, f, gw, x_new):
-                np.add(xi + fi * hk, mu * gi, out=out)
-            finite = np.isfinite(x_new)
-            if n_active == m and np.count_nonzero(finite) == finite.size:
-                moved = True  # the common case, without a mask
-                np.copyto(x, x_new)
+            terms(k, x_rows, dw[k - k0], f_rows, gw_rows, scratch)
+            # x_new = (x + f h) + mu G w, rounded in that order
+            f *= h[k]
+            np.add(x, f, out=x_new)
+            gw *= mu
+            x_new += gw
+            if n_active == m and math.isfinite(x_new.sum()):
+                # the common case: a finite sum has no inf or NaN term
+                moved = True
+                x, x_new = x_new, x
+                x_rows, new_rows = new_rows, x_rows
             else:
-                moved = active & finite.all(axis=0)
+                moved = active & np.isfinite(x_new).all(axis=0)
                 np.copyto(x, x_new, where=moved)
                 n_moved = int(np.count_nonzero(moved))
                 if n_moved < n_active:
@@ -258,6 +282,8 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu: float,
             if not n_active:
                 break
         k0 = k1
+    if x is not x_out:
+        np.copyto(x_out, x)
     return escaped_at
 
 
@@ -266,13 +292,14 @@ def integrate_sde(terms: Callable, x0, tau0: float, tau1: float, dt: float,
                   record_every: int = 1) -> Trajectory:
     """Euler-Maruyama path of dx = f dt + mu G dW in the Ito sense.
 
-    terms(k, x, w) -> (f, G w) as in em_paths, for step k of
-    step_grid(tau0, tau1, dt) and x of shape (d, 1); model.perturbed_terms
-    builds it for the perturbed system.  This is em_paths for one path,
-    recording every record_every-th step and the last, so the path for
-    stream (master_seed, j) is bitwise path j of an ensemble with the same
-    start.  The end time is hit exactly via a shorter final step.  A
-    non-finite state truncates the path and flags the trajectory.
+    terms(k, x, w, f, gw, scratch) writes f and G w as in em_paths, for
+    step k of step_grid(tau0, tau1, dt) and one path;
+    model.perturbed_terms builds it for the perturbed system.  This is
+    em_paths for one path, recording every record_every-th step and the
+    last, so the path for stream (master_seed, j) is bitwise path j of an
+    ensemble with the same start.  The end time is hit exactly via a
+    shorter final step.  A non-finite state truncates the path and flags
+    the trajectory.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")

@@ -176,7 +176,8 @@ def certify(p: SystemParams, ref, d_range=(1e-3, 0.3),
     B and C are then measured as the smallest constants fitting the
     winning tube.  Returns NoCertificate (naming the first violated
     inequality and its location) if nothing in range certifies.  Both
-    ranges must ascend.
+    ranges must ascend, and tau_range must lie in [ref.tau_min,
+    ref.tau_max), where every candidate has a tube to test.
     """
     if grid < 32:
         raise ValueError("grid must be at least 32 points per axis")
@@ -184,6 +185,9 @@ def certify(p: SystemParams, ref, d_range=(1e-3, 0.3),
     if not (d_hi > d_lo and tau_range[1] > tau_range[0]):
         raise ValueError(f"d_range {tuple(d_range)} and tau_range "
                          f"{tuple(tau_range)} must be ascending")
+    if not (ref.tau_min <= tau_range[0] and tau_range[1] < ref.tau_max):
+        raise ValueError(f"tau_range {tuple(tau_range)} must lie in the "
+                         f"reference domain [{ref.tau_min}, {ref.tau_max})")
     q = p.gamma / 6.0 if q is None else q
     tau_hi = ref.tau_max
     tau0_candidates = np.linspace(tau_range[0], tau_range[1], 9)
@@ -191,8 +195,6 @@ def certify(p: SystemParams, ref, d_range=(1e-3, 0.3),
     best = None  # (d0, tau0, margin)
     first_violation = None
     for tau0 in tau0_candidates:
-        if tau0 >= tau_hi:
-            break
         ok_lo, worst_lo, detail = _tube_ok(d_lo, tau0, tau_hi, grid, p, ref, q)
         if not ok_lo:
             if first_violation is None:

@@ -77,23 +77,27 @@ def power_schedule(c: float, p: float) -> Schedule:
     return Schedule(coeff=float(c), power=float(p))
 
 
-def _primary_drift(r, sin_psi, cos_psi, tau, p: SystemParams):
-    return r * sin_psi - p.gamma * r, r - p.lam * tau + cos_psi
-
-
 def rhs_primary(s, tau: ArrayLike, p: SystemParams):
     """Right-hand side of the unperturbed system at state s = (r, psi)."""
     r, psi = s
-    return _primary_drift(r, np.sin(psi), np.cos(psi),
-                          np.asarray(tau, dtype=float), p)
+    tau = np.asarray(tau, dtype=float)
+    return r * np.sin(psi) - p.gamma * r, r - p.lam * tau + np.cos(psi)
 
 
-def _noise(s1, s2, r, sin_psi, cos_psi, w):
-    """G w for the diffusion matrix G; the amplitude mu is applied by the
-    integrator.  Rows correspond to (r, psi), columns to the two Wiener
-    channels: row 1 = (sigma1 r sin psi, 0), row 2 = (sigma1 cos psi,
-    sigma2)."""
-    return s1 * r * sin_psi * w[0], s1 * cos_psi * w[0] + s2 * w[1]
+def _noise(s1, s2, r, sin_psi, cos_psi, w, gw, tmp):
+    """Write G w into gw for the diffusion matrix G; the amplitude mu is
+    applied by the integrator.  Rows correspond to (r, psi), columns to
+    the two Wiener channels: row 1 = (sigma1 r sin psi, 0), row 2 =
+    (sigma1 cos psi, sigma2).  r may be gw[0]; tmp is a work row."""
+    g_r, g_psi = gw
+    w1, w2 = w[0], w[1]
+    np.multiply(r, s1, out=g_r)
+    g_r *= sin_psi
+    g_r *= w1
+    np.multiply(cos_psi, s1, out=g_psi)
+    g_psi *= w1
+    np.multiply(w2, s2, out=tmp)
+    g_psi += tmp
 
 
 def _intensities(n: NoiseSchedule, tau: np.ndarray):
@@ -113,17 +117,28 @@ def _intensities(n: NoiseSchedule, tau: np.ndarray):
 def perturbed_terms(p: SystemParams, n: NoiseSchedule, tau: np.ndarray):
     """Euler-Maruyama terms of the perturbed system on step start times tau.
 
-    Returns terms(k, x, w) -> (f, G w) for the state x = (r, psi) and the
-    two Wiener increments w of step k.  The Ito drift is the unperturbed
-    field.  sin and cos are evaluated once per step.
+    Returns terms(k, x, w, f, gw, scratch) under the integrators.em_paths
+    buffer contract: it writes the drift into f and G w into gw for the
+    state x = (r, psi) and the two Wiener increments w of step k, using
+    the three scratch rows for sin, cos and a temporary.  The Ito drift
+    is the unperturbed field, computed in rhs_primary's operation order,
+    so both give the same bits.
     """
     s1, s2 = _intensities(n, tau)
+    lam, gamma = p.lam, p.gamma
 
-    def terms(k, x, w):
+    def terms(k, x, w, f, gw, scratch):
         r, psi = x
-        sin_psi, cos_psi = np.sin(psi), np.cos(psi)
-        return (_primary_drift(r, sin_psi, cos_psi, tau[k], p),
-                _noise(s1[k], s2[k], r, sin_psi, cos_psi, w))
+        f_r, f_psi = f
+        sin_psi, cos_psi, tmp = scratch
+        np.sin(psi, out=sin_psi)
+        np.cos(psi, out=cos_psi)
+        np.multiply(r, sin_psi, out=f_r)
+        np.multiply(r, gamma, out=tmp)
+        f_r -= tmp
+        np.subtract(r, lam * tau[k], out=f_psi)
+        f_psi += cos_psi
+        _noise(s1[k], s2[k], r, sin_psi, cos_psi, w, gw, tmp)
     return terms
 
 
@@ -145,17 +160,12 @@ def hamiltonian(e, star) -> ArrayLike:
     )
 
 
-def _partials(R, rs, cos_d, sin_d, cos_s, sin_s):
-    """(dH/dR, dH/dPsi) from cos, sin of psi* + Psi (d) and of psi* (s)."""
-    return R + cos_d - cos_s, -(R + rs) * sin_d + rs * sin_s
-
-
 def hamiltonian_partials(e, star):
     """Closed-form (dH/dR, dH/dPsi); no finite differences."""
     R, Psi = e
     rs, ps = star
-    return _partials(R, rs, np.cos(Psi + ps), np.sin(Psi + ps),
-                     np.cos(ps), np.sin(ps))
+    return (R + np.cos(Psi + ps) - np.cos(ps),
+            -(R + rs) * np.sin(Psi + ps) + rs * np.sin(ps))
 
 
 def hamiltonian_time_partial(e, tau: ArrayLike, p: SystemParams,
@@ -185,14 +195,10 @@ def hamiltonian_hessian(e, star):
     return H_RR, H_RPsi, H_PsiPsi
 
 
-def _error_drift(R, partials, gamma: float):
-    dH_dR, dH_dPsi = partials
-    return -dH_dPsi - gamma * R, dH_dR
-
-
 def rhs_error(e, p: SystemParams, star):
     """Vector field of the deviation system: (-dH/dPsi - gamma R, dH/dR)."""
-    return _error_drift(e[0], hamiltonian_partials(e, star), p.gamma)
+    dH_dR, dH_dPsi = hamiltonian_partials(e, star)
+    return -dH_dPsi - p.gamma * e[0], dH_dR
 
 
 def error_terms(p: SystemParams, n: NoiseSchedule, tau: np.ndarray, star):
@@ -202,19 +208,32 @@ def error_terms(p: SystemParams, n: NoiseSchedule, tau: np.ndarray, star):
     schedules are read at the step start times tau.  The diffusion matrix
     is the original-variable one at the shifted state (r* + R, psi* +
     Psi); the reference solution itself satisfies the deterministic
-    equations, so its noise terms cancel.  Returns terms(k, x, w) -> (f,
-    G w) like perturbed_terms, with sin and cos evaluated once per step.
+    equations, so its noise terms cancel.  Returns terms(k, x, w, f, gw,
+    scratch) under the buffer contract of perturbed_terms; the drift
+    follows rhs_error's operation order, with sin and cos of psi* + Psi
+    evaluated once per step.
     """
     s1, s2 = _intensities(n, tau)
     rs, ps = star
+    gamma = p.gamma
 
-    def terms(k, x, w):
+    def terms(k, x, w, f, gw, scratch):
         R, Psi = x
+        f_R, f_Psi = f
         rsk, psk = rs[k], ps[k]
-        shifted = Psi + psk
-        cos_d, sin_d = np.cos(shifted), np.sin(shifted)
-        partials = _partials(R, rsk, cos_d, sin_d, math.cos(psk),
-                             math.sin(psk))
-        return (_error_drift(R, partials, p.gamma),
-                _noise(s1[k], s2[k], rsk + R, sin_d, cos_d, w))
+        sin_d, cos_d, tmp = scratch
+        np.add(Psi, psk, out=tmp)
+        np.cos(tmp, out=cos_d)
+        np.sin(tmp, out=sin_d)
+        np.add(R, cos_d, out=f_Psi)  # dH/dR
+        f_Psi -= math.cos(psk)
+        np.add(R, rsk, out=tmp)  # tmp = dH/dPsi
+        np.negative(tmp, out=tmp)
+        tmp *= sin_d
+        tmp += rsk * math.sin(psk)
+        np.negative(tmp, out=f_R)
+        np.multiply(R, gamma, out=tmp)
+        f_R -= tmp
+        np.add(R, rsk, out=gw[0])
+        _noise(s1[k], s2[k], gw[0], sin_d, cos_d, w, gw, tmp)
     return terms

@@ -166,6 +166,21 @@ def test_cross_field_rules_exit2(tmp_path, capsys, sub, cfg, field):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("taus, field", [
+    ({"tau_lo": 2.0}, "tau_lo"),
+    ({"tau_lo": 300.0, "tau_hi": 500.0}, "tau_hi"),
+    ({"tau_lo": 300.0, "tau_hi": 400.0}, "tau_hi")])
+def test_certify_tau_range_outside_reference_exit2(tmp_path, capsys, taus,
+                                                   field):
+    # the reference covers [5, 400]: before it a candidate cannot be
+    # evaluated, and at or past its end it has no tube to test
+    code, out = _run(tmp_path, "certify", {"gamma": 0.1, "lam": 1.0, **taus})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"field '{field}'" in err
+    assert not out.exists()
+
+
 def _doc_sections():
     """docs/cli.md as {heading: text} over its '## ' sections."""
     path = Path(__file__).resolve().parents[1] / "docs" / "cli.md"

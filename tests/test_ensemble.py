@@ -279,30 +279,48 @@ def _stats_equal(a, b):
 
 
 def test_block_width_invariance(ref, cert, cfg_maker, monkeypatch):
+    # 150 paths run as blocks of 150, 75 and 50 on 1, 2 and 3 threads
     ens_cfg = cfg_maker(n_paths=150)
     err_cfg = cfg_maker(mu=0.05, n_paths=150, horizon=1.0, x0=(0.0, 0.0),
                         tau0=cert.tau0)
-    monkeypatch.setattr(ensemble, "BLOCK_PATHS", 128)
     stats = run_ensemble(ens_cfg, ref)
     report = supermartingale_check(err_cfg, cert, N=1, ref=ref)
-    assert supermartingale_check(err_cfg, cert, N=1, ref=ref,
-                                 threads=3) == report
-    monkeypatch.setattr(ensemble, "BLOCK_PATHS", 64)
-    _stats_equal(run_ensemble(ens_cfg, ref), stats)
-    assert supermartingale_check(err_cfg, cert, N=1, ref=ref) == report
+    for threads in (2, 3):
+        _stats_equal(run_ensemble(ens_cfg, ref, threads=threads), stats)
+        assert supermartingale_check(err_cfg, cert, N=1, ref=ref,
+                                     threads=threads) == report
 
     # nor on the length of the noise chunks: 2050 steps span two chunks at
-    # the default length, a ball start draws first, and with sigma1 != 0
+    # the default budget, a ball start draws first, and with sigma1 != 0
     # both noise channels reach the paths
     noise = NoiseSchedule(mu=0.3, sigma1=power_schedule(0.02, -1.0),
                           sigma2=constant_schedule(0.5))
     ball_cfg = cfg_maker(n_paths=150, horizon=2.05, ball_radius=0.02,
                          noise=noise)
+    assert integrators.chunk_steps(150) < 2050
     ball = run_ensemble(ball_cfg, ref)
     for chunk in (500, 7):
-        monkeypatch.setattr(integrators, "CHUNK_STEPS", chunk)
+        # the budget of `chunk` steps for one block of 150 paths
+        monkeypatch.setattr(integrators, "NOISE_BUDGET",
+                            chunk * integrators.N_CHANNELS * 8 * 150)
+        assert integrators.chunk_steps(150) == chunk
         _stats_equal(run_ensemble(ball_cfg, ref), ball)
         assert supermartingale_check(err_cfg, cert, N=1, ref=ref) == report
+
+
+@pytest.mark.parametrize("n_paths, threads, widths", [
+    (256, 1, [256]), (150, 2, [75, 75]), (150, 3, [50, 50, 50]),
+    (150, 4, [50, 50, 50]), (1000, 3, [334, 334, 332]),
+    (100, 100, [50, 50]), (100, 10**9, [50, 50])])
+def test_path_blocks(n_paths, threads, widths):
+    # a pure function of (n_paths, threads); it starts no thread, so a
+    # thread count far above n_paths is safe to pass here
+    blocks = ensemble._path_blocks(n_paths, threads)
+    assert [hi - lo for lo, hi in blocks] == widths
+    assert len(blocks) <= -(-n_paths // ensemble.MIN_BLOCK_PATHS)
+    # contiguous, in path order, every path once
+    assert blocks[0][0] == 0 and blocks[-1][1] == n_paths
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
 
 
 def test_supermartingale_all_paths_stopped(ref, cert, cfg_maker):

@@ -4,14 +4,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from autores import integrators
+from autores import integrators, model
 from autores.asymptotics import STABLE, evaluate, expand
 from autores.integrators import (IntegrationError, NoiseStream, Trajectory,
                                  default_dt, integrate_ode,
                                  integrate_ode_batch, integrate_sde,
                                  reference_solution, sde_step_count)
 from autores.ensemble import classify_capture
-from autores.model import rhs_primary
+from autores.model import NoiseSchedule, constant_schedule, rhs_primary
 
 
 def test_trajectory_invariants():
@@ -157,10 +157,14 @@ def test_default_dt():
 
 
 def _terms(drift, g_row):
-    """terms(k, x, w) of a one-dimensional system dx = drift(x) dt + mu
-    g_row . dW, with g_row the single row of G."""
+    """terms(k, x, w, f, gw, scratch) of a one-dimensional system dx =
+    drift(x) dt + mu g_row . dW, with g_row the single row of G."""
     g = np.asarray(g_row, dtype=float)
-    return lambda k, x, w: (drift(x), (g[0] * w[0] + g[1] * w[1])[None])
+
+    def terms(k, x, w, f, gw, scratch):
+        f[0][...] = drift(x[0])
+        np.add(g[0] * w[0], g[1] * w[1], out=gw[0])
+    return terms
 
 
 def test_sde_zero_noise_is_euler():
@@ -256,3 +260,123 @@ def test_reference_phase_stays_locked(params, ref):
     assert np.all(np.diff(dev) < 0)
     band = np.linspace(10.0, ref.tau_max, 200)
     assert np.all(np.abs(ref.state(band)[1] - psi0) < 0.1)
+
+
+def _allocating_terms(kind, p, noise, tau, star):
+    """The perturbed or deviation terms as plain expressions that return
+    fresh (f, G w) arrays; the fused terms must match them bit for bit."""
+    s1, s2 = model._intensities(noise, tau)
+
+    def g_w(k, r, sin, cos, w):
+        return s1[k] * r * sin * w[0], s1[k] * cos * w[0] + s2[k] * w[1]
+
+    def perturbed(k, x, w):
+        r, psi = x
+        sin, cos = np.sin(psi), np.cos(psi)
+        return ((r * sin - p.gamma * r, r - p.lam * tau[k] + cos),
+                g_w(k, r, sin, cos, w))
+
+    def error(k, x, w):
+        R, Psi = x
+        rs, ps = star[0][k], star[1][k]
+        sin, cos = np.sin(Psi + ps), np.cos(Psi + ps)
+        dH_dR = R + cos - math.cos(ps)
+        dH_dPsi = -(R + rs) * sin + rs * math.sin(ps)
+        return ((-dH_dPsi - p.gamma * R, dH_dR),
+                g_w(k, rs + R, sin, cos, w))
+    return perturbed if kind == "perturbed" else error
+
+
+def _plain_em(terms, x, grid, dt, mu, streams, observe, ball_radius):
+    """em_paths written plainly: every increment drawn up front, fresh
+    arrays on every step, a row-by-row update and an explicit mask."""
+    _, tau_next, h = grid
+    rngs = [s.generator() for s in streams]
+    for i, rng in enumerate(rngs if ball_radius > 0 else ()):
+        u, ang = rng.uniform(size=2)
+        rad = ball_radius * math.sqrt(u)
+        x[0, i] += rad * math.cos(2 * math.pi * ang)
+        x[1, i] += rad * math.sin(2 * math.pi * ang)
+    z = np.stack([rng.standard_normal((h.size, 2)) for rng in rngs], axis=-1)
+    active = np.ones(x.shape[1], dtype=bool)
+    escaped_at = np.full(x.shape[1], np.nan)
+    observe(-1, x, True)
+    for k in range(h.size):
+        w = z[k] * math.sqrt(dt)
+        if h[k] != dt:
+            w = w * math.sqrt(h[k] / dt)
+        f, gw = terms(k, x, w)
+        x_new = np.array([xi + fi * h[k] + mu * gi
+                          for xi, fi, gi in zip(x, f, gw)])
+        moved = active & np.isfinite(x_new).all(axis=0)
+        escaped_at[active & ~moved] = tau_next[k]
+        x[:, moved] = x_new[:, moved]
+        stop = observe(k, x, moved)
+        active = moved if stop is None else moved & ~stop
+        if not active.any():
+            break
+    return escaped_at
+
+
+class _Recorder:
+    """Observer that keeps every state it sees and stops a path whose
+    first component leaves [c - lim, c + lim]."""
+
+    def __init__(self, c, lim, m):
+        self.c, self.lim, self.seen = c, lim, []
+        self.stopped = np.zeros(m, dtype=bool)
+
+    def __call__(self, k, x, moved):
+        moved = np.broadcast_to(moved, x.shape[1]).copy()
+        self.seen.append((k, x.copy(), moved))
+        if k >= 0:
+            stop = moved & (np.abs(x[0] - self.c) > self.lim)
+            self.stopped |= stop
+            return stop
+
+
+@pytest.mark.parametrize("kind", ["perturbed", "error"])
+@pytest.mark.parametrize("start", ["tube", "overflow"])
+def test_em_paths_matches_plain_loop(params, ref, kind, start):
+    # sigma1 != 0 feeds both channels, a window of 205.5 dt ends on a
+    # half step, and a ball start draws first; near the largest double a
+    # step overflows for some paths, and the observer stops others
+    noise = NoiseSchedule(mu=0.3, sigma1=constant_schedule(0.4),
+                          sigma2=constant_schedule(1.0))
+    tau0, dt, m = 20.0, 1e-3, 100
+    grid = integrators.step_grid(tau0, tau0 + 0.2055, dt)
+    assert grid[2][-1] == pytest.approx(dt / 2)
+    star = ref.state(grid[1])
+    if start == "overflow":
+        x0, radius, lim = (1.6e308, 2.0), 1e307, 8e306
+    else:
+        x0 = ref.state(tau0) if kind == "perturbed" else (0.0, 0.0)
+        radius, lim = 0.05, 0.3
+    fused = (model.perturbed_terms(params, noise, grid[0])
+             if kind == "perturbed"
+             else model.error_terms(params, noise, grid[0], star))
+    plain = _allocating_terms(kind, params, noise, grid[0], star)
+    runs = []
+    for engine, terms in ((integrators.em_paths, fused), (_plain_em, plain)):
+        x = np.empty((2, m))
+        x[0], x[1] = x0
+        obs = _Recorder(float(x0[0]), lim, m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            esc = engine(terms, x, grid, dt, noise.mu,
+                         [NoiseStream(17, j) for j in range(m)], obs,
+                         ball_radius=radius)
+        runs.append((esc, x, obs))
+    (esc, x, obs), (esc_ref, x_ref, obs_ref) = runs
+    assert np.array_equal(esc, esc_ref, equal_nan=True)
+    assert np.array_equal(x, x_ref)
+    assert len(obs.seen) == len(obs_ref.seen)
+    for (k, xs, moved), (k_ref, xs_ref, moved_ref) in zip(obs.seen,
+                                                          obs_ref.seen):
+        assert k == k_ref
+        assert np.array_equal(xs, xs_ref), k
+        assert np.array_equal(moved, moved_ref), k
+    # the case is exercised: stopped paths, escapes near overflow, and
+    # paths that take the final half step
+    assert obs.stopped.any()
+    assert (~np.isnan(esc)).any() == (start == "overflow")
+    assert obs.seen[-1][0] == grid[2].size - 1

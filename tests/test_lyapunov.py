@@ -84,6 +84,15 @@ def test_certify_refuses_inverted_ranges(params, ref, ranges):
         certify(params, ref, **ranges)
 
 
+@pytest.mark.parametrize("tau_range", [(2.0, 50.0), (300.0, 500.0),
+                                       (300.0, 400.0)])
+def test_certify_refuses_tau_range_outside_reference(params, ref, tau_range):
+    # the reference covers [5, 400]: a candidate before it cannot be
+    # evaluated, and one at or past its end has no tube to test
+    with pytest.raises(ValueError, match="tau_range"):
+        certify(params, ref, tau_range=tau_range)
+
+
 def test_spot_check_clean(params, ref, cert):
     assert spot_check(cert, params, ref, n=2000, seed=31) == 0
 

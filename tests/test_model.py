@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from autores import SystemParams
+from autores.integrators import N_SCRATCH
 from autores.model import (NoiseSchedule, Schedule, constant_schedule,
                            error_terms, hamiltonian, hamiltonian_hessian,
                            hamiltonian_partials, hamiltonian_time_partial,
@@ -57,14 +58,22 @@ def test_drift_matches_unperturbed():
     p = SystemParams(lam=1.0, gamma=0.1)
     n = NoiseSchedule(mu=0.2, sigma1=constant_schedule(0.3),
                       sigma2=constant_schedule(1.0))
-    drift, _ = perturbed_terms(p, n, np.array([9.0]))(
-        0, np.array([[1.5], [0.7]]), np.zeros((2, 1)))
+    drift, _ = _step0(perturbed_terms(p, n, np.array([9.0])),
+                      np.array([[1.5], [0.7]]), np.zeros((2, 1)))
     assert tuple(np.ravel(drift)) == rhs_primary((1.5, 0.7), 9.0, p)
+
+
+def _step0(terms, x, w):
+    """(f, G w) that terms writes at step 0, into fresh buffers."""
+    f, gw = np.empty_like(x), np.empty_like(x)
+    terms(0, tuple(x), w, tuple(f), tuple(gw),
+          tuple(np.empty((N_SCRATCH, x.shape[1]))))
+    return f, gw
 
 
 def _matrix(terms, x):
     """The diffusion matrix G of terms at step 0, column by column."""
-    cols = [np.ravel(terms(0, x, w[:, None])[1]) for w in np.eye(2)]
+    cols = [np.ravel(_step0(terms, x, w[:, None])[1]) for w in np.eye(2)]
     return np.column_stack(cols)
 
 
