@@ -1,9 +1,9 @@
 """Monte Carlo engine: deviation probabilities, first-exit times,
 capture fractions, and the supermartingale sanity test.
 
-Paths are integrated in blocks, one per thread, vectorized across the
-block.  Every path owns a counter-based noise stream keyed by
-(master_seed, path_index), and blocks are merged in path order, so
+Paths are integrated in blocks, vectorized across each block, on a pool
+of worker threads.  Every path owns a counter-based noise stream keyed
+by (master_seed, path_index), and blocks are merged in path order, so
 aggregates are bit-identical whether one thread or eight run the blocks.
 """
 
@@ -22,7 +22,8 @@ from .integrators import (NoiseStream, Trajectory, ReferenceSolution,
 from .lyapunov import (StabilityCertificate, chain_U, eval_V,
                        noise_class_check)
 
-MIN_BLOCK_PATHS = 64  # never more than ceil(n_paths / 64) blocks
+MIN_BLOCK_PATHS = 50    # a thread split leaves no block narrower
+MAX_BLOCK_PATHS = 2048  # no block is wider
 CAPTURE_WINDOW = 0.8  # capture reads the phase from this share of the run on
 N_OBS = 41          # supermartingale_check observation times, tau0 included
 DOOB_LADDER = (1.0, 2.0, 4.0)  # its maximal-bound levels / mean U_1 at tau0
@@ -130,19 +131,22 @@ def _precompute_step_grid(cfg: EnsembleConfig,
 def _path_blocks(n_paths: int, threads: int) -> list:
     """The (lo, hi) path ranges of the blocks, in path order.
 
-    One block per thread, each ceil(n_paths / blocks) wide but the last,
-    and never more than ceil(n_paths / MIN_BLOCK_PATHS) blocks: a large
-    thread count neither splits the paths into blocks too narrow to pay
-    for their per-step overhead nor starts more threads than that.
+    One block per thread, but none narrower than MIN_BLOCK_PATHS (unless
+    n_paths itself is) and none wider than MAX_BLOCK_PATHS; widths differ
+    by at most one path.  A large thread count thus never splits the
+    paths into blocks too narrow to pay for their per-step overhead, and
+    a large ensemble runs as bounded blocks, each with its own bounded
+    set of noise streams.
     """
-    n_blocks = max(1, min(threads, -(-n_paths // MIN_BLOCK_PATHS)))
-    width = -(-n_paths // n_blocks)
-    return [(lo, min(lo + width, n_paths)) for lo in range(0, n_paths, width)]
+    n_blocks = max(-(-n_paths // MAX_BLOCK_PATHS),
+                   min(threads, n_paths // MIN_BLOCK_PATHS))
+    edges = [i * n_paths // n_blocks for i in range(n_blocks + 1)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _run_blocks(cfg: EnsembleConfig, threads: int, grid, terms, observer):
-    """Integrate all paths in blocks (_path_blocks) with em_paths, one
-    block per worker thread, and merge the per-block results in path
+    """Integrate all paths in blocks (_path_blocks) with em_paths on up
+    to `threads` worker threads, and merge the per-block results in path
     order, so they depend on neither the thread count nor the block
     width.
 
@@ -162,11 +166,12 @@ def _run_blocks(cfg: EnsembleConfig, threads: int, grid, terms, observer):
         return obs.result(x, escaped_at)
 
     blocks = _path_blocks(cfg.n_paths, threads)
-    if len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=len(blocks)) as ex:
+    workers = min(threads, len(blocks))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(run, blocks))
     else:
-        results = [run(blocks[0])]
+        results = [run(block) for block in blocks]
     return {key: np.concatenate([res[key] for res in results], axis=-1)
             for key in results[0]}
 

@@ -232,9 +232,6 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu: float,
             x[0, i] += rad * math.cos(2 * math.pi * ang)
             x[1, i] += rad * math.sin(2 * math.pi * ang)
     sqrt_dt = math.sqrt(dt)
-    # exactly 1.0 where h == dt, so one multiply per chunk rescales the
-    # shorter steps and leaves every other increment as drawn
-    h_scale = np.sqrt(h / dt)[:, None, None]
     active = np.ones(m, dtype=bool)
     n_active = m
     escaped_at = np.full(m, np.nan)
@@ -255,7 +252,9 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu: float,
         for i, rng in enumerate(rngs):
             dw[:, :, i] = rng.standard_normal((k1 - k0, N_CHANNELS))
         dw *= sqrt_dt
-        dw *= h_scale[k0:k1]
+        # exactly 1.0 where h == dt, so one multiply per chunk rescales
+        # the shorter steps and leaves every other increment as drawn
+        dw *= np.sqrt(h[k0:k1] / dt)[:, None, None]
         for k in range(k0, k1):
             terms(k, x_rows, dw[k - k0], f_rows, gw_rows, scratch)
             # x_new = (x + f h) + mu G w, rounded in that order

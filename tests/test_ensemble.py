@@ -279,7 +279,8 @@ def _stats_equal(a, b):
 
 
 def test_block_width_invariance(ref, cert, cfg_maker, monkeypatch):
-    # 150 paths run as blocks of 150, 75 and 50 on 1, 2 and 3 threads
+    # 150 paths run as blocks of 150, 75 and 50 on 1, 2 and 3 threads, and
+    # 160 paths as 160 or as the ragged 53 + 53 + 54
     ens_cfg = cfg_maker(n_paths=150)
     err_cfg = cfg_maker(mu=0.05, n_paths=150, horizon=1.0, x0=(0.0, 0.0),
                         tau0=cert.tau0)
@@ -289,6 +290,13 @@ def test_block_width_invariance(ref, cert, cfg_maker, monkeypatch):
         _stats_equal(run_ensemble(ens_cfg, ref, threads=threads), stats)
         assert supermartingale_check(err_cfg, cert, N=1, ref=ref,
                                      threads=threads) == report
+    ragged_ens = dataclasses.replace(ens_cfg, n_paths=160)
+    ragged_err = dataclasses.replace(err_cfg, n_paths=160)
+    _stats_equal(run_ensemble(ragged_ens, ref, threads=3),
+                 run_ensemble(ragged_ens, ref))
+    assert supermartingale_check(ragged_err, cert, N=1, ref=ref,
+                                 threads=3) == supermartingale_check(
+                                     ragged_err, cert, N=1, ref=ref)
 
     # nor on the length of the noise chunks: 2050 steps span two chunks at
     # the default budget, a ball start draws first, and with sigma1 != 0
@@ -310,13 +318,20 @@ def test_block_width_invariance(ref, cert, cfg_maker, monkeypatch):
 
 @pytest.mark.parametrize("n_paths, threads, widths", [
     (256, 1, [256]), (150, 2, [75, 75]), (150, 3, [50, 50, 50]),
-    (150, 4, [50, 50, 50]), (1000, 3, [334, 334, 332]),
-    (100, 100, [50, 50]), (100, 10**9, [50, 50])])
+    (150, 4, [50, 50, 50]), (160, 3, [53, 53, 54]),
+    (1000, 3, [333, 333, 334]), (100, 100, [50, 50]),
+    (100, 10**9, [50, 50]), (5000, 1, [1666, 1667, 1667]),
+    (5000, 4, [1250] * 4), (10**7, 1, None), (10**7, 10**9, None)])
 def test_path_blocks(n_paths, threads, widths):
     # a pure function of (n_paths, threads); it starts no thread, so a
     # thread count far above n_paths is safe to pass here
     blocks = ensemble._path_blocks(n_paths, threads)
-    assert [hi - lo for lo, hi in blocks] == widths
+    got = [hi - lo for lo, hi in blocks]
+    if widths is not None:
+        assert got == widths
+    # no block narrower than the floor or wider than the cap
+    assert min(n_paths, ensemble.MIN_BLOCK_PATHS) <= min(got)
+    assert max(got) <= ensemble.MAX_BLOCK_PATHS
     assert len(blocks) <= -(-n_paths // ensemble.MIN_BLOCK_PATHS)
     # contiguous, in path order, every path once
     assert blocks[0][0] == 0 and blocks[-1][1] == n_paths
