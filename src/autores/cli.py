@@ -1,13 +1,15 @@
 """Command-line entry point.
 
 Every experiment is a subcommand taking a strict JSON config plus the
-common flags --config, --out, --seed, --threads.  Unknown config fields
-are rejected (exit 2, message names the field); runtime failures exit 1
-with the originating module and time location.  Each run writes
-manifest.json echoing the resolved config and the package version, and a
-manifest is itself accepted as a config, so any run can be reproduced
-from its output directory alone.  Numeric CSV cells carry 17 significant
-digits, LF line endings, UTF-8.
+common flags --config, --out, --seed, --threads.  --threads (and the
+threads config and manifest field) is validated and recorded in the
+manifest but has no effect: ensembles run on the calling thread.
+Unknown config fields are rejected (exit 2, message names the field);
+runtime failures exit 1 with the originating module and time location.
+Each run writes manifest.json echoing the resolved config and the
+package version, and a manifest is itself accepted as a config, so any
+run can be reproduced from its output directory alone.  Numeric CSV
+cells carry 17 significant digits, LF line endings, UTF-8.
 """
 from __future__ import annotations
 
@@ -292,7 +294,7 @@ _SEED_FIELD = {"ensemble": "master_seed", "exit-times": "master_seed",
                "certify": "spot_seed", "figures": "master_seed"}
 
 
-def _cmd_series(cfg: dict, out: Path, threads: int):
+def _cmd_series(cfg: dict, out: Path):
     p = SystemParams(lam=cfg["lam"], gamma=cfg["gamma"])
     grid_fields = [cfg["tau_min"], cfg["tau_max"], cfg["tau_n"]]
     on_grid = any(v is not None for v in grid_fields)
@@ -310,7 +312,7 @@ def _cmd_series(cfg: dict, out: Path, threads: int):
                    zip(tau, r, psi))
 
 
-def _cmd_simulate(cfg: dict, out: Path, threads: int):
+def _cmd_simulate(cfg: dict, out: Path):
     if cfg["tau1"] <= cfg["tau0"]:
         raise ConfigError("tau1", "must exceed tau0")
     p = SystemParams(lam=cfg["lam"], gamma=cfg["gamma"])
@@ -350,9 +352,9 @@ def _ensemble_config(cfg: dict, need_ref: bool):
     return p, ref, make
 
 
-def _cmd_ensemble(cfg: dict, out: Path, threads: int):
+def _cmd_ensemble(cfg: dict, out: Path):
     p, ref, make = _ensemble_config(cfg, need_ref=False)
-    stats = run_ensemble(make(cfg["mu"]), ref=ref, threads=threads,
+    stats = run_ensemble(make(cfg["mu"]), ref=ref,
                          out_of_class_ok=cfg["out_of_class_ok"])
     rows = zip(range(stats.n_paths), stats.exit_times, stats.censored,
                stats.captured, stats.sup_psi_dev, stats.sup_r_dev_weighted,
@@ -365,14 +367,14 @@ def _cmd_ensemble(cfg: dict, out: Path, threads: int):
     _write_json(out / "summary.json", stats.to_dict())
 
 
-def _cmd_exit_times(cfg: dict, out: Path, threads: int):
-    p, ref, make = _ensemble_config(cfg, need_ref=True)
+def _cmd_exit_times(cfg: dict, out: Path):
     mus = cfg["mus"]
     if len(set(mus)) != len(mus):
         raise ConfigError("mus", "amplitudes must be distinct")
     if not all(0.0 < m < 1.0 for m in mus):
         raise ConfigError("mus", "amplitudes must lie in (0, 1)")
-    result = exit_time_scaling([make(m) for m in mus], ref, threads=threads,
+    p, ref, make = _ensemble_config(cfg, need_ref=True)
+    result = exit_time_scaling([make(m) for m in mus], ref,
                                n_boot=cfg["n_boot"], seed=cfg["boot_seed"])
     _write_csv(out / "exit_times.csv", "autores.exit_times",
                ("mu", "median_exit", "lo", "hi"),
@@ -382,7 +384,7 @@ def _cmd_exit_times(cfg: dict, out: Path, threads: int):
     _write_json(out / "scaling.json", result)
 
 
-def _cmd_certify(cfg: dict, out: Path, threads: int):
+def _cmd_certify(cfg: dict, out: Path):
     for lo, hi in (("d_lo", "d_hi"), ("tau_lo", "tau_hi")):
         if cfg[hi] <= cfg[lo]:
             raise ConfigError(hi, f"must exceed {lo}")
@@ -408,7 +410,7 @@ def _cmd_certify(cfg: dict, out: Path, threads: int):
     _write_json(out / "certificate.json", doc)
 
 
-def _cmd_thresholds(cfg: dict, out: Path, threads: int):
+def _cmd_thresholds(cfg: dict, out: Path):
     if (cfg["chain_B"] is None) != (cfg["chain_q"] is None):
         missing = "chain_B" if cfg["chain_B"] is None else "chain_q"
         raise ConfigError(missing, "chain_B and chain_q go together")
@@ -427,7 +429,7 @@ def _cmd_thresholds(cfg: dict, out: Path, threads: int):
     _write_json(out / "thresholds.json", doc)
 
 
-def _cmd_pendulum(cfg: dict, out: Path, threads: int):
+def _cmd_pendulum(cfg: dict, out: Path):
     p = SystemParams(lam=cfg["lam"], gamma=cfg["gamma"])
     pp = inverse_map(p, cfg["eps"])
     tau_end = cfg["tau_end"]
@@ -452,7 +454,7 @@ def _cmd_pendulum(cfg: dict, out: Path, threads: int):
     })
 
 
-def _cmd_figures(cfg: dict, out: Path, threads: int):
+def _cmd_figures(cfg: dict, out: Path):
     p = SystemParams(lam=1.0, gamma=0.1)
     if cfg["which"] == "fig1":
         # documented spread of deterministic initial points, solved as
@@ -574,7 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config (a manifest.json works)")
         sp.add_argument("--out", help="output directory")
         sp.add_argument("--seed", type=int, help="seed override")
-        sp.add_argument("--threads", type=int, help="worker thread cap")
+        sp.add_argument("--threads", type=int,
+                        help="accepted and recorded in the manifest; has no "
+                             "effect (ensembles run on one thread)")
         if name == "figures":
             sp.add_argument("--which", choices=("fig1", "fig2"))
     return parser
@@ -586,7 +590,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         cfg, out, threads = _resolve(sub, args)
         out.mkdir(parents=True, exist_ok=True)
-        _HANDLERS[sub](cfg, out, threads)
+        _HANDLERS[sub](cfg, out)
         _write_manifest(out, sub, _manifest_echo(cfg), threads)
     except ConfigError as exc:
         print(f"autores {sub}: config error: {exc}", file=sys.stderr)

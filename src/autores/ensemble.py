@@ -1,16 +1,16 @@
 """Monte Carlo engine: deviation probabilities, first-exit times,
 capture fractions, and the supermartingale sanity test.
 
-Paths are integrated in blocks, vectorized across each block, on a pool
-of worker threads.  Every path owns a counter-based noise stream keyed
-by (master_seed, path_index), and blocks are merged in path order, so
-aggregates are bit-identical whether one thread or eight run the blocks.
+Paths are integrated in blocks of at most MAX_BLOCK_PATHS, vectorized
+across each block, one block after another on the calling thread.  Every
+path owns a counter-based noise stream keyed by (master_seed,
+path_index), and blocks are merged in path order, so aggregates are
+bit-identical at any block width.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -22,7 +22,6 @@ from .integrators import (NoiseStream, Trajectory, ReferenceSolution,
 from .lyapunov import (StabilityCertificate, chain_U, eval_V,
                        noise_class_check)
 
-MIN_BLOCK_PATHS = 50    # a thread split leaves no block narrower
 MAX_BLOCK_PATHS = 2048  # no block is wider
 CAPTURE_WINDOW = 0.8  # capture reads the phase from this share of the run on
 N_OBS = 41          # supermartingale_check observation times, tau0 included
@@ -128,50 +127,35 @@ def _precompute_step_grid(cfg: EnsembleConfig,
     return grid, (rs, ps)
 
 
-def _path_blocks(n_paths: int, threads: int) -> list:
-    """The (lo, hi) path ranges of the blocks, in path order.
-
-    One block per thread, but none narrower than MIN_BLOCK_PATHS (unless
-    n_paths itself is) and none wider than MAX_BLOCK_PATHS; widths differ
-    by at most one path.  A large thread count thus never splits the
-    paths into blocks too narrow to pay for their per-step overhead, and
-    a large ensemble runs as bounded blocks, each with its own bounded
-    set of noise streams.
+def _path_blocks(n_paths: int) -> list:
+    """The (lo, hi) path ranges of the blocks, in path order:
+    ceil(n_paths / MAX_BLOCK_PATHS) blocks whose widths differ by at most
+    one path, so a large ensemble runs as bounded blocks, each with its
+    own bounded set of noise streams.
     """
-    n_blocks = max(-(-n_paths // MAX_BLOCK_PATHS),
-                   min(threads, n_paths // MIN_BLOCK_PATHS))
+    n_blocks = -(-n_paths // MAX_BLOCK_PATHS)
     edges = [i * n_paths // n_blocks for i in range(n_blocks + 1)]
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _run_blocks(cfg: EnsembleConfig, threads: int, grid, terms, observer):
-    """Integrate all paths in blocks (_path_blocks) with em_paths on up
-    to `threads` worker threads, and merge the per-block results in path
-    order, so they depend on neither the thread count nor the block
-    width.
+def _run_blocks(cfg: EnsembleConfig, grid, terms, observer):
+    """Integrate all paths block by block (_path_blocks) with em_paths and
+    merge the per-block results in path order, so they do not depend on
+    the block width.
 
     observer(m) makes a fresh observer for a block of m paths; it is
     called after every step and its result(x, escaped_at) returns a dict
-    of arrays whose last axis runs over the paths.  Each block is a pure
-    function of (cfg, lo, hi): safe to run on any thread.
+    of arrays whose last axis runs over the paths.
     """
-    def run(block):
-        lo, hi = block
+    results = []
+    for lo, hi in _path_blocks(cfg.n_paths):
         x = np.empty((2, hi - lo))
         x[0], x[1] = float(cfg.x0[0]), float(cfg.x0[1])
         obs = observer(hi - lo)
         streams = [NoiseStream(cfg.master_seed, j) for j in range(lo, hi)]
         escaped_at = em_paths(terms, x, grid, cfg.dt, cfg.noise.mu, streams,
                               obs, ball_radius=cfg.ball_radius)
-        return obs.result(x, escaped_at)
-
-    blocks = _path_blocks(cfg.n_paths, threads)
-    workers = min(threads, len(blocks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(run, blocks))
-    else:
-        results = [run(block) for block in blocks]
+        results.append(obs.result(x, escaped_at))
     return {key: np.concatenate([res[key] for res in results], axis=-1)
             for key in results[0]}
 
@@ -236,7 +220,7 @@ class _TubeObserver:
 
 
 def run_ensemble(cfg: EnsembleConfig, ref: Optional[ReferenceSolution] = None,
-                 threads: int = 1, out_of_class_ok: bool = False) -> EnsembleStats:
+                 out_of_class_ok: bool = False) -> EnsembleStats:
     """Integrate the ensemble and aggregate deviation/exit/capture statistics.
 
     The noise schedule must pass its class check unless the run is
@@ -252,7 +236,7 @@ def run_ensemble(cfg: EnsembleConfig, ref: Optional[ReferenceSolution] = None,
             f"noise schedule not in class (bound {check['bound']}, "
             f"h {cfg.noise.h}); pass out_of_class_ok=True to run anyway")
     grid, star = _precompute_step_grid(cfg, ref)
-    res = _run_blocks(cfg, threads, grid,
+    res = _run_blocks(cfg, grid,
                       perturbed_terms(cfg.params, cfg.noise, grid[0]),
                       lambda m: _TubeObserver(cfg, grid, star, m))
     sup_psi, sup_rw, captured = res["sup_psi"], res["sup_rw"], res["captured"]
@@ -311,8 +295,8 @@ def classify_capture(traj: Trajectory, p: SystemParams) -> str:
 
 
 def exit_time_scaling(cfgs: Sequence[EnsembleConfig],
-                      ref: ReferenceSolution, threads: int = 1,
-                      n_boot: int = 1000, seed: int = 12345) -> dict:
+                      ref: ReferenceSolution, n_boot: int = 1000,
+                      seed: int = 12345) -> dict:
     """Fit log(median first-exit time) against log(mu) across ensembles.
 
     Configs must differ only in the noise amplitude mu (and horizon/dt),
@@ -335,7 +319,7 @@ def exit_time_scaling(cfgs: Sequence[EnsembleConfig],
                 and replace(c.noise, mu=base.noise.mu) == base.noise)
         if not same:
             raise ValueError("configs must differ only in mu (and horizon/dt)")
-    stats = [run_ensemble(c, ref, threads=threads) for c in cfgs]
+    stats = [run_ensemble(c, ref) for c in cfgs]
     if all(float(np.mean(s.censored)) > 0.5 for s in stats):
         raise ValueError("more than half the paths censored at every mu; "
                          "increase the horizon")
@@ -429,7 +413,8 @@ def supermartingale_check(cfg: EnsembleConfig, cert: StabilityCertificate,
     reaches c times the start value, for c in DOOB_LADDER, against the
     mean-start/c bound, within 3 standard errors.  The window [tau0,
     tau0 + horizon] must lie in the reference domain: outside it the error
-    system has no reference to deviate from.
+    system has no reference to deviate from.  threads is accepted for
+    older callers and has no effect: the blocks run on the calling thread.
     """
     if N != 1:
         raise NotImplementedError("only the N=1 comparison chain is testable "
@@ -442,7 +427,7 @@ def supermartingale_check(cfg: EnsembleConfig, cert: StabilityCertificate,
     n_steps = grid[0].size
     obs_steps = np.unique(np.linspace(0, n_steps - 1, N_OBS - 1).astype(int))
     obs_idx = np.concatenate([[-1], obs_steps])  # -1 marks the tau0 snapshot
-    res = _run_blocks(cfg, threads, grid,
+    res = _run_blocks(cfg, grid,
                       error_terms(cfg.params, cfg.noise, grid[0], star),
                       lambda m: _StoppedU1(cfg, cert, grid, star, obs_idx, m))
     obs, u_sup, stopped = res["obs"], res["u_sup"], res["stopped"]

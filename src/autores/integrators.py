@@ -3,7 +3,7 @@
 The adaptive side wraps an embedded Runge-Kutta pair with dense output.
 The stochastic side is Euler-Maruyama with counter-based noise streams:
 the increments for (master_seed, path_index) are reproducible across
-runs, platforms, and thread counts, and distinct path indices give
+runs, platforms and block widths, and distinct path indices give
 statistically independent streams.
 """
 
@@ -145,7 +145,8 @@ class NoiseStream:
     """Counter-based noise stream identity: (master_seed, path_index).
 
     Increment k of path j depends only on (master_seed, j, k), so paths
-    can be generated in any order, on any thread, with identical output.
+    can be generated in any order, in blocks of any width, with identical
+    output.
     """
 
     master_seed: int

@@ -238,7 +238,7 @@ def test_criterion_07_capture_fractions(params):
         cfg = EnsembleConfig(params=params, noise=_noise(mu), tau0=0.0,
                              horizon=60.0, dt=1e-3, n_paths=500,
                              master_seed=1234, x0=(1.09, 2.15))
-        s = run_ensemble(cfg, ref=None, threads=4)
+        s = run_ensemble(cfg, ref=None)
         return s.capture_fraction, s.capture_interval
 
     f10, i10 = frac(0.10)
@@ -257,7 +257,7 @@ def test_criterion_08_supermartingale_doob(params, ref, cert):
     cfg = EnsembleConfig(params=params, noise=_noise(0.05), tau0=cert.tau0,
                          horizon=30.0, dt=1e-3, n_paths=1000,
                          master_seed=2718, x0=(0.0, 0.0), eps1=0.1)
-    rep = supermartingale_check(cfg, cert, N=1, ref=ref, threads=4)
+    rep = supermartingale_check(cfg, cert, N=1, ref=ref)
     ok = rep["mean_nonincreasing"] and rep["doob_ok"]
     ladder = "; ".join(
         f"c={rung['c_multiple']:g}x: {rung['fraction']:.3f} <= "
@@ -276,7 +276,7 @@ def test_criterion_09_exit_time_scaling(params, ref, cert):
                            horizon=40.0, dt=1e-3, n_paths=300,
                            master_seed=7, x0=x0, eps1=cert.d0)
             for mu in (0.2, 0.3, 0.45)]
-    res = exit_time_scaling(cfgs, ref, threads=4)
+    res = exit_time_scaling(cfgs, ref)
     lo, hi = res["slope_interval"]
     ok = res["slope"] <= -1.0 and hi < 0.0
     _report("09", ok,

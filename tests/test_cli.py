@@ -142,6 +142,8 @@ def test_thresholds_outputs(tmp_path):
 
 THRESHOLDS_CFG = {"kappa": 0.5, "h": 1.0, "n": 2, "A": 3.0, "a": 1.0,
                   "C": 1.0, "eps1": 0.1, "eps2": 0.1}
+EXIT_CFG = {"gamma": 0.1, "lam": 1.0, "tau0": 20.0, "horizon": 5.0,
+            "eps1": 0.3}
 
 
 @pytest.mark.parametrize("sub, cfg, field", [
@@ -155,15 +157,36 @@ THRESHOLDS_CFG = {"kappa": 0.5, "h": 1.0, "n": 2, "A": 3.0, "a": 1.0,
                   "tau0": 10.0, "tau1": 10.0}, "tau1"),
     ("thresholds", {**THRESHOLDS_CFG, "chain_B": 1.0}, "chain_q"),
     ("thresholds", {**THRESHOLDS_CFG, "chain_q": 0.5}, "chain_B"),
+    ("exit-times", {**EXIT_CFG, "mus": [0.2, 0.3, 0.2]}, "mus"),
+    ("exit-times", {**EXIT_CFG, "mus": [0.2, 0.3, 1.5]}, "mus"),
 ])
-def test_cross_field_rules_exit2(tmp_path, capsys, sub, cfg, field):
-    # the documented rules between two fields are config errors, and a
-    # config error leaves no artifact
+def test_cross_field_rules_exit2(tmp_path, capsys, monkeypatch, sub, cfg,
+                                 field):
+    # the documented rules between two fields are config errors, found
+    # before the reference solution is built, and a config error leaves
+    # no artifact
+    def no_reference(*args, **kwargs):
+        raise AssertionError("reference built before the config was checked")
+    monkeypatch.setattr(cli, "reference_solution", no_reference)
     code, out = _run(tmp_path, sub, cfg)
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and f"field '{field}'" in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("cfg, extra", [
+    ({}, ("--threads", "0")), ({"threads": True}, ())])
+def test_threads_checked_exit2(tmp_path, capsys, cfg, extra):
+    # --threads and the threads field have no effect, but they are still
+    # outside input: anything but a positive integer is a config error
+    ens = {"gamma": 0.1, "lam": 1.0, "mu": 0.35, "tau0": 0.0,
+           "horizon": 60.0, "x0": [1.09, 2.15], **cfg}
+    code, out = _run(tmp_path, "ensemble", ens, extra=extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "field 'threads'" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("taus, field", [
@@ -228,7 +251,7 @@ def test_ensemble_reproducible_across_threads(tmp_path):
     code, out1 = _run(tmp_path, "ensemble", cfg, outname="run1")
     assert code == 0
 
-    # reproduce from the manifest alone, at a different thread count
+    # reproduce from the manifest alone; --threads is accepted, no effect
     man = str(out1 / "manifest.json")
     out2 = tmp_path / "run2"
     assert main(["ensemble", "--config", man, "--out", str(out2),

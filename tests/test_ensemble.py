@@ -75,18 +75,6 @@ def test_schedule_not_finite_on_grid_refused(params):
         run_ensemble(cfg, out_of_class_ok=True)
 
 
-def test_thread_count_invariance(ref, cfg_maker):
-    cfg = cfg_maker()
-    one = run_ensemble(cfg, ref, threads=1)
-    four = run_ensemble(cfg, ref, threads=4)
-    for key in ("exit_times", "censored", "sup_psi_dev",
-                "sup_r_dev_weighted", "sup_r_dev_raw", "captured",
-                "end_states"):
-        a, b = getattr(one, key), getattr(four, key)
-        assert np.array_equal(a, b, equal_nan=True), key
-    assert one.to_dict() == four.to_dict()
-
-
 def test_censoring_consistency(ref, cfg_maker):
     cfg = cfg_maker(mu=0.1, eps1=0.15)
     stats = run_ensemble(cfg, ref)
@@ -108,10 +96,12 @@ def test_tube_nesting(ref, cfg_maker):
     assert np.array_equal(wide.sup_psi_dev, narrow.sup_psi_dev)
 
 
-def test_ball_start_reproducible(ref, cfg_maker):
+def test_ball_start_reproducible(ref, cfg_maker, monkeypatch):
     cfg = cfg_maker(n_paths=128, ball_radius=0.02)
     a = run_ensemble(cfg, ref)
-    b = run_ensemble(cfg, ref, threads=3)
+    # the ball draws come from each path's own stream, whatever its block
+    monkeypatch.setattr(ensemble, "MAX_BLOCK_PATHS", 43)
+    b = run_ensemble(cfg, ref)
     assert np.array_equal(a.end_states, b.end_states)
     point = run_ensemble(cfg_maker(n_paths=128), ref)
     assert not np.array_equal(a.end_states, point.end_states)
@@ -279,24 +269,30 @@ def _stats_equal(a, b):
 
 
 def test_block_width_invariance(ref, cert, cfg_maker, monkeypatch):
-    # 150 paths run as blocks of 150, 75 and 50 on 1, 2 and 3 threads, and
-    # 160 paths as 160 or as the ragged 53 + 53 + 54
+    # 150 paths run as blocks of 150, 75 and 50, and 160 paths as 160 or
+    # as the ragged 53 + 53 + 54
     ens_cfg = cfg_maker(n_paths=150)
     err_cfg = cfg_maker(mu=0.05, n_paths=150, horizon=1.0, x0=(0.0, 0.0),
                         tau0=cert.tau0)
-    stats = run_ensemble(ens_cfg, ref)
-    report = supermartingale_check(err_cfg, cert, N=1, ref=ref)
-    for threads in (2, 3):
-        _stats_equal(run_ensemble(ens_cfg, ref, threads=threads), stats)
-        assert supermartingale_check(err_cfg, cert, N=1, ref=ref,
-                                     threads=threads) == report
     ragged_ens = dataclasses.replace(ens_cfg, n_paths=160)
     ragged_err = dataclasses.replace(err_cfg, n_paths=160)
-    _stats_equal(run_ensemble(ragged_ens, ref, threads=3),
-                 run_ensemble(ragged_ens, ref))
-    assert supermartingale_check(ragged_err, cert, N=1, ref=ref,
-                                 threads=3) == supermartingale_check(
-                                     ragged_err, cert, N=1, ref=ref)
+    stats = run_ensemble(ens_cfg, ref)
+    report = supermartingale_check(err_cfg, cert, N=1, ref=ref)
+    ragged_stats = run_ensemble(ragged_ens, ref)
+    ragged_report = supermartingale_check(ragged_err, cert, N=1, ref=ref)
+    with monkeypatch.context() as m:
+        for width, widths in ((75, [75, 75]), (50, [50, 50, 50])):
+            m.setattr(ensemble, "MAX_BLOCK_PATHS", width)
+            assert [hi - lo for lo, hi in ensemble._path_blocks(150)] == widths
+            _stats_equal(run_ensemble(ens_cfg, ref), stats)
+            assert supermartingale_check(err_cfg, cert, N=1,
+                                         ref=ref) == report
+        m.setattr(ensemble, "MAX_BLOCK_PATHS", 54)
+        assert [hi - lo for lo, hi in ensemble._path_blocks(160)] == [
+            53, 53, 54]
+        _stats_equal(run_ensemble(ragged_ens, ref), ragged_stats)
+        assert supermartingale_check(ragged_err, cert, N=1,
+                                     ref=ref) == ragged_report
 
     # nor on the length of the noise chunks: 2050 steps span two chunks at
     # the default budget, a ball start draws first, and with sigma1 != 0
@@ -316,23 +312,18 @@ def test_block_width_invariance(ref, cert, cfg_maker, monkeypatch):
         assert supermartingale_check(err_cfg, cert, N=1, ref=ref) == report
 
 
-@pytest.mark.parametrize("n_paths, threads, widths", [
-    (256, 1, [256]), (150, 2, [75, 75]), (150, 3, [50, 50, 50]),
-    (150, 4, [50, 50, 50]), (160, 3, [53, 53, 54]),
-    (1000, 3, [333, 333, 334]), (100, 100, [50, 50]),
-    (100, 10**9, [50, 50]), (5000, 1, [1666, 1667, 1667]),
-    (5000, 4, [1250] * 4), (10**7, 1, None), (10**7, 10**9, None)])
-def test_path_blocks(n_paths, threads, widths):
-    # a pure function of (n_paths, threads); it starts no thread, so a
-    # thread count far above n_paths is safe to pass here
-    blocks = ensemble._path_blocks(n_paths, threads)
+@pytest.mark.parametrize("n_paths, widths", [
+    (256, [256]), (2048, [2048]), (2049, [1024, 1025]),
+    (5000, [1666, 1667, 1667]), (10**7, None)])
+def test_path_blocks(n_paths, widths):
+    blocks = ensemble._path_blocks(n_paths)
     got = [hi - lo for lo, hi in blocks]
     if widths is not None:
         assert got == widths
-    # no block narrower than the floor or wider than the cap
-    assert min(n_paths, ensemble.MIN_BLOCK_PATHS) <= min(got)
+    # as few blocks as the cap allows, none wider, widths within one path
+    assert len(blocks) == -(-n_paths // ensemble.MAX_BLOCK_PATHS)
     assert max(got) <= ensemble.MAX_BLOCK_PATHS
-    assert len(blocks) <= -(-n_paths // ensemble.MIN_BLOCK_PATHS)
+    assert max(got) - min(got) <= 1
     # contiguous, in path order, every path once
     assert blocks[0][0] == 0 and blocks[-1][1] == n_paths
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
