@@ -134,9 +134,8 @@ def _schedule(field, v):
 
 def _validate(cfg: dict, schema: dict, sub: str) -> dict:
     """Strict validation: unknown keys rejected, defaults applied."""
-    known = set(schema) | {"out_dir", "threads", "seed"}
     for key in cfg:
-        if key not in known:
+        if key not in schema:
             raise ConfigError(key, f"unknown field for subcommand '{sub}'")
     out = {}
     for key, (checker, default) in schema.items():
@@ -330,6 +329,8 @@ def _cmd_simulate(cfg: dict, out: Path):
 
 
 def _ensemble_config(cfg: dict, need_ref: bool):
+    """(ref, EnsembleConfig) at mu, or at the smallest of mus, which also
+    sets the default dt."""
     p = SystemParams(lam=cfg["lam"], gamma=cfg["gamma"])
     ref = reference_solution(p) if (need_ref or cfg.get("reference")) else None
     x0 = cfg["x0"]
@@ -337,25 +338,21 @@ def _ensemble_config(cfg: dict, need_ref: bool):
         if ref is None:
             raise ConfigError("x0", "required unless reference is true")
         x0 = tuple(float(v) for v in ref.state(cfg["tau0"]))
-    mu0 = cfg["mu"] if "mu" in cfg else min(cfg["mus"])
-    dt = cfg["dt"] if cfg["dt"] is not None else default_dt(mu0)
-
-    def make(mu: float) -> EnsembleConfig:
-        noise = NoiseSchedule(mu=mu, sigma1=cfg["sigma1"],
-                              sigma2=cfg["sigma2"], h=cfg["h"])
-        return EnsembleConfig(params=p, noise=noise, tau0=cfg["tau0"],
-                              horizon=cfg["horizon"], dt=dt,
-                              n_paths=cfg["n_paths"],
-                              master_seed=cfg["master_seed"], x0=x0,
-                              ball_radius=cfg["ball_radius"],
-                              eps1=cfg["eps1"])
-    return p, ref, make
+    mu = cfg["mu"] if "mu" in cfg else min(cfg["mus"])
+    dt = cfg["dt"] if cfg["dt"] is not None else default_dt(mu)
+    noise = NoiseSchedule(mu=mu, sigma1=cfg["sigma1"], sigma2=cfg["sigma2"],
+                          h=cfg["h"])
+    return ref, EnsembleConfig(params=p, noise=noise, tau0=cfg["tau0"],
+                               horizon=cfg["horizon"], dt=dt,
+                               n_paths=cfg["n_paths"],
+                               master_seed=cfg["master_seed"], x0=x0,
+                               ball_radius=cfg["ball_radius"],
+                               eps1=cfg["eps1"])
 
 
 def _cmd_ensemble(cfg: dict, out: Path):
-    p, ref, make = _ensemble_config(cfg, need_ref=False)
-    stats = run_ensemble(make(cfg["mu"]), ref=ref,
-                         out_of_class_ok=cfg["out_of_class_ok"])
+    ref, ens = _ensemble_config(cfg, need_ref=False)
+    stats = run_ensemble(ens, ref=ref, out_of_class_ok=cfg["out_of_class_ok"])
     rows = zip(range(stats.n_paths), stats.exit_times, stats.censored,
                stats.captured, stats.sup_psi_dev, stats.sup_r_dev_weighted,
                stats.sup_r_dev_raw, stats.end_states[:, 0],
@@ -373,9 +370,9 @@ def _cmd_exit_times(cfg: dict, out: Path):
         raise ConfigError("mus", "amplitudes must be distinct")
     if not all(0.0 < m < 1.0 for m in mus):
         raise ConfigError("mus", "amplitudes must lie in (0, 1)")
-    p, ref, make = _ensemble_config(cfg, need_ref=True)
-    result = exit_time_scaling([make(m) for m in mus], ref,
-                               n_boot=cfg["n_boot"], seed=cfg["boot_seed"])
+    ref, ens = _ensemble_config(cfg, need_ref=True)
+    result = exit_time_scaling(ens, mus, ref, n_boot=cfg["n_boot"],
+                               seed=cfg["boot_seed"])
     _write_csv(out / "exit_times.csv", "autores.exit_times",
                ("mu", "median_exit", "lo", "hi"),
                ((m, med, iv[0], iv[1])

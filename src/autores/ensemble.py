@@ -92,7 +92,6 @@ class EnsembleStats:
     sup_r_dev_weighted: np.ndarray
     sup_r_dev_raw: np.ndarray
     captured: np.ndarray
-    escaped_at: np.ndarray
     end_states: np.ndarray
     out_of_class: bool = False
 
@@ -114,17 +113,21 @@ class EnsembleStats:
 def _precompute_step_grid(cfg: EnsembleConfig,
                           ref: Optional[ReferenceSolution]):
     """The step grid shared by all paths (step_grid) and the reference
-    samples (r*, psi*) at the step end times, NaN outside the reference
-    domain."""
-    grid = step_grid(cfg.tau0, cfg.tau0 + cfg.horizon, cfg.dt)
-    tau_next = grid[1]
-    rs = np.full(tau_next.size, np.nan)
-    ps = np.full(tau_next.size, np.nan)
-    if ref is not None:
-        inside = (tau_next >= ref.tau_min) & (tau_next <= ref.tau_max)
-        if inside.any():
-            rs[inside], ps[inside] = ref.state(tau_next[inside])
-    return grid, (rs, ps)
+    samples (r*, psi*) at the step end times, NaN with no reference.
+
+    With a reference the window [tau0, tau0 + horizon] must lie in its
+    domain: outside it a path has no reference to deviate from.
+    """
+    tau1 = cfg.tau0 + cfg.horizon
+    if ref is not None and not (ref.tau_min <= cfg.tau0
+                                and tau1 <= ref.tau_max):
+        raise ValueError(f"window [{cfg.tau0}, {tau1}] is not inside the "
+                         f"reference domain [{ref.tau_min}, {ref.tau_max}]")
+    grid = step_grid(cfg.tau0, tau1, cfg.dt)
+    if ref is None:
+        nan = np.full(grid[1].size, np.nan)
+        return grid, (nan, nan)
+    return grid, ref.state(grid[1])
 
 
 def _path_blocks(n_paths: int) -> list:
@@ -185,7 +188,7 @@ class _TubeObserver:
         r, psi = x
         tau = self.tau_next[k]
         if not math.isnan(self.rs[k]):
-            # deviation metrics exist only on the reference domain
+            # deviation metrics exist only with a reference
             eps1 = self.cfg.eps1
             dev_psi = np.abs(psi - self.ps[k])
             dev_r = np.abs(r - self.rs[k])
@@ -209,13 +212,15 @@ class _TubeObserver:
                                      self.psi_hi - self.psi_lo, cfg.params)
         # escape by blow-up counts as an exit wherever the tube was being
         # tracked
-        exit_time = np.where(dead & ~self.exited, escaped_at - cfg.tau0,
-                             self.exit_time)
+        exit_times = np.where(dead & ~self.exited, escaped_at - cfg.tau0,
+                              self.exit_time)
+        # the fields of EnsembleStats; end_states is transposed to one row
+        # per path once the blocks are merged
         return {
-            "sup_psi": self.sup_psi, "sup_rw": self.sup_rw,
-            "sup_rr": self.sup_rr, "exit_time": exit_time,
-            "exited": self.exited | dead, "captured": captured,
-            "escaped_at": escaped_at, "end_r": x[0], "end_psi": x[1],
+            "exit_times": exit_times, "censored": ~(self.exited | dead),
+            "sup_psi_dev": self.sup_psi, "sup_r_dev_weighted": self.sup_rw,
+            "sup_r_dev_raw": self.sup_rr, "captured": captured,
+            "end_states": x,
         }
 
 
@@ -225,9 +230,9 @@ def run_ensemble(cfg: EnsembleConfig, ref: Optional[ReferenceSolution] = None,
 
     The noise schedule must pass its class check unless the run is
     explicitly marked out-of-class.  Deviation and exit metrics are
-    measured against ref wherever the path time lies in its domain; with
-    no ref, only capture statistics are meaningful.  Blow-up is recorded
-    as escape data, never an error.
+    measured against ref, whose domain must hold the window [tau0, tau0 +
+    horizon] (ValueError otherwise); with no ref, only capture statistics
+    are meaningful.  Blow-up is recorded as escape data, never an error.
     """
     check = noise_class_check(cfg.noise, max(cfg.tau0, 1e-6))
     out_of_class = not check["admissible"]
@@ -239,11 +244,11 @@ def run_ensemble(cfg: EnsembleConfig, ref: Optional[ReferenceSolution] = None,
     res = _run_blocks(cfg, grid,
                       perturbed_terms(cfg.params, cfg.noise, grid[0]),
                       lambda m: _TubeObserver(cfg, grid, star, m))
-    sup_psi, sup_rw, captured = res["sup_psi"], res["sup_rw"], res["captured"]
+    res["end_states"] = res["end_states"].T
     n = cfg.n_paths
-    k_psi = int(np.sum(sup_psi >= cfg.eps1))
-    k_r = int(np.sum(sup_rw >= cfg.eps1))
-    k_cap = int(np.sum(captured))
+    k_psi = int(np.sum(res["sup_psi_dev"] >= cfg.eps1))
+    k_r = int(np.sum(res["sup_r_dev_weighted"] >= cfg.eps1))
+    k_cap = int(np.sum(res["captured"]))
     return EnsembleStats(
         n_paths=n,
         exceed_prob_psi=k_psi / n,
@@ -252,15 +257,8 @@ def run_ensemble(cfg: EnsembleConfig, ref: Optional[ReferenceSolution] = None,
         exceed_r_interval=wilson_interval(k_r, n),
         capture_fraction=k_cap / n,
         capture_interval=wilson_interval(k_cap, n),
-        exit_times=res["exit_time"],
-        censored=~res["exited"],
-        sup_psi_dev=sup_psi,
-        sup_r_dev_weighted=sup_rw,
-        sup_r_dev_raw=res["sup_rr"],
-        captured=captured,
-        escaped_at=res["escaped_at"],
-        end_states=np.column_stack([res["end_r"], res["end_psi"]]),
         out_of_class=out_of_class,
+        **res,
     )
 
 
@@ -294,32 +292,25 @@ def classify_capture(traj: Trajectory, p: SystemParams) -> str:
     return "escaped"
 
 
-def exit_time_scaling(cfgs: Sequence[EnsembleConfig],
+def exit_time_scaling(cfg: EnsembleConfig, mus: Sequence[float],
                       ref: ReferenceSolution, n_boot: int = 1000,
                       seed: int = 12345) -> dict:
     """Fit log(median first-exit time) against log(mu) across ensembles.
 
-    Configs must differ only in the noise amplitude mu (and horizon/dt),
-    not in the noise schedules, and at least three are required.
-    Censored paths enter at the horizon value; the fit is refused when
-    more than half the paths are censored at every mu.
-    Returns slope with a bootstrap percentile interval (paths resampled
-    per ensemble, n_boot times).
+    One ensemble runs per amplitude in mus (at least three, distinct):
+    cfg with its noise amplitude replaced, everything else shared, so
+    path j draws the same increments at every mu.  Censored paths enter
+    at the horizon value; the fit is refused when more than half the
+    paths are censored at every mu.  Returns slope with a bootstrap
+    percentile interval (paths resampled per ensemble, n_boot times).
     """
-    if len(cfgs) < 3:
+    mus = [float(mu) for mu in mus]
+    if len(mus) < 3:
         raise ValueError("need at least 3 noise amplitudes")
-    mus = [c.noise.mu for c in cfgs]
     if len(set(mus)) != len(mus):
         raise ValueError("noise amplitudes must be distinct")
-    base = cfgs[0]
-    for c in cfgs[1:]:
-        same = (c.params == base.params and c.tau0 == base.tau0
-                and c.eps1 == base.eps1 and c.x0 == base.x0
-                and c.ball_radius == base.ball_radius
-                and replace(c.noise, mu=base.noise.mu) == base.noise)
-        if not same:
-            raise ValueError("configs must differ only in mu (and horizon/dt)")
-    stats = [run_ensemble(c, ref) for c in cfgs]
+    stats = [run_ensemble(replace(cfg, noise=replace(cfg.noise, mu=mu)), ref)
+             for mu in mus]
     if all(float(np.mean(s.censored)) > 0.5 for s in stats):
         raise ValueError("more than half the paths censored at every mu; "
                          "increase the horizon")
@@ -413,17 +404,18 @@ def supermartingale_check(cfg: EnsembleConfig, cert: StabilityCertificate,
     reaches c times the start value, for c in DOOB_LADDER, against the
     mean-start/c bound, within 3 standard errors.  The window [tau0,
     tau0 + horizon] must lie in the reference domain: outside it the error
-    system has no reference to deviate from.  threads is accepted for
-    older callers and has no effect: the blocks run on the calling thread.
+    system has no reference to deviate from.  It must also start no
+    earlier than cert.tau0, from where the certified inequalities hold.
+    threads is accepted for older callers and has no effect: the blocks
+    run on the calling thread.
     """
     if N != 1:
         raise NotImplementedError("only the N=1 comparison chain is testable "
                                   "with closed-form constants")
-    tau1 = cfg.tau0 + cfg.horizon
-    if not (ref.tau_min <= cfg.tau0 and tau1 <= ref.tau_max):
-        raise ValueError(f"window [{cfg.tau0}, {tau1}] is not inside the "
-                         f"reference domain [{ref.tau_min}, {ref.tau_max}]")
     grid, star = _precompute_step_grid(cfg, ref)
+    if cfg.tau0 < cert.tau0:
+        raise ValueError(f"window starts at tau0 {cfg.tau0}, before the "
+                         f"certificate's tau0 {cert.tau0}")
     n_steps = grid[0].size
     obs_steps = np.unique(np.linspace(0, n_steps - 1, N_OBS - 1).astype(int))
     obs_idx = np.concatenate([[-1], obs_steps])  # -1 marks the tau0 snapshot

@@ -341,8 +341,7 @@ class ReferenceSolution:
     """
 
     def __init__(self, times: np.ndarray, r_values: np.ndarray,
-                 psi_values: np.ndarray, meta: dict):
-        self.meta = meta
+                 psi_values: np.ndarray):
         self.tau_min = float(times[0])
         self.tau_max = float(times[-1])
         self._spline_r = CubicSpline(times, r_values)
@@ -390,7 +389,4 @@ def reference_solution(params: SystemParams) -> ReferenceSolution:
     times = np.concatenate([t_b[::-1], t_f[1:]])
     r_vals = np.concatenate([y_b[0][::-1], y_f[0][1:]])
     psi_vals = np.concatenate([y_b[1][::-1], y_f[1][1:]])
-    meta = {"K": REF_K, "tau_seed": REF_TAU_SEED, "tol": REF_TOL,
-            "seed_residual": res_norm, "grid_step": REF_GRID_STEP,
-            "integrator": "DOP853"}
-    return ReferenceSolution(times, r_vals, psi_vals, meta)
+    return ReferenceSolution(times, r_vals, psi_vals)

@@ -272,11 +272,10 @@ def test_criterion_08_supermartingale_doob(params, ref, cert):
 
 def test_criterion_09_exit_time_scaling(params, ref, cert):
     x0 = tuple(float(v) for v in ref.state(20.0))
-    cfgs = [EnsembleConfig(params=params, noise=_noise(mu), tau0=20.0,
-                           horizon=40.0, dt=1e-3, n_paths=300,
-                           master_seed=7, x0=x0, eps1=cert.d0)
-            for mu in (0.2, 0.3, 0.45)]
-    res = exit_time_scaling(cfgs, ref)
+    cfg = EnsembleConfig(params=params, noise=_noise(0.2), tau0=20.0,
+                         horizon=40.0, dt=1e-3, n_paths=300, master_seed=7,
+                         x0=x0, eps1=cert.d0)
+    res = exit_time_scaling(cfg, [0.2, 0.3, 0.45], ref)
     lo, hi = res["slope_interval"]
     ok = res["slope"] <= -1.0 and hi < 0.0
     _report("09", ok,

@@ -265,6 +265,61 @@ def test_ensemble_reproducible_across_threads(tmp_path):
     assert head[1].startswith("path,exit_time,censored,captured")
 
 
+def test_ensemble_window_outside_reference_exit1(tmp_path, capsys):
+    # the reference covers [5, 400]; a tracked run past its end is refused
+    cfg = {"gamma": 0.1, "lam": 1.0, "mu": 0.3, "tau0": 395.0,
+           "horizon": 10.0, "n_paths": 100, "x0": [1.0, 3.0],
+           "reference": True}
+    code, out = _run(tmp_path, "ensemble", cfg)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "[autores.ensemble]" in err and "window [395.0, 405.0]" in err
+    assert not (out / "ensemble.csv").exists()
+
+
+def test_exit_times_outputs(tmp_path):
+    cfg = {**EXIT_CFG, "horizon": 2.0, "mus": [0.2, 0.3, 0.45],
+           "n_paths": 100, "n_boot": 20}
+    code, out1 = _run(tmp_path, "exit-times", cfg, outname="run1")
+    assert code == 0
+    scaling = json.loads((out1 / "scaling.json").read_text())
+    lines = (out1 / "exit_times.csv").read_text().splitlines()
+    assert lines[:2] == ["# schema autores.exit_times/1",
+                         "mu,median_exit,lo,hi"]
+    rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
+    assert [row[0] for row in rows] == scaling["mus"] == [0.2, 0.3, 0.45]
+    assert [row[1] for row in rows] == scaling["medians"]
+    assert [row[2:] for row in rows] == scaling["median_intervals"]
+    assert scaling["n_boot"] == 20 and scaling["slope"] < 0
+
+    out2 = tmp_path / "run2"
+    assert main(["exit-times", "--config", str(out1 / "manifest.json"),
+                 "--out", str(out2)]) == 0
+    for name in ("exit_times.csv", "scaling.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_certify_outputs(tmp_path):
+    code, out = _run(tmp_path, "certify",
+                     {"gamma": 0.1, "lam": 1.0, "spot_checks": 1000})
+    assert code == 0
+    doc = json.loads((out / "certificate.json").read_text())
+    assert doc["found"] is True
+    assert (doc["d0"], doc["tau0"], doc["tau_hi"]) == (0.3, 10.0, 400.0)
+    assert doc["spot_checks"] == {"n": 1000, "seed": 777, "violations": 0}
+
+
+def test_certify_not_found(tmp_path):
+    # q = 0.3 asks V to decay faster than the flow lets it
+    code, out = _run(tmp_path, "certify", {"gamma": 0.1, "lam": 1.0, "q": 0.3})
+    assert code == 0
+    doc = json.loads((out / "certificate.json").read_text())
+    assert doc["found"] is False
+    assert doc["reason"] == "decay inequality violated"
+    assert set(doc) == {"found", "reason", "tau", "R", "Psi"}
+    assert doc["tau"] == 10.0
+
+
 def test_runtime_error_names_module(tmp_path, capsys):
     cfg = {"gamma": 0.1, "lam": 1.0, "mu": 0.3, "tau0": 20.0,
            "horizon": 2.0, "dt": 1e-3, "n_paths": 100, "master_seed": 1,

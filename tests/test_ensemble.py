@@ -179,21 +179,28 @@ def test_classify_noisy_tolerates_jitter(params):
 
 
 def test_exit_time_scaling_validation(ref, cfg_maker):
-    cfgs = [cfg_maker(mu=m, n_paths=100) for m in (0.2, 0.3)]
+    cfg = cfg_maker(n_paths=100)
     with pytest.raises(ValueError, match="at least 3"):
-        exit_time_scaling(cfgs, ref)
-    dup = [cfg_maker(mu=m, n_paths=100) for m in (0.2, 0.3, 0.3)]
+        exit_time_scaling(cfg, [0.2, 0.3], ref)
     with pytest.raises(ValueError, match="distinct"):
-        exit_time_scaling(dup, ref)
-    mixed = [cfg_maker(mu=0.2, n_paths=100),
-             cfg_maker(mu=0.3, n_paths=100),
-             cfg_maker(mu=0.45, n_paths=100, eps1=0.2)]
-    with pytest.raises(ValueError, match="differ only"):
-        exit_time_scaling(mixed, ref)
-    schedules = [cfg_maker(mu=m, n_paths=100, noise=_noise(m, s2=s2))
-                 for m, s2 in ((0.2, 1.0), (0.3, 0.2), (0.45, 1.0))]
-    with pytest.raises(ValueError, match="differ only"):
-        exit_time_scaling(schedules, ref)
+        exit_time_scaling(cfg, [0.2, 0.3, 0.3], ref)
+
+
+def test_exit_time_scaling_runs_cfg_at_each_mu(ref, cfg_maker):
+    # one ensemble per amplitude: cfg with only mu replaced, whatever mu
+    # cfg itself carries
+    noise = NoiseSchedule(mu=0.1, sigma1=power_schedule(0.02, -1.0),
+                          sigma2=constant_schedule(0.5))
+    cfg = cfg_maker(n_paths=100, horizon=1.0, noise=noise)
+    mus = [0.2, 0.3, 0.45]
+    res = exit_time_scaling(cfg, mus, ref, n_boot=10)
+    assert res["mus"] == mus
+    for mu, median, censored in zip(mus, res["medians"],
+                                    res["censored_fractions"]):
+        stats = run_ensemble(dataclasses.replace(
+            cfg, noise=dataclasses.replace(noise, mu=mu)), ref)
+        assert median == float(np.median(stats.exit_times))
+        assert censored == float(np.mean(stats.censored))
 
 
 def test_supermartingale_depth_limit(ref, cert, cfg_maker):
@@ -202,16 +209,31 @@ def test_supermartingale_depth_limit(ref, cert, cfg_maker):
         supermartingale_check(cfg, cert, N=2, ref=ref)
 
 
-@pytest.mark.parametrize("tau0", [395.0, 2.0])
+@pytest.mark.parametrize("tau0, match", [
+    pytest.param(395.0, "reference domain", id="395.0"),
+    pytest.param(2.0, "reference domain", id="2.0"),
+    pytest.param(8.0, "certificate's tau0", id="8.0")])
 def test_supermartingale_refuses_window_outside_reference(ref, cert,
-                                                          cfg_maker, tau0):
+                                                          cfg_maker, tau0,
+                                                          match):
     # the reference covers [5, 400]: past its end the error terms turn NaN
     # and every path would count as stopped; before its start the start
-    # value of U_1 would be NaN
+    # value of U_1 would be NaN.  Inside it, the certified inequalities
+    # hold only from the certificate's tau0 (10) on
+    assert cert.tau0 == 10.0
     cfg = cfg_maker(mu=0.05, n_paths=100, horizon=10.0, x0=(0.0, 0.0),
                     tau0=tau0)
-    with pytest.raises(ValueError, match="reference domain"):
+    with pytest.raises(ValueError, match=match):
         supermartingale_check(cfg, cert, N=1, ref=ref)
+
+
+@pytest.mark.parametrize("tau0", [395.0, 2.0])
+def test_run_ensemble_refuses_window_outside_reference(ref, cfg_maker, tau0):
+    # past 400 (or before 5) no path could leave the tube, so its paths
+    # would count as censored without a word
+    cfg = cfg_maker(n_paths=100, horizon=10.0, x0=(1.0, 3.0), tau0=tau0)
+    with pytest.raises(ValueError, match=r"window \[.*reference domain"):
+        run_ensemble(cfg, ref)
 
 
 @pytest.mark.parametrize("sigma1", [0.0, 0.02])
@@ -262,7 +284,7 @@ def test_single_path_verdict_is_ensemble_verdict():
 
 def _stats_equal(a, b):
     for key in ("exit_times", "censored", "sup_psi_dev", "sup_r_dev_weighted",
-                "sup_r_dev_raw", "captured", "escaped_at", "end_states"):
+                "sup_r_dev_raw", "captured", "end_states"):
         assert np.array_equal(getattr(a, key), getattr(b, key),
                               equal_nan=True), key
     assert a.to_dict() == b.to_dict()

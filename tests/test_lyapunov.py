@@ -5,10 +5,12 @@ import pytest
 
 from autores.model import (NoiseSchedule, constant_schedule, power_schedule,
                            rhs_error)
+from autores import lyapunov
 from autores.integrators import integrate_ode
-from autores.lyapunov import (certify, chain_U, chain_a, dV_dtau, eval_V,
-                              grad_V, noise_class_check, spot_check,
-                              thresholds, thresholds_beta, weighted_norm)
+from autores.lyapunov import (StabilityCertificate, certify, chain_U,
+                              chain_a, dV_dtau, eval_V, grad_V,
+                              noise_class_check, spot_check, thresholds,
+                              thresholds_beta, weighted_norm)
 
 
 def _tube_points(d0, tau_lo, tau_hi, n, seed=5):
@@ -91,6 +93,32 @@ def test_certify_refuses_tau_range_outside_reference(params, ref, tau_range):
     # evaluated, and one at or past its end has no tube to test
     with pytest.raises(ValueError, match="tau_range"):
         certify(params, ref, tau_range=tau_range)
+
+
+def test_certify_bisects_when_d_hi_fails(params, ref, monkeypatch):
+    # at tau0 = 5 and 5.125 the d_hi tube fails, so the radius is bisected
+    # there; the next candidate (5.25) passes at d_hi and ends the search
+    calls = []
+
+    def tube_ok(d0, tau0, *args):
+        res = orig(d0, tau0, *args)
+        calls.append((float(tau0), d0, res[0]))
+        return res
+    orig = lyapunov._tube_ok
+    monkeypatch.setattr(lyapunov, "_tube_ok", tube_ok)
+    c = certify(params, ref, d_range=(1e-3, 2.0), tau_range=(5.0, 6.0))
+    assert isinstance(c, StabilityCertificate)
+    assert (c.d0, c.tau0) == (2.0, 5.25)
+    assert [t for t, _, _ in calls] == [5.0] * 42 + [5.125] * 42 + [5.25] * 2
+    for tau0 in (5.0, 5.125):
+        tried = [(d0, ok) for t, d0, ok in calls if t == tau0]
+        assert tried[:2] == [(1e-3, True), (2.0, False)]
+        passed = [d0 for d0, ok in tried[2:] if ok]
+        failed = [d0 for d0, ok in tried[2:] if not ok]
+        # 40 halvings close the bracket on one radius from both sides
+        assert passed and failed and max(passed) < min(failed)
+        assert min(failed) - max(passed) < 2.0 * 2.0 ** -40
+    assert [ok for t, _, ok in calls if t == 5.25] == [True, True]
 
 
 def test_spot_check_clean(params, ref, cert):
