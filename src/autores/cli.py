@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -30,7 +31,7 @@ from .asymptotics import expand, evaluate
 from .integrators import (REF_TAU_MAX, REF_TAU_MIN, IntegrationError,
                           NoiseStream, Trajectory, default_dt, integrate_ode,
                           integrate_ode_batch, integrate_sde,
-                          reference_solution, step_grid)
+                          reference_solution)
 from .lyapunov import (NoCertificate, certify, chain_a, spot_check,
                        thresholds, thresholds_beta)
 from .ensemble import (EnsembleConfig, classify_capture, exit_time_scaling,
@@ -288,7 +289,7 @@ _SCHEMAS = {
     },
 }
 
-# the --seed flag (and the "seed" config alias) maps to this field
+# the --seed flag maps to this field
 _SEED_FIELD = {"ensemble": "master_seed", "exit-times": "master_seed",
                "certify": "spot_seed", "figures": "master_seed"}
 
@@ -430,6 +431,10 @@ def _cmd_pendulum(cfg: dict, out: Path):
     p = SystemParams(lam=cfg["lam"], gamma=cfg["gamma"])
     pp = inverse_map(p, cfg["eps"])
     tau_end = cfg["tau_end"]
+    window = cfg["window"]
+    if window is not None and not window[0] < min(window[1], tau_end):
+        raise ConfigError("window", f"must ascend and start below tau_end "
+                                    f"{tau_end}, got {list(window)}")
     t_eval = np.linspace(0.0, tau_end, cfg["samples"])
     avg = integrate_ode(lambda t, y: rhs_primary(y, t, p),
                         [cfg["r0"], cfg["psi0"]], 0.0, tau_end,
@@ -440,7 +445,7 @@ def _cmd_pendulum(cfg: dict, out: Path):
     _traj_csv(out / "pendulum.csv", "autores.pendulum", ("t", "u", "v"), traj)
     m = envelope_compare(traj, avg, pp,
                          transient_fraction=cfg["transient_fraction"],
-                         window=cfg["window"])
+                         window=window)
     _write_csv(out / "comparison.csv", "autores.envelope",
                ("tau", "envelope", "predicted", "relerr"),
                zip(m["tau"], m["envelope"], m["predicted"], m["rel_err"]))
@@ -473,12 +478,11 @@ def _cmd_figures(cfg: dict, out: Path):
         return
     # fig2: one sample path per noise amplitude from a fixed start
     index = []
-    tau = step_grid(0.0, cfg["horizon"], cfg["dt"])[0]
     for k, mu in enumerate((0.1, 0.35, 0.55)):
         noise = NoiseSchedule(mu=mu, sigma1=constant_schedule(0.0),
                               sigma2=constant_schedule(1.0), h=1.0)
         stream = NoiseStream(cfg["master_seed"], k)
-        traj = integrate_sde(perturbed_terms(p, noise, tau), [1.09, 2.15],
+        traj = integrate_sde(partial(perturbed_terms, p, noise), [1.09, 2.15],
                              0.0, cfg["horizon"], cfg["dt"], mu, stream,
                              record_every=cfg["record_every"])
         name = f"fig2_mu{mu:.2f}.csv"
@@ -524,14 +528,8 @@ def _resolve(sub: str, args) -> tuple:
         raise ConfigError("config", "top level must be a JSON object")
     raw = dict(raw)
 
-    seed_field = _SEED_FIELD.get(sub)
-    if "seed" in raw:
-        if seed_field is None:
-            raise ConfigError("seed", f"subcommand '{sub}' is deterministic")
-        if seed_field in raw:
-            raise ConfigError("seed", f"give either seed or {seed_field}")
-        raw[seed_field] = raw.pop("seed")
     if args.seed is not None:
+        seed_field = _SEED_FIELD.get(sub)
         if seed_field is None:
             raise ConfigError("seed", f"subcommand '{sub}' is deterministic")
         raw[seed_field] = args.seed

@@ -59,7 +59,8 @@ class EnsembleConfig:
 
 
 def wilson_interval(k: int, n: int):
-    """Wilson 95% score interval for a binomial proportion."""
+    """Wilson 95% score interval for a binomial proportion: exactly 0 at
+    k = 0 and 1 at k = n, strictly inside (0, 1) elsewhere."""
     if n <= 0:
         raise ValueError("n must be positive")
     p = k / n
@@ -68,7 +69,7 @@ def wilson_interval(k: int, n: int):
     denom = 1.0 + z2 / n
     center = (p + z2 / (2 * n)) / denom
     half = z * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    return (center - half if k else 0.0, center + half if k < n else 1.0)
 
 
 @dataclass
@@ -112,8 +113,8 @@ class EnsembleStats:
 
 def _precompute_step_grid(cfg: EnsembleConfig,
                           ref: Optional[ReferenceSolution]):
-    """The step grid shared by all paths (step_grid) and the reference
-    samples (r*, psi*) at the step end times, NaN with no reference.
+    """The step grid of all paths (step_grid) and star, the reference
+    samples (r*, psi*) at the step end times, or None with no reference.
 
     With a reference the window [tau0, tau0 + horizon] must lie in its
     domain: outside it a path has no reference to deviate from.
@@ -124,10 +125,7 @@ def _precompute_step_grid(cfg: EnsembleConfig,
         raise ValueError(f"window [{cfg.tau0}, {tau1}] is not inside the "
                          f"reference domain [{ref.tau_min}, {ref.tau_max}]")
     grid = step_grid(cfg.tau0, tau1, cfg.dt)
-    if ref is None:
-        nan = np.full(grid[1].size, np.nan)
-        return grid, (nan, nan)
-    return grid, ref.state(grid[1])
+    return grid, None if ref is None else ref.state(grid[1])
 
 
 def _path_blocks(n_paths: int) -> list:
@@ -169,7 +167,7 @@ class _TubeObserver:
     def __init__(self, cfg: EnsembleConfig, grid, star, m: int):
         self.cfg = cfg
         self.tau_next = grid[1]
-        self.rs, self.ps = star
+        self.star = star  # deviation statistics exist only with a reference
         self.sup_psi = np.zeros(m)
         self.sup_rw = np.zeros(m)
         self.sup_rr = np.zeros(m)
@@ -187,11 +185,11 @@ class _TubeObserver:
             return
         r, psi = x
         tau = self.tau_next[k]
-        if not math.isnan(self.rs[k]):
-            # deviation metrics exist only with a reference
+        if self.star is not None:
+            rs, ps = self.star
             eps1 = self.cfg.eps1
-            dev_psi = np.abs(psi - self.ps[k])
-            dev_r = np.abs(r - self.rs[k])
+            dev_psi = np.abs(psi - ps[k])
+            dev_r = np.abs(r - rs[k])
             dev_rw = dev_r * (1.0 / math.sqrt(tau))
             np.maximum(self.sup_psi, dev_psi, out=self.sup_psi, where=moved)
             np.maximum(self.sup_rw, dev_rw, out=self.sup_rw, where=moved)

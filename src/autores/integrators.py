@@ -287,25 +287,26 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu: float,
     return escaped_at
 
 
-def integrate_sde(terms: Callable, x0, tau0: float, tau1: float, dt: float,
-                  mu: float, stream: NoiseStream,
+def integrate_sde(make_terms: Callable, x0, tau0: float, tau1: float,
+                  dt: float, mu: float, stream: NoiseStream,
                   record_every: int = 1) -> Trajectory:
     """Euler-Maruyama path of dx = f dt + mu G dW in the Ito sense.
 
-    terms(k, x, w, f, gw, scratch) writes f and G w as in em_paths, for
-    step k of step_grid(tau0, tau1, dt) and one path;
-    model.perturbed_terms builds it for the perturbed system.  This is
-    em_paths for one path, recording every record_every-th step and the
-    last, so the path for stream (master_seed, j) is bitwise path j of an
-    ensemble with the same start.  The end time is hit exactly via a
-    shorter final step.  A non-finite state truncates the path and flags
-    the trajectory.
+    make_terms(tau_at) gets the step start times of step_grid(tau0, tau1,
+    dt), built here, and returns terms(k, x, w, f, gw, scratch) writing f
+    and G w as in em_paths; partial(model.perturbed_terms, p, noise) is
+    the perturbed system's.  This is em_paths for one path, recording
+    every record_every-th step and the last, so the path for stream
+    (master_seed, j) is bitwise path j of an ensemble with the same
+    start.  The end time is hit exactly via a shorter final step.  A
+    non-finite state truncates the path and flags the trajectory.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     if not (0 <= mu < 1):
         raise ValueError(f"mu must lie in [0, 1), got {mu}")
     grid = step_grid(tau0, tau1, dt)
+    terms = make_terms(grid[0])
     n_steps = grid[0].size
     x = np.atleast_1d(np.asarray(x0, dtype=float))[:, None].copy()
     times, states = [], []

@@ -174,10 +174,10 @@ def certify(p: SystemParams, ref, d_range=(1e-3, 0.3),
     bisection; the certificate with maximal d0 wins, the earliest tau0 on
     a tie, so the search ends at the first tau0 whose d_hi tube passes.
     B and C are then measured as the smallest constants fitting the
-    winning tube.  Returns NoCertificate (naming the first violated
-    inequality and its location) if nothing in range certifies.  Both
-    ranges must ascend, and tau_range must lie in [ref.tau_min,
-    ref.tau_max), where every candidate has a tube to test.
+    winning tube.  When no candidate's d_lo tube passes, returns the
+    first failure's NoCertificate, naming the violated inequality and its
+    location.  Both ranges must ascend, and tau_range must lie in
+    [ref.tau_min, ref.tau_max), where every candidate has a tube to test.
     """
     if grid < 32:
         raise ValueError("grid must be at least 32 points per axis")
@@ -223,10 +223,8 @@ def certify(p: SystemParams, ref, d_range=(1e-3, 0.3),
         if best is None or a_ > best[0]:
             best = (a_, float(tau0), margin)
 
-    if best is None:
-        return first_violation if first_violation is not None else NoCertificate(
-            reason="no tube in range certified", tau=float(tau_range[0]),
-            R=0.0, Psi=0.0)
+    if best is None:  # every d_lo tube failed, the first set first_violation
+        return first_violation
 
     d0, tau0, margin = best
     # measure the smallest B, C fitting the winning tube

@@ -26,6 +26,8 @@ import numpy as np
 from .model import SystemParams
 from .integrators import Trajectory, integrate_ode
 
+SAMPLES_PER_UNIT = 20.0  # integrate_pendulum samples per unit of fast time
+
 
 @dataclass(frozen=True)
 class PendulumParams:
@@ -58,12 +60,11 @@ def seed_from_averaged(r0: float, psi0: float, eps: float):
 
 
 def integrate_pendulum(pp: PendulumParams, u0: float, v0: float,
-                       t_end: float, tol: float = 1e-10,
-                       samples_per_unit: float = 20.0) -> Trajectory:
+                       t_end: float, tol: float = 1e-10) -> Trajectory:
     """Integrate the pumped pendulum from (u, u') = (u0, v0) at t = 0.
 
-    Sampling is dense enough to resolve every fast oscillation so that
-    envelope extraction downstream sees all extrema.
+    SAMPLES_PER_UNIT is dense enough to resolve every fast oscillation,
+    so envelope extraction downstream sees all extrema.
     """
     eps, alpha, theta = pp.eps, pp.alpha, pp.theta
 
@@ -72,7 +73,7 @@ def integrate_pendulum(pp: PendulumParams, u0: float, v0: float,
         pump = 1.0 + eps * math.cos(2.0 * t - alpha * t * t)
         return (v, -pump * math.sin(u) - theta * v)
 
-    n = max(64, int(t_end * samples_per_unit))
+    n = max(64, int(t_end * SAMPLES_PER_UNIT))
     t_eval = np.linspace(0.0, t_end, n)
     return integrate_ode(field, [u0, v0], 0.0, t_end, tol=tol, t_eval=t_eval)
 

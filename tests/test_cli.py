@@ -144,6 +144,7 @@ THRESHOLDS_CFG = {"kappa": 0.5, "h": 1.0, "n": 2, "A": 3.0, "a": 1.0,
                   "C": 1.0, "eps1": 0.1, "eps2": 0.1}
 EXIT_CFG = {"gamma": 0.1, "lam": 1.0, "tau0": 20.0, "horizon": 5.0,
             "eps1": 0.3}
+PEND_CFG = {"eps": 0.05, "r0": 1.0, "psi0": 2.0}
 
 
 @pytest.mark.parametrize("sub, cfg, field", [
@@ -159,15 +160,19 @@ EXIT_CFG = {"gamma": 0.1, "lam": 1.0, "tau0": 20.0, "horizon": 5.0,
     ("thresholds", {**THRESHOLDS_CFG, "chain_q": 0.5}, "chain_B"),
     ("exit-times", {**EXIT_CFG, "mus": [0.2, 0.3, 0.2]}, "mus"),
     ("exit-times", {**EXIT_CFG, "mus": [0.2, 0.3, 1.5]}, "mus"),
+    # tau_end is 32 by default
+    ("pendulum", {**PEND_CFG, "window": [10.0, 5.0]}, "window"),
+    ("pendulum", {**PEND_CFG, "window": [32.0, 40.0]}, "window"),
 ])
 def test_cross_field_rules_exit2(tmp_path, capsys, monkeypatch, sub, cfg,
                                  field):
     # the documented rules between two fields are config errors, found
-    # before the reference solution is built, and a config error leaves
-    # no artifact
-    def no_reference(*args, **kwargs):
-        raise AssertionError("reference built before the config was checked")
-    monkeypatch.setattr(cli, "reference_solution", no_reference)
+    # before the reference solution is built or anything is integrated,
+    # and a config error leaves no artifact
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the config was checked")
+    for name in ("reference_solution", "integrate_ode", "integrate_pendulum"):
+        monkeypatch.setattr(cli, name, no_work)
     code, out = _run(tmp_path, sub, cfg)
     assert code == 2
     err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,8 +8,7 @@ import pytest
 from autores import ensemble, integrators
 from autores.model import (NoiseSchedule, SystemParams, constant_schedule,
                            perturbed_terms, power_schedule)
-from autores.integrators import (NoiseStream, Trajectory, integrate_sde,
-                                 step_grid)
+from autores.integrators import NoiseStream, Trajectory, integrate_sde
 from autores.ensemble import (EnsembleConfig, classify_capture,
                               exit_time_scaling, run_ensemble,
                               supermartingale_check, wilson_interval)
@@ -37,11 +37,16 @@ def test_wilson_properties():
     assert hi == pytest.approx(0.4979974132089382, rel=1e-12)
     assert lo < 0.4 < hi
     lo, hi = wilson_interval(0, 50)
-    assert lo == pytest.approx(0.0, abs=1e-12) and hi < 0.1
+    assert lo == 0.0 and hi < 0.1
     lo, hi = wilson_interval(50, 50)
     assert hi == 1.0 and lo > 0.9
     with pytest.raises(ValueError):
         wilson_interval(1, 0)
+    # the interval holds k/n exactly at the ends, where rounding gave
+    # 1.7e-18 at (0, 150) and 1 - 1.1e-16 at (256, 256)
+    for n in range(1, 1500):
+        assert wilson_interval(0, n)[0] == 0.0
+        assert wilson_interval(n, n)[1] == 1.0
 
 
 def test_config_validation(params):
@@ -86,6 +91,27 @@ def test_censoring_consistency(ref, cfg_maker):
     assert np.all(stats.exit_times[stats.censored] == cfg.horizon)
     assert np.all(stats.exit_times <= cfg.horizon)
     assert np.all(stats.exit_times > 0)
+
+
+def test_untracked_run_reports_no_deviation(params):
+    # without a reference nothing is tracked: no deviation, no exceedance,
+    # and a path exits only by blowing up, else it is censored at the
+    # horizon.  sigma1 = 1e200 makes every path overflow within two steps
+    for sigma1, all_dead in ((0.0, False), (1e200, True)):
+        noise = NoiseSchedule(mu=0.35, sigma1=constant_schedule(sigma1),
+                              sigma2=constant_schedule(1.0), h=1.0)
+        cfg = EnsembleConfig(params=params, noise=noise, tau0=0.0,
+                             horizon=5.0, dt=1e-3, n_paths=150,
+                             master_seed=3, x0=(1.09, 2.15))
+        stats = run_ensemble(cfg, out_of_class_ok=True)
+        for key in ("sup_psi_dev", "sup_r_dev_weighted", "sup_r_dev_raw"):
+            assert np.all(getattr(stats, key) == 0.0), key
+        assert stats.exceed_prob_psi == stats.exceed_prob_r == 0.0
+        assert stats.exceed_psi_interval[0] == 0.0
+        assert stats.exceed_r_interval[0] == 0.0
+        assert np.all(stats.censored == (stats.exit_times == cfg.horizon))
+        assert np.all(stats.censored != all_dead)
+        assert np.all(stats.exit_times[~stats.censored] < cfg.horizon)
 
 
 def test_tube_nesting(ref, cfg_maker):
@@ -248,11 +274,10 @@ def test_single_path_is_ensemble_path(params, sigma1):
                          x0=(1.09, 2.15))
     stats = run_ensemble(cfg, out_of_class_ok=True)
     tau1 = cfg.tau0 + cfg.horizon
-    tau = step_grid(cfg.tau0, tau1, cfg.dt)[0]
-    terms = perturbed_terms(params, noise, tau)
+    make_terms = partial(perturbed_terms, params, noise)
     for j in (0, 5):
-        traj = integrate_sde(terms, cfg.x0, cfg.tau0, tau1, cfg.dt, noise.mu,
-                             NoiseStream(cfg.master_seed, j))
+        traj = integrate_sde(make_terms, cfg.x0, cfg.tau0, tau1, cfg.dt,
+                             noise.mu, NoiseStream(cfg.master_seed, j))
         assert not traj.truncated
         assert np.array_equal(traj.states[-1], stats.end_states[j])
 
@@ -269,14 +294,13 @@ def test_single_path_verdict_is_ensemble_verdict():
                          x0=(1.09, 2.15))
     stats = run_ensemble(cfg, out_of_class_ok=True)
     tau1 = cfg.tau0 + cfg.horizon
-    terms = perturbed_terms(params, noise,
-                            step_grid(cfg.tau0, tau1, cfg.dt)[0])
+    make_terms = partial(perturbed_terms, params, noise)
     captured = np.flatnonzero(stats.captured)[:4]
     escaped = np.flatnonzero(~stats.captured)[:4]
     assert captured.size == escaped.size == 4
     for j in np.concatenate([captured, escaped]):
-        traj = integrate_sde(terms, cfg.x0, cfg.tau0, tau1, cfg.dt, noise.mu,
-                             NoiseStream(cfg.master_seed, int(j)),
+        traj = integrate_sde(make_terms, cfg.x0, cfg.tau0, tau1, cfg.dt,
+                             noise.mu, NoiseStream(cfg.master_seed, int(j)),
                              record_every=1)
         verdict = classify_capture(traj, params)
         assert verdict == ("captured" if stats.captured[j] else "escaped"), j

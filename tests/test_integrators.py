@@ -157,14 +157,15 @@ def test_default_dt():
 
 
 def _terms(drift, g_row):
-    """terms(k, x, w, f, gw, scratch) of a one-dimensional system dx =
+    """make_terms(tau) for integrate_sde: its terms(k, x, w, f, gw,
+    scratch) are those of the autonomous one-dimensional system dx =
     drift(x) dt + mu g_row . dW, with g_row the single row of G."""
     g = np.asarray(g_row, dtype=float)
 
     def terms(k, x, w, f, gw, scratch):
         f[0][...] = drift(x[0])
         np.add(g[0] * w[0], g[1] * w[1], out=gw[0])
-    return terms
+    return lambda tau: terms
 
 
 def test_sde_zero_noise_is_euler():

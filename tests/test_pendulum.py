@@ -57,7 +57,7 @@ def test_plain_damped_energy_decreases():
 
 def test_small_oscillation_period():
     pp = PendulumParams(eps=0.0, alpha=0.0, theta=0.0)
-    traj = integrate_pendulum(pp, 0.01, 0.0, 50.0, samples_per_unit=200.0)
+    traj = integrate_pendulum(pp, 0.01, 0.0, 50.0)
     u = traj.states[:, 0]
     t = traj.times
     flips = np.where(np.diff(np.signbit(u)))[0]
