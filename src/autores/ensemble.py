@@ -1,11 +1,13 @@
 """Monte Carlo engine: deviation probabilities, first-exit times,
 capture fractions, and the supermartingale sanity test.
 
-Paths are integrated in blocks of at most MAX_BLOCK_PATHS, vectorized
-across each block, one block after another on the calling thread.  Every
-path owns a counter-based noise stream keyed by (master_seed,
-path_index), and blocks are merged in path order, so aggregates are
-bit-identical at any block width.
+Paths are integrated in blocks of at most MAX_BLOCK_PATHS columns,
+vectorized across each block, one block after another on the calling
+thread.  Every path owns a counter-based noise stream keyed by
+(master_seed, path_index), and blocks are merged in path order, so
+aggregates are bit-identical at any block width.  A study at several
+noise amplitudes runs them as columns of the same blocks, each path's
+stream drawn once for all of them.
 """
 
 from __future__ import annotations
@@ -128,37 +130,46 @@ def _precompute_step_grid(cfg: EnsembleConfig,
     return grid, None if ref is None else ref.state(grid[1])
 
 
-def _path_blocks(n_paths: int) -> list:
-    """The (lo, hi) path ranges of the blocks, in path order:
-    ceil(n_paths / MAX_BLOCK_PATHS) blocks whose widths differ by at most
-    one path, so a large ensemble runs as bounded blocks, each with its
-    own bounded set of noise streams.
+def _path_blocks(n_paths: int, n_mus: int = 1) -> list:
+    """The (lo, hi) path ranges of the blocks, in path order: as few
+    blocks as keep n_mus * width within MAX_BLOCK_PATHS columns (one
+    path per block at least), with widths that differ by at most one
+    path, so a large ensemble runs as bounded blocks, each with its own
+    bounded set of noise streams.
     """
-    n_blocks = -(-n_paths // MAX_BLOCK_PATHS)
+    n_blocks = -(-n_paths // max(1, MAX_BLOCK_PATHS // n_mus))
     edges = [i * n_paths // n_blocks for i in range(n_blocks + 1)]
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _run_blocks(cfg: EnsembleConfig, grid, terms, observer):
-    """Integrate all paths block by block (_path_blocks) with em_paths and
-    merge the per-block results in path order, so they do not depend on
-    the block width.
+def _run_blocks(cfg: EnsembleConfig, mus: Sequence[float], grid, terms,
+                observer) -> list:
+    """Integrate all paths at every amplitude in mus, block by block
+    (_path_blocks), with em_paths, and merge the per-block results in path
+    order, so they do not depend on the block width.  Returns one merged
+    dict per amplitude.
 
-    observer(m) makes a fresh observer for a block of m paths; it is
-    called after every step and its result(x, escaped_at) returns a dict
-    of arrays whose last axis runs over the paths.
+    A block of paths [lo, hi) runs as len(mus) * (hi - lo) columns,
+    amplitude-major: each path's stream is drawn once and feeds its
+    column at every amplitude.  observer(m) makes a fresh observer for a
+    block of m columns; it is called after every step and its result(x,
+    escaped_at) returns a dict of arrays whose last axis runs over the
+    columns.
     """
-    results = []
-    for lo, hi in _path_blocks(cfg.n_paths):
-        x = np.empty((2, hi - lo))
+    mus = np.asarray(mus, dtype=float)
+    blocks = []
+    for lo, hi in _path_blocks(cfg.n_paths, mus.size):
+        m = mus.size * (hi - lo)
+        x = np.empty((2, m))
         x[0], x[1] = float(cfg.x0[0]), float(cfg.x0[1])
-        obs = observer(hi - lo)
+        obs = observer(m)
         streams = [NoiseStream(cfg.master_seed, j) for j in range(lo, hi)]
-        escaped_at = em_paths(terms, x, grid, cfg.dt, cfg.noise.mu, streams,
-                              obs, ball_radius=cfg.ball_radius)
-        results.append(obs.result(x, escaped_at))
-    return {key: np.concatenate([res[key] for res in results], axis=-1)
-            for key in results[0]}
+        escaped_at = em_paths(terms, x, grid, cfg.dt, np.repeat(mus, hi - lo),
+                              streams, obs, ball_radius=cfg.ball_radius)
+        blocks.append({key: np.split(value, mus.size, axis=-1)
+                       for key, value in obs.result(x, escaped_at).items()})
+    return [{key: np.concatenate([block[key][a] for block in blocks], axis=-1)
+             for key in blocks[0]} for a in range(mus.size)]
 
 
 class _TubeObserver:
@@ -222,9 +233,16 @@ class _TubeObserver:
         }
 
 
-def run_ensemble(cfg: EnsembleConfig, ref: Optional[ReferenceSolution] = None,
-                 out_of_class_ok: bool = False) -> EnsembleStats:
-    """Integrate the ensemble and aggregate deviation/exit/capture statistics.
+def run_ensembles(cfg: EnsembleConfig, mus: Sequence[float],
+                  ref: Optional[ReferenceSolution] = None,
+                  out_of_class_ok: bool = False) -> list:
+    """The ensemble cfg at each noise amplitude in mus, as one engine pass:
+    one EnsembleStats per amplitude, in the order of mus.
+
+    Entry a equals run_ensemble of cfg with its amplitude replaced by
+    mus[a], field by field and bit for bit, since every path draws the
+    same increments at every amplitude (see _run_blocks); cfg's own
+    amplitude is not run unless mus holds it.
 
     The noise schedule must pass its class check unless the run is
     explicitly marked out-of-class.  Deviation and exit metrics are
@@ -232,6 +250,10 @@ def run_ensemble(cfg: EnsembleConfig, ref: Optional[ReferenceSolution] = None,
     horizon] (ValueError otherwise); with no ref, only capture statistics
     are meaningful.  Blow-up is recorded as escape data, never an error.
     """
+    if not len(mus):
+        raise ValueError("need at least one noise amplitude")
+    for mu in mus:
+        replace(cfg.noise, mu=mu)  # NoiseSchedule refuses mu outside (0, 1)
     check = noise_class_check(cfg.noise, max(cfg.tau0, 1e-6))
     out_of_class = not check["admissible"]
     if out_of_class and not out_of_class_ok:
@@ -239,25 +261,35 @@ def run_ensemble(cfg: EnsembleConfig, ref: Optional[ReferenceSolution] = None,
             f"noise schedule not in class (bound {check['bound']}, "
             f"h {cfg.noise.h}); pass out_of_class_ok=True to run anyway")
     grid, star = _precompute_step_grid(cfg, ref)
-    res = _run_blocks(cfg, grid,
-                      perturbed_terms(cfg.params, cfg.noise, grid[0]),
-                      lambda m: _TubeObserver(cfg, grid, star, m))
-    res["end_states"] = res["end_states"].T
+    per_mu = _run_blocks(cfg, mus, grid,
+                         perturbed_terms(cfg.params, cfg.noise, grid[0]),
+                         lambda m: _TubeObserver(cfg, grid, star, m))
     n = cfg.n_paths
-    k_psi = int(np.sum(res["sup_psi_dev"] >= cfg.eps1))
-    k_r = int(np.sum(res["sup_r_dev_weighted"] >= cfg.eps1))
-    k_cap = int(np.sum(res["captured"]))
-    return EnsembleStats(
-        n_paths=n,
-        exceed_prob_psi=k_psi / n,
-        exceed_psi_interval=wilson_interval(k_psi, n),
-        exceed_prob_r=k_r / n,
-        exceed_r_interval=wilson_interval(k_r, n),
-        capture_fraction=k_cap / n,
-        capture_interval=wilson_interval(k_cap, n),
-        out_of_class=out_of_class,
-        **res,
-    )
+    stats = []
+    for res in per_mu:
+        res["end_states"] = res["end_states"].T
+        k_psi = int(np.sum(res["sup_psi_dev"] >= cfg.eps1))
+        k_r = int(np.sum(res["sup_r_dev_weighted"] >= cfg.eps1))
+        k_cap = int(np.sum(res["captured"]))
+        stats.append(EnsembleStats(
+            n_paths=n,
+            exceed_prob_psi=k_psi / n,
+            exceed_psi_interval=wilson_interval(k_psi, n),
+            exceed_prob_r=k_r / n,
+            exceed_r_interval=wilson_interval(k_r, n),
+            capture_fraction=k_cap / n,
+            capture_interval=wilson_interval(k_cap, n),
+            out_of_class=out_of_class,
+            **res,
+        ))
+    return stats
+
+
+def run_ensemble(cfg: EnsembleConfig, ref: Optional[ReferenceSolution] = None,
+                 out_of_class_ok: bool = False) -> EnsembleStats:
+    """Integrate the ensemble and aggregate deviation/exit/capture
+    statistics: run_ensembles at cfg's own amplitude."""
+    return run_ensembles(cfg, [cfg.noise.mu], ref, out_of_class_ok)[0]
 
 
 def _captured(r_end, tau_end: float, psi_range, p: SystemParams):
@@ -295,9 +327,10 @@ def exit_time_scaling(cfg: EnsembleConfig, mus: Sequence[float],
                       seed: int = 12345) -> dict:
     """Fit log(median first-exit time) against log(mu) across ensembles.
 
-    One ensemble runs per amplitude in mus (at least three, distinct):
-    cfg with its noise amplitude replaced, everything else shared, so
-    path j draws the same increments at every mu.  Censored paths enter
+    One ensemble per amplitude in mus (at least three, distinct): cfg
+    with its noise amplitude replaced, everything else shared, so path j
+    draws the same increments at every mu.  They run as one run_ensembles
+    pass, which draws those increments once.  Censored paths enter
     at the horizon value; the fit is refused when more than half the
     paths are censored at every mu.  Returns slope with a bootstrap
     percentile interval (paths resampled per ensemble, n_boot times).
@@ -307,8 +340,7 @@ def exit_time_scaling(cfg: EnsembleConfig, mus: Sequence[float],
         raise ValueError("need at least 3 noise amplitudes")
     if len(set(mus)) != len(mus):
         raise ValueError("noise amplitudes must be distinct")
-    stats = [run_ensemble(replace(cfg, noise=replace(cfg.noise, mu=mu)), ref)
-             for mu in mus]
+    stats = run_ensembles(cfg, mus, ref)
     if all(float(np.mean(s.censored)) > 0.5 for s in stats):
         raise ValueError("more than half the paths censored at every mu; "
                          "increase the horizon")
@@ -417,9 +449,10 @@ def supermartingale_check(cfg: EnsembleConfig, cert: StabilityCertificate,
     n_steps = grid[0].size
     obs_steps = np.unique(np.linspace(0, n_steps - 1, N_OBS - 1).astype(int))
     obs_idx = np.concatenate([[-1], obs_steps])  # -1 marks the tau0 snapshot
-    res = _run_blocks(cfg, grid,
+    res = _run_blocks(cfg, [cfg.noise.mu], grid,
                       error_terms(cfg.params, cfg.noise, grid[0], star),
-                      lambda m: _StoppedU1(cfg, cert, grid, star, obs_idx, m))
+                      lambda m: _StoppedU1(cfg, cert, grid, star, obs_idx,
+                                           m))[0]
     obs, u_sup, stopped = res["obs"], res["u_sup"], res["stopped"]
 
     n = cfg.n_paths

@@ -9,6 +9,7 @@ statistically independent streams.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -63,8 +64,11 @@ def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
     time reached.  tau1 may lie below tau0 for a backward run."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    sol = solve_ivp(field_fn, (tau0, tau1), y0, method="DOP853",
-                    rtol=tol, atol=tol, t_eval=t_eval, dense_output=False)
+    # a blow-up is reported below with its location, so numpy's overflow
+    # and invalid-value warnings on the way there add nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(field_fn, (tau0, tau1), y0, method="DOP853",
+                        rtol=tol, atol=tol, t_eval=t_eval, dense_output=False)
     if not sol.success:
         # sol.t is an empty list when the run fails before any t_eval sample
         reached = float(sol.t[-1]) if len(sol.t) else tau0
@@ -195,7 +199,8 @@ def chunk_steps(m: int) -> int:
     return max(1, NOISE_BUDGET // (N_CHANNELS * 8 * m))
 
 
-def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu: float,
+@np.errstate(over="ignore", invalid="ignore")  # escape is data
+def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
              streams, observe: Callable,
              ball_radius: float = 0.0) -> np.ndarray:
     """Euler-Maruyama steps of dx = f dtau + mu G dW (Ito) for m paths.
@@ -206,32 +211,42 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu: float,
     arguments are rows of length m: d each of the state x and of f and
     gw, N_CHANNELS of increments w, and N_SCRATCH work rows in scratch.
     em_paths allocates these buffers once per call and terms must not
-    keep them.  Path i draws from streams[i]: two uniforms for a start in
-    the disc of radius ball_radius around x when ball_radius > 0, then
-    its increments in chunks of chunk_steps(m) steps, first channel then
-    second per step.  A step shorter than dt rescales its increment
-    variance to its length.
+    keep them.  mu is one amplitude for every path or an array of m, one
+    per path.
+
+    m is a multiple of len(streams) = n, and path c draws from streams[c %
+    n]: each stream is drawn once and its draws are copied into its m/n
+    paths, which can differ only in mu.  A stream gives two uniforms for
+    a start in the disc of radius ball_radius around x when ball_radius >
+    0, then its increments in chunks of chunk_steps(m) steps, first
+    channel then second per step.  A step shorter than dt rescales its
+    increment variance to its length.
 
     A step that leaves the finite range is not applied and ends that
-    path.  observe(k, x, moved) sees the start state as step -1 and then
-    the state after every step k, with moved the mask of paths that took
-    the step, or True when every path did; it may return a mask of paths
-    to stop.  x is an em_paths buffer that the next step overwrites, so
-    an observer copies what it keeps.  Stepping ends once no path is
+    path; the overflow on the way is data, so numpy does not warn of it.
+    observe(k, x, moved) sees the start state as step -1 and then the
+    state after every step k, with moved the mask of paths that took the
+    step, or True when every path did; it may return a mask of paths to
+    stop.  x is an em_paths buffer that the next step overwrites, so an
+    observer copies what it keeps.  Stepping ends once no path is
     active.  Returns, per path, the end time of the step at which it left
     the finite range (NaN if it never did).
     """
     _, tau_next, h = grid
     n_steps = h.size
-    m = x.shape[1]
+    m, n = x.shape[1], len(streams)
+    if m % n:
+        raise ValueError(f"{m} paths do not share {n} streams evenly")
     rngs = [s.generator() for s in streams]
     if ball_radius > 0:
-        # ball start draws come first from each path's stream
+        # ball start draws come first from each stream
+        offset = np.empty((2, n))
         for i, rng in enumerate(rngs):
             u, ang = rng.uniform(size=2)
             rad = ball_radius * math.sqrt(u)
-            x[0, i] += rad * math.cos(2 * math.pi * ang)
-            x[1, i] += rad * math.sin(2 * math.pi * ang)
+            offset[0, i] = rad * math.cos(2 * math.pi * ang)
+            offset[1, i] = rad * math.sin(2 * math.pi * ang)
+        x += np.tile(offset, m // n)
     sqrt_dt = math.sqrt(dt)
     active = np.ones(m, dtype=bool)
     n_active = m
@@ -250,12 +265,16 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu: float,
     while k0 < n_steps and n_active:
         k1 = min(k0 + chunk, n_steps)
         dw = dw_buf[:k1 - k0]
+        drawn = dw[:, :, :n]
         for i, rng in enumerate(rngs):
-            dw[:, :, i] = rng.standard_normal((k1 - k0, N_CHANNELS))
-        dw *= sqrt_dt
+            drawn[:, :, i] = rng.standard_normal((k1 - k0, N_CHANNELS))
+        drawn *= sqrt_dt
         # exactly 1.0 where h == dt, so one multiply per chunk rescales
         # the shorter steps and leaves every other increment as drawn
-        dw *= np.sqrt(h[k0:k1] / dt)[:, None, None]
+        drawn *= np.sqrt(h[k0:k1] / dt)[:, None, None]
+        # path c >= n repeats the increments of path c % n
+        dw.reshape(k1 - k0, N_CHANNELS, m // n, n)[:, :, 1:] = \
+            drawn[:, :, None]
         for k in range(k0, k1):
             terms(k, x_rows, dw[k - k0], f_rows, gw_rows, scratch)
             # x_new = (x + f h) + mu G w, rounded in that order
@@ -333,8 +352,9 @@ class ReferenceSolution:
     Built by seeding the truncated series at a large time and sharpening
     it with the flow: tight-tolerance integration backward to tau_min and
     forward to tau_max, cached on a uniform grid with cubic interpolation.
-    Read-only after construction; interpolation reproduces grid nodes
-    exactly.
+    Read-only after construction, and shared: reference_solution hands
+    one object to every caller with the same params.  Interpolation
+    reproduces grid nodes exactly.
 
     The phase approaches psi0 = pi - arcsin(gamma) like psi0 - 1/(nu*tau),
     nu = sqrt(1 - gamma^2): with gamma = 0.1 it is 0.17 away at tau_min = 5
@@ -357,8 +377,9 @@ class ReferenceSolution:
         return self._spline_r(tau), self._spline_psi(tau)
 
 
+@functools.lru_cache(maxsize=8)
 def reference_solution(params: SystemParams) -> ReferenceSolution:
-    """Build the captured reference solution for the stable branch.
+    """The captured reference solution for the stable branch.
 
     The order-REF_K series at REF_TAU_SEED must leave an equation residual
     below REF_SEED_RESIDUAL_TOL (checked, not assumed).  Both legs, back to
@@ -366,6 +387,11 @@ def reference_solution(params: SystemParams) -> ReferenceSolution:
     REF_TOL, sampled every REF_GRID_STEP, so a failed or non-finite leg
     raises IntegrationError.  The domain includes the approach to the lock
     (see ReferenceSolution).
+
+    The build is deterministic, so it runs once per SystemParams per
+    process: equal params return the same object, which every caller
+    shares and none may change.  A build that raises is not kept.
+    reference_solution.__wrapped__ builds afresh.
     """
     exp = asymptotics.expand(params, asymptotics.STABLE, REF_K)
     res = asymptotics.residual(exp, params, REF_TAU_SEED)

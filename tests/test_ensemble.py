@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -10,7 +11,7 @@ from autores.model import (NoiseSchedule, SystemParams, constant_schedule,
                            perturbed_terms, power_schedule)
 from autores.integrators import NoiseStream, Trajectory, integrate_sde
 from autores.ensemble import (EnsembleConfig, classify_capture,
-                              exit_time_scaling, run_ensemble,
+                              exit_time_scaling, run_ensemble, run_ensembles,
                               supermartingale_check, wilson_interval)
 
 
@@ -114,6 +115,44 @@ def test_untracked_run_reports_no_deviation(params):
         assert np.all(stats.exit_times[~stats.censored] < cfg.horizon)
 
 
+def test_blowup_prints_no_warning(params):
+    # escape is data: paths that overflow (all of them within two steps at
+    # sigma1 = 1e200) end quietly, without numpy's overflow warnings
+    noise = NoiseSchedule(mu=0.35, sigma1=constant_schedule(1e200),
+                          sigma2=constant_schedule(1.0), h=1.0)
+    cfg = EnsembleConfig(params=params, noise=noise, tau0=0.0, horizon=1.0,
+                         dt=1e-3, n_paths=100, master_seed=3,
+                         x0=(1.09, 2.15))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = run_ensemble(cfg, out_of_class_ok=True)
+    assert not stats.censored.any()
+
+
+def _at_each_mu(cfg, mus, ref=None, out_of_class_ok=False):
+    """run_ensemble once per amplitude: cfg with only mu replaced."""
+    return [run_ensemble(dataclasses.replace(
+        cfg, noise=dataclasses.replace(cfg.noise, mu=mu)), ref,
+        out_of_class_ok) for mu in mus]
+
+
+def test_run_ensembles_blowup_at_one_amplitude(params):
+    # at sigma1 = 1e104 the third step overflows for some paths at the
+    # larger amplitudes only; each amplitude still matches its own run
+    noise = NoiseSchedule(mu=0.1, sigma1=constant_schedule(1e104),
+                          sigma2=constant_schedule(1.0), h=1.0)
+    cfg = EnsembleConfig(params=params, noise=noise, tau0=0.0,
+                         horizon=0.003, dt=1e-3, n_paths=100,
+                         master_seed=3, x0=(1.09, 2.15))
+    mus = [0.05, 0.5, 0.95]
+    stacked = run_ensembles(cfg, mus, out_of_class_ok=True)
+    dead = [~s.censored for s in stacked]
+    assert not dead[0].any() and (dead[2] & ~dead[1]).any()
+    for got, want in zip(stacked,
+                         _at_each_mu(cfg, mus, out_of_class_ok=True)):
+        _stats_equal(got, want)
+
+
 def test_tube_nesting(ref, cfg_maker):
     # same noise realizations; a wider tube can only be exited later
     narrow = run_ensemble(cfg_maker(eps1=0.05), ref)
@@ -212,21 +251,27 @@ def test_exit_time_scaling_validation(ref, cfg_maker):
         exit_time_scaling(cfg, [0.2, 0.3, 0.3], ref)
 
 
-def test_exit_time_scaling_runs_cfg_at_each_mu(ref, cfg_maker):
+def test_exit_time_scaling_runs_cfg_at_each_mu(ref, cfg_maker, monkeypatch):
     # one ensemble per amplitude: cfg with only mu replaced, whatever mu
-    # cfg itself carries
+    # cfg itself carries.  They run stacked (run_ensembles), as one block
+    # of 300 columns or, at a cap of 128, as paths 33 + 33 + 34 at 3
+    # amplitudes each
     noise = NoiseSchedule(mu=0.1, sigma1=power_schedule(0.02, -1.0),
                           sigma2=constant_schedule(0.5))
     cfg = cfg_maker(n_paths=100, horizon=1.0, noise=noise)
     mus = [0.2, 0.3, 0.45]
-    res = exit_time_scaling(cfg, mus, ref, n_boot=10)
-    assert res["mus"] == mus
-    for mu, median, censored in zip(mus, res["medians"],
-                                    res["censored_fractions"]):
-        stats = run_ensemble(dataclasses.replace(
-            cfg, noise=dataclasses.replace(noise, mu=mu)), ref)
-        assert median == float(np.median(stats.exit_times))
-        assert censored == float(np.mean(stats.censored))
+    each = _at_each_mu(cfg, mus, ref)
+    for max_block, n_blocks in ((2048, 1), (128, 3)):
+        monkeypatch.setattr(ensemble, "MAX_BLOCK_PATHS", max_block)
+        assert len(ensemble._path_blocks(100, len(mus))) == n_blocks
+        res = exit_time_scaling(cfg, mus, ref, n_boot=10)
+        assert res["mus"] == mus
+        for stats, median, censored in zip(each, res["medians"],
+                                           res["censored_fractions"]):
+            assert median == float(np.median(stats.exit_times))
+            assert censored == float(np.mean(stats.censored))
+        for got, want in zip(run_ensembles(cfg, mus, ref), each):
+            _stats_equal(got, want)
 
 
 def test_supermartingale_depth_limit(ref, cert, cfg_maker):
@@ -349,6 +394,15 @@ def test_block_width_invariance(ref, cert, cfg_maker, monkeypatch):
                          noise=noise)
     assert integrators.chunk_steps(150) < 2050
     ball = run_ensemble(ball_cfg, ref)
+    # and stacked with other amplitudes, every path keeps its ball start
+    # and its increments at each of them
+    mus = [0.2, 0.3, 0.45]
+    ball_each = _at_each_mu(ball_cfg, mus, ref)
+
+    def stacked_is_each():
+        for got, want in zip(run_ensembles(ball_cfg, mus, ref), ball_each):
+            _stats_equal(got, want)
+    stacked_is_each()
     for chunk in (500, 7):
         # the budget of `chunk` steps for one block of 150 paths
         monkeypatch.setattr(integrators, "NOISE_BUDGET",
@@ -356,6 +410,7 @@ def test_block_width_invariance(ref, cert, cfg_maker, monkeypatch):
         assert integrators.chunk_steps(150) == chunk
         _stats_equal(run_ensemble(ball_cfg, ref), ball)
         assert supermartingale_check(err_cfg, cert, N=1, ref=ref) == report
+        stacked_is_each()
 
 
 @pytest.mark.parametrize("n_paths, widths", [

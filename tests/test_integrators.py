@@ -4,14 +4,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from autores import integrators, model
+from autores import asymptotics, integrators, model
 from autores.asymptotics import STABLE, evaluate, expand
 from autores.integrators import (IntegrationError, NoiseStream, Trajectory,
                                  default_dt, integrate_ode,
                                  integrate_ode_batch, integrate_sde,
                                  reference_solution, sde_step_count)
 from autores.ensemble import classify_capture
-from autores.model import NoiseSchedule, constant_schedule, rhs_primary
+from autores.model import (NoiseSchedule, SystemParams, constant_schedule,
+                           rhs_primary)
 
 
 def test_trajectory_invariants():
@@ -238,6 +239,39 @@ def test_reference_slope_equals_field(params, ref):
         dr, dp = rhs_primary(ref.state(tau), tau, params)
         assert (r_hi - r_lo) / (2 * h) == pytest.approx(dr, rel=1e-4, abs=1e-6)
         assert (p_hi - p_lo) / (2 * h) == pytest.approx(dp, rel=1e-4, abs=1e-6)
+
+
+def test_reference_built_once_per_params(params, ref):
+    # one build per parameter set: equal params, however built, share the
+    # object, and it is the one a fresh build would make, bit for bit
+    assert reference_solution(params) is ref
+    assert reference_solution(SystemParams(lam=1.0, gamma=0.1)) is ref
+    other = reference_solution(SystemParams(lam=1.0, gamma=0.2))
+    assert other is not ref
+    assert other.state(50.0)[1] != ref.state(50.0)[1]
+    fresh = reference_solution.__wrapped__(params)
+    assert fresh is not ref
+    nodes = ref._spline_r.x
+    assert np.array_equal(nodes, fresh._spline_r.x)
+    between = (nodes[:-1] + nodes[1:]) / 2.0
+    for tau in (nodes, between):
+        for got, want in zip(ref.state(tau), fresh.state(tau)):
+            assert np.array_equal(got, want)
+
+
+def test_failed_reference_build_not_kept(monkeypatch):
+    # a build that raises is not cached: the next call builds again
+    calls = []
+
+    def bad_residual(*args):
+        calls.append(args)
+        return (1.0, 0.0)
+    monkeypatch.setattr(asymptotics, "residual", bad_residual)
+    p = SystemParams(lam=2.0, gamma=0.3)
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="series residual"):
+            reference_solution(p)
+        assert len(calls) == n
 
 
 def test_reference_domain_enforced(params, ref):
