@@ -39,9 +39,6 @@ from .ensemble import (EnsembleConfig, classify_capture, exit_time_scaling,
 from .pendulum import (inverse_map, seed_from_averaged, integrate_pendulum,
                        envelope_compare)
 
-SUBCOMMANDS = ("series", "simulate", "ensemble", "exit-times", "certify",
-               "thresholds", "pendulum", "figures")
-
 _REQUIRED = object()
 
 
@@ -156,10 +153,7 @@ def _fmt(v) -> str:
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    x = float(v)
-    if math.isnan(x):
-        return "nan"
-    return format(x, ".17g")
+    return format(float(v), ".17g")
 
 
 def _write_csv(path: Path, schema_name: str, header, rows):
@@ -171,8 +165,10 @@ def _write_csv(path: Path, schema_name: str, header, rows):
 
 
 def _write_json(path: Path, doc: dict):
+    # Schedule config values go out as {coeff, power}; others still raise
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True,
+                  default=dataclasses.asdict)
         fh.write("\n")
 
 
@@ -288,6 +284,8 @@ _SCHEMAS = {
         "record_every": (_i(1), 10),
     },
 }
+
+SUBCOMMANDS = tuple(_SCHEMAS)
 
 # the --seed flag maps to this field
 _SEED_FIELD = {"ensemble": "master_seed", "exit-times": "master_seed",
@@ -476,14 +474,16 @@ def _cmd_figures(cfg: dict, out: Path):
                           "verdict": classify_capture(traj, p)})
         _write_json(out / "index.json", {"figure": "fig1", "runs": index})
         return
-    # fig2: one sample path per noise amplitude from a fixed start
+    # fig2: one path per noise amplitude; the terms ignore the schedule's mu
+    mus = (0.1, 0.35, 0.55)
+    make_terms = partial(perturbed_terms, p, NoiseSchedule(
+        mu=mus[0], sigma1=constant_schedule(0.0),
+        sigma2=constant_schedule(1.0)))
     index = []
-    for k, mu in enumerate((0.1, 0.35, 0.55)):
-        noise = NoiseSchedule(mu=mu, sigma1=constant_schedule(0.0),
-                              sigma2=constant_schedule(1.0), h=1.0)
+    for k, mu in enumerate(mus):
         stream = NoiseStream(cfg["master_seed"], k)
-        traj = integrate_sde(partial(perturbed_terms, p, noise), [1.09, 2.15],
-                             0.0, cfg["horizon"], cfg["dt"], mu, stream,
+        traj = integrate_sde(make_terms, [1.09, 2.15], 0.0, cfg["horizon"],
+                             cfg["dt"], mu, stream,
                              record_every=cfg["record_every"])
         name = f"fig2_mu{mu:.2f}.csv"
         _traj_csv(out / name, "autores.trajectory", ("tau", "r", "psi"), traj)
@@ -513,20 +513,21 @@ def _load_json(path: str) -> dict:
 def _resolve(sub: str, args) -> tuple:
     """Merge config file and flags into a validated config document."""
     raw = _load_json(args.config) if args.config else {}
+    defaults = {}
     if isinstance(raw, dict) and "subcommand" in raw and "config" in raw:
         # a manifest from a previous run reproduces that run
         if raw["subcommand"] != sub:
             raise ConfigError("subcommand",
                               f"manifest is for '{raw['subcommand']}'")
-        threads = raw.get("threads", 1)
-        out_dir = raw.get("out_dir")
+        defaults = {k: raw[k] for k in ("threads", "out_dir") if k in raw}
         raw = raw["config"]
-        raw.setdefault("threads", threads)
-        if out_dir is not None:
-            raw.setdefault("out_dir", out_dir)
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be a JSON object")
-    raw = dict(raw)
+    # a flag overrides the config's field, which overrides the manifest's
+    flags = {"threads": args.threads, "out_dir": args.out,
+             "which": getattr(args, "which", None)}
+    raw = {**defaults, **raw,
+           **{k: v for k, v in flags.items() if v is not None}}
 
     if args.seed is not None:
         seed_field = _SEED_FIELD.get(sub)
@@ -535,27 +536,15 @@ def _resolve(sub: str, args) -> tuple:
         raw[seed_field] = args.seed
 
     threads = raw.pop("threads", 1)
-    if args.threads is not None:
-        threads = args.threads
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ConfigError("threads", f"expected a positive integer, got {threads!r}")
 
     out_dir = raw.pop("out_dir", None)
-    if args.out is not None:
-        out_dir = args.out
     if out_dir is None:
         raise ConfigError("out_dir", "required (config field or --out)")
-    if getattr(args, "which", None) is not None:
-        raw["which"] = args.which
 
     cfg = _validate(raw, _SCHEMAS[sub], sub)
     return cfg, Path(out_dir), int(threads)
-
-
-def _manifest_echo(cfg: dict) -> dict:
-    """JSON-serializable copy of the resolved config."""
-    return {key: dataclasses.asdict(val) if isinstance(val, Schedule) else val
-            for key, val in cfg.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -586,16 +575,12 @@ def main(argv: Optional[list] = None) -> int:
         cfg, out, threads = _resolve(sub, args)
         out.mkdir(parents=True, exist_ok=True)
         _HANDLERS[sub](cfg, out)
-        _write_manifest(out, sub, _manifest_echo(cfg), threads)
+        _write_manifest(out, sub, cfg, threads)
     except ConfigError as exc:
         print(f"autores {sub}: config error: {exc}", file=sys.stderr)
         return 2
-    except IntegrationError as exc:
-        # the message already carries the tau location
-        print(f"autores {sub}: runtime error [autores.integrators]: {exc}",
-              file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError, NotImplementedError) as exc:
+    except (ValueError, ArithmeticError, NotImplementedError,
+            IntegrationError) as exc:
         print(f"autores {sub}: runtime error [{_origin(exc, sub)}]: {exc}",
               file=sys.stderr)
         return 1

@@ -341,7 +341,8 @@ def exit_time_scaling(cfg: EnsembleConfig, mus: Sequence[float],
     if len(set(mus)) != len(mus):
         raise ValueError("noise amplitudes must be distinct")
     stats = run_ensembles(cfg, mus, ref)
-    if all(float(np.mean(s.censored)) > 0.5 for s in stats):
+    censored = [float(np.mean(s.censored)) for s in stats]
+    if all(f > 0.5 for f in censored):
         raise ValueError("more than half the paths censored at every mu; "
                          "increase the horizon")
     log_mu = np.log(np.asarray(mus, dtype=float))
@@ -364,7 +365,7 @@ def exit_time_scaling(cfg: EnsembleConfig, mus: Sequence[float],
         "medians": medians.tolist(),
         "median_intervals": [[float(a), float(b)]
                              for a, b in zip(med_lo, med_hi)],
-        "censored_fractions": [float(np.mean(s.censored)) for s in stats],
+        "censored_fractions": censored,
         "slope": slope,
         "slope_interval": (float(lo), float(hi)),
         "n_boot": n_boot,
@@ -421,6 +422,12 @@ class _StoppedU1:
                 "stopped": self.stopped | ~np.isnan(escaped_at)}
 
 
+def _records(columns: dict) -> list:
+    """Equal-length columns as one dict of Python scalars per row."""
+    rows = zip(*(np.asarray(col).tolist() for col in columns.values()))
+    return [dict(zip(columns, row)) for row in rows]
+
+
 def supermartingale_check(cfg: EnsembleConfig, cert: StabilityCertificate,
                           N: int, ref: ReferenceSolution,
                           threads: int = 1) -> dict:
@@ -457,36 +464,26 @@ def supermartingale_check(cfg: EnsembleConfig, cert: StabilityCertificate,
 
     n = cfg.n_paths
     means = obs.mean(axis=1)
-    bands = []
-    ok = True
-    for i in range(len(means) - 1):
-        diff = obs[i + 1] - obs[i]
-        se = float(diff.std(ddof=1)) / math.sqrt(n)
-        passed = float(diff.mean()) <= 2.0 * se
-        bands.append({"mean_before": float(means[i]),
-                      "mean_after": float(means[i + 1]),
-                      "mean_diff": float(diff.mean()), "se": se,
-                      "pass": bool(passed)})
-        ok = ok and passed
+    diff = np.diff(obs, axis=0)
+    diff_mean = diff.mean(axis=1)
+    se = diff.std(axis=1, ddof=1) / math.sqrt(n)
+    band_pass = diff_mean <= 2.0 * se
+    bands = _records({"mean_before": means[:-1], "mean_after": means[1:],
+                      "mean_diff": diff_mean, "se": se, "pass": band_pass})
 
-    u_start = obs[0]
-    mean_start = float(u_start.mean())
-    ladder = []
-    ladder_ok = True
-    for c_mult in DOOB_LADDER:
-        c = c_mult * mean_start
-        frac = float(np.mean(u_sup >= c))
-        bound = min(1.0, mean_start / c)
-        se = math.sqrt(max(frac * (1 - frac), 1.0 / n) / n)
-        passed = frac <= bound + 3.0 * se
-        ladder.append({"c_multiple": c_mult, "c": c, "fraction": frac,
-                       "bound": bound, "se": se, "pass": bool(passed)})
-        ladder_ok = ladder_ok and passed
+    mean_start = float(obs[0].mean())
+    c = np.array(DOOB_LADDER) * mean_start
+    frac = (u_sup >= c[:, None]).mean(axis=1)
+    bound = np.minimum(1.0, mean_start / c)
+    se = np.sqrt(np.maximum(frac * (1 - frac), 1.0 / n) / n)
+    ladder_pass = frac <= bound + 3.0 * se
+    ladder = _records({"c_multiple": DOOB_LADDER, "c": c, "fraction": frac,
+                       "bound": bound, "se": se, "pass": ladder_pass})
 
     return {
-        "mean_nonincreasing": bool(ok),
+        "mean_nonincreasing": bool(band_pass.all()),
         "bands": bands,
-        "doob_ok": bool(ladder_ok),
+        "doob_ok": bool(ladder_pass.all()),
         "doob_ladder": ladder,
         "stopped_fraction": float(np.mean(stopped)),
         "mean_start": mean_start,

@@ -185,7 +185,7 @@ def default_dt(mu: float) -> float:
     """Step size keeping the noise-term discretization below drift error."""
     if mu >= 0.05:
         return 1e-3
-    return min(1e-3, mu * mu / 10.0)
+    return mu * mu / 10.0  # below 2.5e-4
 
 
 NOISE_BUDGET = 4 << 20  # bytes of noise increments drawn per chunk

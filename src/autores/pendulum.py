@@ -82,34 +82,27 @@ def extract_envelope(traj: Trajectory):
     """Envelope samples (t_i, |u|_i) at the successive extrema of u.
 
     Extrema are located at sign changes of u' between samples and refined
-    by a three-point parabola through |u|.  Raises ValueError when fewer
-    than 20 extrema exist (window too short to define an envelope).
+    by a three-point parabola through |u|; a flat triple (zero second
+    difference) has its vertex at the middle sample (t[i], |u|[i]).
+    Raises ValueError when fewer than 20 extrema exist (window too short
+    to define an envelope).
     """
     t = traj.times
     u = traj.states[:, 0]
     v = traj.states[:, 1]
-    sign_flip = np.where(np.diff(np.signbit(v)))[0]
+    i = np.where(np.diff(np.signbit(v)))[0]
     # keep interior indices so the parabola has both neighbors
-    sign_flip = sign_flip[(sign_flip > 0) & (sign_flip < t.size - 2)]
-    if sign_flip.size < 20:
-        raise ValueError(f"only {sign_flip.size} extrema found; need at least 20")
-    times = np.empty(sign_flip.size)
-    values = np.empty(sign_flip.size)
+    i = i[(i > 0) & (i < t.size - 2)]
+    if i.size < 20:
+        raise ValueError(f"only {i.size} extrema found; need at least 20")
     a = np.abs(u)
-    for j, i in enumerate(sign_flip):
-        y0, y1, y2 = a[i - 1], a[i], a[i + 1]
-        denom = y0 - 2.0 * y1 + y2
-        if denom == 0.0:
-            times[j] = t[i]
-            values[j] = y1
-            continue
-        # vertex of the parabola through the three samples
-        delta = 0.5 * (y0 - y2) / denom
-        delta = float(np.clip(delta, -1.0, 1.0))
-        h = t[i + 1] - t[i]
-        times[j] = t[i] + delta * h
-        values[j] = y1 - 0.25 * (y0 - y2) * delta
-    return times, values
+    y0, y1, y2 = a[i - 1], a[i], a[i + 1]
+    denom = y0 - 2.0 * y1 + y2
+    # vertex of the parabola through the three samples
+    delta = 0.5 * (y0 - y2) / np.where(denom == 0.0, np.inf, denom)
+    delta = np.clip(delta, -1.0, 1.0)
+    h = t[i + 1] - t[i]
+    return t[i] + delta * h, y1 - 0.25 * (y0 - y2) * delta
 
 
 def envelope_compare(pendulum_traj: Trajectory, averaged_traj: Trajectory,

@@ -11,6 +11,7 @@ from autores import cli
 from autores.cli import main
 from autores.model import SystemParams
 from autores.asymptotics import expand, evaluate
+from autores.lyapunov import thresholds_beta
 
 
 def _write_cfg(tmp_path, doc, name="cfg.json"):
@@ -129,7 +130,7 @@ def test_series_partial_grid_writes_nothing(tmp_path, capsys):
 def test_thresholds_outputs(tmp_path):
     cfg = {"kappa": 0.5, "h": 1.0, "n": 2, "A": 3.0, "a": 1.005038,
            "C": 1.0, "eps1": 0.1, "eps2": 0.1,
-           "chain_B": 1.0, "chain_q": 0.5, "chain_depth": 3}
+           "chain_B": 1.0, "chain_q": 0.5, "chain_depth": 3, "beta": 0.3}
     code, out = _run(tmp_path, "thresholds", cfg)
     assert code == 0
     doc = json.loads((out / "thresholds.json").read_text())
@@ -137,6 +138,8 @@ def test_thresholds_outputs(tmp_path):
     assert doc["Delta"] == pytest.approx(1.25e-4, rel=1e-12)
     assert doc["T_mu_exponent"] == -1.0
     assert doc["chain_a"] == [32.0, 48.0, 64.0]
+    assert doc["beta"] == 0.3
+    assert doc["beta_horizon_exponent"] == thresholds_beta(0.3, 0.5)
     assert not doc["empirical"]
 
 
@@ -145,6 +148,159 @@ THRESHOLDS_CFG = {"kappa": 0.5, "h": 1.0, "n": 2, "A": 3.0, "a": 1.0,
 EXIT_CFG = {"gamma": 0.1, "lam": 1.0, "tau0": 20.0, "horizon": 5.0,
             "eps1": 0.3}
 PEND_CFG = {"eps": 0.05, "r0": 1.0, "psi0": 2.0}
+
+
+def _replays(tmp_path, sub, out, names):
+    """A run from out's manifest alone writes the same bytes."""
+    again = tmp_path / "replay"
+    assert main([sub, "--config", str(out / "manifest.json"),
+                 "--out", str(again)]) == 0
+    for name in names:
+        assert (again / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_simulate_outputs(tmp_path):
+    cfg = {"gamma": 0.1, "lam": 1.0, "r0": 1.09, "psi0": 2.15,
+           "tau1": 60.0, "samples": 500}
+    code, out = _run(tmp_path, "simulate", cfg)
+    assert code == 0
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert lines[:2] == ["# schema autores.trajectory/1", "tau,r,psi"]
+    assert len(lines) == 2 + 500
+    last = [float(v) for v in lines[-1].split(",")]
+    assert last[0] == 60.0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["truncated"] is False
+    assert summary["verdict"] == "captured"
+    assert summary["end_state"] == last[1:]
+    _replays(tmp_path, "simulate", out, ("trajectory.csv", "summary.json"))
+
+
+def test_pendulum_outputs(tmp_path):
+    # tau_end 8 is fast time 320 at eps 0.05: about a hundred extrema
+    cfg = {"eps": 0.05, "r0": 1.0, "psi0": 2.0, "tau_end": 8.0}
+    code, out = _run(tmp_path, "pendulum", cfg)
+    assert code == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["n_extrema"] >= 20
+    assert metrics["mean_rel_err"] <= 0.15
+    lines = (out / "comparison.csv").read_text().splitlines()
+    assert lines[:2] == ["# schema autores.envelope/1",
+                         "tau,envelope,predicted,relerr"]
+    assert len(lines) == 2 + metrics["n_extrema"]
+    _replays(tmp_path, "pendulum", out,
+             ("pendulum.csv", "comparison.csv", "metrics.json"))
+
+
+FIG2_FILES = ("fig2_mu0.10.csv", "fig2_mu0.35.csv", "fig2_mu0.55.csv",
+              "index.json")
+
+
+def test_seed_flag_overrides_master_seed(tmp_path):
+    cfg = {"which": "fig2", "horizon": 10.0, "dt": 0.01, "master_seed": 11}
+    code, out = _run(tmp_path, "figures", cfg, extra=("--seed", "5"))
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["master_seed"] == 5
+    for seed, same in ((5, True), (11, False)):
+        code, direct = _run(tmp_path, "figures", {**cfg, "master_seed": seed},
+                            name=f"seed{seed}.json", outname=f"seed{seed}")
+        assert code == 0
+        csv = FIG2_FILES[1]
+        same_bytes = (direct / csv).read_bytes() == (out / csv).read_bytes()
+        assert same_bytes is same
+    _replays(tmp_path, "figures", out, FIG2_FILES)
+
+
+def test_figures_which_flag_without_config(tmp_path, monkeypatch):
+    # every figures field but which has a default, so --which alone makes
+    # a config; the default horizon is cut here to keep the run short
+    checker, _ = cli._SCHEMAS["figures"]["horizon"]
+    monkeypatch.setitem(cli._SCHEMAS["figures"], "horizon", (checker, 5.0))
+    out = tmp_path / "out"
+    assert main(["figures", "--which", "fig2", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {"which": "fig2", "master_seed": 12345,
+                                  "horizon": 5.0, "dt": 1e-3,
+                                  "record_every": 10}
+    assert json.loads((out / "index.json").read_text())["figure"] == "fig2"
+
+
+def test_out_and_threads_precedence(tmp_path):
+    # --out over the out_dir field over the manifest's out_dir, and
+    # --threads over the threads field over the manifest's threads over 1
+    def manifest(out):
+        return json.loads((out / "manifest.json").read_text())
+    code, first = _run(tmp_path, "series", SERIES_CFG)
+    assert code == 0 and manifest(first)["threads"] == 1
+    assert main(["series", "--config", str(first / "manifest.json"),
+                 "--threads", "3"]) == 0
+    doc = manifest(first)
+    assert (doc["out_dir"], doc["threads"]) == (str(first), 3)
+    doc["config"].update(out_dir=str(tmp_path / "field"), threads=4)
+    path = _write_cfg(tmp_path, doc, "edited.json")
+    assert main(["series", "--config", path]) == 0
+    assert manifest(tmp_path / "field")["threads"] == 4
+    assert main(["series", "--config", path, "--out", str(tmp_path / "flag"),
+                 "--threads", "5"]) == 0
+    assert manifest(tmp_path / "flag")["threads"] == 5
+
+
+def test_manifest_config_not_object_exit2(tmp_path, capsys):
+    code, out = _run(tmp_path, "series", {"subcommand": "series",
+                                          "config": [1]})
+    assert code == 2
+    assert "field 'config'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+ENS_CFG = {"gamma": 0.1, "lam": 1.0, "mu": 0.3, "tau0": 20.0,
+           "horizon": 2.0, "x0": [1.0, 3.0]}
+# every function a handler could do work with; a config error must come
+# before any of them
+_WORK = ("reference_solution", "integrate_ode", "integrate_ode_batch",
+         "integrate_sde", "integrate_pendulum", "run_ensemble",
+         "exit_time_scaling", "certify", "expand", "thresholds")
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before the config was checked")
+    for name in _WORK:
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize("sub, cfg, field", [
+    # _f: type, lower and upper bound
+    ("series", {**SERIES_CFG, "lam": "1"}, "lam"),
+    ("series", {**SERIES_CFG, "gamma": 0.0}, "gamma"),
+    ("series", {**SERIES_CFG, "gamma": 1.0}, "gamma"),
+    # _i: type, lower and upper bound
+    ("ensemble", {**ENS_CFG, "n_paths": 1.5}, "n_paths"),
+    ("ensemble", {**ENS_CFG, "n_paths": 99}, "n_paths"),
+    ("series", {**SERIES_CFG, "order": 65}, "order"),
+    # _b, and _s: type and choice
+    ("ensemble", {**ENS_CFG, "reference": 1}, "reference"),
+    ("series", {**SERIES_CFG, "branch": 3}, "branch"),
+    ("series", {**SERIES_CFG, "branch": "sideways"}, "branch"),
+    # _pair, and _num_list: shape and entries
+    ("ensemble", {**ENS_CFG, "x0": [1]}, "x0"),
+    ("exit-times", {**EXIT_CFG, "mus": "0.2"}, "mus"),
+    ("exit-times", {**EXIT_CFG, "mus": [0.2, "0.3", 0.45]}, "mus"),
+    # _schedule: unknown and missing subfield, subfield type, type
+    ("ensemble", {**ENS_CFG, "sigma1": {"coeff": 1.0, "pow": 1.0}},
+     "sigma1.pow"),
+    ("ensemble", {**ENS_CFG, "sigma1": {"power": 1}}, "sigma1.coeff"),
+    ("ensemble", {**ENS_CFG, "sigma2": {"coeff": "1"}}, "sigma2.coeff"),
+    ("ensemble", {**ENS_CFG, "sigma1": "0.1"}, "sigma1"),
+])
+def test_wrong_typed_value_exit2(tmp_path, capsys, no_work, sub, cfg, field):
+    code, out = _run(tmp_path, sub, cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"field '{field}'" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sub, cfg, field", [
@@ -163,16 +319,12 @@ PEND_CFG = {"eps": 0.05, "r0": 1.0, "psi0": 2.0}
     # tau_end is 32 by default
     ("pendulum", {**PEND_CFG, "window": [10.0, 5.0]}, "window"),
     ("pendulum", {**PEND_CFG, "window": [32.0, 40.0]}, "window"),
+    ("ensemble", {**ENS_CFG, "x0": None}, "x0"),
 ])
-def test_cross_field_rules_exit2(tmp_path, capsys, monkeypatch, sub, cfg,
-                                 field):
+def test_cross_field_rules_exit2(tmp_path, capsys, no_work, sub, cfg, field):
     # the documented rules between two fields are config errors, found
     # before the reference solution is built or anything is integrated,
     # and a config error leaves no artifact
-    def no_work(*args, **kwargs):
-        raise AssertionError("work done before the config was checked")
-    for name in ("reference_solution", "integrate_ode", "integrate_pendulum"):
-        monkeypatch.setattr(cli, name, no_work)
     code, out = _run(tmp_path, sub, cfg)
     assert code == 2
     err = capsys.readouterr().err

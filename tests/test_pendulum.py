@@ -83,6 +83,29 @@ def test_extract_envelope_synthetic():
         extract_envelope(short)
 
 
+def test_extract_envelope_flat_triple():
+    # a flat |u| triple at an extremum has no parabola vertex to refine
+    # towards: the extremum reads as its middle sample, and the others do
+    # not move
+    t = np.linspace(0.0, 100.0, 4001)
+    u = (2.0 + 0.01 * t) * np.cos(t)
+    v = 0.01 * np.cos(t) - (2.0 + 0.01 * t) * np.sin(t)
+    te, env = extract_envelope(Trajectory(t, np.column_stack([u, v])))
+    flips = np.where(np.diff(np.signbit(v)))[0]
+    flips = flips[(flips > 0) & (flips < t.size - 2)]
+    assert flips.size >= 20
+    j = 9
+    i = flips[j]
+    flat = u.copy()
+    flat[i - 1:i + 2] = u[i]
+    te_flat, env_flat = extract_envelope(
+        Trajectory(t, np.column_stack([flat, v])))
+    assert (te_flat[j], env_flat[j]) == (t[i], abs(u[i]))
+    others = np.arange(te.size) != j
+    assert np.array_equal(te_flat[others], te[others])
+    assert np.array_equal(env_flat[others], env[others])
+
+
 def test_envelope_compare_synthetic():
     # fabricated pendulum whose envelope is exactly the predicted profile
     eps, lam, nu = 0.05, 1.0, math.sqrt(1.0 - 0.01)
