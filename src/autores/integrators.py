@@ -307,38 +307,44 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
 
 
 def integrate_sde(make_terms: Callable, x0, tau0: float, tau1: float,
-                  dt: float, mu: float, stream: NoiseStream,
-                  record_every: int = 1) -> Trajectory:
-    """Euler-Maruyama path of dx = f dt + mu G dW in the Ito sense.
+                  dt: float, mu, streams, record_every: int = 1) -> list:
+    """Euler-Maruyama paths of dx = f dt + mu G dW in the Ito sense, one
+    Trajectory per stream, all from x0.
 
     make_terms(tau_at) gets the step start times of step_grid(tau0, tau1,
     dt), built here, and returns terms(k, x, w, f, gw, scratch) writing f
     and G w as in em_paths; partial(model.perturbed_terms, p, noise) is
-    the perturbed system's.  This is em_paths for one path, recording
-    every record_every-th step and the last, so the path for stream
-    (master_seed, j) is bitwise path j of an ensemble with the same
-    start.  The end time is hit exactly via a shorter final step.  A
-    non-finite state truncates the path and flags the trajectory.
+    the perturbed system's.  mu is one amplitude or one per stream.  The
+    streams run as the columns of one em_paths call, each recording
+    every record_every-th step and the last while it moves, so the path
+    for stream (master_seed, j) is bitwise path j of an ensemble with the
+    same start, whatever the other columns do.  The end time is hit
+    exactly via a shorter final step.  A non-finite state truncates that
+    path and flags its trajectory.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    if not (0 <= mu < 1):
+    m = len(streams)
+    mu = np.broadcast_to(np.asarray(mu, dtype=float), (m,))
+    if not np.all((0 <= mu) & (mu < 1)):
         raise ValueError(f"mu must lie in [0, 1), got {mu}")
     grid = step_grid(tau0, tau1, dt)
     terms = make_terms(grid[0])
     n_steps = grid[0].size
-    x = np.atleast_1d(np.asarray(x0, dtype=float))[:, None].copy()
-    times, states = [], []
+    x = np.tile(np.asarray(x0, dtype=float).reshape(-1, 1), m)
+    times, states, kept = [], [], []
 
     def record(k, x, moved):
-        if ((k + 1) % record_every == 0 or k == n_steps - 1) and (
-                moved is True or moved[0]):
+        if (k + 1) % record_every == 0 or k == n_steps - 1:
             times.append(grid[1][k] if k >= 0 else tau0)
-            states.append(x[:, 0].copy())
+            states.append(x.copy())
+            kept.append(np.broadcast_to(moved, m))
 
-    escaped_at = em_paths(terms, x, grid, dt, mu, [stream], record)
-    return Trajectory(times=np.array(times), states=np.array(states),
-                      truncated=not math.isnan(escaped_at[0]))
+    escaped_at = em_paths(terms, x, grid, dt, mu, streams, record)
+    times, states, kept = np.array(times), np.array(states), np.array(kept)
+    return [Trajectory(times=times[keep], states=states[keep, :, c],
+                       truncated=not math.isnan(escaped_at[c]))
+            for c, keep in enumerate(kept.T)]
 
 
 # reference build settings, see reference_solution

@@ -159,6 +159,35 @@ def _replays(tmp_path, sub, out, names):
         assert (again / name).read_bytes() == (out / name).read_bytes(), name
 
 
+def _cell_rule(v) -> str:
+    # the per-cell formatting rule of the CSV writer, one value at a time
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return format(float(v), ".17g")
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 8, cli._CSV_CHUNK + 1])
+def test_write_csv_matches_cell_rule(tmp_path, n_rows):
+    # the bulk writer gives each cell the bytes of the per-cell rule:
+    # integer and flag columns as integers, floats at 17 digits, with the
+    # edge values cycled through the rows and across chunk ends
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16,
+               1.2345678901234568e+17, 0.1]
+    floats = np.resize(np.array(special), n_rows)
+    floats[9::9] = np.random.default_rng(3).normal(size=floats[9::9].size)
+    # past 2**53, where a float format would round
+    ints = np.arange(n_rows, dtype=np.int64) * -7919 + 2**62 + 1
+    flags = np.arange(n_rows) % 3 == 0
+    cols = (ints, floats, flags, floats[::-1].copy())
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, "autores.test", ("i", "x", "flag", "y"), cols)
+    want = ["# schema autores.test/1", "i,x,flag,y"]
+    want += [",".join(_cell_rule(c[j]) for c in cols) for j in range(n_rows)]
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
+
 def test_simulate_outputs(tmp_path):
     cfg = {"gamma": 0.1, "lam": 1.0, "r0": 1.09, "psi0": 2.15,
            "tau1": 60.0, "samples": 500}
@@ -210,6 +239,28 @@ def test_seed_flag_overrides_master_seed(tmp_path):
         same_bytes = (direct / csv).read_bytes() == (out / csv).read_bytes()
         assert same_bytes is same
     _replays(tmp_path, "figures", out, FIG2_FILES)
+
+
+def test_fig2_last_row_is_ensemble_path(tmp_path):
+    # docs/cli.md: the k-th fig2 path is path k of an ensemble at its mu
+    # with the same seed, so the last fig2 row holds that run's r_end and
+    # psi_end for path k, as text
+    fig = {"which": "fig2", "horizon": 10.0, "dt": 0.01, "master_seed": 11}
+    code, out = _run(tmp_path, "figures", fig)
+    assert code == 0
+    for k, mu in enumerate((0.1, 0.35, 0.55)):
+        ens = {"gamma": 0.1, "lam": 1.0, "mu": mu, "tau0": 0.0,
+               "horizon": 10.0, "dt": 0.01, "n_paths": 100,
+               "master_seed": 11, "x0": [1.09, 2.15]}
+        code, ens_out = _run(tmp_path, "ensemble", ens, name=f"ens{k}.json",
+                             outname=f"ens{k}")
+        assert code == 0
+        last = (out / f"fig2_mu{mu:.2f}.csv").read_text().splitlines()[-1]
+        tau, r, psi = last.split(",")
+        assert tau == "10"
+        row = (ens_out / "ensemble.csv").read_text().splitlines()[2 + k]
+        assert row.split(",")[0] == str(k)
+        assert row.split(",")[-2:] == [r, psi]
 
 
 def test_figures_which_flag_without_config(tmp_path, monkeypatch):

@@ -321,8 +321,8 @@ def test_single_path_is_ensemble_path(params, sigma1):
     tau1 = cfg.tau0 + cfg.horizon
     make_terms = partial(perturbed_terms, params, noise)
     for j in (0, 5):
-        traj = integrate_sde(make_terms, cfg.x0, cfg.tau0, tau1, cfg.dt,
-                             noise.mu, NoiseStream(cfg.master_seed, j))
+        traj, = integrate_sde(make_terms, cfg.x0, cfg.tau0, tau1, cfg.dt,
+                              noise.mu, [NoiseStream(cfg.master_seed, j)])
         assert not traj.truncated
         assert np.array_equal(traj.states[-1], stats.end_states[j])
 
@@ -344,9 +344,9 @@ def test_single_path_verdict_is_ensemble_verdict():
     escaped = np.flatnonzero(~stats.captured)[:4]
     assert captured.size == escaped.size == 4
     for j in np.concatenate([captured, escaped]):
-        traj = integrate_sde(make_terms, cfg.x0, cfg.tau0, tau1, cfg.dt,
-                             noise.mu, NoiseStream(cfg.master_seed, int(j)),
-                             record_every=1)
+        traj, = integrate_sde(make_terms, cfg.x0, cfg.tau0, tau1, cfg.dt,
+                              noise.mu, [NoiseStream(cfg.master_seed, int(j))],
+                              record_every=1)
         verdict = classify_capture(traj, params)
         assert verdict == ("captured" if stats.captured[j] else "escaped"), j
 

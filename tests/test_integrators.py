@@ -172,8 +172,8 @@ def _terms(drift, g_row):
 def test_sde_zero_noise_is_euler():
     # with G = 0 the scheme is the deterministic Euler map
     stream = NoiseStream(1, 0)
-    traj = integrate_sde(_terms(lambda x: -x, [0.0, 0.0]),
-                         [1.0], 0.0, 1.0, 0.25, 0.3, stream)
+    traj, = integrate_sde(_terms(lambda x: -x, [0.0, 0.0]),
+                          [1.0], 0.0, 1.0, 0.25, 0.3, [stream])
     x = 1.0
     for _ in range(4):
         x += -x * 0.25
@@ -185,8 +185,8 @@ def test_sde_pure_noise_variance():
     mu, T, n = 0.4, 2.0, 400
     ends = np.empty(n)
     for j in range(n):
-        traj = integrate_sde(_terms(lambda x: 0.0 * x, [1.0, 0.0]),
-                             [0.0], 0.0, T, 1e-2, mu, NoiseStream(7, j))
+        traj, = integrate_sde(_terms(lambda x: 0.0 * x, [1.0, 0.0]),
+                              [0.0], 0.0, T, 1e-2, mu, [NoiseStream(7, j)])
         ends[j] = traj.states[-1, 0]
     var = ends.var(ddof=1)
     se = var * math.sqrt(2.0 / (n - 1))
@@ -194,18 +194,18 @@ def test_sde_pure_noise_variance():
 
 
 def test_sde_final_partial_step_lands_on_end():
-    traj = integrate_sde(_terms(np.ones_like, [0.0, 0.0]),
-                         [0.0], 0.0, 0.55, 0.1, 0.1, NoiseStream(2, 0))
+    traj, = integrate_sde(_terms(np.ones_like, [0.0, 0.0]),
+                          [0.0], 0.0, 0.55, 0.1, 0.1, [NoiseStream(2, 0)])
     assert traj.times[-1] == pytest.approx(0.55, abs=1e-14)
     assert traj.states[-1, 0] == pytest.approx(0.55, rel=1e-12)
 
 
 def test_sde_record_every_thins_output():
     terms = _terms(lambda x: 0.0 * x, [1.0, 0.0])
-    full = integrate_sde(terms, [0.0], 0.0, 1.0, 0.01, 0.2,
-                         NoiseStream(3, 1))
-    thin = integrate_sde(terms, [0.0], 0.0, 1.0, 0.01, 0.2,
-                         NoiseStream(3, 1), record_every=10)
+    full, = integrate_sde(terms, [0.0], 0.0, 1.0, 0.01, 0.2,
+                          [NoiseStream(3, 1)])
+    thin, = integrate_sde(terms, [0.0], 0.0, 1.0, 0.01, 0.2,
+                          [NoiseStream(3, 1)], record_every=10)
     assert thin.times.size < full.times.size
     # identical noise, so the recorded subsequence matches
     idx = np.searchsorted(full.times, thin.times)
@@ -214,11 +214,70 @@ def test_sde_record_every_thins_output():
 
 
 def test_sde_truncates_blowup():
-    traj = integrate_sde(_terms(lambda x: x ** 2, [0.0, 0.0]),
-                         [5.0], 0.0, 2.0, 1e-3, 0.1, NoiseStream(4, 0))
+    traj, = integrate_sde(_terms(lambda x: x ** 2, [0.0, 0.0]),
+                          [5.0], 0.0, 2.0, 1e-3, 0.1, [NoiseStream(4, 0)])
     assert traj.truncated
     assert traj.times[-1] < 2.0
     assert np.all(np.isfinite(traj.states))
+
+
+def _solo_runs(make_terms, x0, tau1, dt, mus, streams, record_every):
+    return [integrate_sde(make_terms, x0, 0.0, tau1, dt, mu, [stream],
+                          record_every=record_every)[0]
+            for mu, stream in zip(mus, streams)]
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+def test_sde_streams_stack_as_columns(monkeypatch, record_every):
+    # one call with n streams is n one-stream calls, bit for bit: each
+    # column draws its own stream, steps at its own mu and records its
+    # own rows.  The budget gives noise chunks of 64 steps for three
+    # columns and 192 for one, so both runs cross chunks, at different
+    # steps; the grid ends on a partial step
+    monkeypatch.setattr(integrators, "NOISE_BUDGET",
+                        64 * integrators.N_CHANNELS * 8 * 3)
+    mus = (0.1, 0.35, 0.55)
+    streams = [NoiseStream(9, j) for j in (0, 4, 2)]
+    ou = _terms(lambda x: -x, [1.0, 0.5])
+    stacked = integrate_sde(ou, [1.0], 0.0, 10.005, 0.01, mus, streams,
+                            record_every=record_every)
+    solo = _solo_runs(ou, [1.0], 10.005, 0.01, mus, streams, record_every)
+    assert len(stacked) == 3
+    for got, want in zip(stacked, solo):
+        assert not got.truncated and not want.truncated
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.states, want.states)
+    # columns see different noise and amplitudes, so the paths differ
+    assert stacked[0].states[-1, 0] != stacked[2].states[-1, 0]
+
+    # x' = x^2 from 5 leaves the finite range near tau 0.21, at a step
+    # that depends on each column's noise (tau 0.216, 0.210 and 0.212
+    # here): a column that is out stops recording while the others step
+    # on, and each keeps its own prefix and its own truncation flag
+    blowup = _terms(lambda x: x ** 2, [1.0, 0.5])
+    streams = [NoiseStream(2, j) for j in range(3)]
+    stacked = integrate_sde(blowup, [5.0], 0.0, 0.213, 1e-3, mus, streams,
+                            record_every=record_every)
+    solo = _solo_runs(blowup, [5.0], 0.213, 1e-3, mus, streams,
+                      record_every)
+    assert [t.truncated for t in stacked] == [False, True, True]
+    for got, want in zip(stacked, solo):
+        assert got.truncated == want.truncated
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.states, want.states)
+    if record_every == 1:
+        # the last row is the last finite state, or the end
+        assert [t.times[-1] for t in stacked] == pytest.approx(
+            [0.213, 0.209, 0.211], abs=1e-12)
+
+
+def test_sde_mu_per_stream_checked():
+    terms = _terms(lambda x: -x, [1.0, 0.0])
+    streams = [NoiseStream(1, 0), NoiseStream(1, 1)]
+    with pytest.raises(ValueError, match="mu must lie"):
+        integrate_sde(terms, [1.0], 0.0, 1.0, 0.1, (0.2, 1.0), streams)
+    with pytest.raises(ValueError):
+        integrate_sde(terms, [1.0], 0.0, 1.0, 0.1, (0.2, 0.3, 0.4), streams)
 
 
 def test_reference_matches_series_far_out(params, ref):
