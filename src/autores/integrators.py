@@ -173,6 +173,7 @@ def sde_step_count(tau0: float, tau1: float, dt: float) -> int:
 def step_grid(tau0: float, tau1: float, dt: float):
     """Euler-Maruyama step grid (tau_at, tau_next, h): per step its start
     and end time and its size; the last step ends exactly at tau1."""
+    _check_window(tau0, tau1)
     n_steps = sde_step_count(tau0, tau1, dt)
     k = np.arange(n_steps)
     tau_at = tau0 + k * dt
@@ -188,15 +189,17 @@ def default_dt(mu: float) -> float:
     return mu * mu / 10.0  # below 2.5e-4
 
 
-NOISE_BUDGET = 4 << 20  # bytes of noise increments drawn per chunk
+NOISE_BUDGET = 4 << 20  # bytes of noise buffers per em_paths call
 N_CHANNELS = 2          # Wiener channels per path
 N_SCRATCH = 3           # work rows em_paths lends to terms
 
 
-def chunk_steps(m: int) -> int:
-    """Steps per noise chunk for m paths: NOISE_BUDGET bytes of float64
-    increments, at least one step."""
-    return max(1, NOISE_BUDGET // (N_CHANNELS * 8 * m))
+def chunk_steps(m: int, n: int) -> int:
+    """Steps per noise chunk for m paths drawing from n streams: the
+    stream-major draws and the step-major increments, N_CHANNELS float64
+    per stream or path and step, fit in NOISE_BUDGET bytes; at least one
+    step."""
+    return max(1, NOISE_BUDGET // (N_CHANNELS * 8 * (n + m)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # escape is data
@@ -214,13 +217,22 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
     keep them.  mu is one amplitude for every path or an array of m, one
     per path.
 
+    Additive terms carry terms.additive, the intensity sigma per step of
+    G w = (0, ..., 0, sigma[k] w_last), w_last the last channel's
+    increment.  They write only f; em_paths forms a chunk's increments
+    mu G w in bulk, as (((z sqrt(dt)) sqrt(h / dt)) sigma) mu, the
+    operations and order of the general step, and adds one row per step
+    to the last component.
+
     m is a multiple of len(streams) = n, and path c draws from streams[c %
     n]: each stream is drawn once and its draws are copied into its m/n
     paths, which can differ only in mu.  A stream gives two uniforms for
     a start in the disc of radius ball_radius around x when ball_radius >
-    0, then its increments in chunks of chunk_steps(m) steps, first
-    channel then second per step.  A step shorter than dt rescales its
-    increment variance to its length.
+    0, then its increments in chunks of chunk_steps(m, n) steps, first
+    channel then second per step.  Each stream fills its own contiguous
+    rows of a stream-major buffer, and the sqrt(dt) multiply writes them
+    step-major; the two buffers fit in NOISE_BUDGET bytes.  A step
+    shorter than dt rescales its increment variance to its length.
 
     A step that leaves the finite range is not applied and ends that
     path; the overflow on the way is data, so numpy does not warn of it.
@@ -259,29 +271,39 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
     x_rows, new_rows = tuple(x), tuple(x_new)
     f_rows, gw_rows = tuple(f), tuple(gw)
     scratch = tuple(np.empty((N_SCRATCH, m)))
-    chunk = chunk_steps(m)
-    dw_buf = np.empty((min(chunk, n_steps), N_CHANNELS, m))
+    sigma = getattr(terms, "additive", None)
+    # additive terms need only the last channel's increments
+    chans = slice(None) if sigma is None else slice(-1, None)
+    chunk = min(chunk_steps(m, n), n_steps)
+    z_buf = np.empty((n, chunk, N_CHANNELS))
+    dw_buf = np.empty((chunk, N_CHANNELS if sigma is None else 1, m))
     k0 = 0
     while k0 < n_steps and n_active:
         k1 = min(k0 + chunk, n_steps)
-        dw = dw_buf[:k1 - k0]
+        z, dw = z_buf[:, :k1 - k0], dw_buf[:k1 - k0]
         drawn = dw[:, :, :n]
-        for i, rng in enumerate(rngs):
-            drawn[:, :, i] = rng.standard_normal((k1 - k0, N_CHANNELS))
-        drawn *= sqrt_dt
+        for z_i, rng in zip(z, rngs):
+            rng.standard_normal(out=z_i)
+        np.multiply(z[:, :, chans].transpose(1, 2, 0), sqrt_dt, out=drawn)
         # exactly 1.0 where h == dt, so one multiply per chunk rescales
         # the shorter steps and leaves every other increment as drawn
         drawn *= np.sqrt(h[k0:k1] / dt)[:, None, None]
         # path c >= n repeats the increments of path c % n
-        dw.reshape(k1 - k0, N_CHANNELS, m // n, n)[:, :, 1:] = \
-            drawn[:, :, None]
+        dw.reshape(k1 - k0, -1, m // n, n)[:, :, 1:] = drawn[:, :, None]
+        if sigma is not None:
+            dw *= sigma[k0:k1, None, None]
+            dw *= mu
         for k in range(k0, k1):
-            terms(k, x_rows, dw[k - k0], f_rows, gw_rows, scratch)
+            w = dw[k - k0]
+            terms(k, x_rows, w, f_rows, gw_rows, scratch)
             # x_new = (x + f h) + mu G w, rounded in that order
             f *= h[k]
             np.add(x, f, out=x_new)
-            gw *= mu
-            x_new += gw
+            if sigma is None:
+                gw *= mu
+                x_new += gw
+            else:
+                np.add(new_rows[-1], w[0], out=new_rows[-1])
             if n_active == m and math.isfinite(x_new.sum()):
                 # the common case: a finite sum has no inf or NaN term
                 moved = True

@@ -123,8 +123,13 @@ def perturbed_terms(p: SystemParams, n: NoiseSchedule, tau: np.ndarray):
     the three scratch rows for sin, cos and a temporary.  The Ito drift
     is the unperturbed field, computed in rhs_primary's operation order,
     so both give the same bits.
+
+    With sigma1 zero at every step the noise is additive, G w = (0,
+    sigma2 w2): terms then writes only f and carries sigma2 on tau as
+    terms.additive, for em_paths to form the noise in bulk.
     """
     s1, s2 = _intensities(n, tau)
+    additive = not s1.any()
     lam, gamma = p.lam, p.gamma
 
     def terms(k, x, w, f, gw, scratch):
@@ -138,7 +143,10 @@ def perturbed_terms(p: SystemParams, n: NoiseSchedule, tau: np.ndarray):
         f_r -= tmp
         np.subtract(r, lam * tau[k], out=f_psi)
         f_psi += cos_psi
-        _noise(s1[k], s2[k], r, sin_psi, cos_psi, w, gw, tmp)
+        if not additive:
+            _noise(s1[k], s2[k], r, sin_psi, cos_psi, w, gw, tmp)
+    if additive:
+        terms.additive = s2
     return terms
 
 
@@ -209,11 +217,12 @@ def error_terms(p: SystemParams, n: NoiseSchedule, tau: np.ndarray, star):
     is the original-variable one at the shifted state (r* + R, psi* +
     Psi); the reference solution itself satisfies the deterministic
     equations, so its noise terms cancel.  Returns terms(k, x, w, f, gw,
-    scratch) under the buffer contract of perturbed_terms; the drift
-    follows rhs_error's operation order, with sin and cos of psi* + Psi
-    evaluated once per step.
+    scratch) under the buffer contract of perturbed_terms, additive
+    noise included; the drift follows rhs_error's operation order, with
+    sin and cos of psi* + Psi evaluated once per step.
     """
     s1, s2 = _intensities(n, tau)
+    additive = not s1.any()
     rs, ps = star
     gamma = p.gamma
 
@@ -234,6 +243,9 @@ def error_terms(p: SystemParams, n: NoiseSchedule, tau: np.ndarray, star):
         np.negative(tmp, out=f_R)
         np.multiply(R, gamma, out=tmp)
         f_R -= tmp
-        np.add(R, rsk, out=gw[0])
-        _noise(s1[k], s2[k], gw[0], sin_d, cos_d, w, gw, tmp)
+        if not additive:
+            np.add(R, rsk, out=gw[0])
+            _noise(s1[k], s2[k], gw[0], sin_d, cos_d, w, gw, tmp)
+    if additive:
+        terms.additive = s2
     return terms

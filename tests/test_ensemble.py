@@ -392,22 +392,27 @@ def test_block_width_invariance(ref, cert, cfg_maker, monkeypatch):
                           sigma2=constant_schedule(0.5))
     ball_cfg = cfg_maker(n_paths=150, horizon=2.05, ball_radius=0.02,
                          noise=noise)
-    assert integrators.chunk_steps(150) < 2050
+    assert integrators.chunk_steps(150, 150) < 2050
     ball = run_ensemble(ball_cfg, ref)
     # and stacked with other amplitudes, every path keeps its ball start
-    # and its increments at each of them
+    # and its increments at each of them; with sigma1 = 0 as well, where
+    # the noise is additive and em_paths forms it a chunk at a time
     mus = [0.2, 0.3, 0.45]
-    ball_each = _at_each_mu(ball_cfg, mus, ref)
+    additive_cfg = dataclasses.replace(ball_cfg, noise=_noise(0.3, s2=0.5))
+    each = [(cfg, _at_each_mu(cfg, mus, ref))
+            for cfg in (ball_cfg, additive_cfg)]
 
     def stacked_is_each():
-        for got, want in zip(run_ensembles(ball_cfg, mus, ref), ball_each):
-            _stats_equal(got, want)
+        for cfg, cfg_each in each:
+            for got, want in zip(run_ensembles(cfg, mus, ref), cfg_each):
+                _stats_equal(got, want)
     stacked_is_each()
     for chunk in (500, 7):
-        # the budget of `chunk` steps for one block of 150 paths
+        # the budget of `chunk` steps for one block of 150 paths with a
+        # stream each (the stacked blocks get chunk/2 steps)
         monkeypatch.setattr(integrators, "NOISE_BUDGET",
-                            chunk * integrators.N_CHANNELS * 8 * 150)
-        assert integrators.chunk_steps(150) == chunk
+                            chunk * integrators.N_CHANNELS * 8 * (150 + 150))
+        assert integrators.chunk_steps(150, 150) == chunk
         _stats_equal(run_ensemble(ball_cfg, ref), ball)
         assert supermartingale_check(err_cfg, cert, N=1, ref=ref) == report
         stacked_is_each()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,7 @@ from autores.integrators import (IntegrationError, NoiseStream, Trajectory,
                                  reference_solution, sde_step_count)
 from autores.ensemble import classify_capture
 from autores.model import (NoiseSchedule, SystemParams, constant_schedule,
-                           rhs_primary)
+                           power_schedule, rhs_primary)
 
 
 def test_trajectory_invariants():
@@ -200,6 +201,17 @@ def test_sde_final_partial_step_lands_on_end():
     assert traj.states[-1, 0] == pytest.approx(0.55, rel=1e-12)
 
 
+def test_sde_rejects_bad_window():
+    # integrate_ode's window rule, checked where the step grid is built
+    terms = _terms(lambda x: -x, [1.0, 0.0])
+    for tau1 in (5.0, 4.0):
+        with pytest.raises(ValueError, match="tau1 must exceed tau0"):
+            integrate_sde(terms, [1.0], 5.0, tau1, 0.1, 0.2,
+                          [NoiseStream(1, 0)])
+        with pytest.raises(ValueError, match="tau1 must exceed tau0"):
+            integrators.step_grid(5.0, tau1, 0.1)
+
+
 def test_sde_record_every_thins_output():
     terms = _terms(lambda x: 0.0 * x, [1.0, 0.0])
     full, = integrate_sde(terms, [0.0], 0.0, 1.0, 0.01, 0.2,
@@ -235,7 +247,9 @@ def test_sde_streams_stack_as_columns(monkeypatch, record_every):
     # columns and 192 for one, so both runs cross chunks, at different
     # steps; the grid ends on a partial step
     monkeypatch.setattr(integrators, "NOISE_BUDGET",
-                        64 * integrators.N_CHANNELS * 8 * 3)
+                        64 * integrators.N_CHANNELS * 8 * (3 + 3))
+    assert integrators.chunk_steps(3, 3) == 64
+    assert integrators.chunk_steps(1, 1) == 192
     mus = (0.1, 0.35, 0.55)
     streams = [NoiseStream(9, j) for j in (0, 4, 2)]
     ou = _terms(lambda x: -x, [1.0, 0.5])
@@ -430,13 +444,18 @@ class _Recorder:
 
 
 @pytest.mark.parametrize("kind", ["perturbed", "error"])
-@pytest.mark.parametrize("start", ["tube", "overflow"])
-def test_em_paths_matches_plain_loop(params, ref, kind, start):
+@pytest.mark.parametrize("start, sigma1", [
+    ("tube", 0.4), ("overflow", 0.4), ("tube", 0.0), ("overflow", 0.0)],
+    ids=["tube", "overflow", "tube-additive", "overflow-additive"])
+def test_em_paths_matches_plain_loop(params, ref, kind, start, sigma1):
     # sigma1 != 0 feeds both channels, a window of 205.5 dt ends on a
     # half step, and a ball start draws first; near the largest double a
-    # step overflows for some paths, and the observer stops others
-    noise = NoiseSchedule(mu=0.3, sigma1=constant_schedule(0.4),
-                          sigma2=constant_schedule(1.0))
+    # step overflows for some paths, and the observer stops others.  With
+    # sigma1 = 0 the terms are additive and em_paths forms the noise in
+    # bulk, while the plain loop still adds the zero channel; sigma2 is
+    # not a power of two, so the order of the products shows in the bits
+    noise = NoiseSchedule(mu=0.3, sigma1=constant_schedule(sigma1),
+                          sigma2=power_schedule(3.0, -0.5))
     tau0, dt, m = 20.0, 1e-3, 100
     grid = integrators.step_grid(tau0, tau0 + 0.2055, dt)
     assert grid[2][-1] == pytest.approx(dt / 2)
@@ -449,6 +468,7 @@ def test_em_paths_matches_plain_loop(params, ref, kind, start):
     fused = (model.perturbed_terms(params, noise, grid[0])
              if kind == "perturbed"
              else model.error_terms(params, noise, grid[0], star))
+    assert hasattr(fused, "additive") == (sigma1 == 0)
     plain = _allocating_terms(kind, params, noise, grid[0], star)
     runs = []
     for engine, terms in ((integrators.em_paths, fused), (_plain_em, plain)):
@@ -474,3 +494,30 @@ def test_em_paths_matches_plain_loop(params, ref, kind, start):
     assert obs.stopped.any()
     assert (~np.isnan(esc)).any() == (start == "overflow")
     assert obs.seen[-1][0] == grid[2].size - 1
+
+
+@pytest.mark.parametrize("sigma1", [0.0, 0.4])
+def test_em_paths_noise_within_budget(params, sigma1):
+    # the stream-major draws and the step-major increments of one call
+    # fit in NOISE_BUDGET together: 256 paths with a stream each over
+    # 1100 steps, three chunks, peak within the budget plus a tenth of it
+    # (the 256 generators, about 600 bytes each, the state rows and the
+    # per-chunk temporaries took 245 KiB of the 410)
+    noise = NoiseSchedule(mu=0.3, sigma1=constant_schedule(sigma1),
+                          sigma2=constant_schedule(1.0))
+    m = 256
+    grid = integrators.step_grid(20.0, 21.1, 1e-3)
+    assert grid[2].size > 2 * integrators.chunk_steps(m, m)
+    terms = model.perturbed_terms(params, noise, grid[0])
+    streams = [NoiseStream(3, j) for j in range(m)]
+    x = np.empty((2, m))
+    x[0], x[1] = 20.0, 3.0
+    tracemalloc.start()
+    try:
+        integrators.em_paths(terms, x, grid, 1e-3, noise.mu, streams,
+                             lambda k, x, moved: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(x).all()
+    assert peak <= integrators.NOISE_BUDGET * 1.1
