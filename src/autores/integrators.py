@@ -19,7 +19,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from . import asymptotics
-from .model import SystemParams, rhs_primary
+from .model import SystemParams
 
 
 class IntegrationError(RuntimeError):
@@ -189,17 +189,27 @@ def default_dt(mu: float) -> float:
     return mu * mu / 10.0  # below 2.5e-4
 
 
-NOISE_BUDGET = 4 << 20  # bytes of noise buffers per em_paths call
+NOISE_BUDGET = 4 << 20  # bytes of chunk buffers per em_paths call
 N_CHANNELS = 2          # Wiener channels per path
 N_SCRATCH = 3           # work rows em_paths lends to terms
+N_OBSERVE = 2           # float64 per path and step left for the observer
+VIEW_BYTES = 128        # bytes of one numpy view, and of a tuple of views
+# steps per chunk at most: a chunk's fixed costs, a draw call per stream
+# and one observer call, are then within about 2 % of its steps' cost, so
+# longer chunks would only hold more memory
+MAX_CHUNK_STEPS = 512
 
 
-def chunk_steps(m: int, n: int) -> int:
-    """Steps per noise chunk for m paths drawing from n streams: the
-    stream-major draws and the step-major increments, N_CHANNELS float64
-    per stream or path and step, fit in NOISE_BUDGET bytes; at least one
-    step."""
-    return max(1, NOISE_BUDGET // (N_CHANNELS * 8 * (n + m)))
+def chunk_steps(m: int, n: int, d: int) -> int:
+    """Steps per chunk for m paths of d components drawing from n streams,
+    from one to MAX_CHUNK_STEPS: per step, the stream-major draws and the
+    step-major increments (N_CHANNELS float64 per stream or path), a slab
+    row (d float64 per path), the observer's work (N_OBSERVE float64 per
+    path) and the row's views (d + 2 of VIEW_BYTES) fit in NOISE_BUDGET
+    bytes.  The slab's row 0 is not counted."""
+    per_step = (8 * (N_CHANNELS * (n + m) + (d + N_OBSERVE) * m)
+                + VIEW_BYTES * (d + 2))
+    return max(1, min(MAX_CHUNK_STEPS, NOISE_BUDGET // per_step))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # escape is data
@@ -228,25 +238,33 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
     n]: each stream is drawn once and its draws are copied into its m/n
     paths, which can differ only in mu.  A stream gives two uniforms for
     a start in the disc of radius ball_radius around x when ball_radius >
-    0, then its increments in chunks of chunk_steps(m, n) steps, first
+    0, then its increments in chunks of chunk_steps(m, n, d) steps, first
     channel then second per step.  Each stream fills its own contiguous
     rows of a stream-major buffer, and the sqrt(dt) multiply writes them
-    step-major; the two buffers fit in NOISE_BUDGET bytes.  A step
-    shorter than dt rescales its increment variance to its length.
+    step-major.  A step shorter than dt rescales its increment variance
+    to its length.
 
-    A step that leaves the finite range is not applied and ends that
-    path; the overflow on the way is data, so numpy does not warn of it.
-    observe(k, x, moved) sees the start state as step -1 and then the
-    state after every step k, with moved the mask of paths that took the
-    step, or True when every path did; it may return a mask of paths to
-    stop.  x is an em_paths buffer that the next step overwrites, so an
-    observer copies what it keeps.  Stepping ends once no path is
-    active.  Returns, per path, the end time of the step at which it left
-    the finite range (NaN if it never did).
+    The chunk of steps from k0 on writes the state after step k0 + i - 1
+    into row i of a (chunk + 1, d, m) slab xs, whose row 0 is x for the
+    first chunk and the last row of the chunk before for the others; the
+    step writes there, so nothing is copied.  observe(k0, xs, esc) is
+    called once per chunk, after its steps.  esc[c] is the first row of
+    xs that is not a state of path c: the row of the step at which it
+    left the finite range, 0 if it left in an earlier chunk, or len(xs).
+    The rows from there on hold what stepping a non-finite state gives;
+    the overflow on the way is data, so numpy does not warn of it.  The
+    next chunk overwrites xs, so an observer copies what it keeps.
+    observe may return a mask of paths that need no more steps; they
+    step on, and stepping ends at the first chunk boundary where every
+    path is in it or has left the finite range.
+
+    x ends as each path's last finite state.  Returns, per path, the end
+    time of the step at which it left the finite range (NaN if it never
+    did).
     """
     _, tau_next, h = grid
     n_steps = h.size
-    m, n = x.shape[1], len(streams)
+    (d, m), n = x.shape, len(streams)
     if m % n:
         raise ValueError(f"{m} paths do not share {n} streams evenly")
     rngs = [s.generator() for s in streams]
@@ -260,25 +278,25 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
             offset[1, i] = rad * math.sin(2 * math.pi * ang)
         x += np.tile(offset, m // n)
     sqrt_dt = math.sqrt(dt)
-    active = np.ones(m, dtype=bool)
-    n_active = m
     escaped_at = np.full(m, np.nan)
-    observe(-1, x, True)
-    x_out = x
-    x_new, f, gw = (np.empty_like(x) for _ in range(3))
-    # row views made once: terms reads and writes rows, the update whole
-    # arrays, and x swaps with x_new instead of being copied
-    x_rows, new_rows = tuple(x), tuple(x_new)
+    dead = np.zeros(m, dtype=bool)
+    f, gw = np.empty_like(x), np.empty_like(x)
     f_rows, gw_rows = tuple(f), tuple(gw)
     scratch = tuple(np.empty((N_SCRATCH, m)))
     sigma = getattr(terms, "additive", None)
     # additive terms need only the last channel's increments
     chans = slice(None) if sigma is None else slice(-1, None)
-    chunk = min(chunk_steps(m, n), n_steps)
+    chunk = min(chunk_steps(m, n, d), n_steps)
     z_buf = np.empty((n, chunk, N_CHANNELS))
     dw_buf = np.empty((chunk, N_CHANNELS if sigma is None else 1, m))
+    slab = np.empty((chunk + 1, d, m))
+    # views made once: terms reads and writes rows, the update whole
+    # states, and step k of a chunk writes row k + 1 of the slab
+    states = list(slab)
+    rows = [tuple(state) for state in states]
+    slab[0] = x
     k0 = 0
-    while k0 < n_steps and n_active:
+    while k0 < n_steps:
         k1 = min(k0 + chunk, n_steps)
         z, dw = z_buf[:, :k1 - k0], dw_buf[:k1 - k0]
         drawn = dw[:, :, :n]
@@ -293,38 +311,37 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
         if sigma is not None:
             dw *= sigma[k0:k1, None, None]
             dw *= mu
-        for k in range(k0, k1):
-            w = dw[k - k0]
-            terms(k, x_rows, w, f_rows, gw_rows, scratch)
+        for i, k in enumerate(range(k0, k1)):
+            w = dw[i]
+            terms(k, rows[i], w, f_rows, gw_rows, scratch)
             # x_new = (x + f h) + mu G w, rounded in that order
             f *= h[k]
-            np.add(x, f, out=x_new)
+            x_new = states[i + 1]
+            np.add(states[i], f, out=x_new)
             if sigma is None:
                 gw *= mu
                 x_new += gw
             else:
-                np.add(new_rows[-1], w[0], out=new_rows[-1])
-            if n_active == m and math.isfinite(x_new.sum()):
-                # the common case: a finite sum has no inf or NaN term
-                moved = True
-                x, x_new = x_new, x
-                x_rows, new_rows = new_rows, x_rows
-            else:
-                moved = active & np.isfinite(x_new).all(axis=0)
-                np.copyto(x, x_new, where=moved)
-                n_moved = int(np.count_nonzero(moved))
-                if n_moved < n_active:
-                    escaped_at[active & ~moved] = tau_next[k]
-                    active, n_active = moved, n_moved
-            stop = observe(k, x, moved)
-            if stop is not None:
-                active = active & ~stop
-                n_active = int(np.count_nonzero(active))
-            if not n_active:
-                break
+                last = rows[i + 1][-1]
+                np.add(last, w[0], out=last)
+        xs = slab[:k1 - k0 + 1]
+        # the first non-finite step of each path that was finite so far
+        bad = ~np.isfinite(xs[1:]).all(axis=1)
+        first = bad.argmax(axis=0)
+        out = bad.any(axis=0) & ~dead
+        if out.any():
+            c = np.flatnonzero(out)
+            escaped_at[c] = tau_next[k0 + first[c]]
+            x[:, c] = xs[first[c], :, c].T
+            dead = dead | out
+        esc = np.where(out, first + 1, np.where(dead, 0, xs.shape[0]))
+        stop = observe(k0, xs, esc)
+        done = dead if stop is None else dead | stop
         k0 = k1
-    if x is not x_out:
-        np.copyto(x_out, x)
+        if done.all():
+            break
+        slab[0] = xs[-1]
+    np.copyto(x, xs[-1], where=~dead)
     return escaped_at
 
 
@@ -337,12 +354,12 @@ def integrate_sde(make_terms: Callable, x0, tau0: float, tau1: float,
     dt), built here, and returns terms(k, x, w, f, gw, scratch) writing f
     and G w as in em_paths; partial(model.perturbed_terms, p, noise) is
     the perturbed system's.  mu is one amplitude or one per stream.  The
-    streams run as the columns of one em_paths call, each recording
-    every record_every-th step and the last while it moves, so the path
-    for stream (master_seed, j) is bitwise path j of an ensemble with the
-    same start, whatever the other columns do.  The end time is hit
-    exactly via a shorter final step.  A non-finite state truncates that
-    path and flags its trajectory.
+    streams run as the columns of one em_paths call, each recording the
+    start, every record_every-th step and the last step while it is
+    finite, so the path for stream (master_seed, j) is bitwise path j of
+    an ensemble with the same start, whatever the other columns do.  The
+    end time is hit exactly via a shorter final step.  A non-finite state
+    truncates that path and flags its trajectory.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -353,17 +370,23 @@ def integrate_sde(make_terms: Callable, x0, tau0: float, tau1: float,
     grid = step_grid(tau0, tau1, dt)
     terms = make_terms(grid[0])
     n_steps = grid[0].size
+    # the time of each state of a path: the start, then each step's end
+    tau_rows = np.concatenate([[tau0], grid[1]])
     x = np.tile(np.asarray(x0, dtype=float).reshape(-1, 1), m)
     times, states, kept = [], [], []
 
-    def record(k, x, moved):
-        if (k + 1) % record_every == 0 or k == n_steps - 1:
-            times.append(grid[1][k] if k >= 0 else tau0)
-            states.append(x.copy())
-            kept.append(np.broadcast_to(moved, m))
+    def record(k0, xs, esc):
+        # slab row i is state k0 + i of the path; row 0 is the last row of
+        # the chunk before, except in the first chunk
+        g = np.arange(k0 + (k0 > 0), k0 + xs.shape[0])
+        g = g[(g % record_every == 0) | (g == n_steps)]
+        times.append(tau_rows[g])
+        states.append(xs[g - k0])
+        kept.append((g - k0)[:, None] < esc)
 
     escaped_at = em_paths(terms, x, grid, dt, mu, streams, record)
-    times, states, kept = np.array(times), np.array(states), np.array(kept)
+    times, states = np.concatenate(times), np.concatenate(states)
+    kept = np.concatenate(kept)
     return [Trajectory(times=times[keep], states=states[keep, :, c],
                        truncated=not math.isnan(escaped_at[c]))
             for c, keep in enumerate(kept.T)]
@@ -405,6 +428,18 @@ class ReferenceSolution:
         return self._spline_r(tau), self._spline_psi(tau)
 
 
+def _scalar_field(p: SystemParams) -> Callable:
+    """The unperturbed field as solve_ivp's fun(tau, y) for one state:
+    rhs_primary's operations in its order on Python floats, without
+    numpy's per-operation overhead on scalars."""
+    lam, gamma = p.lam, p.gamma
+
+    def field(tau, y):
+        r, psi = y.tolist()
+        return r * math.sin(psi) - gamma * r, r - lam * tau + math.cos(psi)
+    return field
+
+
 @functools.lru_cache(maxsize=8)
 def reference_solution(params: SystemParams) -> ReferenceSolution:
     """The captured reference solution for the stable branch.
@@ -430,9 +465,7 @@ def reference_solution(params: SystemParams) -> ReferenceSolution:
             f"exceeds {REF_SEED_RESIDUAL_TOL:.3e}")
     r0, psi0 = asymptotics.evaluate(exp, params, REF_TAU_SEED)
     y_seed = np.array([float(r0), float(psi0)])
-
-    def field(tau, y):
-        return rhs_primary(y, tau, params)
+    field = _scalar_field(params)
 
     def leg(tau_end):
         n = int(round(abs(tau_end - REF_TAU_SEED) / REF_GRID_STEP)) + 1

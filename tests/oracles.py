@@ -1,0 +1,220 @@
+"""The Euler-Maruyama engine and its observers written plainly, one step
+at a time, as oracles for integrators.em_paths, ensemble._run_blocks and
+integrators.integrate_sde, which observe whole chunks of steps.
+
+plain_em draws every increment up front and steps with fresh arrays and
+an explicit mask; a path that stopped or left the finite range is frozen.
+Its observer is called after every step as observe(k, x, moved): the
+start state as step -1, then the state after step k, with moved the mask
+of paths that took the step (True for the start); it may return a mask
+of paths to stop.  PlainTube, PlainStoppedU1 and plain_integrate_sde are
+the per-step observers the chunked ones replaced, kept as they were.
+"""
+
+import math
+
+import numpy as np
+
+from autores import integrators
+from autores.ensemble import CAPTURE_WINDOW, _captured
+from autores.integrators import NoiseStream, Trajectory
+from autores.lyapunov import chain_U, eval_V
+
+
+def plain_em(terms, x, grid, dt, mu, streams, observe, ball_radius):
+    """em_paths written plainly: every increment drawn up front, fresh
+    arrays on every step, a row-by-row update and an explicit mask.  One
+    stream per column; terms(k, x, w) returns fresh (f, G w)."""
+    _, tau_next, h = grid
+    rngs = [s.generator() for s in streams]
+    for i, rng in enumerate(rngs if ball_radius > 0 else ()):
+        u, ang = rng.uniform(size=2)
+        rad = ball_radius * math.sqrt(u)
+        x[0, i] += rad * math.cos(2 * math.pi * ang)
+        x[1, i] += rad * math.sin(2 * math.pi * ang)
+    z = np.stack([rng.standard_normal((h.size, 2)) for rng in rngs], axis=-1)
+    active = np.ones(x.shape[1], dtype=bool)
+    escaped_at = np.full(x.shape[1], np.nan)
+    observe(-1, x, True)
+    for k in range(h.size):
+        w = z[k] * math.sqrt(dt)
+        if h[k] != dt:
+            w = w * math.sqrt(h[k] / dt)
+        f, gw = terms(k, x, w)
+        x_new = np.array([xi + fi * h[k] + mu * gi
+                          for xi, fi, gi in zip(x, f, gw)])
+        moved = active & np.isfinite(x_new).all(axis=0)
+        escaped_at[active & ~moved] = tau_next[k]
+        x[:, moved] = x_new[:, moved]
+        stop = observe(k, x, moved)
+        active = moved if stop is None else moved & ~stop
+        if not active.any():
+            break
+    return escaped_at
+
+
+def plain_terms(terms, m):
+    """Fused em_paths terms as plain_em's terms(k, x, w) -> (f, G w).
+    Additive terms get G w = (0, ..., 0, sigma[k] w_last)."""
+    sigma = getattr(terms, "additive", None)
+
+    def plain(k, x, w):
+        d = x.shape[0]
+        f, gw = np.zeros((d, m)), np.zeros((d, m))
+        scratch = np.empty((integrators.N_SCRATCH, m))
+        terms(k, tuple(x), w, tuple(f), tuple(gw), tuple(scratch))
+        if sigma is not None:
+            gw[-1] = sigma[k] * w[-1]
+        return f, gw
+    return plain
+
+
+def plain_run_blocks(cfg, mus, grid, terms, observer):
+    """ensemble._run_blocks as one block of every path at every
+    amplitude, stepped by plain_em with one stream per column."""
+    mus = np.asarray(mus, dtype=float)
+    m = mus.size * cfg.n_paths
+    x = np.empty((2, m))
+    x[0], x[1] = float(cfg.x0[0]), float(cfg.x0[1])
+    obs = observer(m)
+    streams = [NoiseStream(cfg.master_seed, j)
+               for j in range(cfg.n_paths)] * mus.size
+    escaped_at = plain_em(plain_terms(terms, m), x, grid, cfg.dt,
+                          np.repeat(mus, cfg.n_paths), streams, obs,
+                          cfg.ball_radius)
+    obs.escaped_at = escaped_at  # for tests that check what a run covers
+    res = obs.result(x, escaped_at)
+    return [{key: value[..., a * cfg.n_paths:(a + 1) * cfg.n_paths]
+             for key, value in res.items()} for a in range(mus.size)]
+
+
+class PlainTube:
+    """Deviation, exit and capture statistics of one block of paths."""
+
+    def __init__(self, cfg, grid, star, m):
+        self.cfg = cfg
+        self.tau_next = grid[1]
+        self.star = star
+        self.sup_psi = np.zeros(m)
+        self.sup_rw = np.zeros(m)
+        self.sup_rr = np.zeros(m)
+        self.exit_time = np.full(m, cfg.horizon)
+        self.exited = np.zeros(m, dtype=bool)
+        self.window_start = cfg.tau0 + CAPTURE_WINDOW * cfg.horizon
+        self.psi_lo = np.full(m, np.inf)
+        self.psi_hi = np.full(m, -np.inf)
+
+    def __call__(self, k, x, moved):
+        if k < 0:
+            return
+        r, psi = x
+        tau = self.tau_next[k]
+        if self.star is not None:
+            rs, ps = self.star
+            eps1 = self.cfg.eps1
+            dev_psi = np.abs(psi - ps[k])
+            dev_r = np.abs(r - rs[k])
+            dev_rw = dev_r * (1.0 / math.sqrt(tau))
+            np.maximum(self.sup_psi, dev_psi, out=self.sup_psi, where=moved)
+            np.maximum(self.sup_rw, dev_rw, out=self.sup_rw, where=moved)
+            np.maximum(self.sup_rr, dev_r, out=self.sup_rr, where=moved)
+            newly_out = moved & ((dev_psi >= eps1) | (dev_rw >= eps1))
+            newly_out &= ~self.exited
+            if newly_out.any():
+                self.exit_time[newly_out] = tau - self.cfg.tau0
+                self.exited |= newly_out
+        if tau >= self.window_start:
+            np.minimum(self.psi_lo, psi, out=self.psi_lo, where=moved)
+            np.maximum(self.psi_hi, psi, out=self.psi_hi, where=moved)
+
+    def result(self, x, escaped_at):
+        cfg = self.cfg
+        dead = ~np.isnan(escaped_at)
+        captured = ~dead & _captured(x[0], cfg.tau0 + cfg.horizon,
+                                     self.psi_hi - self.psi_lo, cfg.params)
+        exit_times = np.where(dead & ~self.exited, escaped_at - cfg.tau0,
+                              self.exit_time)
+        return {
+            "exit_times": exit_times, "censored": ~(self.exited | dead),
+            "sup_psi_dev": self.sup_psi, "sup_r_dev_weighted": self.sup_rw,
+            "sup_r_dev_raw": self.sup_rr, "captured": captured,
+            "end_states": x,
+        }
+
+
+class PlainStoppedU1:
+    """Stopped comparison function U_1 of one block of error-system paths;
+    stop_step records the step at which each path stopped (-2 if never)."""
+
+    def __init__(self, cfg, cert, grid, star, obs_idx, m):
+        self.cfg, self.cert, self.obs_idx = cfg, cert, obs_idx
+        self.tau_next = grid[1]
+        self.rs, self.ps = star
+        self.stopped = np.zeros(m, dtype=bool)
+        self.stop_step = np.full(m, -2)
+        self.obs = np.empty((obs_idx.size, m))
+        self.obs_ptr = 0
+        self.u_now = np.empty(m)
+        self.u_sup = np.full(m, -np.inf)
+
+    def __call__(self, k, x, moved):
+        cfg = self.cfg
+        out = None
+        if k >= 0:
+            R, Psi = x
+            out = moved & (R * R + Psi * Psi > self.cert.d0 * self.cert.d0)
+            self.stopped |= out
+            self.stop_step[out] = k
+            tau, star = self.tau_next[k], (self.rs[k], self.ps[k])
+        else:
+            tau, star = cfg.tau0, (self.rs[0], self.ps[0])
+        V = eval_V(x, tau, cfg.params, star)
+        np.copyto(self.u_now, chain_U(cfg.noise.mu, cfg.noise.h, 2,
+                                      self.cert.C, cfg.horizon, 4.0 * V, tau,
+                                      cfg.tau0), where=moved)
+        np.maximum(self.u_sup, self.u_now, out=self.u_sup)
+        ptr = self.obs_ptr
+        if ptr < self.obs_idx.size and k == self.obs_idx[ptr]:
+            self.obs[ptr] = self.u_now
+            self.obs_ptr = ptr + 1
+        return out
+
+    def result(self, x, escaped_at):
+        self.obs[self.obs_ptr:] = self.u_now
+        return {"obs": self.obs, "u_sup": self.u_sup,
+                "stopped": self.stopped | ~np.isnan(escaped_at)}
+
+
+def plain_integrate_sde(make_terms, x0, tau0, tau1, dt, mu, streams,
+                        record_every=1):
+    """integrate_sde with its per-step recorder, stepped by plain_em."""
+    m = len(streams)
+    mu = np.broadcast_to(np.asarray(mu, dtype=float), (m,))
+    grid = integrators.step_grid(tau0, tau1, dt)
+    terms = make_terms(grid[0])
+    n_steps = grid[0].size
+    x = np.tile(np.asarray(x0, dtype=float).reshape(-1, 1), m)
+    times, states, kept = [], [], []
+
+    def record(k, x, moved):
+        if (k + 1) % record_every == 0 or k == n_steps - 1:
+            times.append(grid[1][k] if k >= 0 else tau0)
+            states.append(x.copy())
+            kept.append(np.broadcast_to(moved, m))
+
+    escaped_at = plain_em(plain_terms(terms, m), x, grid, dt, mu, streams,
+                          record, 0.0)
+    times, states, kept = np.array(times), np.array(states), np.array(kept)
+    return [Trajectory(times=times[keep], states=states[keep, :, c],
+                       truncated=not math.isnan(escaped_at[c]))
+            for c, keep in enumerate(kept.T)]
+
+
+def set_chunk(monkeypatch, chunk, m, n, d=2):
+    """Set NOISE_BUDGET so that em_paths steps m paths of d components
+    drawing from n streams in chunks of `chunk` steps."""
+    per_step = (8 * (integrators.N_CHANNELS * (n + m)
+                     + (d + integrators.N_OBSERVE) * m)
+                + integrators.VIEW_BYTES * (d + 2))
+    monkeypatch.setattr(integrators, "NOISE_BUDGET", chunk * per_step)
+    assert integrators.chunk_steps(m, n, d) == chunk

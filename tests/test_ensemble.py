@@ -13,6 +13,7 @@ from autores.integrators import NoiseStream, Trajectory, integrate_sde
 from autores.ensemble import (EnsembleConfig, classify_capture,
                               exit_time_scaling, run_ensemble, run_ensembles,
                               supermartingale_check, wilson_interval)
+from oracles import set_chunk
 
 
 def _noise(mu, s2=1.0):
@@ -392,7 +393,7 @@ def test_block_width_invariance(ref, cert, cfg_maker, monkeypatch):
                           sigma2=constant_schedule(0.5))
     ball_cfg = cfg_maker(n_paths=150, horizon=2.05, ball_radius=0.02,
                          noise=noise)
-    assert integrators.chunk_steps(150, 150) < 2050
+    assert integrators.chunk_steps(150, 150, 2) < 2050
     ball = run_ensemble(ball_cfg, ref)
     # and stacked with other amplitudes, every path keeps its ball start
     # and its increments at each of them; with sigma1 = 0 as well, where
@@ -409,10 +410,8 @@ def test_block_width_invariance(ref, cert, cfg_maker, monkeypatch):
     stacked_is_each()
     for chunk in (500, 7):
         # the budget of `chunk` steps for one block of 150 paths with a
-        # stream each (the stacked blocks get chunk/2 steps)
-        monkeypatch.setattr(integrators, "NOISE_BUDGET",
-                            chunk * integrators.N_CHANNELS * 8 * (150 + 150))
-        assert integrators.chunk_steps(150, 150) == chunk
+        # stream each (the stacked blocks of 450 get 206 and 2 steps)
+        set_chunk(monkeypatch, chunk, 150, 150)
         _stats_equal(run_ensemble(ball_cfg, ref), ball)
         assert supermartingale_check(err_cfg, cert, N=1, ref=ref) == report
         stacked_is_each()

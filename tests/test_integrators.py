@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -5,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from autores import asymptotics, integrators, model
+from autores import asymptotics, ensemble, integrators, model
 from autores.asymptotics import STABLE, evaluate, expand
 from autores.integrators import (IntegrationError, NoiseStream, Trajectory,
                                  default_dt, integrate_ode,
@@ -14,6 +15,7 @@ from autores.integrators import (IntegrationError, NoiseStream, Trajectory,
 from autores.ensemble import classify_capture
 from autores.model import (NoiseSchedule, SystemParams, constant_schedule,
                            power_schedule, rhs_primary)
+from oracles import plain_em, set_chunk
 
 
 def test_trajectory_invariants():
@@ -243,13 +245,11 @@ def _solo_runs(make_terms, x0, tau1, dt, mus, streams, record_every):
 def test_sde_streams_stack_as_columns(monkeypatch, record_every):
     # one call with n streams is n one-stream calls, bit for bit: each
     # column draws its own stream, steps at its own mu and records its
-    # own rows.  The budget gives noise chunks of 64 steps for three
-    # columns and 192 for one, so both runs cross chunks, at different
-    # steps; the grid ends on a partial step
-    monkeypatch.setattr(integrators, "NOISE_BUDGET",
-                        64 * integrators.N_CHANNELS * 8 * (3 + 3))
-    assert integrators.chunk_steps(3, 3) == 64
-    assert integrators.chunk_steps(1, 1) == 192
+    # own rows.  The budget gives chunks of 64 steps for three columns
+    # and 80 for one, so both runs cross chunks, at different steps;
+    # the grid ends on a partial step
+    set_chunk(monkeypatch, 64, 3, 3, d=1)
+    assert integrators.chunk_steps(1, 1, 1) == 80
     mus = (0.1, 0.35, 0.55)
     streams = [NoiseStream(9, j) for j in (0, 4, 2)]
     ou = _terms(lambda x: -x, [1.0, 0.5])
@@ -332,6 +332,29 @@ def test_reference_built_once_per_params(params, ref):
             assert np.array_equal(got, want)
 
 
+def test_reference_field_is_rhs_primary(params):
+    # the reference build's field on Python floats gives rhs_primary's
+    # bits: at random states and along the backward leg, node for node
+    field = integrators._scalar_field(params)
+    rng = np.random.default_rng(3)
+    for tau, r, psi in rng.uniform([5.0, -50.0, -10.0], [400.0, 50.0, 10.0],
+                                   size=(1000, 3)):
+        got = field(tau, np.array([r, psi]))
+        want = rhs_primary(np.array([r, psi]), tau, params)
+        assert np.array_equal(np.array(got), np.array(want))
+    exp = expand(params, STABLE, integrators.REF_K)
+    y0 = np.array([float(v) for v in
+                   evaluate(exp, params, integrators.REF_TAU_SEED)])
+    t_eval = np.linspace(integrators.REF_TAU_SEED, integrators.REF_TAU_MIN,
+                         1901)
+    legs = [integrators._solve(fn, y0, integrators.REF_TAU_SEED,
+                               integrators.REF_TAU_MIN, integrators.REF_TOL,
+                               t_eval)
+            for fn in (field, lambda tau, y: rhs_primary(y, tau, params))]
+    assert np.array_equal(legs[0][0], legs[1][0])
+    assert np.array_equal(legs[0][1], legs[1][1])
+
+
 def test_failed_reference_build_not_kept(monkeypatch):
     # a build that raises is not cached: the next call builds again
     calls = []
@@ -395,65 +418,59 @@ def _allocating_terms(kind, p, noise, tau, star):
     return perturbed if kind == "perturbed" else error
 
 
-def _plain_em(terms, x, grid, dt, mu, streams, observe, ball_radius):
-    """em_paths written plainly: every increment drawn up front, fresh
-    arrays on every step, a row-by-row update and an explicit mask."""
-    _, tau_next, h = grid
-    rngs = [s.generator() for s in streams]
-    for i, rng in enumerate(rngs if ball_radius > 0 else ()):
-        u, ang = rng.uniform(size=2)
-        rad = ball_radius * math.sqrt(u)
-        x[0, i] += rad * math.cos(2 * math.pi * ang)
-        x[1, i] += rad * math.sin(2 * math.pi * ang)
-    z = np.stack([rng.standard_normal((h.size, 2)) for rng in rngs], axis=-1)
-    active = np.ones(x.shape[1], dtype=bool)
-    escaped_at = np.full(x.shape[1], np.nan)
-    observe(-1, x, True)
-    for k in range(h.size):
-        w = z[k] * math.sqrt(dt)
-        if h[k] != dt:
-            w = w * math.sqrt(h[k] / dt)
-        f, gw = terms(k, x, w)
-        x_new = np.array([xi + fi * h[k] + mu * gi
-                          for xi, fi, gi in zip(x, f, gw)])
-        moved = active & np.isfinite(x_new).all(axis=0)
-        escaped_at[active & ~moved] = tau_next[k]
-        x[:, moved] = x_new[:, moved]
-        stop = observe(k, x, moved)
-        active = moved if stop is None else moved & ~stop
-        if not active.any():
-            break
-    return escaped_at
-
-
 class _Recorder:
-    """Observer that keeps every state it sees and stops a path whose
-    first component leaves [c - lim, c + lim]."""
+    """plain_em observer that keeps, per path, every state it sees while
+    the path moves, and stops a path whose first component leaves [c -
+    lim, c + lim]."""
 
     def __init__(self, c, lim, m):
-        self.c, self.lim, self.seen = c, lim, []
+        self.c, self.lim = c, lim
+        self.seen = [[] for _ in range(m)]
         self.stopped = np.zeros(m, dtype=bool)
 
     def __call__(self, k, x, moved):
-        moved = np.broadcast_to(moved, x.shape[1]).copy()
-        self.seen.append((k, x.copy(), moved))
+        moved = np.broadcast_to(moved, x.shape[1])
+        for j in np.flatnonzero(moved):
+            self.seen[j].append((k, x[:, j].copy()))
         if k >= 0:
             stop = moved & (np.abs(x[0] - self.c) > self.lim)
             self.stopped |= stop
             return stop
 
 
+class _ChunkRecorder(_Recorder):
+    """The em_paths observer that sees what _Recorder sees: per path,
+    each state up to the path's stop or its escape row, with the same
+    stopping rule applied row by row; it counts its calls."""
+
+    def __init__(self, c, lim, m):
+        super().__init__(c, lim, m)
+        self.calls = 0
+
+    def __call__(self, k0, xs, esc):
+        self.calls += 1
+        for i in range(0 if k0 == 0 else 1, xs.shape[0]):
+            live = (i < esc) & ~self.stopped
+            super().__call__(k0 + i - 1, xs[i], live)
+        return self.stopped
+
+
 @pytest.mark.parametrize("kind", ["perturbed", "error"])
 @pytest.mark.parametrize("start, sigma1", [
     ("tube", 0.4), ("overflow", 0.4), ("tube", 0.0), ("overflow", 0.0)],
     ids=["tube", "overflow", "tube-additive", "overflow-additive"])
-def test_em_paths_matches_plain_loop(params, ref, kind, start, sigma1):
+def test_em_paths_matches_plain_loop(params, ref, monkeypatch, kind, start,
+                                     sigma1):
     # sigma1 != 0 feeds both channels, a window of 205.5 dt ends on a
     # half step, and a ball start draws first; near the largest double a
     # step overflows for some paths, and the observer stops others.  With
     # sigma1 = 0 the terms are additive and em_paths forms the noise in
     # bulk, while the plain loop still adds the zero channel; sigma2 is
-    # not a power of two, so the order of the products shows in the bits
+    # not a power of two, so the order of the products shows in the bits.
+    # em_paths runs in one chunk and in chunks of 7 steps.  A stopped
+    # path steps on to its chunk's end there, where the plain loop
+    # freezes it, so states are compared up to each path's stop or
+    # escape, and a stopped path's end state and escape time are not
     noise = NoiseSchedule(mu=0.3, sigma1=constant_schedule(sigma1),
                           sigma2=power_schedule(3.0, -0.5))
     tau0, dt, m = 20.0, 1e-3, 100
@@ -470,54 +487,136 @@ def test_em_paths_matches_plain_loop(params, ref, kind, start, sigma1):
              else model.error_terms(params, noise, grid[0], star))
     assert hasattr(fused, "additive") == (sigma1 == 0)
     plain = _allocating_terms(kind, params, noise, grid[0], star)
-    runs = []
-    for engine, terms in ((integrators.em_paths, fused), (_plain_em, plain)):
+    streams = [NoiseStream(17, j) for j in range(m)]
+
+    def run(engine, terms, obs):
         x = np.empty((2, m))
         x[0], x[1] = x0
-        obs = _Recorder(float(x0[0]), lim, m)
         with np.errstate(over="ignore", invalid="ignore"):
-            esc = engine(terms, x, grid, dt, noise.mu,
-                         [NoiseStream(17, j) for j in range(m)], obs,
+            esc = engine(terms, x, grid, dt, noise.mu, streams, obs,
                          ball_radius=radius)
-        runs.append((esc, x, obs))
-    (esc, x, obs), (esc_ref, x_ref, obs_ref) = runs
-    assert np.array_equal(esc, esc_ref, equal_nan=True)
-    assert np.array_equal(x, x_ref)
-    assert len(obs.seen) == len(obs_ref.seen)
-    for (k, xs, moved), (k_ref, xs_ref, moved_ref) in zip(obs.seen,
-                                                          obs_ref.seen):
-        assert k == k_ref
-        assert np.array_equal(xs, xs_ref), k
-        assert np.array_equal(moved, moved_ref), k
+        return esc, x, obs
+
+    esc_ref, x_ref, obs_ref = run(plain_em, plain,
+                                  _Recorder(float(x0[0]), lim, m))
+    free = ~obs_ref.stopped
+    for chunk in (None, 7):
+        if chunk is not None:
+            set_chunk(monkeypatch, chunk, m, m)
+        esc, x, obs = run(integrators.em_paths, fused,
+                          _ChunkRecorder(float(x0[0]), lim, m))
+        assert obs.calls == -(-grid[2].size // (chunk or grid[2].size))
+        assert np.array_equal(obs.stopped, obs_ref.stopped)
+        assert np.array_equal(esc[free], esc_ref[free], equal_nan=True)
+        assert np.array_equal(x[:, free], x_ref[:, free])
+        for j, (seen, seen_ref) in enumerate(zip(obs.seen, obs_ref.seen)):
+            assert [k for k, _ in seen] == [k for k, _ in seen_ref], j
+            for (k, state), (_, state_ref) in zip(seen, seen_ref):
+                assert np.array_equal(state, state_ref), (j, k)
     # the case is exercised: stopped paths, escapes near overflow, and
     # paths that take the final half step
-    assert obs.stopped.any()
-    assert (~np.isnan(esc)).any() == (start == "overflow")
-    assert obs.seen[-1][0] == grid[2].size - 1
+    assert obs_ref.stopped.any()
+    assert (~np.isnan(esc_ref)).any() == (start == "overflow")
+    assert max(seen[-1][0] for seen in obs_ref.seen) == grid[2].size - 1
 
 
-@pytest.mark.parametrize("sigma1", [0.0, 0.4])
-def test_em_paths_noise_within_budget(params, sigma1):
-    # the stream-major draws and the step-major increments of one call
-    # fit in NOISE_BUDGET together: 256 paths with a stream each over
-    # 1100 steps, three chunks, peak within the budget plus a tenth of it
-    # (the 256 generators, about 600 bytes each, the state rows and the
-    # per-chunk temporaries took 245 KiB of the 410)
+def test_em_paths_observes_once_per_chunk(monkeypatch):
+    # 1000 steps in chunks of 64 are 16 observer calls; row 0 of each
+    # chunk is the start state, then the last row of the chunk before
+    set_chunk(monkeypatch, 64, 3, 3, d=1)
+    grid = integrators.step_grid(0.0, 1.0, 1e-3)
+    terms = _terms(lambda x: -x, [1.0, 0.5])(grid[0])
+    streams = [NoiseStream(5, j) for j in range(3)]
+    calls = []
+
+    def observe(k0, xs, esc):
+        calls.append((k0, xs.copy(), esc.copy()))
+
+    x = np.ones((1, 3))
+    escaped_at = integrators.em_paths(terms, x, grid, 1e-3, 0.3, streams,
+                                      observe)
+    assert [k0 for k0, _, _ in calls] == list(range(0, 1000, 64))
+    assert [xs.shape[0] for _, xs, _ in calls] == [65] * 15 + [41]
+    assert np.array_equal(calls[0][1][0], np.ones((1, 3)))
+    for (_, before, _), (_, after, _) in zip(calls, calls[1:]):
+        assert np.array_equal(after[0], before[-1])
+    assert all(np.array_equal(esc, [xs.shape[0]] * 3)
+               for _, xs, esc in calls)
+    assert np.array_equal(x, calls[-1][1][-1])
+    assert np.isnan(escaped_at).all()
+
+    # an observer that stops every path ends stepping after its chunk
+    calls.clear()
+
+    def stop_all(k0, xs, esc):
+        calls.append(k0)
+        return np.ones(xs.shape[2], dtype=bool)
+    integrators.em_paths(terms, np.ones((1, 3)), grid, 1e-3, 0.3, streams,
+                         stop_all)
+    assert calls == [0]
+
+
+def _tube_observer(params, ref, grid, m):
+    cfg = SimpleNamespace(tau0=20.0, horizon=1.1, eps1=0.3, params=params)
+    return ensemble._TubeObserver(cfg, grid, ref.state(grid[1]), m)
+
+
+def _stopped_u1(params, ref, cert, grid, m):
+    noise = NoiseSchedule(mu=0.3, sigma1=constant_schedule(0.0),
+                          sigma2=constant_schedule(1.0))
+    cfg = SimpleNamespace(tau0=20.0, horizon=1.1, params=params, noise=noise)
+    obs_idx = np.concatenate([[-1], np.arange(0, grid[0].size, 100)])
+    # a tube no path leaves, so every chunk is stepped and observed
+    wide = dataclasses.replace(cert, d0=10.0)
+    return ensemble._StoppedU1(cfg, wide, grid, ref.state(grid[1]), obs_idx,
+                               m)
+
+
+def _em_paths_peak(params, ref, cert, sigma1, observer=None):
+    """Traced peak of one em_paths call at 256 paths with a stream each
+    over 1100 steps, five chunks, with no-op, tube or U_1 observer."""
     noise = NoiseSchedule(mu=0.3, sigma1=constant_schedule(sigma1),
                           sigma2=constant_schedule(1.0))
     m = 256
     grid = integrators.step_grid(20.0, 21.1, 1e-3)
-    assert grid[2].size > 2 * integrators.chunk_steps(m, m)
-    terms = model.perturbed_terms(params, noise, grid[0])
+    assert grid[2].size > 4 * integrators.chunk_steps(m, m, 2)
     streams = [NoiseStream(3, j) for j in range(m)]
     x = np.empty((2, m))
-    x[0], x[1] = 20.0, 3.0
+    if observer == "stopped":
+        terms = model.error_terms(params, noise, grid[0], ref.state(grid[1]))
+        obs = _stopped_u1(params, ref, cert, grid, m)
+        x[:] = 0.0
+    else:
+        terms = model.perturbed_terms(params, noise, grid[0])
+        obs = (_tube_observer(params, ref, grid, m) if observer == "tube"
+               else lambda k0, xs, esc: None)
+        x[0], x[1] = ref.state(20.0)
     tracemalloc.start()
     try:
-        integrators.em_paths(terms, x, grid, 1e-3, noise.mu, streams,
-                             lambda k, x, moved: None)
+        integrators.em_paths(terms, x, grid, 1e-3, noise.mu, streams, obs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.isfinite(x).all()
+    return peak, obs
+
+
+@pytest.mark.parametrize("sigma1", [0.0, 0.4])
+def test_em_paths_noise_within_budget(params, ref, cert, sigma1):
+    # the stream-major draws, the step-major increments and the state
+    # slab of one call fit in NOISE_BUDGET together, peak within the
+    # budget plus a tenth of it (the 256 generators, about 600 bytes
+    # each, the slab's row views and the per-chunk temporaries use the
+    # tenth)
+    peak, _ = _em_paths_peak(params, ref, cert, sigma1)
     assert peak <= integrators.NOISE_BUDGET * 1.1
+
+
+@pytest.mark.parametrize("observer", ["tube", "stopped"])
+def test_em_paths_observer_within_budget(params, ref, cert, observer):
+    # and so does the observers' work on the slab: a reference-tracked
+    # _TubeObserver, and a _StoppedU1 on the deviation system
+    peak, obs = _em_paths_peak(params, ref, cert, 0.0, observer)
+    assert peak <= integrators.NOISE_BUDGET * 1.1
+    if observer == "tube":
+        assert obs.exited.any() and not obs.exited.all()

@@ -1,12 +1,18 @@
-"""Property tests: Wilson intervals, the Euler-Maruyama step grid and the
-ensemble's path blocks, over generated inputs."""
+"""Property tests: Wilson intervals, the Euler-Maruyama step grid, the
+ensemble's path blocks, and ensemble outputs under any chunk length,
+block width and amplitude stacking, over generated inputs."""
+
+import dataclasses
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from autores import ensemble
-from autores.ensemble import wilson_interval
+from autores import ensemble, integrators
+from autores.ensemble import (EnsembleConfig, run_ensemble, run_ensembles,
+                              supermartingale_check, wilson_interval)
 from autores.integrators import sde_step_count, step_grid
+from autores.model import NoiseSchedule, constant_schedule, power_schedule
 
 
 @st.composite
@@ -60,3 +66,59 @@ def test_path_blocks_partition_paths(n_paths):
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
     assert min(widths) > 0 and max(widths) <= ensemble.MAX_BLOCK_PATHS
     assert max(widths) - min(widths) <= 1
+
+
+_MUS = (0.2, 0.3, 0.45)
+_expected = {}
+
+
+def _engine_cases(params, ref, cert):
+    """A reference-tracked ensemble with a ball start and both noise
+    channels, where 9 to 73 % of the paths exit, and a supermartingale
+    run where a third of them stop, with their outputs at the default
+    budget and block width: the ensemble at each amplitude of _MUS run
+    alone, and the report."""
+    if not _expected:
+        ens = EnsembleConfig(
+            params=params, noise=NoiseSchedule(
+                mu=0.3, sigma1=power_schedule(0.02, -1.0),
+                sigma2=constant_schedule(0.5)),
+            tau0=20.0, horizon=0.3005, dt=1e-3, n_paths=100, master_seed=5,
+            x0=tuple(ref.state(20.0)), ball_radius=0.02, eps1=0.1)
+        err = EnsembleConfig(
+            params=params, noise=NoiseSchedule(
+                mu=0.3, sigma1=constant_schedule(0.0),
+                sigma2=constant_schedule(0.5)),
+            tau0=cert.tau0, horizon=0.3, dt=1e-3, n_paths=100,
+            master_seed=6, x0=(0.1, 0.1))
+        _expected.update(
+            ens=ens, err=err,
+            each=[run_ensemble(dataclasses.replace(
+                ens, noise=dataclasses.replace(ens.noise, mu=mu)), ref)
+                for mu in _MUS],
+            report=supermartingale_check(err, cert, N=1, ref=ref))
+    return _expected
+
+
+@settings(max_examples=10, deadline=None)
+@given(budget=st.integers(1, 1 << 22), width=st.integers(30, 2048),
+       order=st.permutations(range(len(_MUS))))
+def test_outputs_do_not_depend_on_chunks_blocks_or_stacking(
+        params, ref, cert, budget, width, order):
+    # any noise budget (chunks of one step up to the whole run), any
+    # block width, and the amplitudes stacked in any order give the bits
+    # of each amplitude run alone at the defaults
+    case = _engine_cases(params, ref, cert)
+    with mock.patch.object(integrators, "NOISE_BUDGET", budget), \
+            mock.patch.object(ensemble, "MAX_BLOCK_PATHS", width):
+        stacked = run_ensembles(case["ens"], [_MUS[i] for i in order], ref)
+        report = supermartingale_check(case["err"], cert, N=1, ref=ref)
+    for i, got in zip(order, stacked):
+        want = case["each"][i]
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, np.ndarray):
+                assert np.array_equal(a, b, equal_nan=True), field.name
+            else:
+                assert a == b, field.name
+    assert report == case["report"]
