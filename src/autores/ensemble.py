@@ -8,8 +8,12 @@ thread.  Every path owns a counter-based noise stream keyed by
 aggregates are bit-identical at any block width.  A study at several
 noise amplitudes runs them as columns of the same blocks, each path's
 stream drawn once for all of them.  A block's statistics are read from
-every step of every path, a chunk of steps at a time, as em_paths hands
-them over.
+every step of every running path, a chunk of steps at a time, as
+em_paths hands them over.  A study that reads a path only up to a
+stopping time stops it there: em_paths then steps it to the end of that
+chunk and no further.  The supermartingale check stops paths at the
+certified tube, and the exit-time study at their first exit; capture
+and deviation statistics read every path to the horizon.
 """
 
 from __future__ import annotations
@@ -160,8 +164,10 @@ def _run_blocks(cfg: EnsembleConfig, mus: Sequence[float], grid, terms,
     amplitude-major: each path's stream is drawn once and feeds its
     column at every amplitude.  observer(m) makes a fresh observer for a
     block of m columns; em_paths calls it once per chunk of steps with
-    that chunk's states, and its result(x, escaped_at) returns a dict of
-    arrays whose last axis runs over the columns.
+    that chunk's states of the running columns and their indices, and
+    may drop the columns it returns as stopped.  Its result(x,
+    escaped_at) returns a dict of arrays whose last axis runs over the
+    columns.
     """
     mus = np.asarray(mus, dtype=float)
     blocks = []
@@ -185,12 +191,13 @@ def _live_rows(xs, esc):
     return np.arange(1, xs.shape[0])[:, None] < esc
 
 
-def _fold(ufunc, acc, values, where, initial):
-    """acc = ufunc(acc, ufunc over axis 0 of values where `where` holds);
-    a column with no such row keeps acc.  ufunc is np.maximum or
-    np.minimum, so the order of the rows does not change a bit."""
-    ufunc(acc, ufunc.reduce(values, axis=0, where=where, initial=initial),
-          out=acc)
+def _fold(ufunc, acc, cols, values, where, initial):
+    """acc[cols] = ufunc(acc[cols], ufunc over axis 0 of values where
+    `where` holds); a column with no such row keeps acc.  ufunc is
+    np.maximum or np.minimum, so the order of the rows does not change a
+    bit."""
+    acc[cols] = ufunc(acc[cols], ufunc.reduce(values, axis=0, where=where,
+                                              initial=initial))
 
 
 class _TubeObserver:
@@ -212,7 +219,7 @@ class _TubeObserver:
         self.psi_lo = np.full(m, np.inf)
         self.psi_hi = np.full(m, -np.inf)
 
-    def __call__(self, k0, xs, esc):
+    def __call__(self, k0, xs, esc, cols):
         # row 0, the start state or a state seen in the chunk before,
         # adds nothing
         live = _live_rows(xs, esc)
@@ -223,25 +230,25 @@ class _TubeObserver:
             eps1 = self.cfg.eps1
             dev = np.subtract(psi, ps)
             np.abs(dev, out=dev)
-            _fold(np.maximum, self.sup_psi, dev, live, 0.0)
+            _fold(np.maximum, self.sup_psi, cols, dev, live, 0.0)
             out = dev >= eps1
             np.subtract(r, rs, out=dev)
             np.abs(dev, out=dev)
-            _fold(np.maximum, self.sup_rr, dev, live, 0.0)
+            _fold(np.maximum, self.sup_rr, cols, dev, live, 0.0)
             dev *= (1.0 / np.sqrt(tau))[:, None]
-            _fold(np.maximum, self.sup_rw, dev, live, 0.0)
+            _fold(np.maximum, self.sup_rw, cols, dev, live, 0.0)
             out |= dev >= eps1
             out &= live
-            new = out.any(axis=0) & ~self.exited
+            new = out.any(axis=0) & ~self.exited[cols]
             if new.any():
                 first = out.argmax(axis=0)
-                self.exit_time[new] = tau[first[new]] - self.cfg.tau0
-                self.exited |= new
+                self.exit_time[cols[new]] = tau[first[new]] - self.cfg.tau0
+                self.exited[cols[new]] = True
         # the steps that end in the window are the last ones
         j = int(np.searchsorted(tau, self.window_start))
         if j < tau.size:
-            _fold(np.minimum, self.psi_lo, psi[j:], live[j:], np.inf)
-            _fold(np.maximum, self.psi_hi, psi[j:], live[j:], -np.inf)
+            _fold(np.minimum, self.psi_lo, cols, psi[j:], live[j:], np.inf)
+            _fold(np.maximum, self.psi_hi, cols, psi[j:], live[j:], -np.inf)
 
     def result(self, x, escaped_at):
         cfg = self.cfg
@@ -262,6 +269,39 @@ class _TubeObserver:
         }
 
 
+class _ExitObserver(_TubeObserver):
+    """_TubeObserver that stops each path at its first exit from the
+    tube.  Its exit times and censoring are those of the paths stepped to
+    the horizon; its other statistics stop with the path."""
+
+    def __call__(self, k0, xs, esc, cols):
+        super().__call__(k0, xs, esc, cols)
+        return self.exited[cols]
+
+
+def _tube_runs(cfg: EnsembleConfig, mus: Sequence[float],
+               ref: Optional[ReferenceSolution], out_of_class_ok: bool,
+               observer) -> tuple:
+    """run_ensembles' checks and engine pass, with observer(cfg, grid,
+    star, m) making each block's observer: the merged result dict per
+    amplitude (_run_blocks) and whether the schedule is out of class."""
+    if not len(mus):
+        raise ValueError("need at least one noise amplitude")
+    for mu in mus:
+        replace(cfg.noise, mu=mu)  # NoiseSchedule refuses mu outside (0, 1)
+    check = noise_class_check(cfg.noise, max(cfg.tau0, 1e-6))
+    out_of_class = not check["admissible"]
+    if out_of_class and not out_of_class_ok:
+        raise ValueError(
+            f"noise schedule not in class (bound {check['bound']}, "
+            f"h {cfg.noise.h}); pass out_of_class_ok=True to run anyway")
+    grid, star = _precompute_step_grid(cfg, ref)
+    per_mu = _run_blocks(cfg, mus, grid,
+                         perturbed_terms(cfg.params, cfg.noise, grid[0]),
+                         lambda m: observer(cfg, grid, star, m))
+    return per_mu, out_of_class
+
+
 def run_ensembles(cfg: EnsembleConfig, mus: Sequence[float],
                   ref: Optional[ReferenceSolution] = None,
                   out_of_class_ok: bool = False) -> list:
@@ -278,21 +318,10 @@ def run_ensembles(cfg: EnsembleConfig, mus: Sequence[float],
     measured against ref, whose domain must hold the window [tau0, tau0 +
     horizon] (ValueError otherwise); with no ref, only capture statistics
     are meaningful.  Blow-up is recorded as escape data, never an error.
+    Every path runs to the horizon or its blow-up.
     """
-    if not len(mus):
-        raise ValueError("need at least one noise amplitude")
-    for mu in mus:
-        replace(cfg.noise, mu=mu)  # NoiseSchedule refuses mu outside (0, 1)
-    check = noise_class_check(cfg.noise, max(cfg.tau0, 1e-6))
-    out_of_class = not check["admissible"]
-    if out_of_class and not out_of_class_ok:
-        raise ValueError(
-            f"noise schedule not in class (bound {check['bound']}, "
-            f"h {cfg.noise.h}); pass out_of_class_ok=True to run anyway")
-    grid, star = _precompute_step_grid(cfg, ref)
-    per_mu = _run_blocks(cfg, mus, grid,
-                         perturbed_terms(cfg.params, cfg.noise, grid[0]),
-                         lambda m: _TubeObserver(cfg, grid, star, m))
+    per_mu, out_of_class = _tube_runs(cfg, mus, ref, out_of_class_ok,
+                                      _TubeObserver)
     n = cfg.n_paths
     stats = []
     for res in per_mu:
@@ -359,7 +388,8 @@ def exit_time_scaling(cfg: EnsembleConfig, mus: Sequence[float],
     One ensemble per amplitude in mus (at least three, distinct): cfg
     with its noise amplitude replaced, everything else shared, so path j
     draws the same increments at every mu.  They run as one run_ensembles
-    pass, which draws those increments once.  Censored paths enter
+    pass, which draws those increments once, except that each path stops
+    at its first exit: its exit time is then known.  Censored paths enter
     at the horizon value; the fit is refused when more than half the
     paths are censored at every mu.  Returns slope with a bootstrap
     percentile interval (paths resampled per ensemble, n_boot times).
@@ -369,24 +399,16 @@ def exit_time_scaling(cfg: EnsembleConfig, mus: Sequence[float],
         raise ValueError("need at least 3 noise amplitudes")
     if len(set(mus)) != len(mus):
         raise ValueError("noise amplitudes must be distinct")
-    stats = run_ensembles(cfg, mus, ref)
-    censored = [float(np.mean(s.censored)) for s in stats]
+    per_mu, _ = _tube_runs(cfg, mus, ref, False, _ExitObserver)
+    censored = [float(np.mean(res["censored"])) for res in per_mu]
     if all(f > 0.5 for f in censored):
         raise ValueError("more than half the paths censored at every mu; "
                          "increase the horizon")
     log_mu = np.log(np.asarray(mus, dtype=float))
-    medians = np.array([float(np.median(s.exit_times)) for s in stats])
+    exits = np.array([res["exit_times"] for res in per_mu])
+    medians = np.median(exits, axis=1)
     slope = float(np.polyfit(log_mu, np.log(medians), 1)[0])
-
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
-    boot = np.empty(n_boot)
-    boot_med = np.empty((n_boot, len(mus)))
-    exits = [s.exit_times for s in stats]
-    for b in range(n_boot):
-        med = [np.median(rng.choice(e, size=e.size, replace=True))
-               for e in exits]
-        boot_med[b] = med
-        boot[b] = np.polyfit(log_mu, np.log(med), 1)[0]
+    boot, boot_med = _bootstrap(exits, log_mu, n_boot, seed)
     lo, hi = np.percentile(boot, [2.5, 97.5])
     med_lo, med_hi = np.percentile(boot_med, [2.5, 97.5], axis=0)
     return {
@@ -401,6 +423,20 @@ def exit_time_scaling(cfg: EnsembleConfig, mus: Sequence[float],
     }
 
 
+def _bootstrap(exits: np.ndarray, log_mu: np.ndarray, n_boot: int,
+               seed: int) -> tuple:
+    """The slope fit on n_boot resamples of the paths: exits holds one
+    row of exit times per amplitude, each resampled with replacement
+    from the Philox stream (seed, 0), resample by resample and row by
+    row.  Returns the (n_boot,) slopes and the (n_boot, len(exits))
+    medians."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    n_mus, n = exits.shape
+    pick = rng.integers(0, n, size=(n_boot, n_mus, n))
+    boot_med = np.median(exits[np.arange(n_mus)[:, None], pick], axis=2)
+    return np.polyfit(log_mu, np.log(boot_med).T, 1)[0], boot_med
+
+
 class _StoppedU1:
     """Stopped comparison function U_1 of one block of error-system paths.
 
@@ -408,8 +444,9 @@ class _StoppedU1:
     d0 (or at a blow-up); U_1 = 4V + mu^2 h n^2 C (T + t0 - t), chain_U
     with n = 2, is evaluated at the stopped state and time: observations
     at obs_idx steps (-1 marks tau0) plus the pathwise running supremum
-    over every step.  A stopped path steps on with the others until
-    every path has stopped, and those states are not read.
+    over every step.  em_paths drops a stopped path at the end of the
+    chunk in which it stopped, so the observer reads none of its states
+    after the stop.
     """
 
     def __init__(self, cfg: EnsembleConfig, cert: StabilityCertificate,
@@ -429,7 +466,7 @@ class _StoppedU1:
         return chain_U(cfg.noise.mu, cfg.noise.h, 2, self.cert.C,
                        cfg.horizon, 4.0 * V, tau, cfg.tau0)
 
-    def __call__(self, k0, xs, esc):
+    def __call__(self, k0, xs, esc, cols):
         if k0 == 0:
             # the start state at tau0, read against the first step's
             # reference sample, is observation 0 (obs_idx[0] = -1)
@@ -438,11 +475,11 @@ class _StoppedU1:
             np.maximum(self.u_sup, self.u_now, out=self.u_sup)
             self.obs[0] = self.u_now
             self.obs_ptr = 1
-        n_rows, m = xs.shape[0] - 1, xs.shape[2]
+        n_rows, w = xs.shape[0] - 1, xs.shape[2]
         d0 = self.cert.d0
-        out = np.empty((n_rows, m), dtype=bool)
-        u = np.empty((n_rows, m))
-        piece = max(1, U1_PIECE // m)
+        out = np.empty((n_rows, w), dtype=bool)
+        u = np.empty((n_rows, w))
+        piece = max(1, U1_PIECE // w)
         for lo in range(0, n_rows, piece):
             hi = min(lo + piece, n_rows)
             R, Psi = xs[1 + lo:1 + hi].transpose(1, 0, 2)
@@ -451,26 +488,28 @@ class _StoppedU1:
             u[lo:hi] = self._u1((R, Psi), self.tau_next[k, None],
                                 (self.rs[k, None], self.ps[k, None]))
         live = _live_rows(xs, esc)
-        live &= ~self.stopped
         out &= live
         stop = out.any(axis=0)
         # a path counts its rows up to its stop, or those it is live in
         n_counted = np.where(stop, out.argmax(axis=0) + 1,
                              live.sum(axis=0))
         counted = np.arange(n_rows)[:, None] < n_counted
-        _fold(np.maximum, self.u_sup, u, counted, -np.inf)
+        _fold(np.maximum, self.u_sup, cols, u, counted, -np.inf)
         # U_1 of each path after the chunk: at its last counted row, or
         # as it was
-        held = np.where(n_counted > 0, u[n_counted - 1, np.arange(m)],
-                        self.u_now)
+        held = np.where(n_counted > 0, u[n_counted - 1, np.arange(w)],
+                        self.u_now[cols])
         while (self.obs_ptr < self.obs_idx.size
                and self.obs_idx[self.obs_ptr] < k0 + n_rows):
             row = self.obs_idx[self.obs_ptr] - k0
-            self.obs[self.obs_ptr] = np.where(counted[row], u[row], held)
+            # a path dropped in an earlier chunk keeps its stopped value
+            self.obs[self.obs_ptr] = self.u_now
+            self.obs[self.obs_ptr, cols] = np.where(counted[row], u[row],
+                                                    held)
             self.obs_ptr += 1
-        self.u_now = held
-        self.stopped |= stop
-        return self.stopped
+        self.u_now[cols] = held
+        self.stopped[cols] = stop
+        return stop
 
     def result(self, x, escaped_at):
         # stepping ends once every path has stopped; U_1 then stays put

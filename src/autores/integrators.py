@@ -212,6 +212,12 @@ def chunk_steps(m: int, n: int, d: int) -> int:
     return max(1, min(MAX_CHUNK_STEPS, NOISE_BUDGET // per_step))
 
 
+def _narrow(a: np.ndarray, w: int) -> np.ndarray:
+    """The leading elements of the C-contiguous array a as an array of w
+    columns, a contiguous view with a's other dimensions."""
+    return a.ravel()[:a.size // a.shape[-1] * w].reshape(a.shape[:-1] + (w,))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # escape is data
 def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
              streams, observe: Callable,
@@ -221,11 +227,11 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
     x is the (d, m) start state and is advanced in place over grid, a
     step_grid result.  terms(k, x, w, f, gw, scratch) writes the drift f
     and the product G w at step k into f and gw and returns nothing.  Its
-    arguments are rows of length m: d each of the state x and of f and
-    gw, N_CHANNELS of increments w, and N_SCRATCH work rows in scratch.
-    em_paths allocates these buffers once per call and terms must not
-    keep them.  mu is one amplitude for every path or an array of m, one
-    per path.
+    arguments are rows of one length, the number of running paths: d
+    each of the state x and of f and gw, N_CHANNELS of increments w, and
+    N_SCRATCH work rows in scratch.  em_paths allocates these buffers
+    once per call and terms must not keep them.  mu is one amplitude for
+    every path or an array of m, one per path.
 
     Additive terms carry terms.additive, the intensity sigma per step of
     G w = (0, ..., 0, sigma[k] w_last), w_last the last channel's
@@ -235,7 +241,7 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
     to the last component.
 
     m is a multiple of len(streams) = n, and path c draws from streams[c %
-    n]: each stream is drawn once and its draws are copied into its m/n
+    n]: each stream is drawn once and its draws are copied into its
     paths, which can differ only in mu.  A stream gives two uniforms for
     a start in the disc of radius ball_radius around x when ball_radius >
     0, then its increments in chunks of chunk_steps(m, n, d) steps, first
@@ -244,23 +250,29 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
     step-major.  A step shorter than dt rescales its increment variance
     to its length.
 
-    The chunk of steps from k0 on writes the state after step k0 + i - 1
-    into row i of a (chunk + 1, d, m) slab xs, whose row 0 is x for the
-    first chunk and the last row of the chunk before for the others; the
-    step writes there, so nothing is copied.  observe(k0, xs, esc) is
-    called once per chunk, after its steps.  esc[c] is the first row of
-    xs that is not a state of path c: the row of the step at which it
-    left the finite range, 0 if it left in an earlier chunk, or len(xs).
-    The rows from there on hold what stepping a non-finite state gives;
-    the overflow on the way is data, so numpy does not warn of it.  The
-    next chunk overwrites xs, so an observer copies what it keeps.
-    observe may return a mask of paths that need no more steps; they
-    step on, and stepping ends at the first chunk boundary where every
-    path is in it or has left the finite range.
+    Only running paths are stepped.  The chunk of steps from k0 on
+    writes the state after step k0 + i - 1 of the running paths into row
+    i of a (chunk + 1, d, w) slab xs, whose row 0 is x for the first
+    chunk and the last row of the chunk before for the others; the step
+    writes there, so nothing is copied.  observe(k0, xs, esc, cols) is
+    called once per chunk, after its steps.  cols[j] is the index in x
+    of the path in slab column j.  esc[j] is the first row of xs that is
+    not a state of that path: the row of the step at which it left the
+    finite range, or len(xs).  The rows from there on hold what stepping
+    a non-finite state gives; the overflow on the way is data, so numpy
+    does not warn of it.  The next chunk overwrites xs, so an observer
+    copies what it keeps.  observe may return a mask over the slab
+    columns of paths that need no more steps.  At the end of each chunk
+    the paths in it and those that left the finite range are dropped:
+    from then on they are neither stepped nor observed, and a stream
+    none of whose paths runs draws no more.  Paths do not mix and each
+    stream's draws stay in order, so a path's states do not depend on
+    which others run.  Stepping ends when no path runs.
 
-    x ends as each path's last finite state.  Returns, per path, the end
-    time of the step at which it left the finite range (NaN if it never
-    did).
+    x ends as each path's last finite state; for a path dropped on the
+    observer's mask, that is its state at the end of the chunk in which
+    it was dropped.  Returns, per path, the end time of the step at which
+    it left the finite range (NaN if it never did).
     """
     _, tau_next, h = grid
     n_steps = h.size
@@ -278,42 +290,54 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
             offset[1, i] = rad * math.sin(2 * math.pi * ang)
         x += np.tile(offset, m // n)
     sqrt_dt = math.sqrt(dt)
+    mu = np.asarray(mu, dtype=float)
     escaped_at = np.full(m, np.nan)
-    dead = np.zeros(m, dtype=bool)
-    f, gw = np.empty_like(x), np.empty_like(x)
-    f_rows, gw_rows = tuple(f), tuple(gw)
-    scratch = tuple(np.empty((N_SCRATCH, m)))
     sigma = getattr(terms, "additive", None)
     # additive terms need only the last channel's increments
     chans = slice(None) if sigma is None else slice(-1, None)
     chunk = min(chunk_steps(m, n, d), n_steps)
     z_buf = np.empty((n, chunk, N_CHANNELS))
+    # one column per running path
+    f, gw = np.empty_like(x), np.empty_like(x)
+    scratch = np.empty((N_SCRATCH, m))
     dw_buf = np.empty((chunk, N_CHANNELS if sigma is None else 1, m))
     slab = np.empty((chunk + 1, d, m))
-    # views made once: terms reads and writes rows, the update whole
-    # states, and step k of a chunk writes row k + 1 of the slab
-    states = list(slab)
-    rows = [tuple(state) for state in states]
+
+    def views():
+        # made once per width: terms reads and writes rows, the update
+        # whole states, and step k of a chunk writes row k + 1 of the slab
+        states = list(slab)
+        return (tuple(f), tuple(gw), tuple(scratch), states,
+                [tuple(state) for state in states])
+
+    f_rows, gw_rows, scratch_rows, states, rows = views()
+    cols = np.arange(m)
+    src = None  # the stream of each running path, once some are dropped
+    drawing = list(enumerate(rngs))
     slab[0] = x
     k0 = 0
-    while k0 < n_steps:
+    while True:
         k1 = min(k0 + chunk, n_steps)
         z, dw = z_buf[:, :k1 - k0], dw_buf[:k1 - k0]
-        drawn = dw[:, :, :n]
-        for z_i, rng in zip(z, rngs):
-            rng.standard_normal(out=z_i)
-        np.multiply(z[:, :, chans].transpose(1, 2, 0), sqrt_dt, out=drawn)
+        for i, rng in drawing:
+            rng.standard_normal(out=z[i])
+        # one stream's draws per column of drawn: the first n paths' while
+        # every path runs, then each running path's
+        zt = z[:, :, chans].transpose(1, 2, 0)
+        drawn = dw[:, :, :n] if src is None else dw
+        np.multiply(zt if src is None else zt[:, :, src], sqrt_dt, out=drawn)
         # exactly 1.0 where h == dt, so one multiply per chunk rescales
         # the shorter steps and leaves every other increment as drawn
         drawn *= np.sqrt(h[k0:k1] / dt)[:, None, None]
-        # path c >= n repeats the increments of path c % n
-        dw.reshape(k1 - k0, -1, m // n, n)[:, :, 1:] = drawn[:, :, None]
+        if src is None:
+            # path c >= n repeats the increments of path c % n
+            dw.reshape(k1 - k0, -1, m // n, n)[:, :, 1:] = drawn[:, :, None]
         if sigma is not None:
             dw *= sigma[k0:k1, None, None]
             dw *= mu
         for i, k in enumerate(range(k0, k1)):
             w = dw[i]
-            terms(k, rows[i], w, f_rows, gw_rows, scratch)
+            terms(k, rows[i], w, f_rows, gw_rows, scratch_rows)
             # x_new = (x + f h) + mu G w, rounded in that order
             f *= h[k]
             x_new = states[i + 1]
@@ -325,24 +349,32 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
                 last = rows[i + 1][-1]
                 np.add(last, w[0], out=last)
         xs = slab[:k1 - k0 + 1]
-        # the first non-finite step of each path that was finite so far
+        # the first non-finite step of each path
         bad = ~np.isfinite(xs[1:]).all(axis=1)
         first = bad.argmax(axis=0)
-        out = bad.any(axis=0) & ~dead
-        if out.any():
-            c = np.flatnonzero(out)
-            escaped_at[c] = tau_next[k0 + first[c]]
-            x[:, c] = xs[first[c], :, c].T
-            dead = dead | out
-        esc = np.where(out, first + 1, np.where(dead, 0, xs.shape[0]))
-        stop = observe(k0, xs, esc)
-        done = dead if stop is None else dead | stop
+        out = bad.any(axis=0)
+        escaped_at[cols[out]] = tau_next[k0 + first[out]]
+        esc = np.where(out, first + 1, xs.shape[0])
+        stop = observe(k0, xs, esc, cols)
+        # each path's last finite state
+        x[:, cols] = xs[esc - 1, :, np.arange(cols.size)].T
         k0 = k1
-        if done.all():
-            break
-        slab[0] = xs[-1]
-    np.copyto(x, xs[-1], where=~dead)
-    return escaped_at
+        run = ~out if stop is None else ~(out | stop)
+        if k0 == n_steps or not run.any():
+            return escaped_at
+        start = xs[-1]
+        if not run.all():
+            start = start[:, run]
+            cols = cols[run]
+            src = cols % n
+            if mu.ndim:
+                mu = mu[run]
+            drawing = [(i, rngs[i]) for i in np.unique(src)]
+            # the narrower buffers are views of the first allocation
+            f, gw, scratch, dw_buf, slab = (
+                _narrow(a, cols.size) for a in (f, gw, scratch, dw_buf, slab))
+            f_rows, gw_rows, scratch_rows, states, rows = views()
+        slab[0] = start
 
 
 def integrate_sde(make_terms: Callable, x0, tau0: float, tau1: float,
@@ -375,14 +407,17 @@ def integrate_sde(make_terms: Callable, x0, tau0: float, tau1: float,
     x = np.tile(np.asarray(x0, dtype=float).reshape(-1, 1), m)
     times, states, kept = [], [], []
 
-    def record(k0, xs, esc):
+    def record(k0, xs, esc, cols):
         # slab row i is state k0 + i of the path; row 0 is the last row of
         # the chunk before, except in the first chunk
         g = np.arange(k0 + (k0 > 0), k0 + xs.shape[0])
         g = g[(g % record_every == 0) | (g == n_steps)]
         times.append(tau_rows[g])
-        states.append(xs[g - k0])
-        kept.append((g - k0)[:, None] < esc)
+        # a path that has left the finite range keeps none of its rows
+        states.append(np.empty((g.size,) + x.shape))
+        states[-1][:, :, cols] = xs[g - k0]
+        kept.append(np.zeros((g.size, m), dtype=bool))
+        kept[-1][:, cols] = (g - k0)[:, None] < esc
 
     escaped_at = em_paths(terms, x, grid, dt, mu, streams, record)
     times, states = np.concatenate(times), np.concatenate(states)

@@ -69,7 +69,7 @@ def integrate_pendulum(pp: PendulumParams, u0: float, v0: float,
     eps, alpha, theta = pp.eps, pp.alpha, pp.theta
 
     def field(t, y):
-        u, v = y
+        u, v = y.tolist()
         pump = 1.0 + eps * math.cos(2.0 * t - alpha * t * t)
         return (v, -pump * math.sin(u) - theta * v)
 

@@ -9,6 +9,7 @@ start state as step -1, then the state after step k, with moved the mask
 of paths that took the step (True for the start); it may return a mask
 of paths to stop.  PlainTube, PlainStoppedU1 and plain_integrate_sde are
 the per-step observers the chunked ones replaced, kept as they were.
+plain_bootstrap is exit_time_scaling's bootstrap, one resample at a time.
 """
 
 import math
@@ -208,6 +209,20 @@ def plain_integrate_sde(make_terms, x0, tau0, tau1, dt, mu, streams,
     return [Trajectory(times=times[keep], states=states[keep, :, c],
                        truncated=not math.isnan(escaped_at[c]))
             for c, keep in enumerate(kept.T)]
+
+
+def plain_bootstrap(exits, log_mu, n_boot, seed):
+    """ensemble._bootstrap as a loop over resamples, each row of exits
+    resampled by its own choice call and each slope by its own fit."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    boot = np.empty(n_boot)
+    boot_med = np.empty((n_boot, len(exits)))
+    for b in range(n_boot):
+        med = [np.median(rng.choice(e, size=e.size, replace=True))
+               for e in exits]
+        boot_med[b] = med
+        boot[b] = np.polyfit(log_mu, np.log(med), 1)[0]
+    return boot, boot_med
 
 
 def set_chunk(monkeypatch, chunk, m, n, d=2):

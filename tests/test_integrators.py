@@ -441,18 +441,26 @@ class _Recorder:
 class _ChunkRecorder(_Recorder):
     """The em_paths observer that sees what _Recorder sees: per path,
     each state up to the path's stop or its escape row, with the same
-    stopping rule applied row by row; it counts its calls."""
+    stopping rule applied row by row; it counts its calls and checks
+    that no path stopped or escaped in an earlier chunk reaches it."""
 
     def __init__(self, c, lim, m):
         super().__init__(c, lim, m)
         self.calls = 0
+        self.gone = np.zeros(m, dtype=bool)
 
-    def __call__(self, k0, xs, esc):
+    def __call__(self, k0, xs, esc, cols):
         self.calls += 1
+        assert not self.gone[cols].any()
+        x = np.full((xs.shape[1], self.gone.size), np.nan)
+        live = np.zeros(self.gone.size, dtype=bool)
         for i in range(0 if k0 == 0 else 1, xs.shape[0]):
-            live = (i < esc) & ~self.stopped
-            super().__call__(k0 + i - 1, xs[i], live)
-        return self.stopped
+            x[:, cols] = xs[i]
+            live[cols] = (i < esc) & ~self.stopped[cols]
+            super().__call__(k0 + i - 1, x, live)
+        self.gone[cols[esc < xs.shape[0]]] = True
+        self.gone |= self.stopped
+        return self.stopped[cols]
 
 
 @pytest.mark.parametrize("kind", ["perturbed", "error"])
@@ -470,7 +478,8 @@ def test_em_paths_matches_plain_loop(params, ref, monkeypatch, kind, start,
     # em_paths runs in one chunk and in chunks of 7 steps.  A stopped
     # path steps on to its chunk's end there, where the plain loop
     # freezes it, so states are compared up to each path's stop or
-    # escape, and a stopped path's end state and escape time are not
+    # escape, and a stopped path's end state and escape time are not.
+    # Neither a stopped nor an escaped path is observed after its chunk
     noise = NoiseSchedule(mu=0.3, sigma1=constant_schedule(sigma1),
                           sigma2=power_schedule(3.0, -0.5))
     tau0, dt, m = 20.0, 1e-3, 100
@@ -529,7 +538,8 @@ def test_em_paths_observes_once_per_chunk(monkeypatch):
     streams = [NoiseStream(5, j) for j in range(3)]
     calls = []
 
-    def observe(k0, xs, esc):
+    def observe(k0, xs, esc, cols):
+        assert np.array_equal(cols, np.arange(3))
         calls.append((k0, xs.copy(), esc.copy()))
 
     x = np.ones((1, 3))
@@ -548,7 +558,7 @@ def test_em_paths_observes_once_per_chunk(monkeypatch):
     # an observer that stops every path ends stepping after its chunk
     calls.clear()
 
-    def stop_all(k0, xs, esc):
+    def stop_all(k0, xs, esc, cols):
         calls.append(k0)
         return np.ones(xs.shape[2], dtype=bool)
     integrators.em_paths(terms, np.ones((1, 3)), grid, 1e-3, 0.3, streams,
@@ -556,9 +566,9 @@ def test_em_paths_observes_once_per_chunk(monkeypatch):
     assert calls == [0]
 
 
-def _tube_observer(params, ref, grid, m):
+def _tube_observer(params, ref, grid, m, cls=ensemble._TubeObserver):
     cfg = SimpleNamespace(tau0=20.0, horizon=1.1, eps1=0.3, params=params)
-    return ensemble._TubeObserver(cfg, grid, ref.state(grid[1]), m)
+    return cls(cfg, grid, ref.state(grid[1]), m)
 
 
 def _stopped_u1(params, ref, cert, grid, m):
@@ -574,7 +584,8 @@ def _stopped_u1(params, ref, cert, grid, m):
 
 def _em_paths_peak(params, ref, cert, sigma1, observer=None):
     """Traced peak of one em_paths call at 256 paths with a stream each
-    over 1100 steps, five chunks, with no-op, tube or U_1 observer."""
+    over 1100 steps, five chunks, with no-op, tube, exit (a tube that
+    stops paths at their exit) or U_1 observer."""
     noise = NoiseSchedule(mu=0.3, sigma1=constant_schedule(sigma1),
                           sigma2=constant_schedule(1.0))
     m = 256
@@ -589,7 +600,9 @@ def _em_paths_peak(params, ref, cert, sigma1, observer=None):
     else:
         terms = model.perturbed_terms(params, noise, grid[0])
         obs = (_tube_observer(params, ref, grid, m) if observer == "tube"
-               else lambda k0, xs, esc: None)
+               else _tube_observer(params, ref, grid, m,
+                                   ensemble._ExitObserver)
+               if observer == "exit" else lambda k0, xs, esc, cols: None)
         x[0], x[1] = ref.state(20.0)
     tracemalloc.start()
     try:
@@ -612,11 +625,13 @@ def test_em_paths_noise_within_budget(params, ref, cert, sigma1):
     assert peak <= integrators.NOISE_BUDGET * 1.1
 
 
-@pytest.mark.parametrize("observer", ["tube", "stopped"])
+@pytest.mark.parametrize("observer", ["tube", "stopped", "exit"])
 def test_em_paths_observer_within_budget(params, ref, cert, observer):
     # and so does the observers' work on the slab: a reference-tracked
-    # _TubeObserver, and a _StoppedU1 on the deviation system
+    # _TubeObserver, and a _StoppedU1 on the deviation system.  Paths that
+    # stop at their exit narrow the slab, whose narrower buffers are views
+    # of the first ones
     peak, obs = _em_paths_peak(params, ref, cert, 0.0, observer)
     assert peak <= integrators.NOISE_BUDGET * 1.1
-    if observer == "tube":
+    if observer != "stopped":
         assert obs.exited.any() and not obs.exited.all()

@@ -1,7 +1,9 @@
 """The chunked observers against their per-step oracles (tests/oracles.py):
-run_ensembles, supermartingale_check and integrate_sde give the bits of
-the per-step observers driven by the plain Euler-Maruyama loop, at chunks
-of 1 and 7 steps and at the default budget."""
+run_ensembles, supermartingale_check, exit_time_scaling and integrate_sde
+give the bits of the per-step observers driven by the plain
+Euler-Maruyama loop, at chunks of 1 and 7 steps and at the default
+budget.  The plain loop steps every path the observer does not stop to
+the horizon; em_paths drops the stopped and escaped ones."""
 
 import dataclasses
 from functools import partial
@@ -10,13 +12,13 @@ import numpy as np
 import pytest
 
 from autores import ensemble, integrators
-from autores.ensemble import (EnsembleConfig, run_ensembles,
-                              supermartingale_check)
+from autores.ensemble import (EnsembleConfig, exit_time_scaling,
+                              run_ensembles, supermartingale_check)
 from autores.integrators import NoiseStream, integrate_sde
 from autores.model import (NoiseSchedule, constant_schedule,
                            perturbed_terms, power_schedule)
-from oracles import (PlainStoppedU1, PlainTube, plain_integrate_sde,
-                     plain_run_blocks, set_chunk)
+from oracles import (PlainStoppedU1, PlainTube, plain_bootstrap,
+                     plain_integrate_sde, plain_run_blocks, set_chunk)
 
 CHUNKS = (1, 7, None)  # None: the default budget
 
@@ -34,9 +36,39 @@ def _oracle(monkeypatch, run):
     with monkeypatch.context() as mp:
         mp.setattr(ensemble, "_run_blocks", run_blocks)
         mp.setattr(ensemble, "_TubeObserver", PlainTube)
+        # the oracle steps every path to the horizon
+        mp.setattr(ensemble, "_ExitObserver", PlainTube)
         mp.setattr(ensemble, "_StoppedU1", PlainStoppedU1)
+        mp.setattr(ensemble, "_bootstrap", plain_bootstrap)
         with np.errstate(over="ignore", invalid="ignore"):
             return run(), made
+
+
+def _watch(mp):
+    """Make ensemble's em_paths record each observer call as (k0, cols,
+    the escape mask, the stop mask or None); returns the record."""
+    calls = []
+
+    def em_paths(terms, x, grid, dt, mu, streams, observe, **kwargs):
+        def watched(k0, xs, esc, cols):
+            stop = observe(k0, xs, esc, cols)
+            calls.append((k0, cols.copy(), esc < xs.shape[0],
+                          None if stop is None else stop.copy()))
+            return stop
+        return integrators.em_paths(terms, x, grid, dt, mu, streams,
+                                    watched, **kwargs)
+    mp.setattr(ensemble, "em_paths", em_paths)
+    return calls
+
+
+def _assert_dropped_unseen(calls):
+    """No path reaches the observer after the chunk in which it escaped
+    or was stopped; a block starts afresh at k0 = 0."""
+    for k0, cols, esc, stop in calls:
+        if k0 == 0:
+            gone = np.zeros(cols.size, dtype=bool)
+        assert not gone[cols].any()
+        gone[cols[esc if stop is None else esc | stop]] = True
 
 
 def _noise(mu, sigma1=0.0):
@@ -88,9 +120,15 @@ def test_run_ensembles_match_per_step_oracle(params, ref, monkeypatch, case):
         with monkeypatch.context() as mp:
             if chunk is not None:
                 set_chunk(mp, chunk, len(mus) * cfg.n_paths, cfg.n_paths)
+            calls = _watch(mp)
             got = run_ensembles(cfg, mus, ref_or_none)
         for stats, expect in zip(got, want):
             _stats_equal(stats, expect)
+        # the capture and deviation statistics stop no path
+        assert all(stop is None for *_, stop in calls)
+        _assert_dropped_unseen(calls)
+        if case.startswith("escape") and chunk == 7:
+            assert calls[-1][1].size < calls[0][1].size
     # the cases are exercised, and the last chunk of 7 is a short one
     obs, = made
     n_steps = obs.tau_next.size
@@ -106,6 +144,88 @@ def test_run_ensembles_match_per_step_oracle(params, ref, monkeypatch, case):
         assert obs.exited.any() and not obs.exited.all()
         assert want[0].captured.any()
     assert n_steps % 7 != 0
+
+
+class _CountingGenerator:
+    """A stream's generator that counts its standard_normal calls."""
+
+    def __init__(self, gen, counts, j):
+        self.gen, self.counts, self.j = gen, counts, j
+
+    def uniform(self, *args, **kwargs):
+        return self.gen.uniform(*args, **kwargs)
+
+    def standard_normal(self, *args, **kwargs):
+        self.counts[self.j] += 1
+        return self.gen.standard_normal(*args, **kwargs)
+
+
+def test_exit_time_scaling_matches_per_step_oracle(params, ref, monkeypatch):
+    # each path stops at its first exit and its columns are dropped, where
+    # the oracle steps every path to the horizon: the exit times, the
+    # censoring and so the whole fit and its bootstrap are the same bits
+    cfg, mus, _ = _ensemble_cases(params, ref)["tracked"]
+    cfg = dataclasses.replace(cfg, eps1=0.1)
+
+    def run():
+        return exit_time_scaling(cfg, mus, ref, n_boot=50, seed=3)
+    want, made = _oracle(monkeypatch, run)
+    n_steps = made[0].tau_next.size
+    for chunk in CHUNKS:
+        counts = np.zeros(cfg.n_paths, dtype=int)
+        with monkeypatch.context() as mp:
+            if chunk is not None:
+                set_chunk(mp, chunk, len(mus) * cfg.n_paths, cfg.n_paths)
+            calls = _watch(mp)
+            generator = NoiseStream.generator
+            mp.setattr(NoiseStream, "generator", lambda s: _CountingGenerator(
+                generator(s), counts, s.path_index))
+            assert run() == want
+        _assert_dropped_unseen(calls)
+        # the slab narrows as paths exit, and stepping ends with the last
+        # path that has not exited
+        widths = [cols.size for _, cols, _, _ in calls]
+        assert widths == sorted(widths, reverse=True)
+        assert widths[-1] < widths[0]
+        # a stream draws until the chunk in which the last of its paths
+        # exits, and in every chunk if one of them is censored
+        chunk_len = calls[1][0]
+        obs, = made
+        last_step = np.where(
+            obs.exited, np.searchsorted(obs.tau_next - cfg.tau0,
+                                        obs.exit_time), n_steps - 1)
+        last_step = last_step.reshape(len(mus), cfg.n_paths).max(axis=0)
+        assert np.array_equal(counts, last_step // chunk_len + 1)
+        if chunk == 7:
+            assert counts.min() < counts.max() == -(-n_steps // 7)
+    # exits mid-chunk at chunks of 7, and censored paths at the two
+    # smaller amplitudes
+    obs, = made
+    exit_step = np.searchsorted(obs.tau_next - cfg.tau0,
+                                obs.exit_time[obs.exited])
+    assert (exit_step % 7 != 6).any()
+    assert np.array_equal(obs.tau_next[exit_step] - cfg.tau0,
+                          obs.exit_time[obs.exited])
+    censored = want["censored_fractions"]
+    assert censored[0] > 0.3 and censored[1] > 0
+    assert np.isnan(obs.escaped_at).all()
+
+
+@pytest.mark.parametrize("n_paths", [100, 301])
+@pytest.mark.parametrize("n_boot", [1, 200])
+def test_bootstrap_matches_per_resample_oracle(n_paths, n_boot):
+    # exit times on the step grid with ties, and censored paths at the
+    # horizon 5; medians of even and odd path counts
+    rng = np.random.default_rng(n_paths)
+    exits = np.minimum(np.round(rng.exponential([[0.5], [1.0], [2.0]],
+                                                (3, n_paths)), 3), 5.0)
+    log_mu = np.log([0.2, 0.3, 0.45])
+    got = ensemble._bootstrap(exits, log_mu, n_boot, 11)
+    want = plain_bootstrap(exits, log_mu, n_boot, 11)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+    assert (exits == 5.0).any()
 
 
 def _smc_cases(cert):
@@ -137,7 +257,11 @@ def test_supermartingale_matches_per_step_oracle(params, ref, cert,
         with monkeypatch.context() as mp:
             if chunk is not None:
                 set_chunk(mp, chunk, cfg.n_paths, cfg.n_paths)
+            calls = _watch(mp)
             assert run() == want
+        _assert_dropped_unseen(calls)
+        if case == "all-stop" and chunk == 7:
+            assert calls[-1][1].size < calls[0][1].size
     obs, = made
     n_steps = obs.tau_next.size
     stop = obs.stop_step[obs.stopped]
