@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import integrators
 from .model import SystemParams, NoiseSchedule, error_terms, perturbed_terms
 from .integrators import (NoiseStream, Trajectory, ReferenceSolution,
                           em_paths, sde_step_count, step_grid)
@@ -428,12 +429,19 @@ def _bootstrap(exits: np.ndarray, log_mu: np.ndarray, n_boot: int,
     """The slope fit on n_boot resamples of the paths: exits holds one
     row of exit times per amplitude, each resampled with replacement
     from the Philox stream (seed, 0), resample by resample and row by
-    row.  Returns the (n_boot,) slopes and the (n_boot, len(exits))
+    row.  The resamples are drawn and reduced in pieces whose indices,
+    gathered exits and median work (24 bytes per element) fit in
+    NOISE_BUDGET; the stream is read in the same order at any piece
+    size.  Returns the (n_boot,) slopes and the (n_boot, len(exits))
     medians."""
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     n_mus, n = exits.shape
-    pick = rng.integers(0, n, size=(n_boot, n_mus, n))
-    boot_med = np.median(exits[np.arange(n_mus)[:, None], pick], axis=2)
+    rows = max(1, integrators.NOISE_BUDGET // (24 * n_mus * n))
+    boot_med = np.empty((n_boot, n_mus))
+    for b0 in range(0, n_boot, rows):
+        pick = rng.integers(0, n, size=(min(rows, n_boot - b0), n_mus, n))
+        np.median(exits[np.arange(n_mus)[:, None], pick], axis=2,
+                  out=boot_med[b0:b0 + pick.shape[0]])
     return np.polyfit(log_mu, np.log(boot_med).T, 1)[0], boot_med
 
 

@@ -202,12 +202,13 @@ MAX_CHUNK_STEPS = 512
 
 def chunk_steps(m: int, n: int, d: int) -> int:
     """Steps per chunk for m paths of d components drawing from n streams,
-    from one to MAX_CHUNK_STEPS: per step, the stream-major draws and the
-    step-major increments (N_CHANNELS float64 per stream or path), a slab
-    row (d float64 per path), the observer's work (N_OBSERVE float64 per
-    path) and the row's views (d + 2 of VIEW_BYTES) fit in NOISE_BUDGET
-    bytes.  The slab's row 0 is not counted."""
-    per_step = (8 * (N_CHANNELS * (n + m) + (d + N_OBSERVE) * m)
+    from one to MAX_CHUNK_STEPS: per step, the stream-major draws and
+    their step-major copy (N_CHANNELS float64 per stream each), the
+    increments (N_CHANNELS per path), a slab row (d float64 per path),
+    the observer's work (N_OBSERVE float64 per path) and the row's views
+    (d + 2 of VIEW_BYTES) fit in NOISE_BUDGET bytes.  The slab's row 0 is
+    not counted."""
+    per_step = (8 * (N_CHANNELS * (2 * n + m) + (d + N_OBSERVE) * m)
                 + VIEW_BYTES * (d + 2))
     return max(1, min(MAX_CHUNK_STEPS, NOISE_BUDGET // per_step))
 
@@ -247,8 +248,9 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
     0, then its increments in chunks of chunk_steps(m, n, d) steps, first
     channel then second per step.  Each stream fills its own contiguous
     rows of a stream-major buffer, and the sqrt(dt) multiply writes them
-    step-major.  A step shorter than dt rescales its increment variance
-    to its length.
+    step-major, one column per stream; each running path's increments
+    are then copied from its stream's column.  A step shorter than dt
+    rescales its increment variance to its length.
 
     Only running paths are stepped.  The chunk of steps from k0 on
     writes the state after step k0 + i - 1 of the running paths into row
@@ -296,11 +298,13 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
     # additive terms need only the last channel's increments
     chans = slice(None) if sigma is None else slice(-1, None)
     chunk = min(chunk_steps(m, n, d), n_steps)
+    n_chans = N_CHANNELS if sigma is None else 1
     z_buf = np.empty((n, chunk, N_CHANNELS))
-    # one column per running path
+    # one column per stream, then one per running path
+    drawn_buf = np.empty((chunk, n_chans, n))
     f, gw = np.empty_like(x), np.empty_like(x)
     scratch = np.empty((N_SCRATCH, m))
-    dw_buf = np.empty((chunk, N_CHANNELS if sigma is None else 1, m))
+    dw_buf = np.empty((chunk, n_chans, m))
     slab = np.empty((chunk + 1, d, m))
 
     def views():
@@ -312,26 +316,23 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
 
     f_rows, gw_rows, scratch_rows, states, rows = views()
     cols = np.arange(m)
-    src = None  # the stream of each running path, once some are dropped
-    drawing = list(enumerate(rngs))
+    drawing = rngs  # the streams of the running paths
+    src = cols % n  # the index in drawing of each running path's stream
     slab[0] = x
     k0 = 0
     while True:
         k1 = min(k0 + chunk, n_steps)
-        z, dw = z_buf[:, :k1 - k0], dw_buf[:k1 - k0]
-        for i, rng in drawing:
-            rng.standard_normal(out=z[i])
-        # one stream's draws per column of drawn: the first n paths' while
-        # every path runs, then each running path's
-        zt = z[:, :, chans].transpose(1, 2, 0)
-        drawn = dw[:, :, :n] if src is None else dw
-        np.multiply(zt if src is None else zt[:, :, src], sqrt_dt, out=drawn)
+        drawn, dw = drawn_buf[:k1 - k0], dw_buf[:k1 - k0]
+        z = z_buf[:len(drawing), :k1 - k0]
+        for zi, rng in zip(z, drawing):
+            rng.standard_normal(out=zi)
+        np.multiply(z[:, :, chans].transpose(1, 2, 0), sqrt_dt, out=drawn)
         # exactly 1.0 where h == dt, so one multiply per chunk rescales
         # the shorter steps and leaves every other increment as drawn
         drawn *= np.sqrt(h[k0:k1] / dt)[:, None, None]
-        if src is None:
-            # path c >= n repeats the increments of path c % n
-            dw.reshape(k1 - k0, -1, m // n, n)[:, :, 1:] = drawn[:, :, None]
+        # each running path's column is a copy of its stream's; src is in
+        # range, and "clip" lets take write into dw without a buffer
+        np.take(drawn, src, axis=2, out=dw, mode="clip")
         if sigma is not None:
             dw *= sigma[k0:k1, None, None]
             dw *= mu
@@ -366,11 +367,12 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
         if not run.all():
             start = start[:, run]
             cols = cols[run]
-            src = cols % n
+            running, src = np.unique(cols % n, return_inverse=True)
             if mu.ndim:
                 mu = mu[run]
-            drawing = [(i, rngs[i]) for i in np.unique(src)]
+            drawing = [rngs[i] for i in running]
             # the narrower buffers are views of the first allocation
+            drawn_buf = _narrow(drawn_buf, len(drawing))
             f, gw, scratch, dw_buf, slab = (
                 _narrow(a, cols.size) for a in (f, gw, scratch, dw_buf, slab))
             f_rows, gw_rows, scratch_rows, states, rows = views()

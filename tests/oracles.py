@@ -228,7 +228,7 @@ def plain_bootstrap(exits, log_mu, n_boot, seed):
 def set_chunk(monkeypatch, chunk, m, n, d=2):
     """Set NOISE_BUDGET so that em_paths steps m paths of d components
     drawing from n streams in chunks of `chunk` steps."""
-    per_step = (8 * (integrators.N_CHANNELS * (n + m)
+    per_step = (8 * (integrators.N_CHANNELS * (2 * n + m)
                      + (d + integrators.N_OBSERVE) * m)
                 + integrators.VIEW_BYTES * (d + 2))
     monkeypatch.setattr(integrators, "NOISE_BUDGET", chunk * per_step)

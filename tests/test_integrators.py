@@ -246,10 +246,10 @@ def test_sde_streams_stack_as_columns(monkeypatch, record_every):
     # one call with n streams is n one-stream calls, bit for bit: each
     # column draws its own stream, steps at its own mu and records its
     # own rows.  The budget gives chunks of 64 steps for three columns
-    # and 80 for one, so both runs cross chunks, at different steps;
+    # and 84 for one, so both runs cross chunks, at different steps;
     # the grid ends on a partial step
     set_chunk(monkeypatch, 64, 3, 3, d=1)
-    assert integrators.chunk_steps(1, 1, 1) == 80
+    assert integrators.chunk_steps(1, 1, 1) == 84
     mus = (0.1, 0.35, 0.55)
     streams = [NoiseStream(9, j) for j in (0, 4, 2)]
     ou = _terms(lambda x: -x, [1.0, 0.5])

@@ -6,6 +6,7 @@ budget.  The plain loop steps every path the observer does not stop to
 the horizon; em_paths drops the stopped and escaped ones."""
 
 import dataclasses
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -211,14 +212,25 @@ def test_exit_time_scaling_matches_per_step_oracle(params, ref, monkeypatch):
     assert np.isnan(obs.escaped_at).all()
 
 
+def _exits(n_paths):
+    # exit times on the step grid with ties, and censored paths at the
+    # horizon 5
+    rng = np.random.default_rng(n_paths)
+    return np.minimum(np.round(rng.exponential([[0.5], [1.0], [2.0]],
+                                               (3, n_paths)), 3), 5.0)
+
+
 @pytest.mark.parametrize("n_paths", [100, 301])
 @pytest.mark.parametrize("n_boot", [1, 200])
-def test_bootstrap_matches_per_resample_oracle(n_paths, n_boot):
-    # exit times on the step grid with ties, and censored paths at the
-    # horizon 5; medians of even and odd path counts
-    rng = np.random.default_rng(n_paths)
-    exits = np.minimum(np.round(rng.exponential([[0.5], [1.0], [2.0]],
-                                                (3, n_paths)), 3), 5.0)
+@pytest.mark.parametrize("piece", [7, None])  # None: the default budget
+def test_bootstrap_matches_per_resample_oracle(monkeypatch, n_paths, n_boot,
+                                               piece):
+    # medians of even and odd path counts, in one piece or in pieces of
+    # 7 resamples, the last one short
+    exits = _exits(n_paths)
+    if piece is not None:
+        monkeypatch.setattr(integrators, "NOISE_BUDGET",
+                            piece * 24 * exits.size)
     log_mu = np.log([0.2, 0.3, 0.45])
     got = ensemble._bootstrap(exits, log_mu, n_boot, 11)
     want = plain_bootstrap(exits, log_mu, n_boot, 11)
@@ -226,6 +238,20 @@ def test_bootstrap_matches_per_resample_oracle(n_paths, n_boot):
         assert a.shape == b.shape
         assert np.array_equal(a, b)
     assert (exits == 5.0).any()
+
+
+def test_bootstrap_within_budget():
+    # 2000 resamples of 3 x 300 paths would take 43 MB drawn at once; in
+    # pieces the draws and medians fit in NOISE_BUDGET, and the fit on
+    # the (2000, 3) medians takes a small part of a tenth more
+    exits = _exits(300)
+    tracemalloc.start()
+    try:
+        ensemble._bootstrap(exits, np.log([0.2, 0.3, 0.45]), 2000, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= integrators.NOISE_BUDGET * 1.1
 
 
 def _smc_cases(cert):
