@@ -9,11 +9,12 @@ aggregates are bit-identical at any block width.  A study at several
 noise amplitudes runs them as columns of the same blocks, each path's
 stream drawn once for all of them.  A block's statistics are read from
 every step of every running path, a chunk of steps at a time, as
-em_paths hands them over.  A study that reads a path only up to a
-stopping time stops it there: em_paths then steps it to the end of that
-chunk and no further.  The supermartingale check stops paths at the
-certified tube, and the exit-time study at their first exit; capture
-and deviation statistics read every path to the horizon.
+em_paths hands them over with their live-row mask, one amplitude per
+path.  A study that reads a path only up to a stopping time stops it
+there: em_paths then steps it to the end of that chunk and no further.
+The supermartingale check stops paths at the certified tube, and the
+exit-time study at their first exit; capture and deviation statistics
+read every path to the horizon.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ class EnsembleConfig:
 
     Paths start at x0 = (r, psi) at tau0, or in a ball of radius
     ball_radius around the reference solution when ball_radius > 0, and
-    run to tau0 + horizon with Euler-Maruyama steps dt.
+    run to tau0 + horizon with Euler-Maruyama steps dt, as checked by
+    integrators.sde_step_count, the one check of a run's steps.
     """
 
     params: SystemParams
@@ -65,11 +67,7 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.n_paths < 100:
             raise ValueError("n_paths must be at least 100 for probability estimates")
-        if self.horizon <= 0 or self.dt <= 0:
-            raise ValueError("horizon and dt must be positive")
-        n_steps = sde_step_count(self.tau0, self.tau0 + self.horizon, self.dt)
-        if n_steps > 50_000_000:
-            raise ValueError("horizon/dt implies an unreasonable step budget")
+        sde_step_count(self.tau0, self.tau0 + self.horizon, self.dt)
 
 
 def wilson_interval(k: int, n: int):
@@ -162,13 +160,13 @@ def _run_blocks(cfg: EnsembleConfig, mus: Sequence[float], grid, terms,
     dict per amplitude.
 
     A block of paths [lo, hi) runs as len(mus) * (hi - lo) columns,
-    amplitude-major: each path's stream is drawn once and feeds its
-    column at every amplitude.  observer(m) makes a fresh observer for a
-    block of m columns; em_paths calls it once per chunk of steps with
-    that chunk's states of the running columns and their indices, and
-    may drop the columns it returns as stopped.  Its result(x,
-    escaped_at) returns a dict of arrays whose last axis runs over the
-    columns.
+    amplitude-major: each path's stream is drawn once and feeds its column
+    at every amplitude, and em_paths gets one amplitude per column.
+    observer(m) makes a fresh observer for a block of m columns; em_paths
+    calls it once per chunk of steps with that chunk's states of the
+    running columns, their live-row mask and their indices, and drops the
+    columns it returns as stopped.  Its result(x, escaped_at) returns a
+    dict of arrays whose last axis runs over the columns.
     """
     mus = np.asarray(mus, dtype=float)
     blocks = []
@@ -184,12 +182,6 @@ def _run_blocks(cfg: EnsembleConfig, mus: Sequence[float], grid, terms,
                        for key, value in obs.result(x, escaped_at).items()})
     return [{key: np.concatenate([block[key][a] for block in blocks], axis=-1)
              for key in blocks[0]} for a in range(mus.size)]
-
-
-def _live_rows(xs, esc):
-    """The (rows, m) mask of the slab rows after row 0 that hold a state
-    of their path: those before the path's escape row esc."""
-    return np.arange(1, xs.shape[0])[:, None] < esc
 
 
 def _fold(ufunc, acc, cols, values, where, initial):
@@ -220,10 +212,10 @@ class _TubeObserver:
         self.psi_lo = np.full(m, np.inf)
         self.psi_hi = np.full(m, -np.inf)
 
-    def __call__(self, k0, xs, esc, cols):
+    def __call__(self, k0, xs, live, cols):
         # row 0, the start state or a state seen in the chunk before,
         # adds nothing
-        live = _live_rows(xs, esc)
+        live = live[1:]
         r, psi = xs[1:, 0], xs[1:, 1]
         tau = self.tau_next[k0:k0 + live.shape[0]]
         if self.star is not None:
@@ -275,8 +267,8 @@ class _ExitObserver(_TubeObserver):
     tube.  Its exit times and censoring are those of the paths stepped to
     the horizon; its other statistics stop with the path."""
 
-    def __call__(self, k0, xs, esc, cols):
-        super().__call__(k0, xs, esc, cols)
+    def __call__(self, k0, xs, live, cols):
+        super().__call__(k0, xs, live, cols)
         return self.exited[cols]
 
 
@@ -434,7 +426,7 @@ def _bootstrap(exits: np.ndarray, log_mu: np.ndarray, n_boot: int,
     NOISE_BUDGET; the stream is read in the same order at any piece
     size.  Returns the (n_boot,) slopes and the (n_boot, len(exits))
     medians."""
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    rng = NoiseStream(seed).generator()
     n_mus, n = exits.shape
     rows = max(1, integrators.NOISE_BUDGET // (24 * n_mus * n))
     boot_med = np.empty((n_boot, n_mus))
@@ -452,9 +444,9 @@ class _StoppedU1:
     d0 (or at a blow-up); U_1 = 4V + mu^2 h n^2 C (T + t0 - t), chain_U
     with n = 2, is evaluated at the stopped state and time: observations
     at obs_idx steps (-1 marks tau0) plus the pathwise running supremum
-    over every step.  em_paths drops a stopped path at the end of the
-    chunk in which it stopped, so the observer reads none of its states
-    after the stop.
+    over every step, of the rows em_paths marks live.  em_paths drops a
+    stopped path at the end of the chunk in which it stopped, so the
+    observer reads none of its states after the stop.
     """
 
     def __init__(self, cfg: EnsembleConfig, cert: StabilityCertificate,
@@ -474,7 +466,7 @@ class _StoppedU1:
         return chain_U(cfg.noise.mu, cfg.noise.h, 2, self.cert.C,
                        cfg.horizon, 4.0 * V, tau, cfg.tau0)
 
-    def __call__(self, k0, xs, esc, cols):
+    def __call__(self, k0, xs, live, cols):
         if k0 == 0:
             # the start state at tau0, read against the first step's
             # reference sample, is observation 0 (obs_idx[0] = -1)
@@ -495,12 +487,11 @@ class _StoppedU1:
             np.greater(R * R + Psi * Psi, d0 * d0, out=out[lo:hi])
             u[lo:hi] = self._u1((R, Psi), self.tau_next[k, None],
                                 (self.rs[k, None], self.ps[k, None]))
-        live = _live_rows(xs, esc)
-        out &= live
+        out &= live[1:]
         stop = out.any(axis=0)
         # a path counts its rows up to its stop, or those it is live in
         n_counted = np.where(stop, out.argmax(axis=0) + 1,
-                             live.sum(axis=0))
+                             live.sum(axis=0) - 1)
         counted = np.arange(n_rows)[:, None] < n_counted
         _fold(np.maximum, self.u_sup, cols, u, counted, -np.inf)
         # U_1 of each path after the chunk: at its last counted row, or

@@ -81,8 +81,8 @@ def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
 
 
 def _check_window(tau0: float, tau1: float):
-    if not tau1 > tau0:
-        raise ValueError(f"tau1 must exceed tau0, got [{tau0}, {tau1}]")
+    if not -math.inf < tau0 < tau1 < math.inf:
+        raise ValueError(f"tau1 must exceed tau0, both finite: {[tau0, tau1]}")
 
 
 def integrate_ode(field_fn: Callable, x0, tau0: float, tau1: float,
@@ -162,18 +162,24 @@ class NoiseStream:
 
 
 def sde_step_count(tau0: float, tau1: float, dt: float) -> int:
-    """Number of Euler-Maruyama steps, last partial step included."""
-    span = tau1 - tau0
-    n = int(math.floor(span / dt + 1e-12))
+    """Number of Euler-Maruyama steps, last partial step included, and the
+    one check of a run's steps: a finite window (_check_window), a finite
+    dt > 0 and at most MAX_SDE_STEPS steps.  A window within the rounding
+    tolerance of 1e-12 is one step."""
+    _check_window(tau0, tau1)
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    n = int(min((tau1 - tau0) / dt + 1e-12, MAX_SDE_STEPS + 1))
     if tau0 + n * dt < tau1 - 1e-12 * max(1.0, abs(tau1)):
         n += 1
-    return n
+    if n > MAX_SDE_STEPS:
+        raise ValueError(f"dt {dt} on [{tau0}, {tau1}] breaks the step budget")
+    return max(n, 1)
 
 
 def step_grid(tau0: float, tau1: float, dt: float):
     """Euler-Maruyama step grid (tau_at, tau_next, h): per step its start
     and end time and its size; the last step ends exactly at tau1."""
-    _check_window(tau0, tau1)
     n_steps = sde_step_count(tau0, tau1, dt)
     k = np.arange(n_steps)
     tau_at = tau0 + k * dt
@@ -189,6 +195,7 @@ def default_dt(mu: float) -> float:
     return mu * mu / 10.0  # below 2.5e-4
 
 
+MAX_SDE_STEPS = 50_000_000  # the step budget of one run
 NOISE_BUDGET = 4 << 20  # bytes of chunk buffers per em_paths call
 N_CHANNELS = 2          # Wiener channels per path
 N_SCRATCH = 3           # work rows em_paths lends to terms
@@ -231,8 +238,8 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
     arguments are rows of one length, the number of running paths: d
     each of the state x and of f and gw, N_CHANNELS of increments w, and
     N_SCRATCH work rows in scratch.  em_paths allocates these buffers
-    once per call and terms must not keep them.  mu is one amplitude for
-    every path or an array of m, one per path.
+    once per call and terms must not keep them.  mu is an array of m
+    amplitudes, one per path.
 
     Additive terms carry terms.additive, the intensity sigma per step of
     G w = (0, ..., 0, sigma[k] w_last), w_last the last channel's
@@ -256,12 +263,12 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
     writes the state after step k0 + i - 1 of the running paths into row
     i of a (chunk + 1, d, w) slab xs, whose row 0 is x for the first
     chunk and the last row of the chunk before for the others; the step
-    writes there, so nothing is copied.  observe(k0, xs, esc, cols) is
+    writes there, so nothing is copied.  observe(k0, xs, live, cols) is
     called once per chunk, after its steps.  cols[j] is the index in x
-    of the path in slab column j.  esc[j] is the first row of xs that is
-    not a state of that path: the row of the step at which it left the
-    finite range, or len(xs).  The rows from there on hold what stepping
-    a non-finite state gives; the overflow on the way is data, so numpy
+    of the path in slab column j.  live[i, j] holds if row i of xs is a
+    state of that path: row 0 and the rows before the step at which it
+    left the finite range, a prefix.  The rows after hold what stepping a
+    non-finite state gives; the overflow on the way is data, so numpy
     does not warn of it.  The next chunk overwrites xs, so an observer
     copies what it keeps.  observe may return a mask over the slab
     columns of paths that need no more steps.  At the end of each chunk
@@ -292,7 +299,6 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
             offset[1, i] = rad * math.sin(2 * math.pi * ang)
         x += np.tile(offset, m // n)
     sqrt_dt = math.sqrt(dt)
-    mu = np.asarray(mu, dtype=float)
     escaped_at = np.full(m, np.nan)
     sigma = getattr(terms, "additive", None)
     # additive terms need only the last channel's increments
@@ -350,15 +356,15 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
                 last = rows[i + 1][-1]
                 np.add(last, w[0], out=last)
         xs = slab[:k1 - k0 + 1]
-        # the first non-finite step of each path
-        bad = ~np.isfinite(xs[1:]).all(axis=1)
-        first = bad.argmax(axis=0)
-        out = bad.any(axis=0)
-        escaped_at[cols[out]] = tau_next[k0 + first[out]]
-        esc = np.where(out, first + 1, xs.shape[0])
-        stop = observe(k0, xs, esc, cols)
+        # a path's rows up to its first non-finite step
+        live = np.ones((xs.shape[0], cols.size), dtype=bool)
+        np.logical_and.accumulate(np.isfinite(xs[1:]).all(1), out=live[1:])
+        n_live = live.sum(axis=0)
+        out = n_live < xs.shape[0]
+        escaped_at[cols[out]] = tau_next[k0 + n_live[out] - 1]
+        stop = observe(k0, xs, live, cols)
         # each path's last finite state
-        x[:, cols] = xs[esc - 1, :, np.arange(cols.size)].T
+        x[:, cols] = xs[n_live - 1, :, np.arange(cols.size)].T
         k0 = k1
         run = ~out if stop is None else ~(out | stop)
         if k0 == n_steps or not run.any():
@@ -368,8 +374,7 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
             start = start[:, run]
             cols = cols[run]
             running, src = np.unique(cols % n, return_inverse=True)
-            if mu.ndim:
-                mu = mu[run]
+            mu = mu[run]
             drawing = [rngs[i] for i in running]
             # the narrower buffers are views of the first allocation
             drawn_buf = _narrow(drawn_buf, len(drawing))
@@ -388,15 +393,13 @@ def integrate_sde(make_terms: Callable, x0, tau0: float, tau1: float,
     dt), built here, and returns terms(k, x, w, f, gw, scratch) writing f
     and G w as in em_paths; partial(model.perturbed_terms, p, noise) is
     the perturbed system's.  mu is one amplitude or one per stream.  The
-    streams run as the columns of one em_paths call, each recording the
-    start, every record_every-th step and the last step while it is
-    finite, so the path for stream (master_seed, j) is bitwise path j of
-    an ensemble with the same start, whatever the other columns do.  The
-    end time is hit exactly via a shorter final step.  A non-finite state
-    truncates that path and flags its trajectory.
+    streams run as the columns of one em_paths call, one amplitude each,
+    each recording the start, every record_every-th step and the last
+    step while it is finite, so the path for stream (master_seed, j) is
+    bitwise path j of an ensemble with the same start, whatever the
+    other columns do.  The end time is hit exactly via a shorter final
+    step.  A non-finite state truncates that path and flags its trajectory.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
     m = len(streams)
     mu = np.broadcast_to(np.asarray(mu, dtype=float), (m,))
     if not np.all((0 <= mu) & (mu < 1)):
@@ -409,7 +412,7 @@ def integrate_sde(make_terms: Callable, x0, tau0: float, tau1: float,
     x = np.tile(np.asarray(x0, dtype=float).reshape(-1, 1), m)
     times, states, kept = [], [], []
 
-    def record(k0, xs, esc, cols):
+    def record(k0, xs, live, cols):
         # slab row i is state k0 + i of the path; row 0 is the last row of
         # the chunk before, except in the first chunk
         g = np.arange(k0 + (k0 > 0), k0 + xs.shape[0])
@@ -419,7 +422,7 @@ def integrate_sde(make_terms: Callable, x0, tau0: float, tau1: float,
         states.append(np.empty((g.size,) + x.shape))
         states[-1][:, :, cols] = xs[g - k0]
         kept.append(np.zeros((g.size, m), dtype=bool))
-        kept[-1][:, cols] = (g - k0)[:, None] < esc
+        kept[-1][:, cols] = live[g - k0]
 
     escaped_at = em_paths(terms, x, grid, dt, mu, streams, record)
     times, states = np.concatenate(times), np.concatenate(states)

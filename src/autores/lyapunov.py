@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .integrators import NoiseStream
 from .model import (
     SystemParams,
     NoiseSchedule,
@@ -249,7 +250,7 @@ def certify(p: SystemParams, ref, d_range=(1e-3, 0.3),
 def spot_check(cert: StabilityCertificate, p: SystemParams, ref,
                n: int = 10_000, seed: int = 0) -> int:
     """Random interior points; returns the number of inequality violations."""
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    rng = NoiseStream(seed).generator()
     rad = cert.d0 * np.sqrt(rng.uniform(0.0, 1.0, n))
     ang = rng.uniform(0.0, 2.0 * np.pi, n)
     taus = np.exp(rng.uniform(np.log(cert.tau0), np.log(cert.tau_hi), n))

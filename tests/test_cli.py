@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -345,6 +346,16 @@ def no_work(monkeypatch):
     ("ensemble", {**ENS_CFG, "sigma1": {"power": 1}}, "sigma1.coeff"),
     ("ensemble", {**ENS_CFG, "sigma2": {"coeff": "1"}}, "sigma2.coeff"),
     ("ensemble", {**ENS_CFG, "sigma1": "0.1"}, "sigma1"),
+    # json reads NaN and +-Infinity; no range check can order them
+    ("ensemble", {**ENS_CFG, "horizon": math.nan}, "horizon"),
+    ("ensemble", {**ENS_CFG, "dt": math.inf}, "dt"),
+    ("ensemble", {**ENS_CFG, "x0": [math.nan, 2.0]}, "x0"),
+    ("exit-times", {**EXIT_CFG, "mus": [0.2, -math.inf, 0.45]}, "mus"),
+    ("ensemble", {**ENS_CFG, "sigma2": {"coeff": math.nan}}, "sigma2.coeff"),
+    # certify holds every grid^3 sample and every spot point at once
+    ("certify", {"gamma": 0.1, "lam": 1.0, "grid": 129}, "grid"),
+    ("certify", {"gamma": 0.1, "lam": 1.0, "spot_checks": 1_000_001},
+     "spot_checks"),
 ])
 def test_wrong_typed_value_exit2(tmp_path, capsys, no_work, sub, cfg, field):
     code, out = _run(tmp_path, sub, cfg)
@@ -381,6 +392,18 @@ def test_cross_field_rules_exit2(tmp_path, capsys, no_work, sub, cfg, field):
     err = capsys.readouterr().err
     assert "config error" in err and f"field '{field}'" in err
     assert list(out.iterdir()) == []
+
+
+def test_ensemble_window_below_rounding_tolerance_runs(tmp_path, capsys):
+    # a horizon under the step count's rounding tolerance is one step
+    # ending at tau0 + horizon, not an empty step grid
+    code, out = _run(tmp_path, "ensemble",
+                     {**ENS_CFG, "horizon": 1e-13, "n_paths": 100})
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert len((out / "ensemble.csv").read_text().splitlines()) == 2 + 100
+    doc = json.loads((out / "manifest.json").read_text())
+    assert doc["config"]["horizon"] == 1e-13
 
 
 @pytest.mark.parametrize("cfg, extra", [

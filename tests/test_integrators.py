@@ -214,6 +214,46 @@ def test_sde_rejects_bad_window():
             integrators.step_grid(5.0, tau1, 0.1)
 
 
+def test_window_below_rounding_tolerance_is_one_step():
+    # a span under the step count's 1e-12 tolerance is one step ending at
+    # tau1, not an empty grid
+    tau1 = 100.0 + 5e-11
+    tau_at, tau_next, h = integrators.step_grid(100.0, tau1, 1e-3)
+    assert tau_at.tolist() == [100.0] and tau_next.tolist() == [tau1]
+    assert h.tolist() == [tau1 - 100.0]
+    traj, = integrate_sde(_terms(lambda x: -x, [1.0, 0.0]), [1.0], 100.0,
+                          tau1, 1e-3, 0.2, [NoiseStream(1, 0)])
+    assert traj.times.tolist() == [100.0, tau1]
+    assert traj.states.shape == (2, 1) and not traj.truncated
+
+
+@pytest.mark.parametrize("tau1, dt", [
+    (6.0, math.nan), (6.0, math.inf), (math.nan, 0.1), (math.inf, 0.1)])
+def test_step_grid_rejects_non_finite(tau1, dt):
+    with pytest.raises(ValueError, match="finite"):
+        integrators.step_grid(5.0, tau1, dt)
+
+
+def test_sde_step_budget_checked_before_allocation():
+    # dt 1e-12 over [0, 60] asks for 6e13 steps: the step count refuses
+    # them before the grid is built or the terms are made
+    def make_terms(tau_at):
+        raise AssertionError("terms made past the step budget")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            integrate_sde(make_terms, [1.0], 0.0, 60.0, 1e-12, 0.1,
+                          [NoiseStream(1, 0)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the budget's edge
+    assert sde_step_count(0.0, 50.0, 1e-6) == integrators.MAX_SDE_STEPS
+    with pytest.raises(ValueError, match="budget"):
+        sde_step_count(0.0, 50.000001, 1e-6)
+
+
 def test_sde_record_every_thins_output():
     terms = _terms(lambda x: 0.0 * x, [1.0, 0.0])
     full, = integrate_sde(terms, [0.0], 0.0, 1.0, 0.01, 0.2,
@@ -449,16 +489,20 @@ class _ChunkRecorder(_Recorder):
         self.calls = 0
         self.gone = np.zeros(m, dtype=bool)
 
-    def __call__(self, k0, xs, esc, cols):
+    def __call__(self, k0, xs, live, cols):
         self.calls += 1
         assert not self.gone[cols].any()
+        # live covers every slab row and is a prefix of each column
+        n_live = live.sum(axis=0)
+        assert live.shape == (xs.shape[0], cols.size) and (n_live > 0).all()
+        assert np.array_equal(live, np.arange(xs.shape[0])[:, None] < n_live)
         x = np.full((xs.shape[1], self.gone.size), np.nan)
-        live = np.zeros(self.gone.size, dtype=bool)
+        moved = np.zeros(self.gone.size, dtype=bool)
         for i in range(0 if k0 == 0 else 1, xs.shape[0]):
             x[:, cols] = xs[i]
-            live[cols] = (i < esc) & ~self.stopped[cols]
-            super().__call__(k0 + i - 1, x, live)
-        self.gone[cols[esc < xs.shape[0]]] = True
+            moved[cols] = (i < n_live) & ~self.stopped[cols]
+            super().__call__(k0 + i - 1, x, moved)
+        self.gone[cols[n_live < xs.shape[0]]] = True
         self.gone |= self.stopped
         return self.stopped[cols]
 
@@ -502,8 +546,8 @@ def test_em_paths_matches_plain_loop(params, ref, monkeypatch, kind, start,
         x = np.empty((2, m))
         x[0], x[1] = x0
         with np.errstate(over="ignore", invalid="ignore"):
-            esc = engine(terms, x, grid, dt, noise.mu, streams, obs,
-                         ball_radius=radius)
+            esc = engine(terms, x, grid, dt, np.full(m, noise.mu), streams,
+                         obs, ball_radius=radius)
         return esc, x, obs
 
     esc_ref, x_ref, obs_ref = run(plain_em, plain,
@@ -538,31 +582,31 @@ def test_em_paths_observes_once_per_chunk(monkeypatch):
     streams = [NoiseStream(5, j) for j in range(3)]
     calls = []
 
-    def observe(k0, xs, esc, cols):
+    def observe(k0, xs, live, cols):
         assert np.array_equal(cols, np.arange(3))
-        calls.append((k0, xs.copy(), esc.copy()))
+        calls.append((k0, xs.copy(), live.sum(axis=0)))
 
     x = np.ones((1, 3))
-    escaped_at = integrators.em_paths(terms, x, grid, 1e-3, 0.3, streams,
-                                      observe)
+    escaped_at = integrators.em_paths(terms, x, grid, 1e-3, np.full(3, 0.3),
+                                      streams, observe)
     assert [k0 for k0, _, _ in calls] == list(range(0, 1000, 64))
     assert [xs.shape[0] for _, xs, _ in calls] == [65] * 15 + [41]
     assert np.array_equal(calls[0][1][0], np.ones((1, 3)))
     for (_, before, _), (_, after, _) in zip(calls, calls[1:]):
         assert np.array_equal(after[0], before[-1])
-    assert all(np.array_equal(esc, [xs.shape[0]] * 3)
-               for _, xs, esc in calls)
+    assert all(np.array_equal(n_live, [xs.shape[0]] * 3)
+               for _, xs, n_live in calls)
     assert np.array_equal(x, calls[-1][1][-1])
     assert np.isnan(escaped_at).all()
 
     # an observer that stops every path ends stepping after its chunk
     calls.clear()
 
-    def stop_all(k0, xs, esc, cols):
+    def stop_all(k0, xs, live, cols):
         calls.append(k0)
         return np.ones(xs.shape[2], dtype=bool)
-    integrators.em_paths(terms, np.ones((1, 3)), grid, 1e-3, 0.3, streams,
-                         stop_all)
+    integrators.em_paths(terms, np.ones((1, 3)), grid, 1e-3, np.full(3, 0.3),
+                         streams, stop_all)
     assert calls == [0]
 
 
@@ -602,11 +646,12 @@ def _em_paths_peak(params, ref, cert, sigma1, observer=None):
         obs = (_tube_observer(params, ref, grid, m) if observer == "tube"
                else _tube_observer(params, ref, grid, m,
                                    ensemble._ExitObserver)
-               if observer == "exit" else lambda k0, xs, esc, cols: None)
+               if observer == "exit" else lambda k0, xs, live, cols: None)
         x[0], x[1] = ref.state(20.0)
     tracemalloc.start()
     try:
-        integrators.em_paths(terms, x, grid, 1e-3, noise.mu, streams, obs)
+        integrators.em_paths(terms, x, grid, 1e-3, np.full(m, noise.mu),
+                             streams, obs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

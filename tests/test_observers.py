@@ -51,9 +51,9 @@ def _watch(mp):
     calls = []
 
     def em_paths(terms, x, grid, dt, mu, streams, observe, **kwargs):
-        def watched(k0, xs, esc, cols):
-            stop = observe(k0, xs, esc, cols)
-            calls.append((k0, cols.copy(), esc < xs.shape[0],
+        def watched(k0, xs, live, cols):
+            stop = observe(k0, xs, live, cols)
+            calls.append((k0, cols.copy(), live.sum(axis=0) < xs.shape[0],
                           None if stop is None else stop.copy()))
             return stop
         return integrators.em_paths(terms, x, grid, dt, mu, streams,
@@ -148,13 +148,14 @@ def test_run_ensembles_match_per_step_oracle(params, ref, monkeypatch, case):
 
 
 class _CountingGenerator:
-    """A stream's generator that counts its standard_normal calls."""
+    """A stream's generator that counts its standard_normal calls; its
+    other draws (the ball start, the bootstrap's stream) pass through."""
 
     def __init__(self, gen, counts, j):
         self.gen, self.counts, self.j = gen, counts, j
 
-    def uniform(self, *args, **kwargs):
-        return self.gen.uniform(*args, **kwargs)
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
 
     def standard_normal(self, *args, **kwargs):
         self.counts[self.j] += 1
