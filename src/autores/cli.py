@@ -55,9 +55,14 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------- schema
 
 def _is_num(v) -> bool:
-    # json reads NaN and +-Infinity, which would pass every range check
-    return (isinstance(v, int) and not isinstance(v, bool)
-            or isinstance(v, float) and math.isfinite(v))
+    # json reads NaN and +-Infinity, which would pass every range check,
+    # and integers past float's range, which float(v) cannot convert
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _f(lo=None, hi=None, lo_open=False, hi_open=False):

@@ -67,6 +67,15 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.n_paths < 100:
             raise ValueError("n_paths must be at least 100 for probability estimates")
+        # NaN compares false with every bound, so a NaN start or tube
+        # would pass as paths that exit at once or never
+        if not all(math.isfinite(v) for v in self.x0):
+            raise ValueError(f"x0 must be finite, got {self.x0}")
+        if not 0 <= self.ball_radius < math.inf:
+            raise ValueError(f"ball_radius must be finite and >= 0, got "
+                             f"{self.ball_radius}")
+        if not 0 < self.eps1 < math.inf:
+            raise ValueError(f"eps1 must be finite and > 0, got {self.eps1}")
         sde_step_count(self.tau0, self.tau0 + self.horizon, self.dt)
 
 

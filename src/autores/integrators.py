@@ -9,13 +9,14 @@ statistically independent streams.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 from scipy.interpolate import CubicSpline
 
 from . import asymptotics
@@ -23,7 +24,9 @@ from .model import SystemParams
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive step-size underflow or a failed solver run, with location."""
+    """A failed adaptive run, located: tau is where the solver stopped
+    (step-size underflow or another failed step), or the first sample of
+    output that left the finite range."""
 
     def __init__(self, message: str, tau: float):
         super().__init__(f"{message} (at tau={tau:.6g})")
@@ -56,28 +59,106 @@ class Trajectory:
             raise ValueError("states must be finite; truncate before construction")
 
 
+# accepted steps whose interpolants _solve evaluates together: a few
+# hundred kB of stacked coefficients at fig1's 64 components, where all
+# of a run's steps at once would hold megabytes
+DENSE_PIECE = 64
+
+
 def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
            tol: float, t_eval):
     """One checked DOP853 run; returns (times, (len(y0), n) values).
 
-    A failed run or non-finite output raises IntegrationError with the
-    time reached.  tau1 may lie below tau0 for a backward run."""
+    The driver steps scipy's DOP853 with solve_ivp's tolerances and
+    sampling rules, so it returns solve_ivp's bits (tests/oracles.py keeps
+    solve_ivp's run as the oracle).  Without t_eval it records each
+    accepted step.  With t_eval it keeps each accepted step's interpolant
+    with the samples it covers and evaluates DENSE_PIECE steps at once
+    (_dense_values), not one step at a time.
+
+    A failed run raises IntegrationError at the time the solver stopped;
+    non-finite output raises it at the first non-finite sample.  tau1 may
+    lie below tau0 for a backward run, and t_eval then descends."""
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if y0.size == 0:
+        raise ValueError("y0 must not be empty")
+    tau0, tau1 = float(tau0), float(tau1)
+    if t_eval is None:
+        times, rows = [tau0], [y0]
+    else:
+        times = _sample_times(t_eval, tau0, tau1)
+        values = np.empty((y0.size, times.size))
+        # the samples times[:j] lie at or behind the solver's time t for
+        # j = bisect_right(keys, sign * t), in either direction
+        sign = 1.0 if tau1 > tau0 else -1.0
+        keys = (sign * times).tolist()
+        j, piece = 0, []
     # a blow-up is reported below with its location, so numpy's overflow
     # and invalid-value warnings on the way there add nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(field_fn, (tau0, tau1), y0, method="DOP853",
-                        rtol=tol, atol=tol, t_eval=t_eval, dense_output=False)
-    if not sol.success:
-        # sol.t is an empty list when the run fails before any t_eval sample
-        reached = float(sol.t[-1]) if len(sol.t) else tau0
-        raise IntegrationError(f"adaptive solver failed: {sol.message}", reached)
-    finite = np.isfinite(sol.y).all(axis=0)
+        solver = DOP853(field_fn, tau0, y0, tau1, rtol=tol, atol=tol)
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                raise IntegrationError(f"adaptive solver failed: {message}",
+                                       float(solver.t))
+            if t_eval is None:
+                times.append(solver.t)
+                rows.append(solver.y)
+                continue
+            j_new = bisect.bisect_right(keys, sign * solver.t)
+            if j_new > j:
+                piece.append((solver.dense_output(), j, j_new))
+                j = j_new
+                if len(piece) == DENSE_PIECE:
+                    _dense_values(piece, times, values)
+                    piece = []
+        if t_eval is None:
+            times, values = np.array(times), np.vstack(rows).T
+        else:
+            if piece:
+                _dense_values(piece, times, values)
+            times, values = times[:j], values[:, :j]
+    finite = np.isfinite(values).all(axis=0)
     if not finite.all():
         raise IntegrationError("adaptive solver left the finite range",
-                               float(sol.t[np.argmin(finite)]))
-    return sol.t, sol.y
+                               float(times[np.argmin(finite)]))
+    return times, values
+
+
+def _sample_times(t_eval, tau0: float, tau1: float) -> np.ndarray:
+    """t_eval as float64, checked: 1-d, inside the window and strictly
+    monotone from tau0 towards tau1."""
+    t = np.asarray(t_eval, dtype=float)
+    lo, hi = min(tau0, tau1), max(tau0, tau1)
+    if (t.ndim != 1 or not ((lo <= t) & (t <= hi)).all()
+            or not (np.diff(t) * (tau1 - tau0) > 0).all()):
+        raise ValueError(f"t_eval must be a 1-d array running strictly from "
+                         f"tau0 to tau1 inside {[tau0, tau1]}")
+    return t
+
+
+def _dense_values(piece: list, t: np.ndarray, out: np.ndarray):
+    """Write DOP853 interpolants' values at their samples into out.
+
+    piece holds (interpolant, i, j) for consecutive steps, each covering
+    the samples t[i:j] and the columns out[:, i:j], so the piece covers
+    one run of samples.  The evaluation is scipy's Dop853DenseOutput
+    Horner scheme, its elementwise operations in its order, over all the
+    piece's samples at once, so every value keeps its bits."""
+    sols, lo, hi = zip(*piece)
+    at = np.repeat(np.arange(len(sols)), np.subtract(hi, lo))
+    t_old = np.array([s.t_old for s in sols])[at]
+    h = np.array([s.h for s in sols])[at]
+    x = ((t[lo[0]:hi[-1]] - t_old) / h)[:, None]
+    F = np.stack([s.F for s in sols])[at]  # (samples, powers, n)
+    y = np.zeros((at.size, F.shape[2]))
+    for i in range(F.shape[1]):
+        y += F[:, -1 - i]
+        y *= x if i % 2 == 0 else 1 - x
+    y += np.stack([s.y_old for s in sols])[at]
+    out[:, lo[0]:hi[-1]] = y.T
 
 
 def _check_window(tau0: float, tau1: float):
@@ -89,9 +170,11 @@ def integrate_ode(field_fn: Callable, x0, tau0: float, tau1: float,
                   tol: float = 1e-10, t_eval=None) -> Trajectory:
     """DOP853 integration of dx/dtau = field_fn(tau, x) over [tau0, tau1].
 
-    Dense output is evaluated at t_eval when given, otherwise at the
-    solver's own accepted steps.  Raises IntegrationError on step-size
-    underflow or non-finite output, reporting how far the solver got.
+    Dense output is evaluated at t_eval when given, in pieces of
+    DENSE_PIECE steps (_solve), otherwise the solver's own accepted steps
+    are returned.  Raises IntegrationError on step-size underflow, at the
+    time the solver stopped whatever t_eval holds, or on non-finite
+    output, at its first non-finite sample.
     """
     _check_window(tau0, tau1)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -110,10 +193,11 @@ def integrate_ode_batch(field_fn: Callable, x0s, tau0: float, tau1: float,
     one vector of length d*m, and field_fn(tau, y) is called with y of
     shape (d, m), so a field written with array operations (rhs_primary)
     serves every member in one call; it returns d arrays of length m.
-    One adaptive run with shared steps replaces m runs, and the result is
-    split into m Trajectory objects.  Nothing is truncated: a failed run
-    or non-finite output raises IntegrationError, and a member that blows
-    up makes the shared run fail where its solo run would.
+    One adaptive run with shared steps replaces m runs, driven by _solve
+    like integrate_ode's, and the result is split into m Trajectory
+    objects.  Nothing is truncated: a failed run or non-finite output
+    raises IntegrationError, and a member that blows up makes the shared
+    run fail where its solo run would, at the time the solver stopped.
 
     The run uses rtol = atol = tol/sqrt(m) with tol = 1e-10.  For a solver that
     accepts a step when the RMS over all d*m components of
@@ -469,7 +553,7 @@ class ReferenceSolution:
 
 
 def _scalar_field(p: SystemParams) -> Callable:
-    """The unperturbed field as solve_ivp's fun(tau, y) for one state:
+    """The unperturbed field as DOP853's fun(tau, y) for one state:
     rhs_primary's operations in its order on Python floats, without
     numpy's per-operation overhead on scalars."""
     lam, gamma = p.lam, p.gamma

@@ -10,15 +10,18 @@ of paths that took the step (True for the start); it may return a mask
 of paths to stop.  PlainTube, PlainStoppedU1 and plain_integrate_sde are
 the per-step observers the chunked ones replaced, kept as they were.
 plain_bootstrap is exit_time_scaling's bootstrap, one resample at a time.
+plain_solve is integrators._solve as a solve_ivp call, whose interpolants
+are evaluated one step at a time.
 """
 
 import math
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from autores import integrators
 from autores.ensemble import CAPTURE_WINDOW, _captured
-from autores.integrators import NoiseStream, Trajectory
+from autores.integrators import IntegrationError, NoiseStream, Trajectory
 from autores.lyapunov import chain_U, eval_V
 
 
@@ -233,3 +236,21 @@ def set_chunk(monkeypatch, chunk, m, n, d=2):
                 + integrators.VIEW_BYTES * (d + 2))
     monkeypatch.setattr(integrators, "NOISE_BUDGET", chunk * per_step)
     assert integrators.chunk_steps(m, n, d) == chunk
+
+
+def plain_solve(field_fn, y0, tau0, tau1, tol, t_eval):
+    """integrators._solve as one solve_ivp call: (times, values), the
+    same errors, but a failed run is located at the last t_eval sample
+    passed, not where the solver stopped."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(field_fn, (tau0, tau1), y0, method="DOP853",
+                        rtol=tol, atol=tol, t_eval=t_eval, dense_output=False)
+    if not sol.success:
+        reached = float(sol.t[-1]) if len(sol.t) else tau0
+        raise IntegrationError(f"adaptive solver failed: {sol.message}",
+                               reached)
+    finite = np.isfinite(sol.y).all(axis=0)
+    if not finite.all():
+        raise IntegrationError("adaptive solver left the finite range",
+                               float(sol.t[np.argmin(finite)]))
+    return sol.t, sol.y

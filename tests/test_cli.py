@@ -356,6 +356,8 @@ def no_work(monkeypatch):
     ("certify", {"gamma": 0.1, "lam": 1.0, "grid": 129}, "grid"),
     ("certify", {"gamma": 0.1, "lam": 1.0, "spot_checks": 1_000_001},
      "spot_checks"),
+    # json reads integers of any length; float() cannot convert this one
+    ("ensemble", {**ENS_CFG, "eps1": 10 ** 400}, "eps1"),
 ])
 def test_wrong_typed_value_exit2(tmp_path, capsys, no_work, sub, cfg, field):
     code, out = _run(tmp_path, sub, cfg)

@@ -63,6 +63,21 @@ def test_config_validation(params):
         EnsembleConfig(**{**good, "horizon": 600.0, "dt": 1e-5})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("x0", (math.nan, 2.0)), ("x0", (1.0, -math.inf)),
+    ("ball_radius", math.nan), ("ball_radius", math.inf),
+    ("ball_radius", -0.1),
+    ("eps1", math.nan), ("eps1", math.inf), ("eps1", 0.0),
+])
+def test_config_rejects_non_finite(params, field, value):
+    # a NaN start "exited" every path at the first step, a NaN eps1 never
+    # exits, and a NaN or negative ball_radius started no path in a ball
+    good = dict(params=params, noise=_noise(0.1), tau0=10.0, horizon=5.0,
+                dt=1e-3, n_paths=100, master_seed=1)
+    with pytest.raises(ValueError, match=field):
+        EnsembleConfig(**good, **{field: value})
+
+
 def test_out_of_class_schedule_refused(ref, cfg_maker):
     cfg = cfg_maker(n_paths=100, noise=_noise(0.1, s2=2.0))
     with pytest.raises(ValueError, match="out_of_class"):

@@ -15,7 +15,7 @@ from autores.integrators import (IntegrationError, NoiseStream, Trajectory,
 from autores.ensemble import classify_capture
 from autores.model import (NoiseSchedule, SystemParams, constant_schedule,
                            power_schedule, rhs_primary)
-from oracles import plain_em, set_chunk
+from oracles import plain_em, plain_solve, set_chunk
 
 
 def test_trajectory_invariants():
@@ -115,17 +115,115 @@ def test_batch_blowup_fails_the_run():
     assert solo.value.tau == pytest.approx(0.5, abs=1e-6)
 
 
+@pytest.mark.parametrize("t_eval", [np.linspace(0.0, 0.9, 4), [0.9]])
+def test_failed_run_located_where_the_solver_stopped(t_eval):
+    # y' = y^2 from 2 blows up at 0.5; the last t_eval sample passed
+    # there is 0.3 or none at all, and neither is where the run failed
+    with pytest.raises(IntegrationError) as exc:
+        integrate_ode(lambda t, y: [y[0] ** 2], [2.0], 0.0, 0.9,
+                      t_eval=t_eval)
+    assert exc.value.tau == pytest.approx(0.5, abs=1e-6)
+
+
 def test_non_finite_solver_output_fails_the_run(monkeypatch):
     # DOP853 fails before it returns non-finite samples on every blow-up
-    # tried, so a run that does return them is faked; it must raise at
-    # the first non-finite sample, not come back truncated
-    def fake(fun, t_span, y0, **kw):
-        return SimpleNamespace(success=True, t=np.array([0.0, 0.5, 1.0]),
-                               y=np.array([[1.0, np.inf, np.nan]]))
-    monkeypatch.setattr(integrators, "solve_ivp", fake)
+    # tried, so a solver that does return them is faked; the run must
+    # raise at the first non-finite sample, not come back truncated
+    class FakeSolver:
+        def __init__(self, fun, t0, y0, t_bound, **kw):
+            self.status, self.t, self.y = "running", t0, y0
+            self.steps = iter([(0.5, np.inf), (1.0, np.nan)])
+
+        def step(self):
+            self.t, y = next(self.steps)
+            self.y = np.array([y])
+            if self.t == 1.0:
+                self.status = "finished"
+    monkeypatch.setattr(integrators, "DOP853", FakeSolver)
     with pytest.raises(IntegrationError) as exc:
         integrate_ode(lambda t, y: [0.0], [1.0], 0.0, 1.0)
     assert exc.value.tau == 0.5
+
+
+def _reference_leg(params, tau_end):
+    # reference_solution's leg from REF_TAU_SEED to tau_end
+    exp = expand(params, STABLE, integrators.REF_K)
+    seed = integrators.REF_TAU_SEED
+    y0 = np.array([float(v) for v in evaluate(exp, params, seed)])
+    n = round(abs(tau_end - seed) / integrators.REF_GRID_STEP) + 1
+    return integrators._solve(integrators._scalar_field(params), y0, seed,
+                              tau_end, integrators.REF_TOL,
+                              np.linspace(seed, tau_end, n))
+
+
+def _simulate(params, tau0, tau1, t_eval):
+    return integrators._solve(integrators._scalar_field(params),
+                              np.array([1.09, 2.15]), tau0, tau1, 1e-10,
+                              t_eval)
+
+
+def _fig1(params):
+    starts = [(r0, psi0) for r0 in np.arange(0.25, 2.01, 0.25)
+              for psi0 in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)]
+    trajs = integrate_ode_batch(lambda t, y: rhs_primary(y, t, params),
+                                starts, 0.0, 60.0,
+                                t_eval=np.linspace(0.0, 60.0, 2400))
+    return (np.array([t.times for t in trajs]),
+            np.array([t.states for t in trajs]))
+
+
+# _simulate takes about 1600 accepted steps on [20, 60]
+_SOLVES = {
+    "reference leg 100 -> 5": lambda p: _reference_leg(p, 5.0),
+    "reference leg 100 -> 400": lambda p: _reference_leg(p, 400.0),
+    "steps": lambda p: _simulate(p, 20.0, 60.0, None),
+    "steps backward": lambda p: _simulate(p, 60.0, 20.0, None),
+    "sparser than the steps": lambda p: _simulate(
+        p, 20.0, 60.0, np.linspace(20.0, 60.0, 7)),
+    "denser than the steps": lambda p: _simulate(
+        p, 20.0, 60.0, np.linspace(20.0, 60.0, 8001)),
+    "denser backward": lambda p: _simulate(
+        p, 60.0, 20.0, np.linspace(60.0, 20.0, 8001)),
+    "one point": lambda p: _simulate(p, 20.0, 60.0, [41.3]),
+    "on tau0 and tau1": lambda p: _simulate(p, 20.0, 60.0,
+                                            [20.0, 33.3, 60.0]),
+    "on tau0 and tau1 backward": lambda p: _simulate(p, 60.0, 20.0,
+                                                     [60.0, 33.3, 20.0]),
+    "fig1 batch": _fig1,
+}
+
+
+@pytest.fixture(scope="module")
+def solve_ivp_runs():
+    """Each _SOLVES case through oracles.plain_solve, run once."""
+    return {}
+
+
+@pytest.mark.parametrize("piece", [1, 7, integrators.DENSE_PIECE])
+@pytest.mark.parametrize("case", list(_SOLVES))
+def test_driver_is_solve_ivp_bit_for_bit(params, monkeypatch,
+                                         solve_ivp_runs, case, piece):
+    if case not in solve_ivp_runs:
+        with monkeypatch.context() as mp:
+            mp.setattr(integrators, "_solve", plain_solve)
+            solve_ivp_runs[case] = _SOLVES[case](params)
+    monkeypatch.setattr(integrators, "DENSE_PIECE", piece)
+    got_t, got_y = _SOLVES[case](params)
+    want_t, want_y = solve_ivp_runs[case]
+    assert np.array_equal(got_t, want_t)
+    assert np.array_equal(got_y, want_y)
+
+
+@pytest.mark.parametrize("t_eval", [
+    [0.5, 1.5], [0.5, 0.5], [0.6, 0.4], [[0.5]], [0.2, math.nan]])
+def test_t_eval_checked(t_eval):
+    with pytest.raises(ValueError, match="t_eval"):
+        integrate_ode(lambda t, y: [-y[0]], [1.0], 0.0, 1.0, t_eval=t_eval)
+
+
+def test_empty_state_refused():
+    with pytest.raises(ValueError, match="empty"):
+        integrate_ode(lambda t, y: [], [], 0.0, 1.0)
 
 
 def test_batch_rejects_bad_input():
