@@ -1,10 +1,10 @@
 """Deterministic adaptive integration and fixed-step Ito integration.
 
-The adaptive side wraps an embedded Runge-Kutta pair with dense output.
-The stochastic side is Euler-Maruyama with counter-based noise streams:
-the increments for (master_seed, path_index) are reproducible across
-runs, platforms and block widths, and distinct path indices give
-statistically independent streams.
+The adaptive side takes the steps of scipy's embedded Runge-Kutta pair
+DOP853, with dense output.  The stochastic side is Euler-Maruyama with
+counter-based noise streams: the increments for (master_seed,
+path_index) are reproducible across runs, platforms and block widths,
+and distinct path indices give statistically independent streams.
 """
 
 from __future__ import annotations
@@ -24,9 +24,11 @@ from .model import SystemParams
 
 
 class IntegrationError(RuntimeError):
-    """A failed adaptive run, located: tau is where the solver stopped
-    (step-size underflow or another failed step), or the first sample of
-    output that left the finite range."""
+    """A failed adaptive run, located: tau is where the solver stopped,
+    with scipy's message, when a step would fall below ten spacings of
+    floating-point numbers at tau (the one way a DOP853 step fails), or
+    the first sample of output that left the finite range.  An exception
+    raised by the field itself passes through unchanged."""
 
     def __init__(self, message: str, tau: float):
         super().__init__(f"{message} (at tau={tau:.6g})")
@@ -64,21 +66,30 @@ class Trajectory:
 # of a run's steps at once would hold megabytes
 DENSE_PIECE = 64
 
+# scipy's step-size control for its Runge-Kutta pairs: the safety factor,
+# the bounds on one step's change and DOP853's error exponent -1/(7 + 1)
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
+ERROR_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+
 
 def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
            tol: float, t_eval):
     """One checked DOP853 run; returns (times, (len(y0), n) values).
 
-    The driver steps scipy's DOP853 with solve_ivp's tolerances and
-    sampling rules, so it returns solve_ivp's bits (tests/oracles.py keeps
-    solve_ivp's run as the oracle).  Without t_eval it records each
-    accepted step.  With t_eval it keeps each accepted step's interpolant
-    with the samples it covers and evaluates DENSE_PIECE steps at once
-    (_dense_values), not one step at a time.
+    The run is scipy's DOP853 at solve_ivp's tolerances and sampling
+    rules, and it returns solve_ivp's bits (tests/oracles.py keeps
+    solve_ivp's run as the oracle).  scipy's DOP853 object checks y0,
+    evaluates the field at tau0, picks the first step and owns the stage
+    buffer; _dop853_steps then takes the steps.  Without t_eval each
+    accepted step is recorded.  With t_eval each step that covers samples
+    gets its interpolant's coefficients (_dense_coefficients), kept with
+    the samples it covers and evaluated DENSE_PIECE steps at once
+    (_dense_values).
 
-    A failed run raises IntegrationError at the time the solver stopped;
-    non-finite output raises it at the first non-finite sample.  tau1 may
-    lie below tau0 for a backward run, and t_eval then descends."""
+    A failed run raises IntegrationError at the time the solver stopped,
+    with scipy's message; non-finite output raises it at the first
+    non-finite sample.  tau1 may lie below tau0 for a backward run, and
+    t_eval then descends."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     if y0.size == 0:
@@ -98,18 +109,18 @@ def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
     # and invalid-value warnings on the way there add nothing
     with np.errstate(over="ignore", invalid="ignore"):
         solver = DOP853(field_fn, tau0, y0, tau1, rtol=tol, atol=tol)
-        while solver.status == "running":
-            message = solver.step()
-            if solver.status == "failed":
-                raise IntegrationError(f"adaptive solver failed: {message}",
-                                       float(solver.t))
+        K = solver.K_extended
+        extra = _stages(K, DOP853.A_EXTRA, DOP853.C_EXTRA,
+                        DOP853.n_stages + 1)
+        for t_old, y_old, t, y, h in _dop853_steps(field_fn, solver):
             if t_eval is None:
-                times.append(solver.t)
-                rows.append(solver.y)
+                times.append(t)
+                rows.append(y)
                 continue
-            j_new = bisect.bisect_right(keys, sign * solver.t)
+            j_new = bisect.bisect_right(keys, sign * t)
             if j_new > j:
-                piece.append((solver.dense_output(), j, j_new))
+                F = _dense_coefficients(field_fn, K, extra, t_old, y_old, y, h)
+                piece.append((t_old, h, y_old, F, j, j_new))
                 j = j_new
                 if len(piece) == DENSE_PIECE:
                     _dense_values(piece, times, values)
@@ -127,6 +138,99 @@ def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
     return times, values
 
 
+def _stages(K: np.ndarray, A: np.ndarray, C: np.ndarray, first: int) -> list:
+    """(s, K[:s].T, a[:s], c) for the stages s = first, first + 1, ... of
+    the tableau rows A and nodes C: views into K and the node as a Python
+    float, made once per run, not once per stage."""
+    return [(s, K[:s].T, a[:s], float(c))
+            for s, (a, c) in enumerate(zip(A, C), start=first)]
+
+
+def _dop853_steps(fun: Callable, solver):
+    """The accepted steps of the DOP853 run that solver starts, as
+    (t_old, y_old, t, y, h); solver.K_extended holds the step's stages
+    until the next step is asked for.
+
+    A step is scipy's (RungeKutta._step_impl, rk_step and DOP853's error
+    norm): the same stage times, field calls, rejections and step-size
+    updates, so the same bits.  The tableau is read from the public
+    DOP853 class.  Every numpy operation whose rounding matters stays the
+    numpy call scipy makes, with the same shapes: each stage sum np.dot(
+    K[:s].T, a) * h, the solution update, the error scale and the error
+    norms.  The stage sums cannot become Python sums, since BLAS's dot
+    does not round as a sequential sum does.  What goes is overhead: the
+    field is called directly, not through scipy's counting and asarray
+    wrappers, the stage views are made once (_stages), and t, h and the
+    step control are Python floats, which round as numpy's scalars do.
+
+    A step size below ten spacings of t raises IntegrationError with
+    scipy's message at t."""
+    n_stages = DOP853.n_stages
+    K = solver.K_extended
+    stages = _stages(K, DOP853.A[1:], DOP853.C[1:], 1)
+    K_B, K_E = K[:n_stages].T, K[:n_stages + 1].T
+    B, E3, E5 = DOP853.B, DOP853.E3, DOP853.E5
+    rtol, atol = solver.rtol, solver.atol
+    direction, t_bound = float(solver.direction), float(solver.t_bound)
+    toward = direction * math.inf
+    t, y, h_abs, n = float(solver.t), solver.y, float(solver.h_abs), solver.n
+    K[0] = solver.f
+    while direction * (t - t_bound) < 0:
+        min_step = 10 * abs(math.nextafter(t, toward) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(
+                    f"adaptive solver failed: {DOP853.TOO_SMALL_STEP}", t)
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            for s, K_s, a, c in stages:
+                K[s] = fun(t + c * h, y + np.dot(K_s, a) * h)
+            y_new = y + h * np.dot(K_B, B)
+            K[n_stages] = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = float(np.linalg.norm(np.dot(K_E, E5) / scale) ** 2)
+            err3 = float(np.linalg.norm(np.dot(K_E, E3) / scale) ** 2)
+            if err5 == 0 and err3 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * n)
+            if error_norm < 1:
+                factor = MAX_FACTOR if error_norm == 0 else min(
+                    MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            rejected = True
+        t_old, y_old, t, y = t, y, t_new, y_new
+        yield t_old, y_old, t, y, h
+        # the next step starts from this one's last stage, f(t, y)
+        K[0] = K[n_stages]
+
+
+def _dense_coefficients(fun: Callable, K: np.ndarray, extra: list,
+                        t_old: float, y_old: np.ndarray, y: np.ndarray,
+                        h: float) -> np.ndarray:
+    """The coefficients F of the accepted step's interpolant, as scipy's
+    DOP853._dense_output_impl makes them: the three extra stages extra
+    (_stages) into K, then F from all of K."""
+    for s, K_s, a, c in extra:
+        K[s] = fun(t_old + c * h, y_old + np.dot(K_s, a) * h)
+    f_old = K[0]
+    delta_y = y - y_old
+    F = np.empty((DOP853.D.shape[0] + 3, y.size))
+    F[0] = delta_y
+    F[1] = h * f_old - delta_y
+    F[2] = 2 * delta_y - h * (K[DOP853.n_stages] + f_old)
+    F[3:] = h * np.dot(DOP853.D, K)
+    return F
+
+
 def _sample_times(t_eval, tau0: float, tau1: float) -> np.ndarray:
     """t_eval as float64, checked: 1-d, inside the window and strictly
     monotone from tau0 towards tau1."""
@@ -142,22 +246,22 @@ def _sample_times(t_eval, tau0: float, tau1: float) -> np.ndarray:
 def _dense_values(piece: list, t: np.ndarray, out: np.ndarray):
     """Write DOP853 interpolants' values at their samples into out.
 
-    piece holds (interpolant, i, j) for consecutive steps, each covering
-    the samples t[i:j] and the columns out[:, i:j], so the piece covers
-    one run of samples.  The evaluation is scipy's Dop853DenseOutput
-    Horner scheme, its elementwise operations in its order, over all the
-    piece's samples at once, so every value keeps its bits."""
-    sols, lo, hi = zip(*piece)
-    at = np.repeat(np.arange(len(sols)), np.subtract(hi, lo))
-    t_old = np.array([s.t_old for s in sols])[at]
-    h = np.array([s.h for s in sols])[at]
-    x = ((t[lo[0]:hi[-1]] - t_old) / h)[:, None]
-    F = np.stack([s.F for s in sols])[at]  # (samples, powers, n)
+    piece holds (t_old, h, y_old, F, i, j) for consecutive steps: the
+    step's start, signed size, start state and interpolant coefficients,
+    covering the samples t[i:j] and the columns out[:, i:j], so the piece
+    covers one run of samples.  The evaluation is scipy's
+    Dop853DenseOutput Horner scheme, its elementwise operations in its
+    order, over all the piece's samples at once, so every value keeps its
+    bits."""
+    t_old, h, y_old, F, lo, hi = zip(*piece)
+    at = np.repeat(np.arange(len(piece)), np.subtract(hi, lo))
+    x = ((t[lo[0]:hi[-1]] - np.array(t_old)[at]) / np.array(h)[at])[:, None]
+    F = np.stack(F)[at]  # (samples, powers, n)
     y = np.zeros((at.size, F.shape[2]))
     for i in range(F.shape[1]):
         y += F[:, -1 - i]
         y *= x if i % 2 == 0 else 1 - x
-    y += np.stack([s.y_old for s in sols])[at]
+    y += np.stack(y_old)[at]
     out[:, lo[0]:hi[-1]] = y.T
 
 
@@ -170,11 +274,16 @@ def integrate_ode(field_fn: Callable, x0, tau0: float, tau1: float,
                   tol: float = 1e-10, t_eval=None) -> Trajectory:
     """DOP853 integration of dx/dtau = field_fn(tau, x) over [tau0, tau1].
 
-    Dense output is evaluated at t_eval when given, in pieces of
-    DENSE_PIECE steps (_solve), otherwise the solver's own accepted steps
-    are returned.  Raises IntegrationError on step-size underflow, at the
-    time the solver stopped whatever t_eval holds, or on non-finite
-    output, at its first non-finite sample.
+    The steps are scipy's DOP853 steps, taken by _solve: scipy picks
+    the first step and supplies the tableau, and the stage sums, error
+    norm and interpolant stay scipy's numpy operations, so the result is
+    solve_ivp's to the bit.  field_fn is called directly, once per
+    stage, with tau a Python float; it returns len(x0) values.  Dense
+    output is evaluated at t_eval when given, in pieces of DENSE_PIECE
+    steps, otherwise the solver's own accepted steps are returned.
+    Raises IntegrationError on step-size underflow, at the time the
+    solver stopped whatever t_eval holds, or on non-finite output, at
+    its first non-finite sample.
     """
     _check_window(tau0, tau1)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -193,8 +302,9 @@ def integrate_ode_batch(field_fn: Callable, x0s, tau0: float, tau1: float,
     one vector of length d*m, and field_fn(tau, y) is called with y of
     shape (d, m), so a field written with array operations (rhs_primary)
     serves every member in one call; it returns d arrays of length m.
-    One adaptive run with shared steps replaces m runs, driven by _solve
-    like integrate_ode's, and the result is split into m Trajectory
+    One adaptive run with shared steps replaces m runs, stepped by _solve
+    like integrate_ode's (scipy's DOP853 step, one field call per stage
+    for all members), and the result is split into m Trajectory
     objects.  Nothing is truncated: a failed run or non-finite output
     raises IntegrationError, and a member that blows up makes the shared
     run fail where its solo run would, at the time the solver stopped.

@@ -238,13 +238,16 @@ def set_chunk(monkeypatch, chunk, m, n, d=2):
     assert integrators.chunk_steps(m, n, d) == chunk
 
 
-def plain_solve(field_fn, y0, tau0, tau1, tol, t_eval):
+def plain_solve(field_fn, y0, tau0, tau1, tol, t_eval, stats=None):
     """integrators._solve as one solve_ivp call: (times, values), the
     same errors, but a failed run is located at the last t_eval sample
-    passed, not where the solver stopped."""
+    passed, not where the solver stopped.  stats, a dict when given,
+    receives solve_ivp's count of field calls as stats["nfev"]."""
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(field_fn, (tau0, tau1), y0, method="DOP853",
                         rtol=tol, atol=tol, t_eval=t_eval, dense_output=False)
+    if stats is not None:
+        stats["nfev"] = sol.nfev
     if not sol.success:
         reached = float(sol.t[-1]) if len(sol.t) else tau0
         raise IntegrationError(f"adaptive solver failed: {sol.message}",

@@ -5,8 +5,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853, solve_ivp
 
-from autores import asymptotics, ensemble, integrators, model
+from autores import asymptotics, ensemble, integrators, model, pendulum
 from autores.asymptotics import STABLE, evaluate, expand
 from autores.integrators import (IntegrationError, NoiseStream, Trajectory,
                                  default_dt, integrate_ode,
@@ -127,33 +128,29 @@ def test_failed_run_located_where_the_solver_stopped(t_eval):
 
 def test_non_finite_solver_output_fails_the_run(monkeypatch):
     # DOP853 fails before it returns non-finite samples on every blow-up
-    # tried, so a solver that does return them is faked; the run must
-    # raise at the first non-finite sample, not come back truncated
-    class FakeSolver:
-        def __init__(self, fun, t0, y0, t_bound, **kw):
-            self.status, self.t, self.y = "running", t0, y0
-            self.steps = iter([(0.5, np.inf), (1.0, np.nan)])
-
-        def step(self):
-            self.t, y = next(self.steps)
-            self.y = np.array([y])
-            if self.t == 1.0:
-                self.status = "finished"
-    monkeypatch.setattr(integrators, "DOP853", FakeSolver)
+    # tried, so steps that do return them are faked at the one place the
+    # driver takes its steps; the run must raise at the first non-finite
+    # sample, not come back truncated
+    def fake_steps(fun, solver):
+        yield 0.0, solver.y, 0.5, np.array([np.inf]), 0.5
+        yield 0.5, np.array([np.inf]), 1.0, np.array([np.nan]), 0.5
+    monkeypatch.setattr(integrators, "_dop853_steps", fake_steps)
     with pytest.raises(IntegrationError) as exc:
         integrate_ode(lambda t, y: [0.0], [1.0], 0.0, 1.0)
     assert exc.value.tau == 0.5
 
 
-def _reference_leg(params, tau_end):
-    # reference_solution's leg from REF_TAU_SEED to tau_end
+def _reference_leg(params, tau_end, sampled=True):
+    # reference_solution's leg from REF_TAU_SEED to tau_end, on its grid
+    # or at the solver's accepted steps
     exp = expand(params, STABLE, integrators.REF_K)
     seed = integrators.REF_TAU_SEED
     y0 = np.array([float(v) for v in evaluate(exp, params, seed)])
     n = round(abs(tau_end - seed) / integrators.REF_GRID_STEP) + 1
     return integrators._solve(integrators._scalar_field(params), y0, seed,
                               tau_end, integrators.REF_TOL,
-                              np.linspace(seed, tau_end, n))
+                              np.linspace(seed, tau_end, n) if sampled
+                              else None)
 
 
 def _simulate(params, tau0, tau1, t_eval):
@@ -170,6 +167,15 @@ def _fig1(params):
                                 t_eval=np.linspace(0.0, 60.0, 2400))
     return (np.array([t.times for t in trajs]),
             np.array([t.states for t in trajs]))
+
+
+def _pendulum(params):
+    # the pendulum command's leg at eps 0.05 from (r, psi) = (1, 2), cut
+    # to t = 80: 254 accepted steps and 55 rejected ones
+    pp = pendulum.inverse_map(params, 0.05)
+    u0, v0 = pendulum.seed_from_averaged(1.0, 2.0, 0.05)
+    traj = pendulum.integrate_pendulum(pp, u0, v0, 80.0)
+    return traj.times, traj.states
 
 
 # _simulate takes about 1600 accepted steps on [20, 60]
@@ -190,28 +196,107 @@ _SOLVES = {
     "on tau0 and tau1 backward": lambda p: _simulate(p, 60.0, 20.0,
                                                      [60.0, 33.3, 20.0]),
     "fig1 batch": _fig1,
+    "pendulum": _pendulum,
+    "reference leg 100 -> 5 steps": lambda p: _reference_leg(p, 5.0, False),
 }
+
+
+def _counted(solve, calls: list):
+    """solve with its field wrapped in a call counter: each run appends
+    its field calls to calls."""
+    def run(field_fn, *args):
+        calls.append(0)
+
+        def field(t, y):
+            calls[-1] += 1
+            return field_fn(t, y)
+        return solve(field, *args)
+    return run
 
 
 @pytest.fixture(scope="module")
 def solve_ivp_runs():
-    """Each _SOLVES case through oracles.plain_solve, run once."""
+    """Each _SOLVES case through oracles.plain_solve, run once:
+    (times, values, solve_ivp's nfev, field calls counted)."""
     return {}
+
+
+def _oracle(solve_ivp_runs, case, params, monkeypatch):
+    if case not in solve_ivp_runs:
+        calls, nfev = [], []
+
+        def oracle(*args):
+            stats = {}
+            out = plain_solve(*args, stats=stats)
+            nfev.append(stats["nfev"])
+            return out
+        with monkeypatch.context() as mp:
+            mp.setattr(integrators, "_solve", _counted(oracle, calls))
+            t, y = _SOLVES[case](params)
+        solve_ivp_runs[case] = t, y, nfev, calls
+    return solve_ivp_runs[case]
 
 
 @pytest.mark.parametrize("piece", [1, 7, integrators.DENSE_PIECE])
 @pytest.mark.parametrize("case", list(_SOLVES))
 def test_driver_is_solve_ivp_bit_for_bit(params, monkeypatch,
                                          solve_ivp_runs, case, piece):
-    if case not in solve_ivp_runs:
-        with monkeypatch.context() as mp:
-            mp.setattr(integrators, "_solve", plain_solve)
-            solve_ivp_runs[case] = _SOLVES[case](params)
+    want_t, want_y, *_ = _oracle(solve_ivp_runs, case, params, monkeypatch)
     monkeypatch.setattr(integrators, "DENSE_PIECE", piece)
     got_t, got_y = _SOLVES[case](params)
-    want_t, want_y = solve_ivp_runs[case]
     assert np.array_equal(got_t, want_t)
     assert np.array_equal(got_y, want_y)
+
+
+@pytest.mark.parametrize("case", list(_SOLVES))
+def test_driver_makes_solve_ivp_field_calls(params, monkeypatch,
+                                            solve_ivp_runs, case):
+    # equal samples could come from other steps; equal field calls show
+    # the same steps, rejections and dense-output stages ran
+    _, _, nfev, oracle_calls = _oracle(solve_ivp_runs, case, params,
+                                       monkeypatch)
+    assert oracle_calls == nfev
+    calls = []
+    monkeypatch.setattr(integrators, "_solve",
+                        _counted(integrators._solve, calls))
+    _SOLVES[case](params)
+    assert calls == nfev
+
+
+def test_pendulum_case_rejects_steps(params, monkeypatch):
+    # the pendulum case must exercise rejected steps: without t_eval,
+    # solve_ivp calls the field twice before the first step and 12 times
+    # per attempted step
+    sols = []
+
+    def steps_too(field_fn, y0, tau0, tau1, tol, t_eval):
+        sols.append(solve_ivp(field_fn, (tau0, tau1), y0, method="DOP853",
+                              rtol=tol, atol=tol))
+        return plain_solve(field_fn, y0, tau0, tau1, tol, t_eval)
+    monkeypatch.setattr(integrators, "_solve", steps_too)
+    _pendulum(params)
+    sol, = sols
+    assert (sol.nfev - 2) // 12 > sol.t.size - 1
+
+
+@pytest.mark.parametrize("t_eval", [None, np.linspace(0.0, 0.9, 4), [0.9]])
+def test_failure_matches_scipy(t_eval):
+    # y' = y^2 from 2 blows up at 0.5: the driver fails with solve_ivp's
+    # message, where scipy's own step loop stopped, to the bit
+    field_fn = lambda t, y: [y[0] ** 2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(field_fn, (0.0, 0.9), [2.0], method="DOP853",
+                        rtol=1e-10, atol=1e-10, t_eval=t_eval)
+        solver = DOP853(field_fn, 0.0, np.array([2.0]), 0.9, rtol=1e-10,
+                        atol=1e-10)
+        while solver.status == "running":
+            solver.step()
+    assert sol.status == -1 and solver.status == "failed"
+    with pytest.raises(IntegrationError) as exc:
+        integrate_ode(field_fn, [2.0], 0.0, 0.9, t_eval=t_eval)
+    assert str(exc.value).startswith(
+        f"adaptive solver failed: {sol.message} (at tau=")
+    assert exc.value.tau == solver.t
 
 
 @pytest.mark.parametrize("t_eval", [
