@@ -396,15 +396,9 @@ def _cmd_certify(cfg: dict, out: Path):
     res = certify(p, ref, d_range=(cfg["d_lo"], cfg["d_hi"]),
                   tau_range=(cfg["tau_lo"], cfg["tau_hi"]),
                   grid=cfg["grid"], q=cfg["q"])
-    if isinstance(res, NoCertificate):
-        _write_json(out / "certificate.json", {
-            "found": False, "reason": res.reason, "tau": res.tau,
-            "R": res.R, "Psi": res.Psi,
-        })
-        return
-    doc = {"found": True}
-    doc.update(dataclasses.asdict(res))
-    if cfg["spot_checks"] > 0:
+    doc = {"found": not isinstance(res, NoCertificate),
+           **dataclasses.asdict(res)}
+    if doc["found"] and cfg["spot_checks"] > 0:
         violations = spot_check(res, p, ref, n=cfg["spot_checks"],
                                 seed=cfg["spot_seed"])
         doc["spot_checks"] = {"n": cfg["spot_checks"],

@@ -636,30 +636,31 @@ class ReferenceSolution:
 
     Built by seeding the truncated series at a large time and sharpening
     it with the flow: tight-tolerance integration backward to tau_min and
-    forward to tau_max, cached on a uniform grid with cubic interpolation.
-    Read-only after construction, and shared: reference_solution hands
-    one object to every caller with the same params.  Interpolation
-    reproduces grid nodes exactly.
+    forward to tau_max, cached on a uniform grid with one cubic spline
+    through the (n, 2) node values.  Read-only after construction, and
+    shared: reference_solution hands one object to every caller with the
+    same params.  The spline returns every node's value to within one
+    ulp, not always exactly: at tau_max it sums the last piece's
+    polynomial, and psi* there comes back one ulp off at gamma 0.1.
 
     The phase approaches psi0 = pi - arcsin(gamma) like psi0 - 1/(nu*tau),
     nu = sqrt(1 - gamma^2): with gamma = 0.1 it is 0.17 away at tau_min = 5
     and inside 0.1 only from tau ~ 9.
     """
 
-    def __init__(self, times: np.ndarray, r_values: np.ndarray,
-                 psi_values: np.ndarray):
+    def __init__(self, times: np.ndarray, values: np.ndarray):
         self.tau_min = float(times[0])
         self.tau_max = float(times[-1])
-        self._spline_r = CubicSpline(times, r_values)
-        self._spline_psi = CubicSpline(times, psi_values)
+        self._spline = CubicSpline(times, values)
 
     def state(self, tau):
-        """(r*, psi*) at tau; accepts arrays; errors outside the domain."""
+        """(r*, psi*) at tau as the two contiguous rows of one array, of
+        tau's shape each; accepts arrays; errors outside the domain."""
         tau = np.asarray(tau, dtype=float)
         if np.any(tau < self.tau_min - 1e-12) or np.any(tau > self.tau_max + 1e-12):
             raise ValueError(
                 f"tau outside reference domain [{self.tau_min}, {self.tau_max}]")
-        return self._spline_r(tau), self._spline_psi(tau)
+        return np.ascontiguousarray(np.moveaxis(self._spline(tau), -1, 0))
 
 
 def _scalar_field(p: SystemParams) -> Callable:
@@ -709,6 +710,5 @@ def reference_solution(params: SystemParams) -> ReferenceSolution:
     t_b, y_b = leg(REF_TAU_MIN)
     t_f, y_f = leg(REF_TAU_MAX)
     times = np.concatenate([t_b[::-1], t_f[1:]])
-    r_vals = np.concatenate([y_b[0][::-1], y_f[0][1:]])
-    psi_vals = np.concatenate([y_b[1][::-1], y_f[1][1:]])
-    return ReferenceSolution(times, r_vals, psi_vals)
+    values = np.concatenate([y_b[:, ::-1], y_f[:, 1:]], axis=1)
+    return ReferenceSolution(times, values.T)

@@ -128,41 +128,43 @@ def weighted_norm(e, tau, p: SystemParams):
     return R * R / (p.nu * tau) + Psi * Psi
 
 
-def _inequality_slacks(R, Psi, tau, p: SystemParams, ref, q: float):
+# the certified inequalities, in the order of _inequality_slacks' leading axis
+INEQUALITIES = ("sandwich lower", "sandwich upper", "decay")
+
+
+def _inequality_slacks(R, Psi, tau, p: SystemParams, star, q: float):
     """Pointwise slack of each certified inequality; negative = violated.
 
-    Returns (sandwich_lo, sandwich_hi, decay) where
+    R, Psi and tau broadcast, and star = ref.state(tau).  Returns one
+    array whose leading axis runs over INEQUALITIES:
       sandwich_lo = V - w/4,  sandwich_hi = 3w/4 - V,  decay = -qV - dV/dtau.
     All are normalized by w so slacks are comparable across the tube.
     """
     e = (R, Psi)
-    star = ref.state(tau)
     w = weighted_norm(e, tau, p)
     V = eval_V(e, tau, p, star)
     dV = dV_dtau(e, tau, p, star)
     with np.errstate(invalid="ignore", divide="ignore"):
-        lo = np.where(w > 0, (V - 0.25 * w) / np.maximum(w, 1e-300), np.inf)
-        hi = np.where(w > 0, (0.75 * w - V) / np.maximum(w, 1e-300), np.inf)
-        decay = np.where(w > 0, (-q * V - dV) / np.maximum(w, 1e-300), np.inf)
-    return lo, hi, decay
+        return np.where(w > 0, np.stack([V - 0.25 * w, 0.75 * w - V,
+                                         -q * V - dV])
+                        / np.maximum(w, 1e-300), np.inf)
 
 
 def _tube_samples(d0: float, tau0: float, tau_hi: float, grid: int):
-    """Polar-by-log-time sample of the tube boundary and interior."""
-    radii = np.linspace(d0 / grid, d0, grid)
-    angles = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    """Polar-by-log-time sample of the tube boundary and interior: R and
+    Psi of shape (grid, grid, 1) over radius and angle, and the (grid,)
+    times, which broadcast against them."""
+    radii = np.linspace(d0 / grid, d0, grid)[:, None, None]
+    angles = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)[:, None]
     taus = np.geomspace(tau0, tau_hi, grid)
-    rr, aa, tt = np.meshgrid(radii, angles, taus, indexing="ij")
-    R = (rr * np.cos(aa)).ravel()
-    Psi = (rr * np.sin(aa)).ravel()
-    return R, Psi, tt.ravel()
+    return radii * np.cos(angles), radii * np.sin(angles), taus
 
 
 def _tube_ok(d0, tau0, tau_hi, grid, p, ref, q):
-    R, Psi, tt = _tube_samples(d0, tau0, tau_hi, grid)
-    lo, hi, decay = _inequality_slacks(R, Psi, tt, p, ref, q)
-    worst = min(float(lo.min()), float(hi.min()), float(decay.min()))
-    return worst >= 0.0, worst, (R, Psi, tt, lo, hi, decay)
+    R, Psi, taus = _tube_samples(d0, tau0, tau_hi, grid)
+    slack = _inequality_slacks(R, Psi, taus, p, ref.state(taus), q)
+    worst = float(slack.min())
+    return worst >= 0.0, worst, (R, Psi, taus, slack)
 
 
 def certify(p: SystemParams, ref, d_range=(1e-3, 0.3),
@@ -199,14 +201,13 @@ def certify(p: SystemParams, ref, d_range=(1e-3, 0.3),
         ok_lo, worst_lo, detail = _tube_ok(d_lo, tau0, tau_hi, grid, p, ref, q)
         if not ok_lo:
             if first_violation is None:
-                R, Psi, tt, lo, hi, decay = detail
-                names = ("sandwich lower", "sandwich upper", "decay")
-                mins = [lo.min(), hi.min(), decay.min()]
-                which = int(np.argmin(mins))
-                idx = int(np.argmin((lo, hi, decay)[which]))
+                R, Psi, taus, slack = detail
+                which, i, j, k = np.unravel_index(np.argmin(slack),
+                                                  slack.shape)
                 first_violation = NoCertificate(
-                    reason=f"{names[which]} inequality violated",
-                    tau=float(tt[idx]), R=float(R[idx]), Psi=float(Psi[idx]))
+                    reason=f"{INEQUALITIES[which]} inequality violated",
+                    tau=float(taus[k]), R=float(R[i, j, 0]),
+                    Psi=float(Psi[i, j, 0]))
             continue
         ok_hi, worst_hi, _ = _tube_ok(d_hi, tau0, tau_hi, grid, p, ref, q)
         if ok_hi:
@@ -229,14 +230,14 @@ def certify(p: SystemParams, ref, d_range=(1e-3, 0.3),
 
     d0, tau0, margin = best
     # measure the smallest B, C fitting the winning tube
-    R, Psi, tt = _tube_samples(d0, tau0, tau_hi, grid)
-    star = ref.state(tt)
-    V = eval_V((R, Psi), tt, p, star)
-    gR, gP = grad_V((R, Psi), tt, p, star)
+    R, Psi, taus = _tube_samples(d0, tau0, tau_hi, grid)
+    star = ref.state(taus)
+    V = eval_V((R, Psi), taus, p, star)
+    gR, gP = grad_V((R, Psi), taus, p, star)
     grad_sq = gR * gR + gP * gP
     with np.errstate(invalid="ignore", divide="ignore"):
         B = float(np.max(np.where(V > 0, grad_sq / np.maximum(V, 1e-300), 0.0)))
-    h_rr, h_rp, h_pp = hess_V((R, Psi), tt, p, star)
+    h_rr, h_rp, h_pp = hess_V((R, Psi), taus, p, star)
     # spectral norm of a symmetric 2x2
     mean = (h_rr + h_pp) / 2.0
     disc = np.sqrt(((h_rr - h_pp) / 2.0) ** 2 + h_rp ** 2)
@@ -256,8 +257,8 @@ def spot_check(cert: StabilityCertificate, p: SystemParams, ref,
     taus = np.exp(rng.uniform(np.log(cert.tau0), np.log(cert.tau_hi), n))
     R = rad * np.cos(ang)
     Psi = rad * np.sin(ang)
-    lo, hi, decay = _inequality_slacks(R, Psi, taus, p, ref, cert.q)
-    return int(np.sum(lo < 0) + np.sum(hi < 0) + np.sum(decay < 0))
+    slack = _inequality_slacks(R, Psi, taus, p, ref.state(taus), cert.q)
+    return int(np.count_nonzero(slack < 0))
 
 
 def chain_a(k: int, n: int, h: float, B: float, C: float, q: float) -> float:

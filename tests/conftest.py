@@ -3,6 +3,7 @@ import pytest
 from autores import SystemParams
 from autores.integrators import reference_solution
 from autores.lyapunov import StabilityCertificate, certify
+from oracles import PlainReference
 
 
 @pytest.fixture(scope="session")
@@ -13,6 +14,11 @@ def params() -> SystemParams:
 @pytest.fixture(scope="session")
 def ref(params):
     return reference_solution(params)
+
+
+@pytest.fixture(scope="session")
+def plain_ref(params):
+    return PlainReference(params)
 
 
 @pytest.fixture(scope="session")

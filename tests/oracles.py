@@ -11,18 +11,23 @@ of paths to stop.  PlainTube, PlainStoppedU1 and plain_integrate_sde are
 the per-step observers the chunked ones replaced, kept as they were.
 plain_bootstrap is exit_time_scaling's bootstrap, one resample at a time.
 plain_solve is integrators._solve as a solve_ivp call, whose interpolants
-are evaluated one step at a time.
+are evaluated one step at a time.  PlainReference is the reference
+solution as one spline per component, and plain_tube_samples,
+plain_inequality_slacks and plain_first_violation are certify's tube as
+flat arrays that read the reference at every sample, with one slack
+array per inequality.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 
-from autores import integrators
+from autores import asymptotics, integrators
 from autores.ensemble import CAPTURE_WINDOW, _captured
 from autores.integrators import IntegrationError, NoiseStream, Trajectory
-from autores.lyapunov import chain_U, eval_V
+from autores.lyapunov import chain_U, dV_dtau, eval_V, weighted_norm
 
 
 def plain_em(terms, x, grid, dt, mu, streams, observe, ball_radius):
@@ -257,3 +262,71 @@ def plain_solve(field_fn, y0, tau0, tau1, tol, t_eval, stats=None):
         raise IntegrationError("adaptive solver left the finite range",
                                float(sol.t[np.argmin(finite)]))
     return sol.t, sol.y
+
+
+class PlainReference:
+    """integrators.reference_solution with the legs concatenated and
+    interpolated one component at a time: times, r and psi hold the
+    legs' node values, and state(tau) returns (r*, psi*) from two
+    splines."""
+
+    def __init__(self, params):
+        exp = asymptotics.expand(params, asymptotics.STABLE,
+                                 integrators.REF_K)
+        seed = integrators.REF_TAU_SEED
+        y_seed = np.array([float(v)
+                           for v in asymptotics.evaluate(exp, params, seed)])
+        field = integrators._scalar_field(params)
+
+        def leg(tau_end):
+            n = int(round(abs(tau_end - seed) / integrators.REF_GRID_STEP)) + 1
+            return integrators._solve(field, y_seed, seed, tau_end,
+                                      integrators.REF_TOL,
+                                      np.linspace(seed, tau_end, n))
+
+        t_b, y_b = leg(integrators.REF_TAU_MIN)
+        t_f, y_f = leg(integrators.REF_TAU_MAX)
+        self.times = np.concatenate([t_b[::-1], t_f[1:]])
+        self.r = np.concatenate([y_b[0][::-1], y_f[0][1:]])
+        self.psi = np.concatenate([y_b[1][::-1], y_f[1][1:]])
+        self._spline_r = CubicSpline(self.times, self.r)
+        self._spline_psi = CubicSpline(self.times, self.psi)
+
+    def state(self, tau):
+        tau = np.asarray(tau, dtype=float)
+        return self._spline_r(tau), self._spline_psi(tau)
+
+
+def plain_tube_samples(d0, tau0, tau_hi, grid):
+    """certify's tube as flat (R, Psi, tau) samples over the full grid^3
+    mesh, radius, angle and time in that order of nesting."""
+    radii = np.linspace(d0 / grid, d0, grid)
+    angles = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    taus = np.geomspace(tau0, tau_hi, grid)
+    rr, aa, tt = np.meshgrid(radii, angles, taus, indexing="ij")
+    return (rr * np.cos(aa)).ravel(), (rr * np.sin(aa)).ravel(), tt.ravel()
+
+
+def plain_inequality_slacks(R, Psi, tau, p, ref, q):
+    """The (sandwich lower, sandwich upper, decay) slacks as three
+    arrays, the reference read at every sample."""
+    e = (R, Psi)
+    star = ref.state(tau)
+    w = weighted_norm(e, tau, p)
+    V = eval_V(e, tau, p, star)
+    dV = dV_dtau(e, tau, p, star)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        lo = np.where(w > 0, (V - 0.25 * w) / np.maximum(w, 1e-300), np.inf)
+        hi = np.where(w > 0, (0.75 * w - V) / np.maximum(w, 1e-300), np.inf)
+        decay = np.where(w > 0, (-q * V - dV) / np.maximum(w, 1e-300), np.inf)
+    return lo, hi, decay
+
+
+def plain_first_violation(R, Psi, tau, lo, hi, decay):
+    """(reason, tau, R, Psi) of the worst slack: the first inequality
+    holding the smallest minimum, then its first sample at that value."""
+    names = ("sandwich lower", "sandwich upper", "decay")
+    which = int(np.argmin([lo.min(), hi.min(), decay.min()]))
+    idx = int(np.argmin((lo, hi, decay)[which]))
+    return (f"{names[which]} inequality violated", float(tau[idx]),
+            float(R[idx]), float(Psi[idx]))

@@ -511,7 +511,9 @@ def test_ensemble_window_outside_reference_exit1(tmp_path, capsys):
 
 
 def test_exit_times_outputs(tmp_path):
-    cfg = {**EXIT_CFG, "horizon": 2.0, "mus": [0.2, 0.3, 0.45],
+    # horizon 3 leaves 0.36 of the paths at mu 0.2 censored, so every
+    # median is an exit time (at horizon 2 it would be 0.54)
+    cfg = {**EXIT_CFG, "horizon": 3.0, "mus": [0.2, 0.3, 0.45],
            "n_paths": 100, "n_boot": 20}
     code, out1 = _run(tmp_path, "exit-times", cfg, outname="run1")
     assert code == 0
@@ -530,6 +532,20 @@ def test_exit_times_outputs(tmp_path):
                  "--out", str(out2)]) == 0
     for name in ("exit_times.csv", "scaling.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_exit_times_refuses_censored_median(tmp_path, capsys):
+    # criterion 09's config at horizon 3: every path at mu 0.05 is
+    # censored, so its median is the horizon and no exit time
+    cfg = {**EXIT_CFG, "horizon": 3.0, "mus": [0.05, 0.3, 0.45],
+           "n_paths": 300, "master_seed": 7, "dt": 1e-3, "n_boot": 20}
+    code, out = _run(tmp_path, "exit-times", cfg)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "mu=0.05" in err and "horizon" in err
+    assert "Traceback" not in err
+    assert not (out / "scaling.json").exists()
+    assert not (out / "exit_times.csv").exists()
 
 
 def test_certify_outputs(tmp_path):

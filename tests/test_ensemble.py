@@ -267,6 +267,39 @@ def test_exit_time_scaling_validation(ref, cfg_maker):
         exit_time_scaling(cfg, [0.2, 0.3, 0.3], ref)
 
 
+def test_exit_time_scaling_refuses_censored_median(params, ref):
+    # criterion 09's config at horizon 3: every path at mu 0.05 stays in
+    # the tube, so its "median" would be the horizon, a lower bound
+    cfg = EnsembleConfig(params=params, noise=_noise(0.05), tau0=20.0,
+                         horizon=3.0, dt=1e-3, n_paths=300, master_seed=7,
+                         x0=tuple(ref.state(20.0)), eps1=0.3)
+    with pytest.raises(ValueError, match=r"mu=0\.05 .* horizon=3\.0"):
+        exit_time_scaling(cfg, [0.05, 0.3, 0.45], ref, n_boot=20)
+
+
+@pytest.mark.parametrize("n_censored, refused", [(49, False), (50, True),
+                                                 (100, True)])
+def test_exit_time_scaling_censored_share_at_one_mu(ref, cfg_maker,
+                                                    monkeypatch, n_censored,
+                                                    refused):
+    # a median is censored from half the paths on, at any one amplitude
+    cfg = cfg_maker(n_paths=100)
+
+    def runs(cfg, mus, ref, out_of_class_ok, observer):
+        exits = np.linspace(0.1, 1.0, cfg.n_paths)
+        censored = np.arange(cfg.n_paths) < n_censored
+        return [{"exit_times": np.where(censored, cfg.horizon, exits),
+                 "censored": censored if mu == 0.3
+                 else np.zeros_like(censored)} for mu in mus], None
+    monkeypatch.setattr(ensemble, "_tube_runs", runs)
+    if refused:
+        with pytest.raises(ValueError, match=r"mu=0\.3 .* horizon"):
+            exit_time_scaling(cfg, [0.2, 0.3, 0.45], ref, n_boot=10)
+    else:
+        res = exit_time_scaling(cfg, [0.2, 0.3, 0.45], ref, n_boot=10)
+        assert res["censored_fractions"] == [0.0, 0.49, 0.0]
+
+
 def test_exit_time_scaling_runs_cfg_at_each_mu(ref, cfg_maker, monkeypatch):
     # one ensemble per amplitude: cfg with only mu replaced, whatever mu
     # cfg itself carries.  They run stacked (run_ensembles), as one block

@@ -547,12 +547,37 @@ def test_reference_built_once_per_params(params, ref):
     assert other.state(50.0)[1] != ref.state(50.0)[1]
     fresh = reference_solution.__wrapped__(params)
     assert fresh is not ref
-    nodes = ref._spline_r.x
-    assert np.array_equal(nodes, fresh._spline_r.x)
+    nodes = ref._spline.x
+    assert np.array_equal(nodes, fresh._spline.x)
     between = (nodes[:-1] + nodes[1:]) / 2.0
     for tau in (nodes, between):
         for got, want in zip(ref.state(tau), fresh.state(tau)):
             assert np.array_equal(got, want)
+
+
+def test_reference_is_two_splines_bit_for_bit(ref, plain_ref):
+    # one spline through the (n, 2) node values gives each component's
+    # own spline, bit for bit, as two contiguous rows
+    assert np.array_equal(ref._spline.x, plain_ref.times)
+    nodes = plain_ref.times
+    rng = np.random.default_rng(11)
+    for tau in (nodes, (nodes[:-1] + nodes[1:]) / 2.0,
+                rng.uniform(ref.tau_min, ref.tau_max, 100_000),
+                rng.uniform(ref.tau_min, ref.tau_max, (40, 50)), 77.3):
+        got = ref.state(tau)
+        assert got.shape == (2,) + np.shape(tau)
+        assert got[0].flags.c_contiguous and got[1].flags.c_contiguous
+        for row, want in zip(got, plain_ref.state(tau)):
+            assert np.array_equal(row, want)
+
+
+def test_reference_nodes_within_one_ulp(ref, plain_ref):
+    # the spline reproduces the legs' node values to one ulp; at
+    # tau_max it sums the last piece's polynomial, and psi* comes back
+    # one ulp off there
+    r, psi = ref.state(plain_ref.times)
+    np.testing.assert_array_max_ulp(r, plain_ref.r, maxulp=1)
+    np.testing.assert_array_max_ulp(psi, plain_ref.psi, maxulp=1)
 
 
 def test_reference_field_is_rhs_primary(params):

@@ -7,10 +7,12 @@ from autores.model import (NoiseSchedule, constant_schedule, power_schedule,
                            rhs_error)
 from autores import lyapunov
 from autores.integrators import integrate_ode
-from autores.lyapunov import (StabilityCertificate, certify, chain_U,
-                              chain_a, dV_dtau, eval_V, grad_V,
+from autores.lyapunov import (NoCertificate, StabilityCertificate, certify,
+                              chain_U, chain_a, dV_dtau, eval_V, grad_V,
                               noise_class_check, spot_check, thresholds,
                               thresholds_beta, weighted_norm)
+from oracles import (plain_first_violation, plain_inequality_slacks,
+                     plain_tube_samples)
 
 
 def _tube_points(d0, tau_lo, tau_hi, n, seed=5):
@@ -119,6 +121,75 @@ def test_certify_bisects_when_d_hi_fails(params, ref, monkeypatch):
         assert passed and failed and max(passed) < min(failed)
         assert min(failed) - max(passed) < 2.0 * 2.0 ** -40
     assert [ok for t, _, ok in calls if t == 5.25] == [True, True]
+
+
+@pytest.mark.parametrize("grid", [32, 37])
+def test_tube_slacks_match_flat_oracle(params, ref, plain_ref, grid):
+    # the broadcast tube, read once per time, gives the flat mesh's
+    # slacks bit for bit, one row of the leading axis per inequality
+    for d0, tau0, q in ((0.3, 10.0, params.gamma / 6.0), (0.5, 10.0, 5.0),
+                        (2.0, 5.0, params.gamma / 6.0)):
+        R, Psi, taus = lyapunov._tube_samples(d0, tau0, ref.tau_max, grid)
+        assert R.shape == Psi.shape == (grid, grid, 1)
+        assert taus.shape == (grid,)
+        got = lyapunov._inequality_slacks(R, Psi, taus, params,
+                                          ref.state(taus), q)
+        flat = plain_tube_samples(d0, tau0, ref.tau_max, grid)
+        for mine, theirs in zip((R, Psi, taus), flat):
+            assert np.array_equal(
+                np.broadcast_to(mine, (grid,) * 3).ravel(), theirs)
+        want = plain_inequality_slacks(*flat, params, plain_ref, q)
+        assert got.shape == (len(lyapunov.INEQUALITIES),) + (grid,) * 3
+        for row, w in zip(got, want):
+            assert np.array_equal(row.ravel(), w)
+
+
+def test_slacks_at_random_points_match_flat_oracle(params, ref, plain_ref):
+    R, Psi, taus = _tube_points(0.4, 5.0, ref.tau_max, 20_000, seed=9)
+    for q in (params.gamma / 6.0, 5.0):
+        got = lyapunov._inequality_slacks(R, Psi, taus, params,
+                                          ref.state(taus), q)
+        want = plain_inequality_slacks(R, Psi, taus, params, plain_ref, q)
+        assert np.array_equal(got, np.stack(want))
+
+
+@pytest.mark.parametrize("q", [5.0, 0.3])
+def test_first_violation_matches_flat_oracle(params, ref, plain_ref, q):
+    c = certify(params, ref, q=q)
+    assert isinstance(c, NoCertificate)
+    flat = plain_tube_samples(1e-3, 10.0, ref.tau_max, 32)
+    want = plain_first_violation(
+        *flat, *plain_inequality_slacks(*flat, params, plain_ref, q))
+    assert (c.reason, c.tau, c.R, c.Psi) == want
+
+
+@pytest.mark.parametrize("grid", [32, 33])
+def test_tube_check_reads_reference_once_per_time(params, ref, monkeypatch,
+                                                  grid):
+    # each tube check asks the reference for at most grid times, not one
+    # per sample of the grid^3 tube
+    asked, per_check = [], []
+
+    class Spy:
+        tau_min, tau_max = ref.tau_min, ref.tau_max
+
+        def state(self, tau):
+            asked.append(np.size(tau))
+            return ref.state(tau)
+
+    def tube_ok(*args):
+        start = len(asked)
+        res = orig(*args)
+        per_check.append(sum(asked[start:]))
+        return res
+    orig = lyapunov._tube_ok
+    monkeypatch.setattr(lyapunov, "_tube_ok", tube_ok)
+    c = certify(params, Spy(), d_range=(1e-3, 2.0), tau_range=(5.0, 6.0),
+                grid=grid)
+    assert isinstance(c, StabilityCertificate)
+    # the search bisected at least one tau0 candidate
+    assert len(per_check) > 40
+    assert 0 < min(per_check) and max(per_check) <= grid
 
 
 def test_spot_check_clean(params, ref, cert):

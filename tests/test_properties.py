@@ -1,8 +1,10 @@
 """Property tests: Wilson intervals, the Euler-Maruyama step grid, the
-ensemble's path blocks, and ensemble outputs under any chunk length,
-block width and amplitude stacking, over generated inputs."""
+ensemble's path blocks, the noise-class bound, and ensemble outputs
+under any chunk length, block width and amplitude stacking, over
+generated inputs."""
 
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -12,6 +14,7 @@ from autores import ensemble, integrators
 from autores.ensemble import (EnsembleConfig, run_ensemble, run_ensembles,
                               supermartingale_check, wilson_interval)
 from autores.integrators import sde_step_count, step_grid
+from autores.lyapunov import noise_class_check
 from autores.model import NoiseSchedule, constant_schedule, power_schedule
 
 
@@ -66,6 +69,35 @@ def test_path_blocks_partition_paths(n_paths):
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
     assert min(widths) > 0 and max(widths) <= ensemble.MAX_BLOCK_PATHS
     assert max(widths) - min(widths) <= 1
+
+
+# nonzero coefficients stay clear of subnormals, where a product of
+# two roundings is no longer within a relative 1e-12
+_coeffs = st.one_of(st.just(0.0), st.floats(1e-6, 10.0),
+                    st.floats(-10.0, -1e-6))
+_powers = st.one_of(st.sampled_from([-3.0, -1.0, 0.0, 1.0, 2.0]),
+                    st.floats(-3.0, 2.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(c1=_coeffs, p1=_powers, c2=_coeffs, p2=_powers,
+       tau0=st.floats(0.01, 1000.0), h=st.floats(0.0, 100.0))
+def test_noise_class_bound_is_the_sup(c1, p1, c2, p2, tau0, h):
+    noise = NoiseSchedule(mu=0.1, sigma1=power_schedule(c1, p1),
+                          sigma2=power_schedule(c2, p2), h=h)
+    res = noise_class_check(noise, tau0)
+    bound = res["bound"]
+    taus = np.geomspace(tau0, 1e6 * tau0, 200)
+    sampled = (np.abs(noise.sigma1(taus)) * taus
+               + np.abs(noise.sigma2(taus)))
+    assert np.all(sampled <= bound * (1.0 + 1e-12))
+    # unbounded exactly when a nonzero term grows: tau weights sigma1
+    grows = (c1 != 0.0 and p1 + 1.0 > 0) or (c2 != 0.0 and p2 > 0)
+    assert (bound == math.inf) == grows
+    if not grows:
+        # every term is nonincreasing, so the sup sits at tau0
+        assert abs(bound - sampled[0]) <= 1e-12 * bound
+    assert res["admissible"] == (bound <= h)
 
 
 _MUS = (0.2, 0.3, 0.45)
