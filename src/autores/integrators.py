@@ -1,10 +1,16 @@
 """Deterministic adaptive integration and fixed-step Ito integration.
 
-The adaptive side takes the steps of scipy's embedded Runge-Kutta pair
-DOP853, with dense output.  The stochastic side is Euler-Maruyama with
-counter-based noise streams: the increments for (master_seed,
-path_index) are reproducible across runs, platforms and block widths,
-and distinct path indices give statistically independent streams.
+The adaptive side takes the steps of the embedded Runge-Kutta pair
+DOP853, with dense output, as scipy's solve_ivp takes them: the tableau
+is a verbatim copy of scipy's (dop853_coefficients), and the start, the
+step and the interpolant are ports of scipy's code that keep its numpy
+calls, so a run gives solve_ivp's bits.  The reference solution is read
+from a not-a-knot cubic spline built and evaluated as scipy's
+CubicSpline does, its one linear solve scipy.linalg.solve_banded.  The
+stochastic side is Euler-Maruyama with counter-based noise streams: the
+increments for (master_seed, path_index) are reproducible across runs,
+platforms and block widths, and distinct path indices give
+statistically independent streams.
 """
 
 from __future__ import annotations
@@ -12,14 +18,15 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from . import asymptotics
+from . import dop853_coefficients as dop853
 from .model import SystemParams
 
 
@@ -69,7 +76,11 @@ DENSE_PIECE = 64
 # scipy's step-size control for its Runge-Kutta pairs: the safety factor,
 # the bounds on one step's change and DOP853's error exponent -1/(7 + 1)
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
-ERROR_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+ERROR_ORDER = 7  # the order of DOP853's error estimate
+ERROR_EXPONENT = -1 / (ERROR_ORDER + 1)
+# scipy's OdeSolver message for a step below ten spacings of t
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+RTOL_MIN = 100 * np.finfo(float).eps  # scipy's floor on rtol
 
 
 def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
@@ -78,12 +89,14 @@ def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
 
     The run is scipy's DOP853 at solve_ivp's tolerances and sampling
     rules, and it returns solve_ivp's bits (tests/oracles.py keeps
-    solve_ivp's run as the oracle).  scipy's DOP853 object checks y0,
-    evaluates the field at tau0, picks the first step and owns the stage
-    buffer; _dop853_steps then takes the steps.  Without t_eval each
-    accepted step is recorded.  With t_eval each step that covers samples
-    gets its interpolant's coefficients (_dense_coefficients), kept with
-    the samples it covers and evaluated DENSE_PIECE steps at once
+    solve_ivp's run as the oracle).  _dop853_start does what scipy's
+    DOP853 constructor does: it checks y0, evaluates the field at tau0
+    and picks the first step.  The stage buffer is the constructor's
+    K_extended, one row per stage of the extended tableau, and
+    _dop853_steps takes the steps.  Without t_eval each accepted step is
+    recorded.  With t_eval each step that covers samples gets its
+    interpolant's coefficients (_dense_coefficients), kept with the
+    samples it covers and evaluated DENSE_PIECE steps at once
     (_dense_values).
 
     A failed run raises IntegrationError at the time the solver stopped,
@@ -108,11 +121,13 @@ def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
     # a blow-up is reported below with its location, so numpy's overflow
     # and invalid-value warnings on the way there add nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        solver = DOP853(field_fn, tau0, y0, tau1, rtol=tol, atol=tol)
-        K = solver.K_extended
-        extra = _stages(K, DOP853.A_EXTRA, DOP853.C_EXTRA,
-                        DOP853.n_stages + 1)
-        for t_old, y_old, t, y, h in _dop853_steps(field_fn, solver):
+        y0, f0, h_abs, rtol = _dop853_start(field_fn, tau0, y0, tau1, tol)
+        K = np.empty((dop853.N_STAGES_EXTENDED, y0.size))
+        K[0] = f0
+        first = dop853.N_STAGES + 1
+        extra = _stages(K, dop853.A[first:], dop853.C[first:], first)
+        for t_old, y_old, t, y, h in _dop853_steps(field_fn, K, tau0, y0,
+                                                   tau1, h_abs, rtol, tol):
             if t_eval is None:
                 times.append(t)
                 rows.append(y)
@@ -138,6 +153,70 @@ def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
     return times, values
 
 
+def _dop853_start(fun: Callable, t0: float, y0, t_bound: float, tol: float):
+    """The start of a DOP853 run from (t0, y0) towards t_bound, as scipy's
+    DOP853(fun, t0, y0, t_bound, rtol=tol, atol=tol) constructor makes it
+    (OdeSolver, RungeKutta and check_arguments, with validate_tol's check
+    of rtol): y0 as a checked float64 vector, rtol raised to RTOL_MIN
+    with scipy's warning when below it, f0 = fun(t0, y0) as float64, and
+    the first step size from _select_initial_step, which calls fun
+    once more.  Returns (y0, f0, h_abs, rtol)."""
+    y0 = np.asarray(y0).astype(float, copy=False)
+    if y0.ndim != 1:
+        raise ValueError("`y0` must be 1-dimensional.")
+    if not np.isfinite(y0).all():
+        raise ValueError(
+            "All components of the initial state `y0` must be finite.")
+    rtol = tol
+    if rtol < RTOL_MIN:
+        warnings.warn("At least one element of `rtol` is too small. "
+                      f"Setting `rtol = np.maximum(rtol, {RTOL_MIN})`.",
+                      stacklevel=4)
+        rtol = np.maximum(rtol, RTOL_MIN)
+    f0 = np.asarray(fun(t0, y0), dtype=float)
+    direction = np.sign(t_bound - t0) if t_bound != t0 else 1
+    h_abs = _select_initial_step(fun, t0, y0, t_bound, f0, direction, rtol,
+                                 tol)
+    return y0, f0, h_abs, rtol
+
+
+def _rms(x: np.ndarray):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _select_initial_step(fun: Callable, t0: float, y0: np.ndarray,
+                         t_bound: float, f0: np.ndarray, direction, rtol,
+                         atol):
+    """The first step size, ported line for line from scipy's
+    select_initial_step (Hairer, Norsett & Wanner, Solving ODEs I,
+    Sec. II.4) with DOP853's error order and no bound on the step; the
+    numpy calls and their order are scipy's, so the size keeps its bits.
+    It calls fun once, at the trial step; y0 is not empty."""
+    interval_length = abs(t_bound - t0)
+    if interval_length == 0.0:
+        return 0.0
+
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    # the trial step stays inside [t0, t_bound]
+    h0 = min(h0, interval_length)
+    y1 = y0 + h0 * direction * f0
+    f1 = np.asarray(fun(t0 + h0 * direction, y1), dtype=float)
+    d2 = _rms((f1 - f0) / scale) / h0
+
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (ERROR_ORDER + 1))
+
+    return min(100 * h0, h1, interval_length)
+
+
 def _stages(K: np.ndarray, A: np.ndarray, C: np.ndarray, first: int) -> list:
     """(s, K[:s].T, a[:s], c) for the stages s = first, first + 1, ... of
     the tableau rows A and nodes C: views into K and the node as a Python
@@ -146,35 +225,35 @@ def _stages(K: np.ndarray, A: np.ndarray, C: np.ndarray, first: int) -> list:
             for s, (a, c) in enumerate(zip(A, C), start=first)]
 
 
-def _dop853_steps(fun: Callable, solver):
-    """The accepted steps of the DOP853 run that solver starts, as
-    (t_old, y_old, t, y, h); solver.K_extended holds the step's stages
-    until the next step is asked for.
+def _dop853_steps(fun: Callable, K: np.ndarray, t: float, y: np.ndarray,
+                  t_bound: float, h_abs, rtol, atol: float):
+    """The accepted steps of the DOP853 run from (t, y) towards t_bound at
+    first step size h_abs, as (t_old, y_old, t, y, h).  K is the stage
+    buffer, with f(t, y) in K[0]; it holds the step's stages until the
+    next step is asked for.
 
     A step is scipy's (RungeKutta._step_impl, rk_step and DOP853's error
     norm): the same stage times, field calls, rejections and step-size
-    updates, so the same bits.  The tableau is read from the public
-    DOP853 class.  Every numpy operation whose rounding matters stays the
-    numpy call scipy makes, with the same shapes: each stage sum np.dot(
-    K[:s].T, a) * h, the solution update, the error scale and the error
-    norms.  The stage sums cannot become Python sums, since BLAS's dot
-    does not round as a sequential sum does.  What goes is overhead: the
-    field is called directly, not through scipy's counting and asarray
-    wrappers, the stage views are made once (_stages), and t, h and the
-    step control are Python floats, which round as numpy's scalars do.
+    updates, so the same bits.  The tableau is read from
+    dop853_coefficients, sliced as scipy's DOP853 class slices it.  Every
+    numpy operation whose rounding matters stays the numpy call scipy
+    makes, with the same shapes: each stage sum np.dot(K[:s].T, a) * h,
+    the solution update, the error scale and the error norms.  The stage
+    sums cannot become Python sums, since BLAS's dot does not round as a
+    sequential sum does.  What goes is overhead: the field is called
+    directly, not through scipy's counting and asarray wrappers, the
+    stage views are made once (_stages), and t, h and the step control
+    are Python floats, which round as numpy's scalars do.
 
     A step size below ten spacings of t raises IntegrationError with
     scipy's message at t."""
-    n_stages = DOP853.n_stages
-    K = solver.K_extended
-    stages = _stages(K, DOP853.A[1:], DOP853.C[1:], 1)
+    n_stages = dop853.N_STAGES
+    stages = _stages(K, dop853.A[1:n_stages], dop853.C[1:n_stages], 1)
     K_B, K_E = K[:n_stages].T, K[:n_stages + 1].T
-    B, E3, E5 = DOP853.B, DOP853.E3, DOP853.E5
-    rtol, atol = solver.rtol, solver.atol
-    direction, t_bound = float(solver.direction), float(solver.t_bound)
+    B, E3, E5 = dop853.B, dop853.E3, dop853.E5
+    direction = 1.0 if t_bound >= t else -1.0
     toward = direction * math.inf
-    t, y, h_abs, n = float(solver.t), solver.y, float(solver.h_abs), solver.n
-    K[0] = solver.f
+    h_abs, n = float(h_abs), y.size
     while direction * (t - t_bound) < 0:
         min_step = 10 * abs(math.nextafter(t, toward) - t)
         if h_abs < min_step:
@@ -183,7 +262,7 @@ def _dop853_steps(fun: Callable, solver):
         while True:
             if h_abs < min_step:
                 raise IntegrationError(
-                    f"adaptive solver failed: {DOP853.TOO_SMALL_STEP}", t)
+                    f"adaptive solver failed: {TOO_SMALL_STEP}", t)
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:
                 t_new = t_bound
@@ -223,11 +302,11 @@ def _dense_coefficients(fun: Callable, K: np.ndarray, extra: list,
         K[s] = fun(t_old + c * h, y_old + np.dot(K_s, a) * h)
     f_old = K[0]
     delta_y = y - y_old
-    F = np.empty((DOP853.D.shape[0] + 3, y.size))
+    F = np.empty((dop853.D.shape[0] + 3, y.size))
     F[0] = delta_y
     F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (K[DOP853.n_stages] + f_old)
-    F[3:] = h * np.dot(DOP853.D, K)
+    F[2] = 2 * delta_y - h * (K[dop853.N_STAGES] + f_old)
+    F[3:] = h * np.dot(dop853.D, K)
     return F
 
 
@@ -274,11 +353,13 @@ def integrate_ode(field_fn: Callable, x0, tau0: float, tau1: float,
                   tol: float = 1e-10, t_eval=None) -> Trajectory:
     """DOP853 integration of dx/dtau = field_fn(tau, x) over [tau0, tau1].
 
-    The steps are scipy's DOP853 steps, taken by _solve: scipy picks
-    the first step and supplies the tableau, and the stage sums, error
-    norm and interpolant stay scipy's numpy operations, so the result is
-    solve_ivp's to the bit.  field_fn is called directly, once per
-    stage, with tau a Python float; it returns len(x0) values.  Dense
+    The steps are scipy's DOP853 steps, taken by _solve: the tableau is
+    the package's copy of scipy's (dop853_coefficients), the first step
+    is picked by a port of scipy's rule (_dop853_start), and the stage
+    sums, error norm and interpolant stay scipy's numpy operations, so
+    the result is solve_ivp's to the bit.  field_fn is called directly,
+    once per stage, with tau a Python float after the two calls that
+    pick the first step; it returns len(x0) values.  Dense
     output is evaluated at t_eval when given, in pieces of DENSE_PIECE
     steps, otherwise the solver's own accepted steps are returned.
     Raises IntegrationError on step-size underflow, at the time the
@@ -303,7 +384,7 @@ def integrate_ode_batch(field_fn: Callable, x0s, tau0: float, tau1: float,
     shape (d, m), so a field written with array operations (rhs_primary)
     serves every member in one call; it returns d arrays of length m.
     One adaptive run with shared steps replaces m runs, stepped by _solve
-    like integrate_ode's (scipy's DOP853 step, one field call per stage
+    like integrate_ode's (DOP853's step, one field call per stage
     for all members), and the result is split into m Trajectory
     objects.  Nothing is truncated: a failed run or non-finite output
     raises IntegrationError, and a member that blows up makes the shared
@@ -631,17 +712,68 @@ REF_K, REF_TAU_SEED, REF_SEED_RESIDUAL_TOL = 3, 100.0, 1e-5
 REF_TOL, REF_TAU_MIN, REF_TAU_MAX, REF_GRID_STEP = 1e-12, 5.0, 400.0, 0.05
 
 
+def _not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The not-a-knot cubic spline through the n >= 4 strictly increasing
+    nodes x and the (n, k) finite values y, as a (4, k, n - 1) array: on
+    [x[i], x[i + 1]] component j is c[0] s^3 + c[1] s^2 + c[2] s + c[3]
+    with c = spline[:, j, i] and s = tau - x[i].  Each coefficient's
+    pieces are contiguous, so gathering the pieces of many times is four
+    times k contiguous gathers.
+
+    Built as scipy's CubicSpline(x, y) builds it (CubicSpline.__init__
+    with both ends not-a-knot, then CubicHermiteSpline.__init__): the
+    same tridiagonal system for the slopes at the nodes, solved by the
+    same LAPACK call, solve_banded, and the same coefficient formulas,
+    each a numpy operation of scipy's in its order, so the same bits."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if (x.ndim != 1 or y.ndim != 2 or y.shape[0] != x.size
+            or not (np.isfinite(x).all() and np.isfinite(y).all())
+            or not (np.diff(x) > 0).all()):
+        raise ValueError("spline nodes must be finite and strictly "
+                         "increasing, with one row of finite values each")
+    n = x.size
+    if n < 4:
+        raise ValueError(f"a not-a-knot spline needs at least 4 nodes, "
+                         f"got {n}")
+    dx = np.diff(x)
+    dxr = dx.reshape(n - 1, 1)
+    slope = np.diff(y, axis=0) / dxr
+    # the system in banded form: the continuity of the second derivative
+    # at the inner nodes, and at each end the continuity of the third
+    A = np.zeros((3, n))
+    b = np.empty((n, y.shape[1]))
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    A[1, 0] = dx[1]
+    A[0, 1] = x[2] - x[0]
+    d = x[2] - x[0]
+    b[0] = ((dxr[0] + 2*d) * dxr[1] * slope[0] + dxr[0]**2 * slope[1]) / d
+    A[1, -1] = dx[-2]
+    A[-1, -2] = x[-1] - x[-3]
+    d = x[-1] - x[-3]
+    b[-1] = ((dxr[-1]**2*slope[-2] + (2*d + dxr[-1])*dxr[-2]*slope[-1]) / d)
+    s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
+                     check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    c = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+    return np.ascontiguousarray(c.transpose(0, 2, 1))
+
+
 class ReferenceSolution:
     """Captured reference solution (r*, psi*) on a dense grid.
 
     Built by seeding the truncated series at a large time and sharpening
     it with the flow: tight-tolerance integration backward to tau_min and
-    forward to tau_max, cached on a uniform grid with one cubic spline
-    through the (n, 2) node values.  Read-only after construction, and
-    shared: reference_solution hands one object to every caller with the
-    same params.  The spline returns every node's value to within one
-    ulp, not always exactly: at tau_max it sums the last piece's
-    polynomial, and psi* there comes back one ulp off at gamma 0.1.
+    forward to tau_max, cached on a uniform grid with one not-a-knot
+    cubic spline through the (n, 2) node values (_not_a_knot_spline,
+    scipy's CubicSpline to the bit, as state evaluates it).  Read-only
+    after construction, and shared: reference_solution hands one object
+    to every caller with the same params.  The spline returns every
+    node's value to within one ulp, not always exactly: at tau_max it
+    sums the last piece's polynomial, and psi* there comes back one ulp
+    off at gamma 0.1.
 
     The phase approaches psi0 = pi - arcsin(gamma) like psi0 - 1/(nu*tau),
     nu = sqrt(1 - gamma^2): with gamma = 0.1 it is 0.17 away at tau_min = 5
@@ -649,18 +781,34 @@ class ReferenceSolution:
     """
 
     def __init__(self, times: np.ndarray, values: np.ndarray):
-        self.tau_min = float(times[0])
-        self.tau_max = float(times[-1])
-        self._spline = CubicSpline(times, values)
+        self._spline = _not_a_knot_spline(times, values)
+        self._nodes = np.asarray(times, dtype=float)
+        self.tau_min = float(self._nodes[0])
+        self.tau_max = float(self._nodes[-1])
 
     def state(self, tau):
         """(r*, psi*) at tau as the two contiguous rows of one array, of
-        tau's shape each; accepts arrays; errors outside the domain."""
+        tau's shape each; accepts arrays; errors outside the domain and on
+        NaN.
+
+        The value is scipy's PPoly evaluation of the spline, to the bit:
+        the piece is the last whose node is at or below tau, clipped to
+        the first and last piece, and its cubic is summed from 0 in
+        increasing powers of s = tau - x[i]."""
         tau = np.asarray(tau, dtype=float)
-        if np.any(tau < self.tau_min - 1e-12) or np.any(tau > self.tau_max + 1e-12):
+        # NaN fails both comparisons
+        if not ((self.tau_min - 1e-12 <= tau)
+                & (tau <= self.tau_max + 1e-12)).all():
             raise ValueError(
                 f"tau outside reference domain [{self.tau_min}, {self.tau_max}]")
-        return np.ascontiguousarray(np.moveaxis(self._spline(tau), -1, 0))
+        x = self._nodes
+        i = np.clip(np.searchsorted(x, tau, "right") - 1, 0, x.size - 2)
+        s = tau - x[i]
+        c = np.take(self._spline, i, axis=2)
+        ss = s * s
+        value = ((0.0 + c[3]) + c[2] * s) + c[1] * ss
+        value += c[0] * (ss * s)
+        return value
 
 
 def _scalar_field(p: SystemParams) -> Callable:

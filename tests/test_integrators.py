@@ -1,13 +1,15 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import DOP853, solve_ivp
 
-from autores import asymptotics, ensemble, integrators, model, pendulum
+from autores import (asymptotics, dop853_coefficients, ensemble,
+                     integrators, model, pendulum)
 from autores.asymptotics import STABLE, evaluate, expand
 from autores.integrators import (IntegrationError, NoiseStream, Trajectory,
                                  default_dt, integrate_ode,
@@ -131,8 +133,8 @@ def test_non_finite_solver_output_fails_the_run(monkeypatch):
     # tried, so steps that do return them are faked at the one place the
     # driver takes its steps; the run must raise at the first non-finite
     # sample, not come back truncated
-    def fake_steps(fun, solver):
-        yield 0.0, solver.y, 0.5, np.array([np.inf]), 0.5
+    def fake_steps(fun, K, t, y, *control):
+        yield 0.0, y, 0.5, np.array([np.inf]), 0.5
         yield 0.5, np.array([np.inf]), 1.0, np.array([np.nan]), 0.5
     monkeypatch.setattr(integrators, "_dop853_steps", fake_steps)
     with pytest.raises(IntegrationError) as exc:
@@ -277,6 +279,76 @@ def test_pendulum_case_rejects_steps(params, monkeypatch):
     _pendulum(params)
     sol, = sols
     assert (sol.nfev - 2) // 12 > sol.t.size - 1
+
+
+def _bits(a):
+    # the bit patterns of a float64 array: equal bits, -0.0 included
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def test_tableau_is_scipys():
+    # the copied coefficients, sliced as scipy's DOP853 class slices them,
+    # are its class attributes to the bit
+    c, n = dop853_coefficients, dop853_coefficients.N_STAGES
+    ours = {"A": c.A[:n, :n], "B": c.B, "C": c.C[:n], "E3": c.E3,
+            "E5": c.E5, "D": c.D, "A_EXTRA": c.A[n + 1:],
+            "C_EXTRA": c.C[n + 1:]}
+    for name, got in ours.items():
+        want = getattr(DOP853, name)
+        assert got.shape == want.shape, name
+        assert np.array_equal(_bits(got), _bits(want)), name
+    assert (n, integrators.ERROR_ORDER) == (DOP853.n_stages,
+                                            DOP853.error_estimator_order)
+    assert c.N_STAGES_EXTENDED == DOP853.D.shape[1]
+    assert integrators.TOO_SMALL_STEP == DOP853.TOO_SMALL_STEP
+
+
+def _counted_calls(fun):
+    calls = []
+
+    def counted(t, y):
+        calls.append((t, y.copy()))
+        return fun(t, y)
+    return counted, calls
+
+
+_STARTS = {
+    "forward": (lambda p: lambda t, y: rhs_primary(y, t, p),
+                [1.0, 2.0], 20.0, 60.0, 1e-10),
+    "backward": (integrators._scalar_field, [100.0, 3.0], 100.0, 5.0, 1e-12),
+    # d0 and d1 below 1e-5: the 1e-6 branch
+    "zero field": (lambda p: lambda t, y: np.zeros_like(y),
+                   [0.0, 0.0], 0.0, 1.0, 1e-10),
+    # h0 = 0.01 here, so the window clips it
+    "short window": (lambda p: lambda t, y: -y, [1.0], 0.0, 1e-3, 1e-10),
+    # rtol below 100 eps is raised to it, with scipy's warning
+    "tiny tol": (lambda p: lambda t, y: -y, [1.0], 0.0, 1.0, 1e-15),
+}
+
+
+@pytest.mark.parametrize("case", list(_STARTS))
+def test_start_is_scipys(params, case):
+    # y0, f0, the first step and rtol are the DOP853 constructor's, from
+    # the same field calls
+    make, y0, t0, t1, tol = _STARTS[case]
+    y0 = np.array(y0)
+    fun, calls = _counted_calls(make(params))
+    with warnings.catch_warnings(record=True) as ours:
+        warnings.simplefilter("always")
+        got_y, f0, h_abs, rtol = integrators._dop853_start(fun, t0, y0, t1,
+                                                           tol)
+    fun_s, calls_s = _counted_calls(make(params))
+    with warnings.catch_warnings(record=True) as theirs:
+        warnings.simplefilter("always")
+        solver = DOP853(fun_s, t0, y0, t1, rtol=tol, atol=tol)
+    assert [str(w.message) for w in ours] == [str(w.message) for w in theirs]
+    assert len(ours) == (case == "tiny tol")
+    assert np.array_equal(_bits(got_y), _bits(solver.y))
+    assert np.array_equal(_bits(f0), _bits(solver.f))
+    assert h_abs == solver.h_abs and rtol == solver.rtol
+    assert len(calls) == solver.nfev == 2
+    for (t, y), (t_s, y_s) in zip(calls, calls_s):
+        assert t == t_s and np.array_equal(_bits(y), _bits(y_s))
 
 
 @pytest.mark.parametrize("t_eval", [None, np.linspace(0.0, 0.9, 4), [0.9]])
@@ -547,8 +619,8 @@ def test_reference_built_once_per_params(params, ref):
     assert other.state(50.0)[1] != ref.state(50.0)[1]
     fresh = reference_solution.__wrapped__(params)
     assert fresh is not ref
-    nodes = ref._spline.x
-    assert np.array_equal(nodes, fresh._spline.x)
+    nodes = ref._nodes
+    assert np.array_equal(nodes, fresh._nodes)
     between = (nodes[:-1] + nodes[1:]) / 2.0
     for tau in (nodes, between):
         for got, want in zip(ref.state(tau), fresh.state(tau)):
@@ -558,7 +630,7 @@ def test_reference_built_once_per_params(params, ref):
 def test_reference_is_two_splines_bit_for_bit(ref, plain_ref):
     # one spline through the (n, 2) node values gives each component's
     # own spline, bit for bit, as two contiguous rows
-    assert np.array_equal(ref._spline.x, plain_ref.times)
+    assert np.array_equal(ref._nodes, plain_ref.times)
     nodes = plain_ref.times
     rng = np.random.default_rng(11)
     for tau in (nodes, (nodes[:-1] + nodes[1:]) / 2.0,
@@ -578,6 +650,35 @@ def test_reference_nodes_within_one_ulp(ref, plain_ref):
     r, psi = ref.state(plain_ref.times)
     np.testing.assert_array_max_ulp(r, plain_ref.r, maxulp=1)
     np.testing.assert_array_max_ulp(psi, plain_ref.psi, maxulp=1)
+
+
+def test_reference_refuses_nan(ref):
+    # NaN lies in no domain; state(nan) returned [nan, nan]
+    for tau in (math.nan, [20.0, math.nan], np.full((2, 3), math.nan)):
+        with pytest.raises(ValueError, match="reference domain"):
+            ref.state(tau)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_spline_refuses_fewer_than_four_nodes(n):
+    x = np.arange(float(n))
+    with pytest.raises(ValueError, match=f"at least 4 nodes, got {n}"):
+        integrators.ReferenceSolution(x, np.ones((n, 2)))
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1.0, 1.0, 2.0, 3.0], np.ones((5, 2))),
+    ([0.0, 2.0, 1.0, 3.0, 4.0], np.ones((5, 2))),
+    ([0.0, 1.0, 2.0, 3.0, math.inf], np.ones((5, 2))),
+    ([0.0, 1.0, 2.0, 3.0, 4.0], [[1.0, 1.0]] * 4 + [[math.nan, 1.0]]),
+    ([0.0, 1.0, 2.0, 3.0, 4.0], np.ones((4, 2))),
+    ([0.0, 1.0, 2.0, 3.0, 4.0], np.ones(5)),
+], ids=["repeated", "unsorted", "inf node", "nan value", "short values",
+        "1-d values"])
+def test_spline_refuses_bad_nodes(x, y):
+    # CubicSpline's input checks, kept: the reference legs never break them
+    with pytest.raises(ValueError, match="strictly increasing"):
+        integrators.ReferenceSolution(np.array(x), np.array(y))
 
 
 def test_reference_field_is_rhs_primary(params):

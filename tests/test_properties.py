@@ -1,7 +1,7 @@
 """Property tests: Wilson intervals, the Euler-Maruyama step grid, the
-ensemble's path blocks, the noise-class bound, and ensemble outputs
-under any chunk length, block width and amplitude stacking, over
-generated inputs."""
+ensemble's path blocks, the noise-class bound, the reference spline
+against scipy's CubicSpline, and ensemble outputs under any chunk
+length, block width and amplitude stacking, over generated inputs."""
 
 import dataclasses
 import math
@@ -9,11 +9,13 @@ from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.interpolate import CubicSpline
 
 from autores import ensemble, integrators
 from autores.ensemble import (EnsembleConfig, run_ensemble, run_ensembles,
                               supermartingale_check, wilson_interval)
-from autores.integrators import sde_step_count, step_grid
+from autores.integrators import ReferenceSolution, sde_step_count, step_grid
 from autores.lyapunov import noise_class_check
 from autores.model import NoiseSchedule, constant_schedule, power_schedule
 
@@ -34,6 +36,45 @@ def test_wilson_contains_estimate_and_mirrors(kn):
     lo_m, hi_m = wilson_interval(n - k, n)
     assert abs(lo - (1.0 - hi_m)) <= 1e-12
     assert abs(hi - (1.0 - lo_m)) <= 1e-12
+
+
+@st.composite
+def _spline_data(draw):
+    # n nodes with gaps spread over four decades, values of either sign
+    # (zeros of both signs included), and a seed for the sample points
+    n = draw(st.integers(4, 200))
+    gaps = draw(arrays(np.float64, n - 1, elements=st.floats(1e-3, 10.0)))
+    x = draw(st.floats(-1e3, 1e3)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    y = draw(arrays(np.float64, (n, 2), elements=st.floats(-1e3, 1e3)))
+    return x, y, draw(st.integers(0, 2**32 - 1))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spline_data())
+# -x^3 - x^2 - x: every coefficient is negative and the value at x = 0
+# is -0.0, which CubicSpline returns as +0.0, since PPoly sums from 0
+@example((np.arange(4.0), np.repeat([[-0.0], [-3.0], [-14.0], [-39.0]], 2,
+                                    axis=1), 0))
+def test_reference_spline_is_cubic_spline(data):
+    # the not-a-knot spline's coefficients and values are CubicSpline's
+    # bits: at the nodes, the midpoints, random points and up to 1e-12
+    # past either end, where the end pieces extrapolate
+    x, y, seed = data
+    spline = ReferenceSolution(x, y)
+    want = CubicSpline(x, y)
+    assert np.array_equal(_bits(spline._spline),
+                          _bits(want.c.transpose(0, 2, 1)))
+    rng = np.random.default_rng(seed)
+    outside = rng.uniform(0.0, 1e-12, 8)
+    for tau in (x, (x[:-1] + x[1:]) / 2, rng.uniform(x[0], x[-1], 500),
+                np.concatenate([x[0] - outside, x[-1] + outside]),
+                rng.uniform(x[0], x[-1], (3, 7)), x[-1]):
+        got = spline.state(tau)
+        assert np.array_equal(_bits(got), _bits(np.moveaxis(want(tau), -1, 0)))
 
 
 @st.composite
