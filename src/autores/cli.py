@@ -30,9 +30,10 @@ from . import __version__
 from .model import (SystemParams, NoiseSchedule, Schedule, constant_schedule,
                     perturbed_terms, rhs_primary)
 from .asymptotics import expand, evaluate
-from .integrators import (REF_TAU_MAX, REF_TAU_MIN, IntegrationError,
-                          NoiseStream, Trajectory, _scalar_field, default_dt,
-                          integrate_ode, integrate_ode_batch, integrate_sde,
+from .integrators import (REF_TAU_MAX, REF_TAU_MIN, RTOL_MIN,
+                          IntegrationError, NoiseStream, Trajectory,
+                          _scalar_field, default_dt, integrate_ode,
+                          integrate_ode_batch, integrate_sde,
                           reference_solution)
 from .lyapunov import (NoCertificate, certify, chain_a, spot_check,
                        thresholds, thresholds_beta)
@@ -238,7 +239,7 @@ _SCHEMAS = {
         "tau0": (_f(0.0), 0.0),
         "tau1": (_f(0.0, lo_open=True), _REQUIRED),
         "samples": (_i(2, 10_000_000), 2000),
-        "tol": (_f(0.0, lo_open=True), 1e-10),
+        "tol": (_f(RTOL_MIN), 1e-10),
     },
     "ensemble": _run_fields(
         {"mu": (_f(0.0, 1.0, lo_open=True, hi_open=True), _REQUIRED)},
@@ -282,7 +283,7 @@ _SCHEMAS = {
         "psi0": (_f(), _REQUIRED),
         "tau_end": (_f(0.0, lo_open=True), 32.0),
         "samples": (_i(100, 10_000_000), 4000),
-        "tol": (_f(0.0, lo_open=True), 1e-10),
+        "tol": (_f(RTOL_MIN), 1e-10),
         "window": (_pair, None),
         "transient_fraction": (_f(0.0, 0.5), 0.1),
     },

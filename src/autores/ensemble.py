@@ -395,7 +395,9 @@ def exit_time_scaling(cfg: EnsembleConfig, mus: Sequence[float],
     at the horizon value, and the fit is refused when half or more of the
     paths are censored at any mu: that median is only a lower bound.
     Returns slope with a bootstrap percentile interval (paths resampled
-    per ensemble, n_boot times).
+    per ensemble, n_boot times), and per amplitude the fraction of
+    resamples whose median is censored: the percentile intervals hold
+    only where that fraction is 0.
     """
     mus = [float(mu) for mu in mus]
     if len(mus) < 3:
@@ -414,7 +416,9 @@ def exit_time_scaling(cfg: EnsembleConfig, mus: Sequence[float],
     exits = np.array([res["exit_times"] for res in per_mu])
     medians = np.median(exits, axis=1)
     slope = float(np.polyfit(log_mu, np.log(medians), 1)[0])
-    boot, boot_med = _bootstrap(exits, log_mu, n_boot, seed)
+    boot, boot_med, boot_censored = _bootstrap(
+        exits, np.array([res["censored"] for res in per_mu]), log_mu,
+        n_boot, seed)
     lo, hi = np.percentile(boot, [2.5, 97.5])
     med_lo, med_hi = np.percentile(boot_med, [2.5, 97.5], axis=0)
     return {
@@ -423,31 +427,40 @@ def exit_time_scaling(cfg: EnsembleConfig, mus: Sequence[float],
         "median_intervals": [[float(a), float(b)]
                              for a, b in zip(med_lo, med_hi)],
         "censored_fractions": censored,
+        "boot_censored_median_fractions": boot_censored.tolist(),
         "slope": slope,
         "slope_interval": (float(lo), float(hi)),
         "n_boot": n_boot,
     }
 
 
-def _bootstrap(exits: np.ndarray, log_mu: np.ndarray, n_boot: int,
-               seed: int) -> tuple:
+def _bootstrap(exits: np.ndarray, censored: np.ndarray, log_mu: np.ndarray,
+               n_boot: int, seed: int) -> tuple:
     """The slope fit on n_boot resamples of the paths: exits holds one
     row of exit times per amplitude, each resampled with replacement
     from the Philox stream (seed, 0), resample by resample and row by
     row.  The resamples are drawn and reduced in pieces whose indices,
     gathered exits and median work (24 bytes per element) fit in
     NOISE_BUDGET; the stream is read in the same order at any piece
-    size.  Returns the (n_boot,) slopes and the (n_boot, len(exits))
-    medians."""
+    size.  censored, of exits' shape, flags the censored paths; a
+    resample's median is censored, a lower bound, when half or more of
+    the paths it draws are.  Returns the (n_boot,) slopes, the (n_boot,
+    len(exits)) medians and, per amplitude, the fraction of resamples
+    whose median is censored."""
     rng = NoiseStream(seed).generator()
     n_mus, n = exits.shape
     rows = max(1, integrators.NOISE_BUDGET // (24 * n_mus * n))
     boot_med = np.empty((n_boot, n_mus))
+    n_censored = np.zeros(n_mus, dtype=int)
+    amp = np.arange(n_mus)[:, None]
     for b0 in range(0, n_boot, rows):
         pick = rng.integers(0, n, size=(min(rows, n_boot - b0), n_mus, n))
-        np.median(exits[np.arange(n_mus)[:, None], pick], axis=2,
+        drawn = np.count_nonzero(censored[amp, pick], axis=2)
+        n_censored += np.count_nonzero(2 * drawn >= n, axis=0)
+        np.median(exits[amp, pick], axis=2,
                   out=boot_med[b0:b0 + pick.shape[0]])
-    return np.polyfit(log_mu, np.log(boot_med).T, 1)[0], boot_med
+    return (np.polyfit(log_mu, np.log(boot_med).T, 1)[0], boot_med,
+            n_censored / n_boot)
 
 
 class _StoppedU1:

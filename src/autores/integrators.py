@@ -18,7 +18,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -85,53 +84,50 @@ RTOL_MIN = 100 * np.finfo(float).eps  # scipy's floor on rtol
 
 def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
            tol: float, t_eval):
-    """One checked DOP853 run; returns (times, (len(y0), n) values).
+    """One checked DOP853 run; returns (times, (len(y0), n) values) at the
+    n samples of t_eval.
 
-    The run is scipy's DOP853 at solve_ivp's tolerances and sampling
-    rules, and it returns solve_ivp's bits (tests/oracles.py keeps
-    solve_ivp's run as the oracle).  _dop853_start does what scipy's
-    DOP853 constructor does: it checks y0, evaluates the field at tau0
-    and picks the first step.  The stage buffer is the constructor's
-    K_extended, one row per stage of the extended tableau, and
-    _dop853_steps takes the steps.  Without t_eval each accepted step is
-    recorded.  With t_eval each step that covers samples gets its
-    interpolant's coefficients (_dense_coefficients), kept with the
-    samples it covers and evaluated DENSE_PIECE steps at once
-    (_dense_values).
+    The run is scipy's DOP853 at rtol = atol = tol with solve_ivp's
+    sampling rules, and it returns solve_ivp's bits (tests/oracles.py
+    keeps solve_ivp's run as the oracle).  tol must be at least RTOL_MIN,
+    scipy's floor on rtol, so the run is at the tol it was given.
+    _dop853_start does what scipy's DOP853 constructor does: it checks
+    y0, evaluates the field at tau0 and picks the first step.  The stage
+    buffer is the constructor's K_extended, one row per stage of the
+    extended tableau, and _dop853_steps takes the steps.  Each step that
+    covers samples gets its interpolant's coefficients
+    (_dense_coefficients), kept with the samples it covers and evaluated
+    DENSE_PIECE steps at once (_dense_values).
 
     A failed run raises IntegrationError at the time the solver stopped,
     with scipy's message; non-finite output raises it at the first
     non-finite sample.  tau1 may lie below tau0 for a backward run, and
-    t_eval then descends."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    t_eval then descends; equal ends are refused."""
+    if not tol >= RTOL_MIN:
+        raise ValueError(f"tol must be at least RTOL_MIN = {RTOL_MIN:.3g}, "
+                         f"got {tol}")
     if y0.size == 0:
         raise ValueError("y0 must not be empty")
     tau0, tau1 = float(tau0), float(tau1)
-    if t_eval is None:
-        times, rows = [tau0], [y0]
-    else:
-        times = _sample_times(t_eval, tau0, tau1)
-        values = np.empty((y0.size, times.size))
-        # the samples times[:j] lie at or behind the solver's time t for
-        # j = bisect_right(keys, sign * t), in either direction
-        sign = 1.0 if tau1 > tau0 else -1.0
-        keys = (sign * times).tolist()
-        j, piece = 0, []
-    # a blow-up is reported below with its location, so numpy's overflow
-    # and invalid-value warnings on the way there add nothing
+    if tau0 == tau1:
+        raise ValueError(f"the window {[tau0, tau1]} is empty")
+    times = _sample_times(t_eval, tau0, tau1)
+    values = np.empty((y0.size, times.size))
+    # the samples times[:j] lie at or behind the solver's time t for
+    # j = bisect_right(keys, sign * t), in either direction
+    sign = 1.0 if tau1 > tau0 else -1.0
+    keys = (sign * times).tolist()
+    j, piece = 0, []
+    # a blow-up is reported below with its location, so numpy's reports
+    # of overflow and invalid values on the way there add nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        y0, f0, h_abs, rtol = _dop853_start(field_fn, tau0, y0, tau1, tol)
+        y0, f0, h_abs = _dop853_start(field_fn, tau0, y0, tau1, tol)
         K = np.empty((dop853.N_STAGES_EXTENDED, y0.size))
         K[0] = f0
         first = dop853.N_STAGES + 1
         extra = _stages(K, dop853.A[first:], dop853.C[first:], first)
         for t_old, y_old, t, y, h in _dop853_steps(field_fn, K, tau0, y0,
-                                                   tau1, h_abs, rtol, tol):
-            if t_eval is None:
-                times.append(t)
-                rows.append(y)
-                continue
+                                                   tau1, h_abs, tol):
             j_new = bisect.bisect_right(keys, sign * t)
             if j_new > j:
                 F = _dense_coefficients(field_fn, K, extra, t_old, y_old, y, h)
@@ -140,12 +136,9 @@ def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
                 if len(piece) == DENSE_PIECE:
                     _dense_values(piece, times, values)
                     piece = []
-        if t_eval is None:
-            times, values = np.array(times), np.vstack(rows).T
-        else:
-            if piece:
-                _dense_values(piece, times, values)
-            times, values = times[:j], values[:, :j]
+        if piece:
+            _dense_values(piece, times, values)
+    # the last step ends on tau1, so every sample is covered
     finite = np.isfinite(values).all(axis=0)
     if not finite.all():
         raise IntegrationError("adaptive solver left the finite range",
@@ -154,51 +147,29 @@ def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
 
 
 def _dop853_start(fun: Callable, t0: float, y0, t_bound: float, tol: float):
-    """The start of a DOP853 run from (t0, y0) towards t_bound, as scipy's
-    DOP853(fun, t0, y0, t_bound, rtol=tol, atol=tol) constructor makes it
-    (OdeSolver, RungeKutta and check_arguments, with validate_tol's check
-    of rtol): y0 as a checked float64 vector, rtol raised to RTOL_MIN
-    with scipy's warning when below it, f0 = fun(t0, y0) as float64, and
-    the first step size from _select_initial_step, which calls fun
-    once more.  Returns (y0, f0, h_abs, rtol)."""
+    """The start of a DOP853 run from (t0, y0) towards t_bound != t0, as
+    scipy's DOP853(fun, t0, y0, t_bound, rtol=tol, atol=tol) constructor
+    makes it (OdeSolver, RungeKutta and check_arguments): y0 as a checked
+    float64 vector, f0 = fun(t0, y0) as float64, and the first step size.
+
+    The size is scipy's select_initial_step (Hairer, Norsett & Wanner,
+    Solving ODEs I, Sec. II.4), ported line for line with DOP853's error
+    order and no bound on the step; it calls fun once more, at the trial
+    step.  The numpy calls and their order are scipy's, its RMS norm
+    included, so the size keeps its bits.  Returns (y0, f0, h_abs)."""
     y0 = np.asarray(y0).astype(float, copy=False)
     if y0.ndim != 1:
         raise ValueError("`y0` must be 1-dimensional.")
     if not np.isfinite(y0).all():
         raise ValueError(
             "All components of the initial state `y0` must be finite.")
-    rtol = tol
-    if rtol < RTOL_MIN:
-        warnings.warn("At least one element of `rtol` is too small. "
-                      f"Setting `rtol = np.maximum(rtol, {RTOL_MIN})`.",
-                      stacklevel=4)
-        rtol = np.maximum(rtol, RTOL_MIN)
     f0 = np.asarray(fun(t0, y0), dtype=float)
-    direction = np.sign(t_bound - t0) if t_bound != t0 else 1
-    h_abs = _select_initial_step(fun, t0, y0, t_bound, f0, direction, rtol,
-                                 tol)
-    return y0, f0, h_abs, rtol
-
-
-def _rms(x: np.ndarray):
-    return np.linalg.norm(x) / x.size ** 0.5
-
-
-def _select_initial_step(fun: Callable, t0: float, y0: np.ndarray,
-                         t_bound: float, f0: np.ndarray, direction, rtol,
-                         atol):
-    """The first step size, ported line for line from scipy's
-    select_initial_step (Hairer, Norsett & Wanner, Solving ODEs I,
-    Sec. II.4) with DOP853's error order and no bound on the step; the
-    numpy calls and their order are scipy's, so the size keeps its bits.
-    It calls fun once, at the trial step; y0 is not empty."""
+    direction = 1.0 if t_bound > t0 else -1.0
     interval_length = abs(t_bound - t0)
-    if interval_length == 0.0:
-        return 0.0
-
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    scale = tol + np.abs(y0) * tol
+    root_n = y0.size ** 0.5
+    d0 = np.linalg.norm(y0 / scale) / root_n
+    d1 = np.linalg.norm(f0 / scale) / root_n
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
@@ -207,14 +178,14 @@ def _select_initial_step(fun: Callable, t0: float, y0: np.ndarray,
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * direction * f0
     f1 = np.asarray(fun(t0 + h0 * direction, y1), dtype=float)
-    d2 = _rms((f1 - f0) / scale) / h0
+    d2 = np.linalg.norm((f1 - f0) / scale) / root_n / h0
 
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / (ERROR_ORDER + 1))
 
-    return min(100 * h0, h1, interval_length)
+    return y0, f0, min(100 * h0, h1, interval_length)
 
 
 def _stages(K: np.ndarray, A: np.ndarray, C: np.ndarray, first: int) -> list:
@@ -226,11 +197,11 @@ def _stages(K: np.ndarray, A: np.ndarray, C: np.ndarray, first: int) -> list:
 
 
 def _dop853_steps(fun: Callable, K: np.ndarray, t: float, y: np.ndarray,
-                  t_bound: float, h_abs, rtol, atol: float):
+                  t_bound: float, h_abs, tol: float):
     """The accepted steps of the DOP853 run from (t, y) towards t_bound at
-    first step size h_abs, as (t_old, y_old, t, y, h).  K is the stage
-    buffer, with f(t, y) in K[0]; it holds the step's stages until the
-    next step is asked for.
+    first step size h_abs and rtol = atol = tol, as (t_old, y_old, t, y,
+    h).  K is the stage buffer, with f(t, y) in K[0]; it holds the step's
+    stages until the next step is asked for.
 
     A step is scipy's (RungeKutta._step_impl, rk_step and DOP853's error
     norm): the same stage times, field calls, rejections and step-size
@@ -272,7 +243,7 @@ def _dop853_steps(fun: Callable, K: np.ndarray, t: float, y: np.ndarray,
                 K[s] = fun(t + c * h, y + np.dot(K_s, a) * h)
             y_new = y + h * np.dot(K_B, B)
             K[n_stages] = fun(t + h, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
             err5 = float(np.linalg.norm(np.dot(K_E, E5) / scale) ** 2)
             err3 = float(np.linalg.norm(np.dot(K_E, E3) / scale) ** 2)
             if err5 == 0 and err3 == 0:
@@ -350,8 +321,9 @@ def _check_window(tau0: float, tau1: float):
 
 
 def integrate_ode(field_fn: Callable, x0, tau0: float, tau1: float,
-                  tol: float = 1e-10, t_eval=None) -> Trajectory:
-    """DOP853 integration of dx/dtau = field_fn(tau, x) over [tau0, tau1].
+                  t_eval, tol: float = 1e-10) -> Trajectory:
+    """DOP853 integration of dx/dtau = field_fn(tau, x) over [tau0, tau1],
+    sampled at t_eval, at rtol = atol = tol >= RTOL_MIN.
 
     The steps are scipy's DOP853 steps, taken by _solve: the tableau is
     the package's copy of scipy's (dop853_coefficients), the first step
@@ -359,12 +331,11 @@ def integrate_ode(field_fn: Callable, x0, tau0: float, tau1: float,
     sums, error norm and interpolant stay scipy's numpy operations, so
     the result is solve_ivp's to the bit.  field_fn is called directly,
     once per stage, with tau a Python float after the two calls that
-    pick the first step; it returns len(x0) values.  Dense
-    output is evaluated at t_eval when given, in pieces of DENSE_PIECE
-    steps, otherwise the solver's own accepted steps are returned.
-    Raises IntegrationError on step-size underflow, at the time the
-    solver stopped whatever t_eval holds, or on non-finite output, at
-    its first non-finite sample.
+    pick the first step; it returns len(x0) values.  Dense output is
+    evaluated at t_eval in pieces of DENSE_PIECE steps.  Raises
+    IntegrationError on step-size underflow, at the time the solver
+    stopped whatever t_eval holds, or on non-finite output, at its first
+    non-finite sample.
     """
     _check_window(tau0, tau1)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -376,8 +347,9 @@ _BATCH_TOL = 1e-10  # per-member tolerance of integrate_ode_batch
 
 
 def integrate_ode_batch(field_fn: Callable, x0s, tau0: float, tau1: float,
-                        t_eval=None) -> list:
-    """Integrate m starts of one field as a single stacked DOP853 system.
+                        t_eval) -> list:
+    """Integrate m starts of one field as a single stacked DOP853 system,
+    sampled at t_eval.
 
     x0s has shape (m, d).  The m states are stacked component-major into
     one vector of length d*m, and field_fn(tau, y) is called with y of

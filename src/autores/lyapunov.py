@@ -161,10 +161,13 @@ def _tube_samples(d0: float, tau0: float, tau_hi: float, grid: int):
 
 
 def _tube_ok(d0, tau0, tau_hi, grid, p, ref, q):
+    """(passes, worst slack, tube, slack) of the d0 tube from tau0: the
+    tube is its samples R, Psi, taus and the reference state at taus."""
     R, Psi, taus = _tube_samples(d0, tau0, tau_hi, grid)
-    slack = _inequality_slacks(R, Psi, taus, p, ref.state(taus), q)
+    star = ref.state(taus)
+    slack = _inequality_slacks(R, Psi, taus, p, star, q)
     worst = float(slack.min())
-    return worst >= 0.0, worst, (R, Psi, taus, slack)
+    return worst >= 0.0, worst, (R, Psi, taus, star), slack
 
 
 def certify(p: SystemParams, ref, d_range=(1e-3, 0.3),
@@ -177,10 +180,11 @@ def certify(p: SystemParams, ref, d_range=(1e-3, 0.3),
     bisection; the certificate with maximal d0 wins, the earliest tau0 on
     a tie, so the search ends at the first tau0 whose d_hi tube passes.
     B and C are then measured as the smallest constants fitting the
-    winning tube.  When no candidate's d_lo tube passes, returns the
-    first failure's NoCertificate, naming the violated inequality and its
-    location.  Both ranges must ascend, and tau_range must lie in
-    [ref.tau_min, ref.tau_max), where every candidate has a tube to test.
+    winning tube, as its accepting test sampled it.  When no candidate's
+    d_lo tube passes, returns the first failure's NoCertificate, naming
+    the violated inequality and its location.  Both ranges must ascend,
+    and tau_range must lie in [ref.tau_min, ref.tau_max), where every
+    candidate has a tube to test.
     """
     if grid < 32:
         raise ValueError("grid must be at least 32 points per axis")
@@ -195,13 +199,14 @@ def certify(p: SystemParams, ref, d_range=(1e-3, 0.3),
     tau_hi = ref.tau_max
     tau0_candidates = np.linspace(tau_range[0], tau_range[1], 9)
 
-    best = None  # (d0, tau0, margin)
+    best = None  # (d0, tau0, margin, tube)
     first_violation = None
     for tau0 in tau0_candidates:
-        ok_lo, worst_lo, detail = _tube_ok(d_lo, tau0, tau_hi, grid, p, ref, q)
+        ok_lo, worst_lo, tube_lo, slack = _tube_ok(d_lo, tau0, tau_hi, grid,
+                                                   p, ref, q)
         if not ok_lo:
             if first_violation is None:
-                R, Psi, taus, slack = detail
+                R, Psi, taus, _ = tube_lo
                 which, i, j, k = np.unravel_index(np.argmin(slack),
                                                   slack.shape)
                 first_violation = NoCertificate(
@@ -209,29 +214,29 @@ def certify(p: SystemParams, ref, d_range=(1e-3, 0.3),
                     tau=float(taus[k]), R=float(R[i, j, 0]),
                     Psi=float(Psi[i, j, 0]))
             continue
-        ok_hi, worst_hi, _ = _tube_ok(d_hi, tau0, tau_hi, grid, p, ref, q)
+        ok_hi, worst_hi, tube_hi, _ = _tube_ok(d_hi, tau0, tau_hi, grid, p,
+                                               ref, q)
         if ok_hi:
-            best = (d_hi, float(tau0), worst_hi)
+            best = (d_hi, float(tau0), worst_hi, tube_hi)
             break  # no later tau0 can beat d_hi
-        # margin is the worst slack of the last accepted radius
-        a_, b_, margin = d_lo, d_hi, worst_lo
+        # margin and tube are those of the last accepted radius
+        a_, b_, margin, tube = d_lo, d_hi, worst_lo, tube_lo
         for _ in range(40):
             mid = 0.5 * (a_ + b_)
-            ok_mid, worst_mid, _ = _tube_ok(mid, tau0, tau_hi, grid, p, ref, q)
+            ok_mid, worst_mid, tube_mid, _ = _tube_ok(mid, tau0, tau_hi, grid,
+                                                      p, ref, q)
             if ok_mid:
-                a_, margin = mid, worst_mid
+                a_, margin, tube = mid, worst_mid, tube_mid
             else:
                 b_ = mid
         if best is None or a_ > best[0]:
-            best = (a_, float(tau0), margin)
+            best = (a_, float(tau0), margin, tube)
 
     if best is None:  # every d_lo tube failed, the first set first_violation
         return first_violation
 
-    d0, tau0, margin = best
+    d0, tau0, margin, (R, Psi, taus, star) = best
     # measure the smallest B, C fitting the winning tube
-    R, Psi, taus = _tube_samples(d0, tau0, tau_hi, grid)
-    star = ref.state(taus)
     V = eval_V((R, Psi), taus, p, star)
     gR, gP = grad_V((R, Psi), taus, p, star)
     grad_sq = gR * gR + gP * gP

@@ -219,18 +219,22 @@ def plain_integrate_sde(make_terms, x0, tau0, tau1, dt, mu, streams,
             for c, keep in enumerate(kept.T)]
 
 
-def plain_bootstrap(exits, log_mu, n_boot, seed):
+def plain_bootstrap(exits, censored, log_mu, n_boot, seed):
     """ensemble._bootstrap as a loop over resamples, each row of exits
     resampled by its own choice call and each slope by its own fit."""
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     boot = np.empty(n_boot)
     boot_med = np.empty((n_boot, len(exits)))
+    n_censored = np.zeros(len(exits))
     for b in range(n_boot):
-        med = [np.median(rng.choice(e, size=e.size, replace=True))
-               for e in exits]
+        picks = [rng.choice(e.size, size=e.size, replace=True)
+                 for e in exits]
+        med = [np.median(e[pick]) for e, pick in zip(exits, picks)]
+        n_censored += [c[pick].mean() >= 0.5
+                       for c, pick in zip(censored, picks)]
         boot_med[b] = med
         boot[b] = np.polyfit(log_mu, np.log(med), 1)[0]
-    return boot, boot_med
+    return boot, boot_med, n_censored / n_boot
 
 
 def set_chunk(monkeypatch, chunk, m, n, d=2):

@@ -279,6 +279,8 @@ def test_criterion_09_exit_time_scaling(params, ref, cert):
             f"medians {np.round(res['medians'], 3)} at mu = {res['mus']}; "
             f"slope {res['slope']:.3f} (need <= -1), bootstrap interval "
             f"[{lo:.3f}, {hi:.3f}] excludes 0: {hi < 0.0}")
+    # no resample's median is censored, so the percentile intervals hold
+    assert res["boot_censored_median_fractions"] == [0.0, 0.0, 0.0]
 
 
 # ----------------------------------------------------------- criterion 10

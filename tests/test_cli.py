@@ -189,9 +189,11 @@ def test_write_csv_matches_cell_rule(tmp_path, n_rows):
     assert path.read_bytes() == ("\n".join(want) + "\n").encode()
 
 
+SIM_CFG = {"gamma": 0.1, "lam": 1.0, "r0": 1.09, "psi0": 2.15, "tau1": 60.0}
+
+
 def test_simulate_outputs(tmp_path):
-    cfg = {"gamma": 0.1, "lam": 1.0, "r0": 1.09, "psi0": 2.15,
-           "tau1": 60.0, "samples": 500}
+    cfg = {**SIM_CFG, "samples": 500}
     code, out = _run(tmp_path, "simulate", cfg)
     assert code == 0
     lines = (out / "trajectory.csv").read_text().splitlines()
@@ -204,6 +206,16 @@ def test_simulate_outputs(tmp_path):
     assert summary["verdict"] == "captured"
     assert summary["end_state"] == last[1:]
     _replays(tmp_path, "simulate", out, ("trajectory.csv", "summary.json"))
+
+
+def test_simulate_runs_at_tol_floor(tmp_path):
+    # the floor itself, 100 eps, is a tol the run keeps
+    code, out = _run(tmp_path, "simulate",
+                     {**SIM_CFG, "tau1": 5.0, "samples": 11,
+                      "tol": cli.RTOL_MIN})
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["tol"] == cli.RTOL_MIN
 
 
 def test_pendulum_outputs(tmp_path):
@@ -358,6 +370,9 @@ def no_work(monkeypatch):
      "spot_checks"),
     # json reads integers of any length; float() cannot convert this one
     ("ensemble", {**ENS_CFG, "eps1": 10 ** 400}, "eps1"),
+    # a run is at the tol it was given, never below DOP853's floor
+    ("simulate", {**SIM_CFG, "tol": 1e-15}, "tol"),
+    ("pendulum", {**PEND_CFG, "tol": 1e-15}, "tol"),
 ])
 def test_wrong_typed_value_exit2(tmp_path, capsys, no_work, sub, cfg, field):
     code, out = _run(tmp_path, sub, cfg)

@@ -298,6 +298,10 @@ def test_exit_time_scaling_censored_share_at_one_mu(ref, cfg_maker,
     else:
         res = exit_time_scaling(cfg, [0.2, 0.3, 0.45], ref, n_boot=10)
         assert res["censored_fractions"] == [0.0, 0.49, 0.0]
+        # just under half censored: a resample draws half or more of
+        # them censored often, and its median is then a lower bound
+        shares = res["boot_censored_median_fractions"]
+        assert shares[0] == shares[2] == 0.0 and shares[1] > 0.0
 
 
 def test_exit_time_scaling_runs_cfg_at_each_mu(ref, cfg_maker, monkeypatch):

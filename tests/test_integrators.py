@@ -41,9 +41,13 @@ def test_integrate_ode_known_solution():
 
 def test_integrate_ode_rejects_bad_window():
     with pytest.raises(ValueError):
-        integrate_ode(lambda t, y: [0.0], [1.0], 5.0, 5.0)
+        integrate_ode(lambda t, y: [0.0], [1.0], 5.0, 5.0, [5.0])
     with pytest.raises(ValueError):
-        integrate_ode(lambda t, y: [0.0], [1.0], 5.0, 4.0)
+        integrate_ode(lambda t, y: [0.0], [1.0], 5.0, 4.0, [5.0, 4.0])
+    # the driver runs backward too, but not over an empty window
+    with pytest.raises(ValueError, match="empty"):
+        integrators._solve(lambda t, y: [0.0], np.array([1.0]), 5.0, 5.0,
+                           1e-10, [5.0])
 
 
 def test_integrate_ode_hits_nodes_exactly():
@@ -110,10 +114,11 @@ def test_batch_blowup_fails_the_run():
     # y' = y^2 from y0 = 2 blows up at tau = 0.5; the solo solve of that
     # start fails there, and so does the shared run
     field_fn = lambda t, y: [y[0] ** 2]
+    t_eval = np.linspace(0.0, 0.9, 4)
     with pytest.raises(IntegrationError) as solo:
-        integrate_ode(field_fn, [2.0], 0.0, 0.9)
+        integrate_ode(field_fn, [2.0], 0.0, 0.9, t_eval)
     with pytest.raises(IntegrationError) as batch:
-        integrate_ode_batch(field_fn, [[0.5], [2.0]], 0.0, 0.9)
+        integrate_ode_batch(field_fn, [[0.5], [2.0]], 0.0, 0.9, t_eval)
     assert batch.value.tau == pytest.approx(0.5, abs=1e-6)
     assert solo.value.tau == pytest.approx(0.5, abs=1e-6)
 
@@ -132,14 +137,21 @@ def test_non_finite_solver_output_fails_the_run(monkeypatch):
     # DOP853 fails before it returns non-finite samples on every blow-up
     # tried, so steps that do return them are faked at the one place the
     # driver takes its steps; the run must raise at the first non-finite
-    # sample, not come back truncated
+    # sample, not come back truncated.  The samples are the fake steps'
+    # ends, where the interpolant holds the step's non-finite end state
     def fake_steps(fun, K, t, y, *control):
         yield 0.0, y, 0.5, np.array([np.inf]), 0.5
         yield 0.5, np.array([np.inf]), 1.0, np.array([np.nan]), 0.5
     monkeypatch.setattr(integrators, "_dop853_steps", fake_steps)
     with pytest.raises(IntegrationError) as exc:
-        integrate_ode(lambda t, y: [0.0], [1.0], 0.0, 1.0)
+        integrate_ode(lambda t, y: [0.0], [1.0], 0.0, 1.0, [0.5, 1.0])
     assert exc.value.tau == 0.5
+
+
+def _step_ends(field_fn, y0, tau0, tau1, tol):
+    # the times of the accepted steps of scipy's DOP853 run, tau0 first
+    return solve_ivp(field_fn, (tau0, tau1), y0, method="DOP853", rtol=tol,
+                     atol=tol).t
 
 
 def _reference_leg(params, tau_end, sampled=True):
@@ -148,17 +160,20 @@ def _reference_leg(params, tau_end, sampled=True):
     exp = expand(params, STABLE, integrators.REF_K)
     seed = integrators.REF_TAU_SEED
     y0 = np.array([float(v) for v in evaluate(exp, params, seed)])
+    field = integrators._scalar_field(params)
     n = round(abs(tau_end - seed) / integrators.REF_GRID_STEP) + 1
-    return integrators._solve(integrators._scalar_field(params), y0, seed,
-                              tau_end, integrators.REF_TOL,
-                              np.linspace(seed, tau_end, n) if sampled
-                              else None)
-
-
-def _simulate(params, tau0, tau1, t_eval):
-    return integrators._solve(integrators._scalar_field(params),
-                              np.array([1.09, 2.15]), tau0, tau1, 1e-10,
+    t_eval = (np.linspace(seed, tau_end, n) if sampled else
+              _step_ends(field, y0, seed, tau_end, integrators.REF_TOL))
+    return integrators._solve(field, y0, seed, tau_end, integrators.REF_TOL,
                               t_eval)
+
+
+def _simulate(params, tau0, tau1, t_eval=None):
+    # t_eval None samples at the solver's accepted steps
+    field, y0 = integrators._scalar_field(params), np.array([1.09, 2.15])
+    if t_eval is None:
+        t_eval = _step_ends(field, y0, tau0, tau1, 1e-10)
+    return integrators._solve(field, y0, tau0, tau1, 1e-10, t_eval)
 
 
 def _fig1(params):
@@ -180,12 +195,13 @@ def _pendulum(params):
     return traj.times, traj.states
 
 
-# _simulate takes about 1600 accepted steps on [20, 60]
+# _simulate takes about 1600 accepted steps on [20, 60]; the "steps"
+# cases sample at every step's end, the edge of two steps' interpolants
 _SOLVES = {
     "reference leg 100 -> 5": lambda p: _reference_leg(p, 5.0),
     "reference leg 100 -> 400": lambda p: _reference_leg(p, 400.0),
-    "steps": lambda p: _simulate(p, 20.0, 60.0, None),
-    "steps backward": lambda p: _simulate(p, 60.0, 20.0, None),
+    "steps": lambda p: _simulate(p, 20.0, 60.0),
+    "steps backward": lambda p: _simulate(p, 60.0, 20.0),
     "sparser than the steps": lambda p: _simulate(
         p, 20.0, 60.0, np.linspace(20.0, 60.0, 7)),
     "denser than the steps": lambda p: _simulate(
@@ -321,40 +337,53 @@ _STARTS = {
                    [0.0, 0.0], 0.0, 1.0, 1e-10),
     # h0 = 0.01 here, so the window clips it
     "short window": (lambda p: lambda t, y: -y, [1.0], 0.0, 1e-3, 1e-10),
-    # rtol below 100 eps is raised to it, with scipy's warning
-    "tiny tol": (lambda p: lambda t, y: -y, [1.0], 0.0, 1.0, 1e-15),
 }
 
 
 @pytest.mark.parametrize("case", list(_STARTS))
 def test_start_is_scipys(params, case):
-    # y0, f0, the first step and rtol are the DOP853 constructor's, from
-    # the same field calls
+    # y0, f0 and the first step are the DOP853 constructor's, from the
+    # same field calls, and the constructor keeps rtol = tol
     make, y0, t0, t1, tol = _STARTS[case]
     y0 = np.array(y0)
     fun, calls = _counted_calls(make(params))
-    with warnings.catch_warnings(record=True) as ours:
-        warnings.simplefilter("always")
-        got_y, f0, h_abs, rtol = integrators._dop853_start(fun, t0, y0, t1,
-                                                           tol)
+    got_y, f0, h_abs = integrators._dop853_start(fun, t0, y0, t1, tol)
     fun_s, calls_s = _counted_calls(make(params))
-    with warnings.catch_warnings(record=True) as theirs:
-        warnings.simplefilter("always")
-        solver = DOP853(fun_s, t0, y0, t1, rtol=tol, atol=tol)
-    assert [str(w.message) for w in ours] == [str(w.message) for w in theirs]
-    assert len(ours) == (case == "tiny tol")
+    solver = DOP853(fun_s, t0, y0, t1, rtol=tol, atol=tol)
     assert np.array_equal(_bits(got_y), _bits(solver.y))
     assert np.array_equal(_bits(f0), _bits(solver.f))
-    assert h_abs == solver.h_abs and rtol == solver.rtol
+    assert h_abs == solver.h_abs and solver.rtol == tol
     assert len(calls) == solver.nfev == 2
     for (t, y), (t_s, y_s) in zip(calls, calls_s):
         assert t == t_s and np.array_equal(_bits(y), _bits(y_s))
 
 
+def test_tol_below_floor_refused():
+    # a run is at the tol it was given: below RTOL_MIN, where scipy would
+    # raise rtol alone and warn, the driver refuses the run; at the floor
+    # it is solve_ivp's run, which does not warn there
+    field_fn = lambda t, y: -y
+    floor = integrators.RTOL_MIN
+    for tol in (1e-15, np.nextafter(floor, 0.0), math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            integrate_ode(field_fn, [1.0], 0.0, 1.0, [1.0], tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            integrators._solve(field_fn, np.array([1.0]), 1.0, 0.0, tol,
+                               [0.0])
+    traj = integrate_ode(field_fn, [1.0], 0.0, 1.0, [0.5, 1.0], tol=floor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_ivp(field_fn, (0.0, 1.0), [1.0], method="DOP853",
+                        rtol=floor, atol=floor, t_eval=[0.5, 1.0])
+    assert np.array_equal(traj.states.T, sol.y)
+    assert traj.states[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+
 @pytest.mark.parametrize("t_eval", [None, np.linspace(0.0, 0.9, 4), [0.9]])
 def test_failure_matches_scipy(t_eval):
     # y' = y^2 from 2 blows up at 0.5: the driver fails with solve_ivp's
-    # message, where scipy's own step loop stopped, to the bit
+    # message, where scipy's own step loop stopped, to the bit.  None
+    # samples at the steps scipy accepted before it failed
     field_fn = lambda t, y: [y[0] ** 2]
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(field_fn, (0.0, 0.9), [2.0], method="DOP853",
@@ -364,6 +393,8 @@ def test_failure_matches_scipy(t_eval):
         while solver.status == "running":
             solver.step()
     assert sol.status == -1 and solver.status == "failed"
+    if t_eval is None:
+        t_eval = sol.t
     with pytest.raises(IntegrationError) as exc:
         integrate_ode(field_fn, [2.0], 0.0, 0.9, t_eval=t_eval)
     assert str(exc.value).startswith(
@@ -380,19 +411,19 @@ def test_t_eval_checked(t_eval):
 
 def test_empty_state_refused():
     with pytest.raises(ValueError, match="empty"):
-        integrate_ode(lambda t, y: [], [], 0.0, 1.0)
+        integrate_ode(lambda t, y: [], [], 0.0, 1.0, [1.0])
 
 
 def test_batch_rejects_bad_input():
     field_fn = lambda t, y: [-y[0]]
     with pytest.raises(ValueError):
-        integrate_ode_batch(field_fn, [1.0, 2.0], 0.0, 1.0)
+        integrate_ode_batch(field_fn, [1.0, 2.0], 0.0, 1.0, [1.0])
     with pytest.raises(ValueError):
-        integrate_ode_batch(field_fn, np.zeros((0, 1)), 0.0, 1.0)
+        integrate_ode_batch(field_fn, np.zeros((0, 1)), 0.0, 1.0, [1.0])
     with pytest.raises(ValueError):
-        integrate_ode_batch(field_fn, [[1.0]], 1.0, 1.0)
+        integrate_ode_batch(field_fn, [[1.0]], 1.0, 1.0, [1.0])
     with pytest.raises(ValueError):
-        integrate_ode_batch(field_fn, [[1.0]], 1.0, 0.5)
+        integrate_ode_batch(field_fn, [[1.0]], 1.0, 0.5, [1.0, 0.5])
 
 
 def test_noise_stream_is_reproducible():

@@ -44,7 +44,7 @@ def test_dV_matches_difference_along_flow(params, ref):
     e0 = (0.15, -0.1)
     tau0, h = 40.0, 1e-4
     traj = integrate_ode(lambda t, y: rhs_error(y, params, ref.state(t)),
-                         e0, tau0, tau0 + h, tol=1e-12)
+                         e0, tau0, tau0 + h, [tau0 + h], tol=1e-12)
     v0 = eval_V(e0, tau0, params, ref.state(tau0))
     v1 = eval_V(tuple(traj.states[-1]), tau0 + h, params,
                 ref.state(tau0 + h))
@@ -190,6 +190,8 @@ def test_tube_check_reads_reference_once_per_time(params, ref, monkeypatch,
     # the search bisected at least one tau0 candidate
     assert len(per_check) > 40
     assert 0 < min(per_check) and max(per_check) <= grid
+    # the B, C fit reads the winning tube's reference from its check
+    assert len(asked) == len(per_check)
 
 
 def test_spot_check_clean(params, ref, cert):

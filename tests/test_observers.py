@@ -233,12 +233,17 @@ def test_bootstrap_matches_per_resample_oracle(monkeypatch, n_paths, n_boot,
         monkeypatch.setattr(integrators, "NOISE_BUDGET",
                             piece * 24 * exits.size)
     log_mu = np.log([0.2, 0.3, 0.45])
-    got = ensemble._bootstrap(exits, log_mu, n_boot, 11)
-    want = plain_bootstrap(exits, log_mu, n_boot, 11)
+    # the paths at or above each row's median are flagged censored, about
+    # half of them, so resamples fall on both sides of the half
+    censored = exits >= np.median(exits, axis=1, keepdims=True)
+    got = ensemble._bootstrap(exits, censored, log_mu, n_boot, 11)
+    want = plain_bootstrap(exits, censored, log_mu, n_boot, 11)
     for a, b in zip(got, want):
         assert a.shape == b.shape
         assert np.array_equal(a, b)
     assert (exits == 5.0).any()
+    if n_boot > 1:
+        assert ((0 < got[2]) & (got[2] < 1)).all()
 
 
 def test_bootstrap_within_budget():
@@ -248,7 +253,8 @@ def test_bootstrap_within_budget():
     exits = _exits(300)
     tracemalloc.start()
     try:
-        ensemble._bootstrap(exits, np.log([0.2, 0.3, 0.45]), 2000, 11)
+        ensemble._bootstrap(exits, exits == 5.0, np.log([0.2, 0.3, 0.45]),
+                            2000, 11)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
