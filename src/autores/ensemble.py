@@ -134,8 +134,8 @@ class EnsembleStats:
 
 def _precompute_step_grid(cfg: EnsembleConfig,
                           ref: Optional[ReferenceSolution]):
-    """The step grid of all paths (step_grid) and star, the reference
-    samples (r*, psi*) at the step end times, or None with no reference.
+    """The node times tau of all paths (step_grid) and star, the reference
+    samples (r*, psi*) at every node, or None with no reference.
 
     With a reference the window [tau0, tau0 + horizon] must lie in its
     domain: outside it a path has no reference to deviate from.
@@ -145,8 +145,8 @@ def _precompute_step_grid(cfg: EnsembleConfig,
                                 and tau1 <= ref.tau_max):
         raise ValueError(f"window [{cfg.tau0}, {tau1}] is not inside the "
                          f"reference domain [{ref.tau_min}, {ref.tau_max}]")
-    grid = step_grid(cfg.tau0, tau1, cfg.dt)
-    return grid, None if ref is None else ref.state(grid[1])
+    tau = step_grid(cfg.tau0, tau1, cfg.dt)
+    return tau, None if ref is None else ref.state(tau)
 
 
 def _path_blocks(n_paths: int, n_mus: int = 1) -> list:
@@ -161,12 +161,12 @@ def _path_blocks(n_paths: int, n_mus: int = 1) -> list:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _run_blocks(cfg: EnsembleConfig, mus: Sequence[float], grid, terms,
-                observer) -> list:
+def _run_blocks(cfg: EnsembleConfig, mus: Sequence[float], tau: np.ndarray,
+                terms, observer) -> list:
     """Integrate all paths at every amplitude in mus, block by block
-    (_path_blocks), with em_paths, and merge the per-block results in path
-    order, so they do not depend on the block width.  Returns one merged
-    dict per amplitude.
+    (_path_blocks), with em_paths over the node times tau, and merge the
+    per-block results in path order, so they do not depend on the block
+    width.  Returns one merged dict per amplitude.
 
     A block of paths [lo, hi) runs as len(mus) * (hi - lo) columns,
     amplitude-major: each path's stream is drawn once and feeds its column
@@ -185,7 +185,7 @@ def _run_blocks(cfg: EnsembleConfig, mus: Sequence[float], grid, terms,
         x[0], x[1] = float(cfg.x0[0]), float(cfg.x0[1])
         obs = observer(m)
         streams = [NoiseStream(cfg.master_seed, j) for j in range(lo, hi)]
-        escaped_at = em_paths(terms, x, grid, cfg.dt, np.repeat(mus, hi - lo),
+        escaped_at = em_paths(terms, x, tau, cfg.dt, np.repeat(mus, hi - lo),
                               streams, obs, ball_radius=cfg.ball_radius)
         blocks.append({key: np.split(value, mus.size, axis=-1)
                        for key, value in obs.result(x, escaped_at).items()})
@@ -205,9 +205,8 @@ def _fold(ufunc, acc, cols, values, where, initial):
 class _TubeObserver:
     """Deviation, exit and capture statistics of one block of paths."""
 
-    def __init__(self, cfg: EnsembleConfig, grid, star, m: int):
-        self.cfg = cfg
-        self.tau_next = grid[1]
+    def __init__(self, cfg: EnsembleConfig, tau, star, m: int):
+        self.cfg, self.tau = cfg, tau
         self.star = star  # deviation statistics exist only with a reference
         self.sup_psi = np.zeros(m)
         self.sup_rw = np.zeros(m)
@@ -222,13 +221,14 @@ class _TubeObserver:
         self.psi_hi = np.full(m, -np.inf)
 
     def __call__(self, k0, xs, live, cols):
-        # row 0, the start state or a state seen in the chunk before,
-        # adds nothing
+        # slab row i is node k0 + i; row 0, the start state or a state
+        # seen in the chunk before, adds nothing
         live = live[1:]
         r, psi = xs[1:, 0], xs[1:, 1]
-        tau = self.tau_next[k0:k0 + live.shape[0]]
+        nodes = slice(k0 + 1, k0 + xs.shape[0])
+        tau = self.tau[nodes]
         if self.star is not None:
-            rs, ps = (s[k0:k0 + tau.size, None] for s in self.star)
+            rs, ps = (s[nodes, None] for s in self.star)
             eps1 = self.cfg.eps1
             dev = np.subtract(psi, ps)
             np.abs(dev, out=dev)
@@ -284,7 +284,7 @@ class _ExitObserver(_TubeObserver):
 def _tube_runs(cfg: EnsembleConfig, mus: Sequence[float],
                ref: Optional[ReferenceSolution], out_of_class_ok: bool,
                observer) -> tuple:
-    """run_ensembles' checks and engine pass, with observer(cfg, grid,
+    """run_ensembles' checks and engine pass, with observer(cfg, tau,
     star, m) making each block's observer: the merged result dict per
     amplitude (_run_blocks) and whether the schedule is out of class."""
     if not len(mus):
@@ -297,10 +297,10 @@ def _tube_runs(cfg: EnsembleConfig, mus: Sequence[float],
         raise ValueError(
             f"noise schedule not in class (bound {check['bound']}, "
             f"h {cfg.noise.h}); pass out_of_class_ok=True to run anyway")
-    grid, star = _precompute_step_grid(cfg, ref)
-    per_mu = _run_blocks(cfg, mus, grid,
-                         perturbed_terms(cfg.params, cfg.noise, grid[0]),
-                         lambda m: observer(cfg, grid, star, m))
+    tau, star = _precompute_step_grid(cfg, ref)
+    per_mu = _run_blocks(cfg, mus, tau,
+                         perturbed_terms(cfg.params, cfg.noise, tau),
+                         lambda m: observer(cfg, tau, star, m))
     return per_mu, out_of_class
 
 
@@ -466,58 +466,49 @@ def _bootstrap(exits: np.ndarray, censored: np.ndarray, log_mu: np.ndarray,
 class _StoppedU1:
     """Stopped comparison function U_1 of one block of error-system paths.
 
-    Each path is stopped at its first exit from the certified tube d <=
-    d0 (or at a blow-up); U_1 = 4V + mu^2 h n^2 C (T + t0 - t), chain_U
-    with n = 2, is evaluated at the stopped state and time: observations
-    at obs_idx steps (-1 marks tau0) plus the pathwise running supremum
-    over every step, of the rows em_paths marks live.  em_paths drops a
-    stopped path at the end of the chunk in which it stopped, so the
-    observer reads none of its states after the stop.
+    Each path is stopped at its first node outside the certified tube d
+    <= d0 (or at a blow-up); U_1 = 4V + mu^2 h n^2 C (T + t0 - t),
+    chain_U with n = 2, is evaluated at the stopped state and time, with
+    the reference sample of the same node: at the nodes obs_idx (node 0
+    is tau0) plus the pathwise running supremum over every node, of the
+    rows em_paths marks live.  em_paths drops a stopped path at the end
+    of the chunk in which it stopped, so the observer reads none of its
+    states after the stop.
     """
 
     def __init__(self, cfg: EnsembleConfig, cert: StabilityCertificate,
-                 grid, star, obs_idx: np.ndarray, m: int):
-        self.cfg, self.cert, self.obs_idx = cfg, cert, obs_idx
-        self.tau_next = grid[1]
-        self.rs, self.ps = star
+                 tau, star, obs_idx: np.ndarray, m: int):
+        self.cfg, self.cert, self.tau, self.star = cfg, cert, tau, star
+        self.obs_idx = obs_idx
         self.stopped = np.zeros(m, dtype=bool)
         self.obs = np.empty((obs_idx.size, m))
         self.obs_ptr = 0
         self.u_now = np.empty(m)
         self.u_sup = np.full(m, -np.inf)
 
-    def _u1(self, e, tau, star):
-        cfg = self.cfg
-        V = eval_V(e, tau, cfg.params, star)
-        return chain_U(cfg.noise.mu, cfg.noise.h, 2, self.cert.C,
-                       cfg.horizon, 4.0 * V, tau, cfg.tau0)
-
     def __call__(self, k0, xs, live, cols):
-        if k0 == 0:
-            # the start state at tau0, read against the first step's
-            # reference sample, is observation 0 (obs_idx[0] = -1)
-            self.u_now = self._u1(xs[0], self.cfg.tau0, (self.rs[0],
-                                                         self.ps[0]))
-            np.maximum(self.u_sup, self.u_now, out=self.u_sup)
-            self.obs[0] = self.u_now
-            self.obs_ptr = 1
-        n_rows, w = xs.shape[0] - 1, xs.shape[2]
-        d0 = self.cert.d0
+        # the chunk's new nodes: row 0 is node 0 in the first chunk, and a
+        # node read in the chunk before in the others
+        first = k0 + (k0 > 0)
+        xs, live = xs[first - k0:], live[first - k0:]
+        n_rows, w = xs.shape[0], xs.shape[2]
+        cfg, d0 = self.cfg, self.cert.d0
         out = np.empty((n_rows, w), dtype=bool)
         u = np.empty((n_rows, w))
         piece = max(1, U1_PIECE // w)
         for lo in range(0, n_rows, piece):
             hi = min(lo + piece, n_rows)
-            R, Psi = xs[1 + lo:1 + hi].transpose(1, 0, 2)
-            k = slice(k0 + lo, k0 + hi)
+            R, Psi = xs[lo:hi].transpose(1, 0, 2)
+            k = slice(first + lo, first + hi)
             np.greater(R * R + Psi * Psi, d0 * d0, out=out[lo:hi])
-            u[lo:hi] = self._u1((R, Psi), self.tau_next[k, None],
-                                (self.rs[k, None], self.ps[k, None]))
-        out &= live[1:]
+            tau, star = self.tau[k, None], [s[k, None] for s in self.star]
+            V = eval_V((R, Psi), tau, cfg.params, star)
+            u[lo:hi] = chain_U(cfg.noise.mu, cfg.noise.h, 2, self.cert.C,
+                               cfg.horizon, 4.0 * V, tau, cfg.tau0)
+        out &= live
         stop = out.any(axis=0)
         # a path counts its rows up to its stop, or those it is live in
-        n_counted = np.where(stop, out.argmax(axis=0) + 1,
-                             live.sum(axis=0) - 1)
+        n_counted = np.where(stop, out.argmax(axis=0) + 1, live.sum(axis=0))
         counted = np.arange(n_rows)[:, None] < n_counted
         _fold(np.maximum, self.u_sup, cols, u, counted, -np.inf)
         # U_1 of each path after the chunk: at its last counted row, or
@@ -525,8 +516,8 @@ class _StoppedU1:
         held = np.where(n_counted > 0, u[n_counted - 1, np.arange(w)],
                         self.u_now[cols])
         while (self.obs_ptr < self.obs_idx.size
-               and self.obs_idx[self.obs_ptr] < k0 + n_rows):
-            row = self.obs_idx[self.obs_ptr] - k0
+               and self.obs_idx[self.obs_ptr] < first + n_rows):
+            row = self.obs_idx[self.obs_ptr] - first
             # a path dropped in an earlier chunk keeps its stopped value
             self.obs[self.obs_ptr] = self.u_now
             self.obs[self.obs_ptr, cols] = np.where(counted[row], u[row],
@@ -554,9 +545,11 @@ def supermartingale_check(cfg: EnsembleConfig, cert: StabilityCertificate,
                           threads: int = 1) -> dict:
     """Empirical supermartingale and maximal-inequality test for U_1.
 
-    cfg.x0 is read as the starting deviation (R, Psi).  Paths are stopped
-    at first exit from the certified tube and observed at N_OBS evenly
-    spaced times.  The report carries, per observation band, whether the
+    cfg.x0 is read as the starting deviation (R, Psi) at tau0; each step
+    reads the reference at its start (error_terms).  Paths are stopped
+    at their first node outside the certified tube and observed at N_OBS
+    nodes: tau0 and the ends of N_OBS - 1 evenly spaced steps, the last
+    at the horizon.  The report carries, per observation band, whether the
     mean is non-increasing within 2 paired standard errors, and the
     maximal-bound ladder: the fraction of paths whose running sup of U_1
     reaches c times the start value, for c in DOOB_LADDER, against the
@@ -570,16 +563,16 @@ def supermartingale_check(cfg: EnsembleConfig, cert: StabilityCertificate,
     if N != 1:
         raise NotImplementedError("only the N=1 comparison chain is testable "
                                   "with closed-form constants")
-    grid, star = _precompute_step_grid(cfg, ref)
+    tau, star = _precompute_step_grid(cfg, ref)
     if cfg.tau0 < cert.tau0:
         raise ValueError(f"window starts at tau0 {cfg.tau0}, before the "
                          f"certificate's tau0 {cert.tau0}")
-    n_steps = grid[0].size
-    obs_steps = np.unique(np.linspace(0, n_steps - 1, N_OBS - 1).astype(int))
-    obs_idx = np.concatenate([[-1], obs_steps])  # -1 marks the tau0 snapshot
-    res = _run_blocks(cfg, [cfg.noise.mu], grid,
-                      error_terms(cfg.params, cfg.noise, grid[0], star),
-                      lambda m: _StoppedU1(cfg, cert, grid, star, obs_idx,
+    # node 0, then the ends of N_OBS - 1 evenly spaced steps
+    ends = np.unique(np.linspace(0, tau.size - 2, N_OBS - 1).astype(int)) + 1
+    obs_idx = np.concatenate([[0], ends])
+    res = _run_blocks(cfg, [cfg.noise.mu], tau,
+                      error_terms(cfg.params, cfg.noise, tau, star),
+                      lambda m: _StoppedU1(cfg, cert, tau, star, obs_idx,
                                            m))[0]
     obs, u_sup, stopped = res["obs"], res["u_sup"], res["stopped"]
 

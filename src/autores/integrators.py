@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -424,15 +425,11 @@ def sde_step_count(tau0: float, tau1: float, dt: float) -> int:
     return max(n, 1)
 
 
-def step_grid(tau0: float, tau1: float, dt: float):
-    """Euler-Maruyama step grid (tau_at, tau_next, h): per step its start
-    and end time and its size; the last step ends exactly at tau1."""
+def step_grid(tau0: float, tau1: float, dt: float) -> np.ndarray:
+    """The n + 1 node times of the n Euler-Maruyama steps (sde_step_count):
+    tau0 + k dt for k < n, then tau1 exactly; step k ends at node k + 1."""
     n_steps = sde_step_count(tau0, tau1, dt)
-    k = np.arange(n_steps)
-    tau_at = tau0 + k * dt
-    tau_next = np.minimum(tau0 + (k + 1) * dt, tau1)
-    tau_next[-1] = tau1
-    return tau_at, tau_next, tau_next - tau_at
+    return np.append(tau0 + np.arange(n_steps) * dt, tau1)
 
 
 def default_dt(mu: float) -> float:
@@ -474,21 +471,22 @@ def _narrow(a: np.ndarray, w: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # escape is data
-def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
-             streams, observe: Callable,
+def em_paths(terms: Callable, x: np.ndarray, tau: np.ndarray, dt: float,
+             mu, streams, observe: Callable,
              ball_radius: float = 0.0) -> np.ndarray:
     """Euler-Maruyama steps of dx = f dtau + mu G dW (Ito) for m paths.
 
-    x is the (d, m) start state and is advanced in place over grid, a
-    step_grid result.  terms(k, x, w, f, gw, scratch) writes the drift f
-    and the product G w at step k into f and gw and returns nothing.  Its
-    arguments are rows of one length, the number of running paths: d
-    each of the state x and of f and gw, N_CHANNELS of increments w, and
-    N_SCRATCH work rows in scratch.  em_paths allocates these buffers
-    once per call and terms must not keep them.  mu is an array of m
-    amplitudes, one per path.
+    x is the (d, m) state at node tau[0] and is advanced in place over
+    the node times tau (step_grid).  terms(k, x, w, f, gw, scratch)
+    writes the drift f and the product G w of step k into f and gw and
+    returns nothing; it reads x, time and reference at node k, the
+    step's start (Ito).  Its arguments are rows of one length, the
+    number of running paths: d each of the state x and of f and gw,
+    N_CHANNELS of increments w, and N_SCRATCH work rows in scratch.
+    em_paths allocates these buffers once per call and terms must not
+    keep them.  mu is an array of m amplitudes, one per path.
 
-    Additive terms carry terms.additive, the intensity sigma per step of
+    Additive terms carry terms.additive, the intensity sigma per node of
     G w = (0, ..., 0, sigma[k] w_last), w_last the last channel's
     increment.  They write only f; em_paths forms a chunk's increments
     mu G w in bulk, as (((z sqrt(dt)) sqrt(h / dt)) sigma) mu, the
@@ -507,11 +505,11 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
     rescales its increment variance to its length.
 
     Only running paths are stepped.  The chunk of steps from k0 on
-    writes the state after step k0 + i - 1 of the running paths into row
-    i of a (chunk + 1, d, w) slab xs, whose row 0 is x for the first
-    chunk and the last row of the chunk before for the others; the step
-    writes there, so nothing is copied.  observe(k0, xs, live, cols) is
-    called once per chunk, after its steps.  cols[j] is the index in x
+    writes them into a (chunk + 1, d, w) slab xs whose row i is the state
+    at node k0 + i: row 0 is x in the first chunk and the last row of the
+    chunk before in the others.  The step writes there, so nothing is
+    copied.  observe(k0, xs, live, cols) is called once per chunk, after
+    its steps.  cols[j] is the index in x
     of the path in slab column j.  live[i, j] holds if row i of xs is a
     state of that path: row 0 and the rows before the step at which it
     left the finite range, a prefix.  The rows after hold what stepping a
@@ -527,10 +525,10 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
 
     x ends as each path's last finite state; for a path dropped on the
     observer's mask, that is its state at the end of the chunk in which
-    it was dropped.  Returns, per path, the end time of the step at which
-    it left the finite range (NaN if it never did).
+    it was dropped.  Returns, per path, the time of the node at which it
+    left the finite range (NaN if it never did).
     """
-    _, tau_next, h = grid
+    h = tau[1:] - tau[:-1]
     n_steps = h.size
     (d, m), n = x.shape, len(streams)
     if m % n:
@@ -608,7 +606,7 @@ def em_paths(terms: Callable, x: np.ndarray, grid, dt: float, mu,
         np.logical_and.accumulate(np.isfinite(xs[1:]).all(1), out=live[1:])
         n_live = live.sum(axis=0)
         out = n_live < xs.shape[0]
-        escaped_at[cols[out]] = tau_next[k0 + n_live[out] - 1]
+        escaped_at[cols[out]] = tau[k0 + n_live[out]]
         stop = observe(k0, xs, live, cols)
         # each path's last finite state
         x[:, cols] = xs[n_live - 1, :, np.arange(cols.size)].T
@@ -636,42 +634,48 @@ def integrate_sde(make_terms: Callable, x0, tau0: float, tau1: float,
     """Euler-Maruyama paths of dx = f dt + mu G dW in the Ito sense, one
     Trajectory per stream, all from x0.
 
-    make_terms(tau_at) gets the step start times of step_grid(tau0, tau1,
-    dt), built here, and returns terms(k, x, w, f, gw, scratch) writing f
-    and G w as in em_paths; partial(model.perturbed_terms, p, noise) is
-    the perturbed system's.  mu is one amplitude or one per stream.  The
-    streams run as the columns of one em_paths call, one amplitude each,
-    each recording the start, every record_every-th step and the last
-    step while it is finite, so the path for stream (master_seed, j) is
-    bitwise path j of an ensemble with the same start, whatever the
-    other columns do.  The end time is hit exactly via a shorter final
-    step.  A non-finite state truncates that path and flags its trajectory.
+    make_terms(tau) gets the node times of step_grid(tau0, tau1, dt),
+    built here, and returns terms(k, x, w, f, gw, scratch) writing f and
+    G w of step k as in em_paths; partial(model.perturbed_terms, p,
+    noise) is the perturbed system's.  mu is one amplitude or one per
+    stream.  The streams run as the columns of one em_paths call, one
+    amplitude each, each recording node 0, every record_every-th node
+    and the last one while it is finite, so the path for stream
+    (master_seed, j) is bitwise path j of an ensemble with the same
+    start, whatever the other columns do.  A non-finite state truncates
+    that path and flags its trajectory.  ValueError names an empty
+    streams, a non-finite x0, a record_every that is not an integer >= 1
+    and mu outside [0, 1).
     """
     m = len(streams)
+    if not m:
+        raise ValueError("streams must hold at least one NoiseStream")
+    x0 = np.asarray(x0, dtype=float)
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0}")
+    if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
+        raise ValueError(f"record_every {record_every} is not an integer >= 1")
     mu = np.broadcast_to(np.asarray(mu, dtype=float), (m,))
     if not np.all((0 <= mu) & (mu < 1)):
         raise ValueError(f"mu must lie in [0, 1), got {mu}")
-    grid = step_grid(tau0, tau1, dt)
-    terms = make_terms(grid[0])
-    n_steps = grid[0].size
-    # the time of each state of a path: the start, then each step's end
-    tau_rows = np.concatenate([[tau0], grid[1]])
-    x = np.tile(np.asarray(x0, dtype=float).reshape(-1, 1), m)
+    tau = step_grid(tau0, tau1, dt)
+    terms = make_terms(tau)
+    x = np.tile(x0.reshape(-1, 1), m)
     times, states, kept = [], [], []
 
     def record(k0, xs, live, cols):
-        # slab row i is state k0 + i of the path; row 0 is the last row of
-        # the chunk before, except in the first chunk
+        # slab row i is node g = k0 + i; row 0 is new only in the first
+        # chunk, and the last row of the chunk before in the others
         g = np.arange(k0 + (k0 > 0), k0 + xs.shape[0])
-        g = g[(g % record_every == 0) | (g == n_steps)]
-        times.append(tau_rows[g])
+        g = g[(g % record_every == 0) | (g == tau.size - 1)]
+        times.append(tau[g])
         # a path that has left the finite range keeps none of its rows
         states.append(np.empty((g.size,) + x.shape))
         states[-1][:, :, cols] = xs[g - k0]
         kept.append(np.zeros((g.size, m), dtype=bool))
         kept[-1][:, cols] = live[g - k0]
 
-    escaped_at = em_paths(terms, x, grid, dt, mu, streams, record)
+    escaped_at = em_paths(terms, x, tau, dt, mu, streams, record)
     times, states = np.concatenate(times), np.concatenate(states)
     kept = np.concatenate(kept)
     return [Trajectory(times=times[keep], states=states[keep, :, c],

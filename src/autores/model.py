@@ -101,7 +101,7 @@ def _noise(s1, s2, r, sin_psi, cos_psi, w, gw, tmp):
 
 
 def _intensities(n: NoiseSchedule, tau: np.ndarray):
-    """(sigma1, sigma2) on the step start times tau; ValueError names a
+    """(sigma1, sigma2) on the node times tau; ValueError names a
     schedule that is not finite there (a negative power at tau = 0)."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s = (np.asarray(n.sigma1(tau), dtype=float),
@@ -115,12 +115,13 @@ def _intensities(n: NoiseSchedule, tau: np.ndarray):
 
 
 def perturbed_terms(p: SystemParams, n: NoiseSchedule, tau: np.ndarray):
-    """Euler-Maruyama terms of the perturbed system on step start times tau.
+    """Euler-Maruyama terms of the perturbed system on the node times tau.
 
     Returns terms(k, x, w, f, gw, scratch) under the integrators.em_paths
     buffer contract: it writes the drift into f and G w into gw for the
-    state x = (r, psi) and the two Wiener increments w of step k, using
-    the three scratch rows for sin, cos and a temporary.  The Ito drift
+    state x = (r, psi) at node k and the two Wiener increments w of step
+    k, with time and schedules read at node k, using the three scratch
+    rows for sin, cos and a temporary.  The Ito drift
     is the unperturbed field, computed in rhs_primary's operation order,
     so both give the same bits.
 
@@ -212,14 +213,15 @@ def rhs_error(e, p: SystemParams, star):
 def error_terms(p: SystemParams, n: NoiseSchedule, tau: np.ndarray, star):
     """Euler-Maruyama terms of the deviation system (R, Psi).
 
-    star = (r*, psi*) holds one reference sample per step; the noise
-    schedules are read at the step start times tau.  The diffusion matrix
-    is the original-variable one at the shifted state (r* + R, psi* +
-    Psi); the reference solution itself satisfies the deterministic
-    equations, so its noise terms cancel.  Returns terms(k, x, w, f, gw,
-    scratch) under the buffer contract of perturbed_terms, additive
-    noise included; the drift follows rhs_error's operation order, with
-    sin and cos of psi* + Psi evaluated once per step.
+    star = (r*, psi*) holds one reference sample per node of tau; the
+    terms of step k read it and the noise schedules at node k, the
+    step's start, as an Ito step does.  The diffusion matrix is the
+    original-variable one at the shifted state (r* + R, psi* + Psi); the
+    reference solution itself satisfies the deterministic equations, so
+    its noise terms cancel.  Returns terms(k, x, w, f, gw, scratch) under
+    the buffer contract of perturbed_terms, additive noise included; the
+    drift follows rhs_error's operation order, with sin and cos of psi*
+    + Psi evaluated once per step.
     """
     s1, s2 = _intensities(n, tau)
     additive = not s1.any()

@@ -4,11 +4,13 @@ integrators.integrate_sde, which observe whole chunks of steps.
 
 plain_em draws every increment up front and steps with fresh arrays and
 an explicit mask; a path that stopped or left the finite range is frozen.
-Its observer is called after every step as observe(k, x, moved): the
-start state as step -1, then the state after step k, with moved the mask
-of paths that took the step (True for the start); it may return a mask
-of paths to stop.  PlainTube, PlainStoppedU1 and plain_integrate_sde are
-the per-step observers the chunked ones replaced, kept as they were.
+Its observer is called at every node of the step grid as observe(k, x,
+moved): node 0 with the start state, then node k + 1 with the state
+after step k, and moved the mask of paths that took the step (all for
+node 0); it may return a mask of paths to stop.  PlainTube,
+PlainStoppedU1 and plain_integrate_sde are the per-step observers the
+chunked ones replaced; each reads time and reference at the node it is
+called for.
 plain_bootstrap is exit_time_scaling's bootstrap, one resample at a time.
 plain_solve is integrators._solve as a solve_ivp call, whose interpolants
 are evaluated one step at a time.  PlainReference is the reference
@@ -30,11 +32,12 @@ from autores.integrators import IntegrationError, NoiseStream, Trajectory
 from autores.lyapunov import chain_U, dV_dtau, eval_V, weighted_norm
 
 
-def plain_em(terms, x, grid, dt, mu, streams, observe, ball_radius):
-    """em_paths written plainly: every increment drawn up front, fresh
-    arrays on every step, a row-by-row update and an explicit mask.  One
-    stream per column; terms(k, x, w) returns fresh (f, G w)."""
-    _, tau_next, h = grid
+def plain_em(terms, x, tau, dt, mu, streams, observe, ball_radius):
+    """em_paths written plainly over the node times tau: every increment
+    drawn up front, fresh arrays on every step, a row-by-row update and
+    an explicit mask.  One stream per column; terms(k, x, w) returns
+    fresh (f, G w) of step k from the state at node k."""
+    h = tau[1:] - tau[:-1]
     rngs = [s.generator() for s in streams]
     for i, rng in enumerate(rngs if ball_radius > 0 else ()):
         u, ang = rng.uniform(size=2)
@@ -44,7 +47,9 @@ def plain_em(terms, x, grid, dt, mu, streams, observe, ball_radius):
     z = np.stack([rng.standard_normal((h.size, 2)) for rng in rngs], axis=-1)
     active = np.ones(x.shape[1], dtype=bool)
     escaped_at = np.full(x.shape[1], np.nan)
-    observe(-1, x, True)
+    stop = observe(0, x, active.copy())
+    if stop is not None:
+        active &= ~stop
     for k in range(h.size):
         w = z[k] * math.sqrt(dt)
         if h[k] != dt:
@@ -53,9 +58,9 @@ def plain_em(terms, x, grid, dt, mu, streams, observe, ball_radius):
         x_new = np.array([xi + fi * h[k] + mu * gi
                           for xi, fi, gi in zip(x, f, gw)])
         moved = active & np.isfinite(x_new).all(axis=0)
-        escaped_at[active & ~moved] = tau_next[k]
+        escaped_at[active & ~moved] = tau[k + 1]
         x[:, moved] = x_new[:, moved]
-        stop = observe(k, x, moved)
+        stop = observe(k + 1, x, moved)
         active = moved if stop is None else moved & ~stop
         if not active.any():
             break
@@ -78,7 +83,7 @@ def plain_terms(terms, m):
     return plain
 
 
-def plain_run_blocks(cfg, mus, grid, terms, observer):
+def plain_run_blocks(cfg, mus, tau, terms, observer):
     """ensemble._run_blocks as one block of every path at every
     amplitude, stepped by plain_em with one stream per column."""
     mus = np.asarray(mus, dtype=float)
@@ -88,7 +93,7 @@ def plain_run_blocks(cfg, mus, grid, terms, observer):
     obs = observer(m)
     streams = [NoiseStream(cfg.master_seed, j)
                for j in range(cfg.n_paths)] * mus.size
-    escaped_at = plain_em(plain_terms(terms, m), x, grid, cfg.dt,
+    escaped_at = plain_em(plain_terms(terms, m), x, tau, cfg.dt,
                           np.repeat(mus, cfg.n_paths), streams, obs,
                           cfg.ball_radius)
     obs.escaped_at = escaped_at  # for tests that check what a run covers
@@ -100,9 +105,9 @@ def plain_run_blocks(cfg, mus, grid, terms, observer):
 class PlainTube:
     """Deviation, exit and capture statistics of one block of paths."""
 
-    def __init__(self, cfg, grid, star, m):
+    def __init__(self, cfg, tau, star, m):
         self.cfg = cfg
-        self.tau_next = grid[1]
+        self.tau = tau
         self.star = star
         self.sup_psi = np.zeros(m)
         self.sup_rw = np.zeros(m)
@@ -114,10 +119,10 @@ class PlainTube:
         self.psi_hi = np.full(m, -np.inf)
 
     def __call__(self, k, x, moved):
-        if k < 0:
+        if k == 0:
             return
         r, psi = x
-        tau = self.tau_next[k]
+        tau = self.tau[k]
         if self.star is not None:
             rs, ps = self.star
             eps1 = self.cfg.eps1
@@ -153,14 +158,14 @@ class PlainTube:
 
 class PlainStoppedU1:
     """Stopped comparison function U_1 of one block of error-system paths;
-    stop_step records the step at which each path stopped (-2 if never)."""
+    stop_node records the node at which each path stopped (-1 if never)."""
 
-    def __init__(self, cfg, cert, grid, star, obs_idx, m):
+    def __init__(self, cfg, cert, tau, star, obs_idx, m):
         self.cfg, self.cert, self.obs_idx = cfg, cert, obs_idx
-        self.tau_next = grid[1]
+        self.tau = tau
         self.rs, self.ps = star
         self.stopped = np.zeros(m, dtype=bool)
-        self.stop_step = np.full(m, -2)
+        self.stop_node = np.full(m, -1)
         self.obs = np.empty((obs_idx.size, m))
         self.obs_ptr = 0
         self.u_now = np.empty(m)
@@ -168,15 +173,11 @@ class PlainStoppedU1:
 
     def __call__(self, k, x, moved):
         cfg = self.cfg
-        out = None
-        if k >= 0:
-            R, Psi = x
-            out = moved & (R * R + Psi * Psi > self.cert.d0 * self.cert.d0)
-            self.stopped |= out
-            self.stop_step[out] = k
-            tau, star = self.tau_next[k], (self.rs[k], self.ps[k])
-        else:
-            tau, star = cfg.tau0, (self.rs[0], self.ps[0])
+        R, Psi = x
+        out = moved & (R * R + Psi * Psi > self.cert.d0 * self.cert.d0)
+        self.stopped |= out
+        self.stop_node[out] = k
+        tau, star = self.tau[k], (self.rs[k], self.ps[k])
         V = eval_V(x, tau, cfg.params, star)
         np.copyto(self.u_now, chain_U(cfg.noise.mu, cfg.noise.h, 2,
                                       self.cert.C, cfg.horizon, 4.0 * V, tau,
@@ -199,19 +200,19 @@ def plain_integrate_sde(make_terms, x0, tau0, tau1, dt, mu, streams,
     """integrate_sde with its per-step recorder, stepped by plain_em."""
     m = len(streams)
     mu = np.broadcast_to(np.asarray(mu, dtype=float), (m,))
-    grid = integrators.step_grid(tau0, tau1, dt)
-    terms = make_terms(grid[0])
-    n_steps = grid[0].size
+    tau = integrators.step_grid(tau0, tau1, dt)
+    terms = make_terms(tau)
+    n_steps = tau.size - 1
     x = np.tile(np.asarray(x0, dtype=float).reshape(-1, 1), m)
     times, states, kept = [], [], []
 
     def record(k, x, moved):
-        if (k + 1) % record_every == 0 or k == n_steps - 1:
-            times.append(grid[1][k] if k >= 0 else tau0)
+        if k % record_every == 0 or k == n_steps:
+            times.append(tau[k])
             states.append(x.copy())
             kept.append(np.broadcast_to(moved, m))
 
-    escaped_at = plain_em(plain_terms(terms, m), x, grid, dt, mu, streams,
+    escaped_at = plain_em(plain_terms(terms, m), x, tau, dt, mu, streams,
                           record, 0.0)
     times, states, kept = np.array(times), np.array(states), np.array(kept)
     return [Trajectory(times=times[keep], states=states[keep, :, c],

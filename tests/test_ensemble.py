@@ -10,6 +10,7 @@ from autores import ensemble, integrators
 from autores.model import (NoiseSchedule, SystemParams, constant_schedule,
                            perturbed_terms, power_schedule)
 from autores.integrators import NoiseStream, Trajectory, integrate_sde
+from autores.lyapunov import chain_U, eval_V
 from autores.ensemble import (EnsembleConfig, classify_capture,
                               exit_time_scaling, run_ensemble, run_ensembles,
                               supermartingale_check, wilson_interval)
@@ -496,3 +497,16 @@ def test_supermartingale_all_paths_stopped(ref, cert, cfg_maker):
     assert report["stopped_fraction"] == 1.0
     assert report["bands"][0]["mean_diff"] != 0.0
     assert all(band["mean_diff"] == 0.0 for band in report["bands"][1:])
+
+
+def test_supermartingale_start_reads_reference_at_tau0(params, ref, cert,
+                                                       cfg_maker):
+    # off the reference, U_1 at node 0 depends on (r*, psi*): the report's
+    # mean start is U_1 at tau0 with the reference read at tau0
+    x0, tau0 = (0.02, -0.01), cert.tau0
+    cfg = cfg_maker(mu=0.05, n_paths=100, horizon=0.5, x0=x0, tau0=tau0)
+    report = supermartingale_check(cfg, cert, N=1, ref=ref)
+    V = eval_V(x0, tau0, params, ref.state(tau0))
+    u1 = chain_U(0.05, cfg.noise.h, 2, cert.C, cfg.horizon, 4.0 * V, tau0,
+                 tau0)
+    assert report["mean_start"] == float(np.full(cfg.n_paths, u1).mean())

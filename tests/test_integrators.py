@@ -17,7 +17,7 @@ from autores.integrators import (IntegrationError, NoiseStream, Trajectory,
                                  reference_solution, sde_step_count)
 from autores.ensemble import classify_capture
 from autores.model import (NoiseSchedule, SystemParams, constant_schedule,
-                           power_schedule, rhs_primary)
+                           power_schedule, rhs_error, rhs_primary)
 from oracles import plain_em, plain_solve, set_chunk
 
 
@@ -504,9 +504,7 @@ def test_window_below_rounding_tolerance_is_one_step():
     # a span under the step count's 1e-12 tolerance is one step ending at
     # tau1, not an empty grid
     tau1 = 100.0 + 5e-11
-    tau_at, tau_next, h = integrators.step_grid(100.0, tau1, 1e-3)
-    assert tau_at.tolist() == [100.0] and tau_next.tolist() == [tau1]
-    assert h.tolist() == [tau1 - 100.0]
+    assert integrators.step_grid(100.0, tau1, 1e-3).tolist() == [100.0, tau1]
     traj, = integrate_sde(_terms(lambda x: -x, [1.0, 0.0]), [1.0], 100.0,
                           tau1, 1e-3, 0.2, [NoiseStream(1, 0)])
     assert traj.times.tolist() == [100.0, tau1]
@@ -523,7 +521,7 @@ def test_step_grid_rejects_non_finite(tau1, dt):
 def test_sde_step_budget_checked_before_allocation():
     # dt 1e-12 over [0, 60] asks for 6e13 steps: the step count refuses
     # them before the grid is built or the terms are made
-    def make_terms(tau_at):
+    def make_terms(tau):
         raise AssertionError("terms made past the step budget")
     tracemalloc.start()
     try:
@@ -618,6 +616,42 @@ def test_sde_mu_per_stream_checked():
         integrate_sde(terms, [1.0], 0.0, 1.0, 0.1, (0.2, 1.0), streams)
     with pytest.raises(ValueError):
         integrate_sde(terms, [1.0], 0.0, 1.0, 0.1, (0.2, 0.3, 0.4), streams)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("streams", []), ("x0", [math.nan]), ("x0", [math.inf]),
+    ("x0", [1.0, -math.inf]), ("record_every", 0), ("record_every", -3),
+    ("record_every", math.nan),
+    # 2.5 would record every fifth node
+    ("record_every", 2.5)])
+def test_sde_rejects_bad_input(name, value):
+    args = {"make_terms": _terms(lambda x: -x, [1.0, 0.0]), "x0": [1.0],
+            "tau0": 0.0, "tau1": 1.0, "dt": 0.1, "mu": 0.2,
+            "streams": [NoiseStream(1, 0)], name: value}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=name):
+            integrate_sde(**args)
+
+
+def test_deviation_step_reads_reference_at_step_start(params, ref):
+    # with zero intensity, an Euler-Maruyama path of the deviation system
+    # kicked off the reference is the Euler map x + h f(x, star), with
+    # the reference read at each step's start tau[k] (Ito), over a grid
+    # that ends on a half step
+    noise = NoiseSchedule(mu=0.3, sigma1=constant_schedule(0.0),
+                          sigma2=constant_schedule(0.0))
+    tau = integrators.step_grid(20.0, 20.2055, 1e-3)
+    terms = model.error_terms(params, noise, tau, ref.state(tau))
+    x = np.array([[1e-3], [-2e-3]])
+    integrators.em_paths(terms, x, tau, 1e-3, np.full(1, noise.mu),
+                         [NoiseStream(5, 0)], lambda k0, xs, live, cols: None)
+    want = np.array([1e-3, -2e-3])
+    for k in range(tau.size - 1):
+        f = rhs_error(want, params, ref.state(tau[k]))
+        want = np.array([xi + (tau[k + 1] - tau[k]) * fi
+                         for xi, fi in zip(want, f)])
+    assert np.array_equal(x[:, 0], want)
 
 
 def test_reference_matches_series_far_out(params, ref):
@@ -812,7 +846,7 @@ class _Recorder:
         moved = np.broadcast_to(moved, x.shape[1])
         for j in np.flatnonzero(moved):
             self.seen[j].append((k, x[:, j].copy()))
-        if k >= 0:
+        if k > 0:
             stop = moved & (np.abs(x[0] - self.c) > self.lim)
             self.stopped |= stop
             return stop
@@ -841,7 +875,7 @@ class _ChunkRecorder(_Recorder):
         for i in range(0 if k0 == 0 else 1, xs.shape[0]):
             x[:, cols] = xs[i]
             moved[cols] = (i < n_live) & ~self.stopped[cols]
-            super().__call__(k0 + i - 1, x, moved)
+            super().__call__(k0 + i, x, moved)
         self.gone[cols[n_live < xs.shape[0]]] = True
         self.gone |= self.stopped
         return self.stopped[cols]
@@ -867,26 +901,27 @@ def test_em_paths_matches_plain_loop(params, ref, monkeypatch, kind, start,
     noise = NoiseSchedule(mu=0.3, sigma1=constant_schedule(sigma1),
                           sigma2=power_schedule(3.0, -0.5))
     tau0, dt, m = 20.0, 1e-3, 100
-    grid = integrators.step_grid(tau0, tau0 + 0.2055, dt)
-    assert grid[2][-1] == pytest.approx(dt / 2)
-    star = ref.state(grid[1])
+    tau = integrators.step_grid(tau0, tau0 + 0.2055, dt)
+    n_steps = tau.size - 1
+    assert tau[-1] - tau[-2] == pytest.approx(dt / 2)
+    star = ref.state(tau)
     if start == "overflow":
         x0, radius, lim = (1.6e308, 2.0), 1e307, 8e306
     else:
         x0 = ref.state(tau0) if kind == "perturbed" else (0.0, 0.0)
         radius, lim = 0.05, 0.3
-    fused = (model.perturbed_terms(params, noise, grid[0])
+    fused = (model.perturbed_terms(params, noise, tau)
              if kind == "perturbed"
-             else model.error_terms(params, noise, grid[0], star))
+             else model.error_terms(params, noise, tau, star))
     assert hasattr(fused, "additive") == (sigma1 == 0)
-    plain = _allocating_terms(kind, params, noise, grid[0], star)
+    plain = _allocating_terms(kind, params, noise, tau, star)
     streams = [NoiseStream(17, j) for j in range(m)]
 
     def run(engine, terms, obs):
         x = np.empty((2, m))
         x[0], x[1] = x0
         with np.errstate(over="ignore", invalid="ignore"):
-            esc = engine(terms, x, grid, dt, np.full(m, noise.mu), streams,
+            esc = engine(terms, x, tau, dt, np.full(m, noise.mu), streams,
                          obs, ball_radius=radius)
         return esc, x, obs
 
@@ -898,7 +933,7 @@ def test_em_paths_matches_plain_loop(params, ref, monkeypatch, kind, start,
             set_chunk(monkeypatch, chunk, m, m)
         esc, x, obs = run(integrators.em_paths, fused,
                           _ChunkRecorder(float(x0[0]), lim, m))
-        assert obs.calls == -(-grid[2].size // (chunk or grid[2].size))
+        assert obs.calls == -(-n_steps // (chunk or n_steps))
         assert np.array_equal(obs.stopped, obs_ref.stopped)
         assert np.array_equal(esc[free], esc_ref[free], equal_nan=True)
         assert np.array_equal(x[:, free], x_ref[:, free])
@@ -910,15 +945,15 @@ def test_em_paths_matches_plain_loop(params, ref, monkeypatch, kind, start,
     # paths that take the final half step
     assert obs_ref.stopped.any()
     assert (~np.isnan(esc_ref)).any() == (start == "overflow")
-    assert max(seen[-1][0] for seen in obs_ref.seen) == grid[2].size - 1
+    assert max(seen[-1][0] for seen in obs_ref.seen) == n_steps
 
 
 def test_em_paths_observes_once_per_chunk(monkeypatch):
     # 1000 steps in chunks of 64 are 16 observer calls; row 0 of each
     # chunk is the start state, then the last row of the chunk before
     set_chunk(monkeypatch, 64, 3, 3, d=1)
-    grid = integrators.step_grid(0.0, 1.0, 1e-3)
-    terms = _terms(lambda x: -x, [1.0, 0.5])(grid[0])
+    tau = integrators.step_grid(0.0, 1.0, 1e-3)
+    terms = _terms(lambda x: -x, [1.0, 0.5])(tau)
     streams = [NoiseStream(5, j) for j in range(3)]
     calls = []
 
@@ -927,7 +962,7 @@ def test_em_paths_observes_once_per_chunk(monkeypatch):
         calls.append((k0, xs.copy(), live.sum(axis=0)))
 
     x = np.ones((1, 3))
-    escaped_at = integrators.em_paths(terms, x, grid, 1e-3, np.full(3, 0.3),
+    escaped_at = integrators.em_paths(terms, x, tau, 1e-3, np.full(3, 0.3),
                                       streams, observe)
     assert [k0 for k0, _, _ in calls] == list(range(0, 1000, 64))
     assert [xs.shape[0] for _, xs, _ in calls] == [65] * 15 + [41]
@@ -945,25 +980,24 @@ def test_em_paths_observes_once_per_chunk(monkeypatch):
     def stop_all(k0, xs, live, cols):
         calls.append(k0)
         return np.ones(xs.shape[2], dtype=bool)
-    integrators.em_paths(terms, np.ones((1, 3)), grid, 1e-3, np.full(3, 0.3),
+    integrators.em_paths(terms, np.ones((1, 3)), tau, 1e-3, np.full(3, 0.3),
                          streams, stop_all)
     assert calls == [0]
 
 
-def _tube_observer(params, ref, grid, m, cls=ensemble._TubeObserver):
+def _tube_observer(params, ref, tau, m, cls=ensemble._TubeObserver):
     cfg = SimpleNamespace(tau0=20.0, horizon=1.1, eps1=0.3, params=params)
-    return cls(cfg, grid, ref.state(grid[1]), m)
+    return cls(cfg, tau, ref.state(tau), m)
 
 
-def _stopped_u1(params, ref, cert, grid, m):
+def _stopped_u1(params, ref, cert, tau, m):
     noise = NoiseSchedule(mu=0.3, sigma1=constant_schedule(0.0),
                           sigma2=constant_schedule(1.0))
     cfg = SimpleNamespace(tau0=20.0, horizon=1.1, params=params, noise=noise)
-    obs_idx = np.concatenate([[-1], np.arange(0, grid[0].size, 100)])
+    obs_idx = np.arange(0, tau.size, 100)
     # a tube no path leaves, so every chunk is stepped and observed
     wide = dataclasses.replace(cert, d0=10.0)
-    return ensemble._StoppedU1(cfg, wide, grid, ref.state(grid[1]), obs_idx,
-                               m)
+    return ensemble._StoppedU1(cfg, wide, tau, ref.state(tau), obs_idx, m)
 
 
 def _em_paths_peak(params, ref, cert, sigma1, observer=None):
@@ -973,24 +1007,24 @@ def _em_paths_peak(params, ref, cert, sigma1, observer=None):
     noise = NoiseSchedule(mu=0.3, sigma1=constant_schedule(sigma1),
                           sigma2=constant_schedule(1.0))
     m = 256
-    grid = integrators.step_grid(20.0, 21.1, 1e-3)
-    assert grid[2].size > 4 * integrators.chunk_steps(m, m, 2)
+    tau = integrators.step_grid(20.0, 21.1, 1e-3)
+    assert tau.size - 1 > 4 * integrators.chunk_steps(m, m, 2)
     streams = [NoiseStream(3, j) for j in range(m)]
     x = np.empty((2, m))
     if observer == "stopped":
-        terms = model.error_terms(params, noise, grid[0], ref.state(grid[1]))
-        obs = _stopped_u1(params, ref, cert, grid, m)
+        terms = model.error_terms(params, noise, tau, ref.state(tau))
+        obs = _stopped_u1(params, ref, cert, tau, m)
         x[:] = 0.0
     else:
-        terms = model.perturbed_terms(params, noise, grid[0])
-        obs = (_tube_observer(params, ref, grid, m) if observer == "tube"
-               else _tube_observer(params, ref, grid, m,
+        terms = model.perturbed_terms(params, noise, tau)
+        obs = (_tube_observer(params, ref, tau, m) if observer == "tube"
+               else _tube_observer(params, ref, tau, m,
                                    ensemble._ExitObserver)
                if observer == "exit" else lambda k0, xs, live, cols: None)
         x[0], x[1] = ref.state(20.0)
     tracemalloc.start()
     try:
-        integrators.em_paths(terms, x, grid, 1e-3, np.full(m, noise.mu),
+        integrators.em_paths(terms, x, tau, 1e-3, np.full(m, noise.mu),
                              streams, obs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -29,11 +29,11 @@ def _oracle(monkeypatch, run):
     oracles; returns its result and the oracle observers it made."""
     made = []
 
-    def run_blocks(cfg, mus, grid, terms, observer):
+    def run_blocks(cfg, mus, tau, terms, observer):
         def make(m):
             made.append(observer(m))
             return made[-1]
-        return plain_run_blocks(cfg, mus, grid, terms, make)
+        return plain_run_blocks(cfg, mus, tau, terms, make)
     with monkeypatch.context() as mp:
         mp.setattr(ensemble, "_run_blocks", run_blocks)
         mp.setattr(ensemble, "_TubeObserver", PlainTube)
@@ -50,13 +50,13 @@ def _watch(mp):
     the escape mask, the stop mask or None); returns the record."""
     calls = []
 
-    def em_paths(terms, x, grid, dt, mu, streams, observe, **kwargs):
+    def em_paths(terms, x, tau, dt, mu, streams, observe, **kwargs):
         def watched(k0, xs, live, cols):
             stop = observe(k0, xs, live, cols)
             calls.append((k0, cols.copy(), live.sum(axis=0) < xs.shape[0],
                           None if stop is None else stop.copy()))
             return stop
-        return integrators.em_paths(terms, x, grid, dt, mu, streams,
+        return integrators.em_paths(terms, x, tau, dt, mu, streams,
                                     watched, **kwargs)
     mp.setattr(ensemble, "em_paths", em_paths)
     return calls
@@ -132,14 +132,15 @@ def test_run_ensembles_match_per_step_oracle(params, ref, monkeypatch, case):
             assert calls[-1][1].size < calls[0][1].size
     # the cases are exercised, and the last chunk of 7 is a short one
     obs, = made
-    n_steps = obs.tau_next.size
+    n_steps = obs.tau.size - 1
     escaped = ~np.isnan(obs.escaped_at)
     if case.startswith("escape"):
-        steps = np.searchsorted(obs.tau_next, obs.escaped_at[escaped])
-        # some escape mid-chunk at chunks of 7, and not all at one step
+        nodes = np.searchsorted(obs.tau, obs.escaped_at[escaped])
+        # some escape mid-chunk at chunks of 7 (a chunk ends on a node
+        # that is a multiple of 7), and not all at one node
         assert escaped.any() and not escaped.all()
-        assert (steps % 7 != 6).any()
-        assert np.unique(steps).size > 3
+        assert (nodes % 7 != 0).any()
+        assert np.unique(nodes).size > 3
     else:
         assert not escaped.any()
         assert obs.exited.any() and not obs.exited.all()
@@ -172,7 +173,7 @@ def test_exit_time_scaling_matches_per_step_oracle(params, ref, monkeypatch):
     def run():
         return exit_time_scaling(cfg, mus, ref, n_boot=50, seed=3)
     want, made = _oracle(monkeypatch, run)
-    n_steps = made[0].tau_next.size
+    n_steps = made[0].tau.size - 1
     for chunk in CHUNKS:
         counts = np.zeros(cfg.n_paths, dtype=int)
         with monkeypatch.context() as mp:
@@ -190,23 +191,23 @@ def test_exit_time_scaling_matches_per_step_oracle(params, ref, monkeypatch):
         assert widths == sorted(widths, reverse=True)
         assert widths[-1] < widths[0]
         # a stream draws until the chunk in which the last of its paths
-        # exits, and in every chunk if one of them is censored
+        # exits, and in every chunk if one of them is censored; node n is
+        # the end of chunk ceil(n / chunk_len)
         chunk_len = calls[1][0]
         obs, = made
-        last_step = np.where(
-            obs.exited, np.searchsorted(obs.tau_next - cfg.tau0,
-                                        obs.exit_time), n_steps - 1)
-        last_step = last_step.reshape(len(mus), cfg.n_paths).max(axis=0)
-        assert np.array_equal(counts, last_step // chunk_len + 1)
+        last_node = np.where(
+            obs.exited, np.searchsorted(obs.tau - cfg.tau0, obs.exit_time),
+            n_steps)
+        last_node = last_node.reshape(len(mus), cfg.n_paths).max(axis=0)
+        assert np.array_equal(counts, -(-last_node // chunk_len))
         if chunk == 7:
             assert counts.min() < counts.max() == -(-n_steps // 7)
     # exits mid-chunk at chunks of 7, and censored paths at the two
     # smaller amplitudes
     obs, = made
-    exit_step = np.searchsorted(obs.tau_next - cfg.tau0,
-                                obs.exit_time[obs.exited])
-    assert (exit_step % 7 != 6).any()
-    assert np.array_equal(obs.tau_next[exit_step] - cfg.tau0,
+    exit_node = np.searchsorted(obs.tau - cfg.tau0, obs.exit_time[obs.exited])
+    assert (exit_node % 7 != 0).any()
+    assert np.array_equal(obs.tau[exit_node] - cfg.tau0,
                           obs.exit_time[obs.exited])
     censored = want["censored_fractions"]
     assert censored[0] > 0.3 and censored[1] > 0
@@ -271,11 +272,14 @@ def _smc_cases(cert):
         # the tube is left within the first step
         "thin": (_noise(0.05), 1.0, 0.0, (0.0, 0.0), thin),
         "ball-sigma1": (_noise(0.2, 0.02), 1.5, 0.03, (0.05, -0.02), cert),
+        # some ball starts lie outside the tube: stopped at node 0, tau0
+        "start-outside": (_noise(0.2), 0.5, 0.03, (cert.d0 - 0.01, 0.0),
+                          cert),
     }
 
 
 @pytest.mark.parametrize("case", ["stops", "all-stop", "thin",
-                                  "ball-sigma1"])
+                                  "ball-sigma1", "start-outside"])
 def test_supermartingale_matches_per_step_oracle(params, ref, cert,
                                                  monkeypatch, case):
     noise, horizon, radius, x0, c = _smc_cases(cert)[case]
@@ -296,15 +300,17 @@ def test_supermartingale_matches_per_step_oracle(params, ref, cert,
         if case == "all-stop" and chunk == 7:
             assert calls[-1][1].size < calls[0][1].size
     obs, = made
-    n_steps = obs.tau_next.size
-    stop = obs.stop_step[obs.stopped]
+    n_steps = obs.tau.size - 1
+    stop = obs.stop_node[obs.stopped]
     if case == "stops":
         assert 0.1 < obs.stopped.mean() < 0.9
-        assert (stop % 7 == 6).any() and (stop % 7 != 6).any()
+        assert (stop % 7 == 0).any() and (stop % 7 != 0).any()
     elif case == "ball-sigma1":
         assert obs.stopped.any()
+    elif case == "start-outside":
+        assert (stop == 0).any() and (stop > 0).any()
     else:
-        assert obs.stopped.all() and stop.max() < n_steps - 100
+        assert obs.stopped.all() and stop.max() <= n_steps - 100
         assert want["stopped_fraction"] == 1.0
 
 

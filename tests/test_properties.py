@@ -90,15 +90,16 @@ def _windows(draw):
 @example((0.0, 100.00000000005, 1e-3))
 def test_step_grid_covers_window(window):
     tau0, tau1, dt = window
-    tau_at, tau_next, h = step_grid(tau0, tau1, dt)
-    assert tau_at.size == sde_step_count(tau0, tau1, dt)
-    assert tau_at[0] == tau0 and tau_next[-1] == tau1
+    tau = step_grid(tau0, tau1, dt)
+    h = tau[1:] - tau[:-1]
+    assert h.size == sde_step_count(tau0, tau1, dt)
+    assert tau[0] == tau0 and tau[-1] == tau1
+    # every node but the last is tau0 + k dt, bit for bit
+    assert np.array_equal(tau[:-1], tau0 + np.arange(h.size) * dt)
     assert np.all(h > 0) and np.all(h[:-1] <= dt * (1 + 1e-9))
     # a remainder within sde_step_count's rounding tolerance joins the
     # last step instead of making a step of its own
     assert h[-1] <= dt * (1 + 1e-9) + 1e-12 * max(1.0, abs(tau1))
-    # contiguous: each step starts where the one before it ended
-    assert np.array_equal(tau_at[1:], tau_next[:-1])
 
 
 @settings(max_examples=300, deadline=None)
