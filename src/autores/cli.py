@@ -28,13 +28,12 @@ import numpy as np
 
 from . import __version__
 from .model import (SystemParams, NoiseSchedule, Schedule, constant_schedule,
-                    perturbed_terms, rhs_primary)
+                    perturbed_terms, rhs_primary, scalar_field)
 from .asymptotics import expand, evaluate
 from .integrators import (REF_TAU_MAX, REF_TAU_MIN, RTOL_MIN,
                           IntegrationError, NoiseStream, Trajectory,
-                          _scalar_field, default_dt, integrate_ode,
-                          integrate_ode_batch, integrate_sde,
-                          reference_solution)
+                          default_dt, integrate_ode, integrate_ode_batch,
+                          integrate_sde, reference_solution)
 from .lyapunov import (NoCertificate, certify, chain_a, spot_check,
                        thresholds, thresholds_beta)
 from .ensemble import (EnsembleConfig, classify_capture, exit_time_scaling,
@@ -326,7 +325,7 @@ def _cmd_simulate(cfg: dict, out: Path):
         raise ConfigError("tau1", "must exceed tau0")
     p = SystemParams(lam=cfg["lam"], gamma=cfg["gamma"])
     t_eval = np.linspace(cfg["tau0"], cfg["tau1"], cfg["samples"])
-    traj = integrate_ode(_scalar_field(p),
+    traj = integrate_ode(scalar_field(p),
                          [cfg["r0"], cfg["psi0"]], cfg["tau0"], cfg["tau1"],
                          tol=cfg["tol"], t_eval=t_eval)
     _traj_csv(out / "trajectory.csv", "autores.trajectory",
@@ -436,7 +435,7 @@ def _cmd_pendulum(cfg: dict, out: Path):
         raise ConfigError("window", f"must ascend and start below tau_end "
                                     f"{tau_end}, got {list(window)}")
     t_eval = np.linspace(0.0, tau_end, cfg["samples"])
-    avg = integrate_ode(_scalar_field(p),
+    avg = integrate_ode(scalar_field(p),
                         [cfg["r0"], cfg["psi0"]], 0.0, tau_end,
                         tol=cfg["tol"], t_eval=t_eval)
     u0, v0 = seed_from_averaged(cfg["r0"], cfg["psi0"], cfg["eps"])

@@ -170,12 +170,14 @@ def _run_blocks(cfg: EnsembleConfig, mus: Sequence[float], tau: np.ndarray,
 
     A block of paths [lo, hi) runs as len(mus) * (hi - lo) columns,
     amplitude-major: each path's stream is drawn once and feeds its column
-    at every amplitude, and em_paths gets one amplitude per column.
-    observer(m) makes a fresh observer for a block of m columns; em_paths
-    calls it once per chunk of steps with that chunk's states of the
-    running columns, their live-row mask and their indices, and drops the
-    columns it returns as stopped.  Its result(x, escaped_at) returns a
-    dict of arrays whose last axis runs over the columns.
+    at every amplitude, and em_paths gets one amplitude per column.  The
+    stream's first two uniforms place a ball start (EnsembleConfig), then
+    em_paths draws the increments.  observer(m) makes a fresh observer for
+    a block of m columns; em_paths calls it once per chunk of steps with
+    that chunk's states of the running columns, their live-row mask and
+    their indices, and drops the columns it returns as stopped.  Its
+    result(x, escaped_at) returns a dict of arrays whose last axis runs
+    over the columns.
     """
     mus = np.asarray(mus, dtype=float)
     blocks = []
@@ -184,9 +186,19 @@ def _run_blocks(cfg: EnsembleConfig, mus: Sequence[float], tau: np.ndarray,
         x = np.empty((2, m))
         x[0], x[1] = float(cfg.x0[0]), float(cfg.x0[1])
         obs = observer(m)
-        streams = [NoiseStream(cfg.master_seed, j) for j in range(lo, hi)]
+        rngs = [NoiseStream(cfg.master_seed, j).generator()
+                for j in range(lo, hi)]
+        if cfg.ball_radius > 0:
+            # ball start draws come first from each stream
+            offset = np.empty((2, hi - lo))
+            for i, rng in enumerate(rngs):
+                u, ang = rng.uniform(size=2)
+                rad = cfg.ball_radius * math.sqrt(u)
+                offset[0, i] = rad * math.cos(2 * math.pi * ang)
+                offset[1, i] = rad * math.sin(2 * math.pi * ang)
+            x += np.tile(offset, mus.size)
         escaped_at = em_paths(terms, x, tau, cfg.dt, np.repeat(mus, hi - lo),
-                              streams, obs, ball_radius=cfg.ball_radius)
+                              rngs, obs)
         blocks.append({key: np.split(value, mus.size, axis=-1)
                        for key, value in obs.result(x, escaped_at).items()})
     return [{key: np.concatenate([block[key][a] for block in blocks], axis=-1)

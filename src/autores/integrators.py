@@ -4,13 +4,14 @@ The adaptive side takes the steps of the embedded Runge-Kutta pair
 DOP853, with dense output, as scipy's solve_ivp takes them: the tableau
 is a verbatim copy of scipy's (dop853_coefficients), and the start, the
 step and the interpolant are ports of scipy's code that keep its numpy
-calls, so a run gives solve_ivp's bits.  The reference solution is read
-from a not-a-knot cubic spline built and evaluated as scipy's
-CubicSpline does, its one linear solve scipy.linalg.solve_banded.  The
-stochastic side is Euler-Maruyama with counter-based noise streams: the
-increments for (master_seed, path_index) are reproducible across runs,
-platforms and block widths, and distinct path indices give
-statistically independent streams.
+calls, so a run gives solve_ivp's bits.  It runs forward only; a
+backward run is the forward run of the time-reversed field.  The
+reference solution is read from a not-a-knot cubic spline built and
+evaluated as scipy's CubicSpline does, its one linear solve
+scipy.linalg.solve_banded.  The stochastic side is Euler-Maruyama with
+counter-based noise streams: the increments for (master_seed,
+path_index) are reproducible across runs, platforms and block widths,
+and distinct path indices give statistically independent streams.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import solve_banded
 
-from . import asymptotics
+from . import asymptotics, model
 from . import dop853_coefficients as dop853
 from .model import SystemParams
 
@@ -39,7 +40,7 @@ class IntegrationError(RuntimeError):
 
     def __init__(self, message: str, tau: float):
         super().__init__(f"{message} (at tau={tau:.6g})")
-        self.tau = tau
+        self.message, self.tau = message, tau
 
 
 @dataclass
@@ -85,8 +86,9 @@ RTOL_MIN = 100 * np.finfo(float).eps  # scipy's floor on rtol
 
 def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
            tol: float, t_eval):
-    """One checked DOP853 run; returns (times, (len(y0), n) values) at the
-    n samples of t_eval.
+    """One checked DOP853 run forward from tau0 to tau1 > tau0; returns
+    (times, (len(y0), n) values) at the n samples of t_eval, which
+    increase strictly inside the window.
 
     The run is scipy's DOP853 at rtol = atol = tol with solve_ivp's
     sampling rules, and it returns solve_ivp's bits (tests/oracles.py
@@ -102,22 +104,24 @@ def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
 
     A failed run raises IntegrationError at the time the solver stopped,
     with scipy's message; non-finite output raises it at the first
-    non-finite sample.  tau1 may lie below tau0 for a backward run, and
-    t_eval then descends; equal ends are refused."""
+    non-finite sample.  _check_window refuses tau1 <= tau0: a backward
+    run is _solve_backward's."""
     if not tol >= RTOL_MIN:
         raise ValueError(f"tol must be at least RTOL_MIN = {RTOL_MIN:.3g}, "
                          f"got {tol}")
     if y0.size == 0:
         raise ValueError("y0 must not be empty")
     tau0, tau1 = float(tau0), float(tau1)
-    if tau0 == tau1:
-        raise ValueError(f"the window {[tau0, tau1]} is empty")
-    times = _sample_times(t_eval, tau0, tau1)
+    _check_window(tau0, tau1)
+    times = np.asarray(t_eval, dtype=float)
+    if (times.ndim != 1 or not ((tau0 <= times) & (times <= tau1)).all()
+            or not (np.diff(times) > 0).all()):
+        raise ValueError(f"t_eval must be a 1-d array increasing strictly "
+                         f"inside {[tau0, tau1]}")
     values = np.empty((y0.size, times.size))
-    # the samples times[:j] lie at or behind the solver's time t for
-    # j = bisect_right(keys, sign * t), in either direction
-    sign = 1.0 if tau1 > tau0 else -1.0
-    keys = (sign * times).tolist()
+    # the samples times[:j] lie at or before the solver's time t for
+    # j = bisect_right(keys, t)
+    keys = times.tolist()
     j, piece = 0, []
     # a blow-up is reported below with its location, so numpy's reports
     # of overflow and invalid values on the way there add nothing
@@ -129,7 +133,7 @@ def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
         extra = _stages(K, dop853.A[first:], dop853.C[first:], first)
         for t_old, y_old, t, y, h in _dop853_steps(field_fn, K, tau0, y0,
                                                    tau1, h_abs, tol):
-            j_new = bisect.bisect_right(keys, sign * t)
+            j_new = bisect.bisect_right(keys, t)
             if j_new > j:
                 F = _dense_coefficients(field_fn, K, extra, t_old, y_old, y, h)
                 piece.append((t_old, h, y_old, F, j, j_new))
@@ -148,7 +152,7 @@ def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
 
 
 def _dop853_start(fun: Callable, t0: float, y0, t_bound: float, tol: float):
-    """The start of a DOP853 run from (t0, y0) towards t_bound != t0, as
+    """The start of a DOP853 run from (t0, y0) forward to t_bound > t0, as
     scipy's DOP853(fun, t0, y0, t_bound, rtol=tol, atol=tol) constructor
     makes it (OdeSolver, RungeKutta and check_arguments): y0 as a checked
     float64 vector, f0 = fun(t0, y0) as float64, and the first step size.
@@ -165,8 +169,7 @@ def _dop853_start(fun: Callable, t0: float, y0, t_bound: float, tol: float):
         raise ValueError(
             "All components of the initial state `y0` must be finite.")
     f0 = np.asarray(fun(t0, y0), dtype=float)
-    direction = 1.0 if t_bound > t0 else -1.0
-    interval_length = abs(t_bound - t0)
+    interval_length = t_bound - t0
     scale = tol + np.abs(y0) * tol
     root_n = y0.size ** 0.5
     d0 = np.linalg.norm(y0 / scale) / root_n
@@ -177,8 +180,8 @@ def _dop853_start(fun: Callable, t0: float, y0, t_bound: float, tol: float):
         h0 = 0.01 * d0 / d1
     # the trial step stays inside [t0, t_bound]
     h0 = min(h0, interval_length)
-    y1 = y0 + h0 * direction * f0
-    f1 = np.asarray(fun(t0 + h0 * direction, y1), dtype=float)
+    y1 = y0 + h0 * f0
+    f1 = np.asarray(fun(t0 + h0, y1), dtype=float)
     d2 = np.linalg.norm((f1 - f0) / scale) / root_n / h0
 
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -199,7 +202,7 @@ def _stages(K: np.ndarray, A: np.ndarray, C: np.ndarray, first: int) -> list:
 
 def _dop853_steps(fun: Callable, K: np.ndarray, t: float, y: np.ndarray,
                   t_bound: float, h_abs, tol: float):
-    """The accepted steps of the DOP853 run from (t, y) towards t_bound at
+    """The accepted steps of the DOP853 run from (t, y) forward to t_bound at
     first step size h_abs and rtol = atol = tol, as (t_old, y_old, t, y,
     h).  K is the stage buffer, with f(t, y) in K[0]; it holds the step's
     stages until the next step is asked for.
@@ -223,11 +226,9 @@ def _dop853_steps(fun: Callable, K: np.ndarray, t: float, y: np.ndarray,
     stages = _stages(K, dop853.A[1:n_stages], dop853.C[1:n_stages], 1)
     K_B, K_E = K[:n_stages].T, K[:n_stages + 1].T
     B, E3, E5 = dop853.B, dop853.E3, dop853.E5
-    direction = 1.0 if t_bound >= t else -1.0
-    toward = direction * math.inf
     h_abs, n = float(h_abs), y.size
-    while direction * (t - t_bound) < 0:
-        min_step = 10 * abs(math.nextafter(t, toward) - t)
+    while t < t_bound:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -235,11 +236,8 @@ def _dop853_steps(fun: Callable, K: np.ndarray, t: float, y: np.ndarray,
             if h_abs < min_step:
                 raise IntegrationError(
                     f"adaptive solver failed: {TOO_SMALL_STEP}", t)
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
             for s, K_s, a, c in stages:
                 K[s] = fun(t + c * h, y + np.dot(K_s, a) * h)
             y_new = y + h * np.dot(K_B, B)
@@ -282,23 +280,11 @@ def _dense_coefficients(fun: Callable, K: np.ndarray, extra: list,
     return F
 
 
-def _sample_times(t_eval, tau0: float, tau1: float) -> np.ndarray:
-    """t_eval as float64, checked: 1-d, inside the window and strictly
-    monotone from tau0 towards tau1."""
-    t = np.asarray(t_eval, dtype=float)
-    lo, hi = min(tau0, tau1), max(tau0, tau1)
-    if (t.ndim != 1 or not ((lo <= t) & (t <= hi)).all()
-            or not (np.diff(t) * (tau1 - tau0) > 0).all()):
-        raise ValueError(f"t_eval must be a 1-d array running strictly from "
-                         f"tau0 to tau1 inside {[tau0, tau1]}")
-    return t
-
-
 def _dense_values(piece: list, t: np.ndarray, out: np.ndarray):
     """Write DOP853 interpolants' values at their samples into out.
 
     piece holds (t_old, h, y_old, F, i, j) for consecutive steps: the
-    step's start, signed size, start state and interpolant coefficients,
+    step's start, size, start state and interpolant coefficients,
     covering the samples t[i:j] and the columns out[:, i:j], so the piece
     covers one run of samples.  The evaluation is scipy's
     Dop853DenseOutput Horner scheme, its elementwise operations in its
@@ -316,6 +302,27 @@ def _dense_values(piece: list, t: np.ndarray, out: np.ndarray):
     out[:, lo[0]:hi[-1]] = y.T
 
 
+def _time_reversed(field_fn: Callable) -> Callable:
+    """g(s, y) = -field_fn(-s, y), the field of y(-s)."""
+    return lambda s, y: [-v for v in field_fn(-s, y)]
+
+
+def _solve_backward(field_fn: Callable, y0: np.ndarray, tau0: float,
+                    tau1: float, tol: float, t_eval):
+    """_solve's run from tau0 back to tau1 < tau0 at the decreasing
+    t_eval: the forward run of _time_reversed(field_fn) over [-tau0,
+    -tau1] at -t_eval, its times negated back and a failure located at
+    tau.  IEEE negation is exact and round-to-nearest symmetric in sign,
+    so every stage, step size and sample is the exact negative of
+    scipy's backward run, and the values are solve_ivp's bits."""
+    try:
+        s, values = _solve(_time_reversed(field_fn), y0, -tau0, -tau1, tol,
+                           -np.asarray(t_eval, dtype=float))
+    except IntegrationError as exc:
+        raise IntegrationError(exc.message, -exc.tau) from None
+    return -s, values
+
+
 def _check_window(tau0: float, tau1: float):
     if not -math.inf < tau0 < tau1 < math.inf:
         raise ValueError(f"tau1 must exceed tau0, both finite: {[tau0, tau1]}")
@@ -324,21 +331,13 @@ def _check_window(tau0: float, tau1: float):
 def integrate_ode(field_fn: Callable, x0, tau0: float, tau1: float,
                   t_eval, tol: float = 1e-10) -> Trajectory:
     """DOP853 integration of dx/dtau = field_fn(tau, x) over [tau0, tau1],
-    sampled at t_eval, at rtol = atol = tol >= RTOL_MIN.
-
-    The steps are scipy's DOP853 steps, taken by _solve: the tableau is
-    the package's copy of scipy's (dop853_coefficients), the first step
-    is picked by a port of scipy's rule (_dop853_start), and the stage
-    sums, error norm and interpolant stay scipy's numpy operations, so
-    the result is solve_ivp's to the bit.  field_fn is called directly,
-    once per stage, with tau a Python float after the two calls that
-    pick the first step; it returns len(x0) values.  Dense output is
-    evaluated at t_eval in pieces of DENSE_PIECE steps.  Raises
-    IntegrationError on step-size underflow, at the time the solver
-    stopped whatever t_eval holds, or on non-finite output, at its first
-    non-finite sample.
+    sampled at t_eval, at rtol = atol = tol >= RTOL_MIN: _solve's run,
+    solve_ivp's to the bit.  field_fn is called directly, once per stage,
+    with tau a Python float after the two calls that pick the first
+    step; it returns len(x0) values.  Raises IntegrationError on
+    step-size underflow, at the time the solver stopped whatever t_eval
+    holds, or on non-finite output, at its first non-finite sample.
     """
-    _check_window(tau0, tau1)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     times, values = _solve(field_fn, x0, tau0, tau1, tol, t_eval)
     return Trajectory(times=times, states=values.T)
@@ -380,7 +379,6 @@ def integrate_ode_batch(field_fn: Callable, x0s, tau0: float, tau1: float,
     if x0s.ndim != 2 or x0s.size == 0:
         raise ValueError(f"x0s must be a non-empty (m, d) array, got shape "
                          f"{x0s.shape}")
-    _check_window(tau0, tau1)
     m, d = x0s.shape
 
     def stacked(t, y):
@@ -472,12 +470,11 @@ def _narrow(a: np.ndarray, w: int) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # escape is data
 def em_paths(terms: Callable, x: np.ndarray, tau: np.ndarray, dt: float,
-             mu, streams, observe: Callable,
-             ball_radius: float = 0.0) -> np.ndarray:
+             mu, rngs: list, observe: Callable) -> np.ndarray:
     """Euler-Maruyama steps of dx = f dtau + mu G dW (Ito) for m paths.
 
-    x is the (d, m) state at node tau[0] and is advanced in place over
-    the node times tau (step_grid).  terms(k, x, w, f, gw, scratch)
+    x is the (d, m) finite start at node tau[0] and is advanced in place
+    over the node times tau (step_grid).  terms(k, x, w, f, gw, scratch)
     writes the drift f and the product G w of step k into f and gw and
     returns nothing; it reads x, time and reference at node k, the
     step's start (Ito).  Its arguments are rows of one length, the
@@ -493,13 +490,11 @@ def em_paths(terms: Callable, x: np.ndarray, tau: np.ndarray, dt: float,
     operations and order of the general step, and adds one row per step
     to the last component.
 
-    m is a multiple of len(streams) = n, and path c draws from streams[c %
-    n]: each stream is drawn once and its draws are copied into its
-    paths, which can differ only in mu.  A stream gives two uniforms for
-    a start in the disc of radius ball_radius around x when ball_radius >
-    0, then its increments in chunks of chunk_steps(m, n, d) steps, first
-    channel then second per step.  Each stream fills its own contiguous
-    rows of a stream-major buffer, and the sqrt(dt) multiply writes them
+    m is a multiple of len(rngs) = n, and path c draws from the generator
+    rngs[c % n], once for all its paths, which can differ only in mu: the
+    increments, in chunks of chunk_steps(m, n, d) steps, first channel
+    then second per step.  Each generator fills its own contiguous rows
+    of a stream-major buffer, and the sqrt(dt) multiply writes them
     step-major, one column per stream; each running path's increments
     are then copied from its stream's column.  A step shorter than dt
     rescales its increment variance to its length.
@@ -509,13 +504,12 @@ def em_paths(terms: Callable, x: np.ndarray, tau: np.ndarray, dt: float,
     at node k0 + i: row 0 is x in the first chunk and the last row of the
     chunk before in the others.  The step writes there, so nothing is
     copied.  observe(k0, xs, live, cols) is called once per chunk, after
-    its steps.  cols[j] is the index in x
-    of the path in slab column j.  live[i, j] holds if row i of xs is a
-    state of that path: row 0 and the rows before the step at which it
-    left the finite range, a prefix.  The rows after hold what stepping a
-    non-finite state gives; the overflow on the way is data, so numpy
-    does not warn of it.  The next chunk overwrites xs, so an observer
-    copies what it keeps.  observe may return a mask over the slab
+    its steps.  cols[j] is the index in x of the path in slab column j,
+    and live[i, j] holds if row i of xs is finite there.  A step keeps a
+    non-finite component non-finite, so the live rows are a prefix, row
+    0 at least; the overflow on the way out is data, so numpy does not
+    warn of it.  The next chunk overwrites xs, so an observer copies
+    what it keeps.  observe may return a mask over the slab
     columns of paths that need no more steps.  At the end of each chunk
     the paths in it and those that left the finite range are dropped:
     from then on they are neither stepped nor observed, and a stream
@@ -530,19 +524,11 @@ def em_paths(terms: Callable, x: np.ndarray, tau: np.ndarray, dt: float,
     """
     h = tau[1:] - tau[:-1]
     n_steps = h.size
-    (d, m), n = x.shape, len(streams)
+    (d, m), n = x.shape, len(rngs)
     if m % n:
         raise ValueError(f"{m} paths do not share {n} streams evenly")
-    rngs = [s.generator() for s in streams]
-    if ball_radius > 0:
-        # ball start draws come first from each stream
-        offset = np.empty((2, n))
-        for i, rng in enumerate(rngs):
-            u, ang = rng.uniform(size=2)
-            rad = ball_radius * math.sqrt(u)
-            offset[0, i] = rad * math.cos(2 * math.pi * ang)
-            offset[1, i] = rad * math.sin(2 * math.pi * ang)
-        x += np.tile(offset, m // n)
+    if not np.isfinite(x).all():
+        raise ValueError("the starts x must be finite")
     sqrt_dt = math.sqrt(dt)
     escaped_at = np.full(m, np.nan)
     sigma = getattr(terms, "additive", None)
@@ -601,9 +587,7 @@ def em_paths(terms: Callable, x: np.ndarray, tau: np.ndarray, dt: float,
                 last = rows[i + 1][-1]
                 np.add(last, w[0], out=last)
         xs = slab[:k1 - k0 + 1]
-        # a path's rows up to its first non-finite step
-        live = np.ones((xs.shape[0], cols.size), dtype=bool)
-        np.logical_and.accumulate(np.isfinite(xs[1:]).all(1), out=live[1:])
+        live = np.isfinite(xs).all(1)
         n_live = live.sum(axis=0)
         out = n_live < xs.shape[0]
         escaped_at[cols[out]] = tau[k0 + n_live[out]]
@@ -644,8 +628,8 @@ def integrate_sde(make_terms: Callable, x0, tau0: float, tau1: float,
     (master_seed, j) is bitwise path j of an ensemble with the same
     start, whatever the other columns do.  A non-finite state truncates
     that path and flags its trajectory.  ValueError names an empty
-    streams, a non-finite x0, a record_every that is not an integer >= 1
-    and mu outside [0, 1).
+    streams, a non-finite x0, a record_every that is not an integer >= 1,
+    a mu of another length than streams and mu outside [0, 1).
     """
     m = len(streams)
     if not m:
@@ -655,7 +639,11 @@ def integrate_sde(make_terms: Callable, x0, tau0: float, tau1: float,
         raise ValueError(f"x0 must be finite, got {x0}")
     if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
         raise ValueError(f"record_every {record_every} is not an integer >= 1")
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), (m,))
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape not in ((), (m,)):
+        raise ValueError(f"mu must be one amplitude or one per stream, "
+                         f"{m}, got shape {mu.shape}")
+    mu = np.broadcast_to(mu, (m,))
     if not np.all((0 <= mu) & (mu < 1)):
         raise ValueError(f"mu must lie in [0, 1), got {mu}")
     tau = step_grid(tau0, tau1, dt)
@@ -675,7 +663,8 @@ def integrate_sde(make_terms: Callable, x0, tau0: float, tau1: float,
         kept.append(np.zeros((g.size, m), dtype=bool))
         kept[-1][:, cols] = live[g - k0]
 
-    escaped_at = em_paths(terms, x, tau, dt, mu, streams, record)
+    escaped_at = em_paths(terms, x, tau, dt, mu,
+                          [s.generator() for s in streams], record)
     times, states = np.concatenate(times), np.concatenate(states)
     kept = np.concatenate(kept)
     return [Trajectory(times=times[keep], states=states[keep, :, c],
@@ -740,16 +729,14 @@ def _not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class ReferenceSolution:
     """Captured reference solution (r*, psi*) on a dense grid.
 
-    Built by seeding the truncated series at a large time and sharpening
-    it with the flow: tight-tolerance integration backward to tau_min and
-    forward to tau_max, cached on a uniform grid with one not-a-knot
-    cubic spline through the (n, 2) node values (_not_a_knot_spline,
-    scipy's CubicSpline to the bit, as state evaluates it).  Read-only
-    after construction, and shared: reference_solution hands one object
-    to every caller with the same params.  The spline returns every
-    node's value to within one ulp, not always exactly: at tau_max it
-    sums the last piece's polynomial, and psi* there comes back one ulp
-    off at gamma 0.1.
+    Built by reference_solution from the series and the flow, and cached
+    on a uniform grid with one not-a-knot cubic spline through the (n, 2)
+    node values (_not_a_knot_spline, scipy's CubicSpline to the bit, as
+    state evaluates it).  Read-only after construction, and shared:
+    reference_solution hands one object to every caller with the same
+    params.  The spline returns every node's value to within one ulp, not
+    always exactly: at tau_max it sums the last piece's polynomial, and
+    psi* there comes back one ulp off at gamma 0.1.
 
     The phase approaches psi0 = pi - arcsin(gamma) like psi0 - 1/(nu*tau),
     nu = sqrt(1 - gamma^2): with gamma = 0.1 it is 0.17 away at tau_min = 5
@@ -787,28 +774,16 @@ class ReferenceSolution:
         return value
 
 
-def _scalar_field(p: SystemParams) -> Callable:
-    """The unperturbed field as DOP853's fun(tau, y) for one state:
-    rhs_primary's operations in its order on Python floats, without
-    numpy's per-operation overhead on scalars."""
-    lam, gamma = p.lam, p.gamma
-
-    def field(tau, y):
-        r, psi = y.tolist()
-        return r * math.sin(psi) - gamma * r, r - lam * tau + math.cos(psi)
-    return field
-
-
 @functools.lru_cache(maxsize=8)
 def reference_solution(params: SystemParams) -> ReferenceSolution:
     """The captured reference solution for the stable branch.
 
     The order-REF_K series at REF_TAU_SEED must leave an equation residual
-    below REF_SEED_RESIDUAL_TOL (checked, not assumed).  Both legs, back to
-    REF_TAU_MIN = 5 and on to REF_TAU_MAX = 400, run through _solve at
-    REF_TOL, sampled every REF_GRID_STEP, so a failed or non-finite leg
-    raises IntegrationError.  The domain includes the approach to the lock
-    (see ReferenceSolution).
+    below REF_SEED_RESIDUAL_TOL (checked, not assumed).  Both legs of
+    model.scalar_field, back to REF_TAU_MIN = 5 (_solve_backward) and on
+    to REF_TAU_MAX = 400, run at REF_TOL, sampled every REF_GRID_STEP, so
+    a failed or non-finite leg raises IntegrationError.  The domain
+    includes the approach to the lock (see ReferenceSolution).
 
     The build is deterministic, so it runs once per SystemParams per
     process: equal params return the same object, which every caller
@@ -824,15 +799,15 @@ def reference_solution(params: SystemParams) -> ReferenceSolution:
             f"exceeds {REF_SEED_RESIDUAL_TOL:.3e}")
     r0, psi0 = asymptotics.evaluate(exp, params, REF_TAU_SEED)
     y_seed = np.array([float(r0), float(psi0)])
-    field = _scalar_field(params)
+    field = model.scalar_field(params)
 
-    def leg(tau_end):
+    def leg(solve, tau_end):
         n = int(round(abs(tau_end - REF_TAU_SEED) / REF_GRID_STEP)) + 1
-        return _solve(field, y_seed, REF_TAU_SEED, tau_end, REF_TOL,
-                      np.linspace(REF_TAU_SEED, tau_end, n))
+        return solve(field, y_seed, REF_TAU_SEED, tau_end, REF_TOL,
+                     np.linspace(REF_TAU_SEED, tau_end, n))
 
-    t_b, y_b = leg(REF_TAU_MIN)
-    t_f, y_f = leg(REF_TAU_MAX)
+    t_b, y_b = leg(_solve_backward, REF_TAU_MIN)
+    t_f, y_f = leg(_solve, REF_TAU_MAX)
     times = np.concatenate([t_b[::-1], t_f[1:]])
     values = np.concatenate([y_b[:, ::-1], y_f[:, 1:]], axis=1)
     return ReferenceSolution(times, values.T)

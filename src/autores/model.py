@@ -84,6 +84,18 @@ def rhs_primary(s, tau: ArrayLike, p: SystemParams):
     return r * np.sin(psi) - p.gamma * r, r - p.lam * tau + np.cos(psi)
 
 
+def scalar_field(p: SystemParams):
+    """The unperturbed field as fun(tau, y) for one state y = (r, psi):
+    rhs_primary's operations in its order on Python floats, so the same
+    bits without numpy's per-operation overhead on scalars."""
+    lam, gamma = p.lam, p.gamma
+
+    def field(tau, y):
+        r, psi = y.tolist()
+        return r * math.sin(psi) - gamma * r, r - lam * tau + math.cos(psi)
+    return field
+
+
 def _noise(s1, s2, r, sin_psi, cos_psi, w, gw, tmp):
     """Write G w into gw for the diffusion matrix G; the amplitude mu is
     applied by the integrator.  Rows correspond to (r, psi), columns to

@@ -7,14 +7,16 @@ an explicit mask; a path that stopped or left the finite range is frozen.
 Its observer is called at every node of the step grid as observe(k, x,
 moved): node 0 with the start state, then node k + 1 with the state
 after step k, and moved the mask of paths that took the step (all for
-node 0); it may return a mask of paths to stop.  PlainTube,
+node 0); it may return a mask of paths to stop.  plain_ball_starts
+draws ball starts from the generators before any increment.  PlainTube,
 PlainStoppedU1 and plain_integrate_sde are the per-step observers the
 chunked ones replaced; each reads time and reference at the node it is
 called for.
 plain_bootstrap is exit_time_scaling's bootstrap, one resample at a time.
-plain_solve is integrators._solve as a solve_ivp call, whose interpolants
-are evaluated one step at a time.  PlainReference is the reference
-solution as one spline per component, and plain_tube_samples,
+plain_solve is integrators._solve and _solve_backward as a solve_ivp
+call, whose interpolants are evaluated one step at a time.
+PlainReference is the reference solution from two solve_ivp legs, as
+one spline per component, and plain_tube_samples,
 plain_inequality_slacks and plain_first_violation are certify's tube as
 flat arrays that read the reference at every sample, with one slack
 array per inequality.
@@ -30,20 +32,25 @@ from autores import asymptotics, integrators
 from autores.ensemble import CAPTURE_WINDOW, _captured
 from autores.integrators import IntegrationError, NoiseStream, Trajectory
 from autores.lyapunov import chain_U, dV_dtau, eval_V, weighted_norm
+from autores.model import scalar_field
 
 
-def plain_em(terms, x, tau, dt, mu, streams, observe, ball_radius):
-    """em_paths written plainly over the node times tau: every increment
-    drawn up front, fresh arrays on every step, a row-by-row update and
-    an explicit mask.  One stream per column; terms(k, x, w) returns
-    fresh (f, G w) of step k from the state at node k."""
-    h = tau[1:] - tau[:-1]
-    rngs = [s.generator() for s in streams]
-    for i, rng in enumerate(rngs if ball_radius > 0 else ()):
+def plain_ball_starts(x, rngs, radius):
+    """Move column i of the (2, m) starts x to a uniform point of the
+    disc of that radius around it, from two uniforms of rngs[i]."""
+    for i, rng in enumerate(rngs if radius > 0 else ()):
         u, ang = rng.uniform(size=2)
-        rad = ball_radius * math.sqrt(u)
+        rad = radius * math.sqrt(u)
         x[0, i] += rad * math.cos(2 * math.pi * ang)
         x[1, i] += rad * math.sin(2 * math.pi * ang)
+
+
+def plain_em(terms, x, tau, dt, mu, rngs, observe):
+    """em_paths written plainly over the node times tau: every increment
+    drawn up front, fresh arrays on every step, a row-by-row update and
+    an explicit mask.  One generator per column; terms(k, x, w) returns
+    fresh (f, G w) of step k from the state at node k."""
+    h = tau[1:] - tau[:-1]
     z = np.stack([rng.standard_normal((h.size, 2)) for rng in rngs], axis=-1)
     active = np.ones(x.shape[1], dtype=bool)
     escaped_at = np.full(x.shape[1], np.nan)
@@ -85,17 +92,18 @@ def plain_terms(terms, m):
 
 def plain_run_blocks(cfg, mus, tau, terms, observer):
     """ensemble._run_blocks as one block of every path at every
-    amplitude, stepped by plain_em with one stream per column."""
+    amplitude, stepped by plain_em with one stream per column, each
+    column's ball start drawn from its own generator."""
     mus = np.asarray(mus, dtype=float)
     m = mus.size * cfg.n_paths
     x = np.empty((2, m))
     x[0], x[1] = float(cfg.x0[0]), float(cfg.x0[1])
     obs = observer(m)
-    streams = [NoiseStream(cfg.master_seed, j)
-               for j in range(cfg.n_paths)] * mus.size
+    rngs = [NoiseStream(cfg.master_seed, j).generator()
+            for _ in mus for j in range(cfg.n_paths)]
+    plain_ball_starts(x, rngs, cfg.ball_radius)
     escaped_at = plain_em(plain_terms(terms, m), x, tau, cfg.dt,
-                          np.repeat(mus, cfg.n_paths), streams, obs,
-                          cfg.ball_radius)
+                          np.repeat(mus, cfg.n_paths), rngs, obs)
     obs.escaped_at = escaped_at  # for tests that check what a run covers
     res = obs.result(x, escaped_at)
     return [{key: value[..., a * cfg.n_paths:(a + 1) * cfg.n_paths]
@@ -212,8 +220,8 @@ def plain_integrate_sde(make_terms, x0, tau0, tau1, dt, mu, streams,
             states.append(x.copy())
             kept.append(np.broadcast_to(moved, m))
 
-    escaped_at = plain_em(plain_terms(terms, m), x, tau, dt, mu, streams,
-                          record, 0.0)
+    escaped_at = plain_em(plain_terms(terms, m), x, tau, dt, mu,
+                          [s.generator() for s in streams], record)
     times, states, kept = np.array(times), np.array(states), np.array(kept)
     return [Trajectory(times=times[keep], states=states[keep, :, c],
                        truncated=not math.isnan(escaped_at[c]))
@@ -249,8 +257,8 @@ def set_chunk(monkeypatch, chunk, m, n, d=2):
 
 
 def plain_solve(field_fn, y0, tau0, tau1, tol, t_eval, stats=None):
-    """integrators._solve as one solve_ivp call: (times, values), the
-    same errors, but a failed run is located at the last t_eval sample
+    """integrators._solve, or _solve_backward when tau1 < tau0, as one
+    solve_ivp call: (times, values), the same errors, but a failed run is located at the last t_eval sample
     passed, not where the solver stopped.  stats, a dict when given,
     receives solve_ivp's count of field calls as stats["nfev"]."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -270,10 +278,10 @@ def plain_solve(field_fn, y0, tau0, tau1, tol, t_eval, stats=None):
 
 
 class PlainReference:
-    """integrators.reference_solution with the legs concatenated and
-    interpolated one component at a time: times, r and psi hold the
-    legs' node values, and state(tau) returns (r*, psi*) from two
-    splines."""
+    """integrators.reference_solution with both legs run by solve_ivp
+    (plain_solve), concatenated and interpolated one component at a
+    time: times, r and psi hold the legs' node values, and state(tau)
+    returns (r*, psi*) from two splines."""
 
     def __init__(self, params):
         exp = asymptotics.expand(params, asymptotics.STABLE,
@@ -281,13 +289,13 @@ class PlainReference:
         seed = integrators.REF_TAU_SEED
         y_seed = np.array([float(v)
                            for v in asymptotics.evaluate(exp, params, seed)])
-        field = integrators._scalar_field(params)
+        field = scalar_field(params)
 
         def leg(tau_end):
             n = int(round(abs(tau_end - seed) / integrators.REF_GRID_STEP)) + 1
-            return integrators._solve(field, y_seed, seed, tau_end,
-                                      integrators.REF_TOL,
-                                      np.linspace(seed, tau_end, n))
+            return plain_solve(field, y_seed, seed, tau_end,
+                               integrators.REF_TOL,
+                               np.linspace(seed, tau_end, n))
 
         t_b, y_b = leg(integrators.REF_TAU_MIN)
         t_f, y_f = leg(integrators.REF_TAU_MAX)

@@ -18,7 +18,7 @@ from autores.integrators import (IntegrationError, NoiseStream, Trajectory,
 from autores.ensemble import classify_capture
 from autores.model import (NoiseSchedule, SystemParams, constant_schedule,
                            power_schedule, rhs_error, rhs_primary)
-from oracles import plain_em, plain_solve, set_chunk
+from oracles import plain_ball_starts, plain_em, plain_solve, set_chunk
 
 
 def test_trajectory_invariants():
@@ -44,10 +44,36 @@ def test_integrate_ode_rejects_bad_window():
         integrate_ode(lambda t, y: [0.0], [1.0], 5.0, 5.0, [5.0])
     with pytest.raises(ValueError):
         integrate_ode(lambda t, y: [0.0], [1.0], 5.0, 4.0, [5.0, 4.0])
-    # the driver runs backward too, but not over an empty window
-    with pytest.raises(ValueError, match="empty"):
+    # nor does the driver, which runs forward only
+    with pytest.raises(ValueError, match=r"tau1 must exceed tau0.*\[5.0, 5.0\]"):
         integrators._solve(lambda t, y: [0.0], np.array([1.0]), 5.0, 5.0,
                            1e-10, [5.0])
+
+
+def test_solve_refuses_backward_window():
+    # a backward run is _solve_backward's, the forward run of the
+    # time-reversed field; _solve names the window it refuses
+    with pytest.raises(ValueError, match=r"tau1 must exceed tau0.*\[5.0, 4.0\]"):
+        integrators._solve(lambda t, y: [-y[0]], np.array([1.0]), 5.0, 4.0,
+                           1e-10, [5.0, 4.0])
+
+
+def test_backward_blowup_located_at_positive_tau(params, monkeypatch):
+    # a reference field that blows up below tau = 60 fails the backward
+    # leg there: the error is located at tau, not at the reversed run's
+    # time -tau
+    field = model.scalar_field(params)
+
+    def blowing_up(p):
+        def fun(tau, y):
+            return (-y[0] ** 2, 0.0) if tau < 60.0 else field(tau, y)
+        return fun
+    monkeypatch.setattr(model, "scalar_field", blowing_up)
+    with pytest.raises(IntegrationError) as exc:
+        reference_solution.__wrapped__(params)
+    assert integrators.REF_TAU_MIN <= exc.value.tau <= integrators.REF_TAU_SEED
+    assert exc.value.tau == pytest.approx(60.0, abs=0.1)
+    assert str(exc.value).endswith(f"(at tau={exc.value.tau:.6g})")
 
 
 def test_integrate_ode_hits_nodes_exactly():
@@ -154,26 +180,33 @@ def _step_ends(field_fn, y0, tau0, tau1, tol):
                      atol=tol).t
 
 
+def _run(field_fn, y0, tau0, tau1, tol, t_eval):
+    # a forward run is _solve's; a backward one runs as the reference's
+    # backward leg does, through _solve_backward
+    solve = (integrators._solve if tau1 > tau0
+             else integrators._solve_backward)
+    return solve(field_fn, y0, tau0, tau1, tol, t_eval)
+
+
 def _reference_leg(params, tau_end, sampled=True):
     # reference_solution's leg from REF_TAU_SEED to tau_end, on its grid
     # or at the solver's accepted steps
     exp = expand(params, STABLE, integrators.REF_K)
     seed = integrators.REF_TAU_SEED
     y0 = np.array([float(v) for v in evaluate(exp, params, seed)])
-    field = integrators._scalar_field(params)
+    field = model.scalar_field(params)
     n = round(abs(tau_end - seed) / integrators.REF_GRID_STEP) + 1
     t_eval = (np.linspace(seed, tau_end, n) if sampled else
               _step_ends(field, y0, seed, tau_end, integrators.REF_TOL))
-    return integrators._solve(field, y0, seed, tau_end, integrators.REF_TOL,
-                              t_eval)
+    return _run(field, y0, seed, tau_end, integrators.REF_TOL, t_eval)
 
 
 def _simulate(params, tau0, tau1, t_eval=None):
     # t_eval None samples at the solver's accepted steps
-    field, y0 = integrators._scalar_field(params), np.array([1.09, 2.15])
+    field, y0 = model.scalar_field(params), np.array([1.09, 2.15])
     if t_eval is None:
         t_eval = _step_ends(field, y0, tau0, tau1, 1e-10)
-    return integrators._solve(field, y0, tau0, tau1, 1e-10, t_eval)
+    return _run(field, y0, tau0, tau1, 1e-10, t_eval)
 
 
 def _fig1(params):
@@ -234,8 +267,9 @@ def _counted(solve, calls: list):
 
 @pytest.fixture(scope="module")
 def solve_ivp_runs():
-    """Each _SOLVES case through oracles.plain_solve, run once:
-    (times, values, solve_ivp's nfev, field calls counted)."""
+    """Each _SOLVES case through oracles.plain_solve, run once, backward
+    cases as scipy's backward run: (times, values, solve_ivp's nfev,
+    field calls counted)."""
     return {}
 
 
@@ -249,7 +283,8 @@ def _oracle(solve_ivp_runs, case, params, monkeypatch):
             nfev.append(stats["nfev"])
             return out
         with monkeypatch.context() as mp:
-            mp.setattr(integrators, "_solve", _counted(oracle, calls))
+            for name in ("_solve", "_solve_backward"):
+                mp.setattr(integrators, name, _counted(oracle, calls))
             t, y = _SOLVES[case](params)
         solve_ivp_runs[case] = t, y, nfev, calls
     return solve_ivp_runs[case]
@@ -270,7 +305,8 @@ def test_driver_is_solve_ivp_bit_for_bit(params, monkeypatch,
 def test_driver_makes_solve_ivp_field_calls(params, monkeypatch,
                                             solve_ivp_runs, case):
     # equal samples could come from other steps; equal field calls show
-    # the same steps, rejections and dense-output stages ran
+    # the same steps, rejections and dense-output stages ran.  A backward
+    # case's calls are those of its reversed field, made by _solve
     _, _, nfev, oracle_calls = _oracle(solve_ivp_runs, case, params,
                                        monkeypatch)
     assert oracle_calls == nfev
@@ -331,7 +367,7 @@ def _counted_calls(fun):
 _STARTS = {
     "forward": (lambda p: lambda t, y: rhs_primary(y, t, p),
                 [1.0, 2.0], 20.0, 60.0, 1e-10),
-    "backward": (integrators._scalar_field, [100.0, 3.0], 100.0, 5.0, 1e-12),
+    "backward": (model.scalar_field, [100.0, 3.0], 100.0, 5.0, 1e-12),
     # d0 and d1 below 1e-5: the 1e-6 branch
     "zero field": (lambda p: lambda t, y: np.zeros_like(y),
                    [0.0, 0.0], 0.0, 1.0, 1e-10),
@@ -343,33 +379,41 @@ _STARTS = {
 @pytest.mark.parametrize("case", list(_STARTS))
 def test_start_is_scipys(params, case):
     # y0, f0 and the first step are the DOP853 constructor's, from the
-    # same field calls, and the constructor keeps rtol = tol
+    # same field calls, and the constructor keeps rtol = tol.  The
+    # backward case starts as the reference's backward leg does, on the
+    # time-reversed field from -t0, whose times and f0 are the negated
+    # bits of scipy's backward start
     make, y0, t0, t1, tol = _STARTS[case]
     y0 = np.array(y0)
-    fun, calls = _counted_calls(make(params))
-    got_y, f0, h_abs = integrators._dop853_start(fun, t0, y0, t1, tol)
+    sign = 1.0 if t1 > t0 else -1.0
+    field = make(params)
+    fun, calls = _counted_calls(
+        field if sign > 0 else integrators._time_reversed(field))
+    got_y, f0, h_abs = integrators._dop853_start(fun, sign * t0, y0,
+                                                 sign * t1, tol)
     fun_s, calls_s = _counted_calls(make(params))
     solver = DOP853(fun_s, t0, y0, t1, rtol=tol, atol=tol)
     assert np.array_equal(_bits(got_y), _bits(solver.y))
-    assert np.array_equal(_bits(f0), _bits(solver.f))
+    assert np.array_equal(_bits(f0), _bits(sign * solver.f))
     assert h_abs == solver.h_abs and solver.rtol == tol
     assert len(calls) == solver.nfev == 2
     for (t, y), (t_s, y_s) in zip(calls, calls_s):
-        assert t == t_s and np.array_equal(_bits(y), _bits(y_s))
+        assert t == sign * t_s and np.array_equal(_bits(y), _bits(y_s))
 
 
 def test_tol_below_floor_refused():
     # a run is at the tol it was given: below RTOL_MIN, where scipy would
     # raise rtol alone and warn, the driver refuses the run; at the floor
-    # it is solve_ivp's run, which does not warn there
+    # it is solve_ivp's run, which does not warn there.  A backward run
+    # passes its tol on to _solve
     field_fn = lambda t, y: -y
     floor = integrators.RTOL_MIN
     for tol in (1e-15, np.nextafter(floor, 0.0), math.nan):
         with pytest.raises(ValueError, match="tol"):
             integrate_ode(field_fn, [1.0], 0.0, 1.0, [1.0], tol=tol)
         with pytest.raises(ValueError, match="tol"):
-            integrators._solve(field_fn, np.array([1.0]), 1.0, 0.0, tol,
-                               [0.0])
+            integrators._solve_backward(field_fn, np.array([1.0]), 1.0, 0.0,
+                                        tol, [0.0])
     traj = integrate_ode(field_fn, [1.0], 0.0, 1.0, [0.5, 1.0], tol=floor)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -614,8 +658,10 @@ def test_sde_mu_per_stream_checked():
     streams = [NoiseStream(1, 0), NoiseStream(1, 1)]
     with pytest.raises(ValueError, match="mu must lie"):
         integrate_sde(terms, [1.0], 0.0, 1.0, 0.1, (0.2, 1.0), streams)
-    with pytest.raises(ValueError):
-        integrate_sde(terms, [1.0], 0.0, 1.0, 0.1, (0.2, 0.3, 0.4), streams)
+    for mu in ((0.2, 0.3, 0.4), (0.2,), [[0.2, 0.3]]):
+        with pytest.raises(ValueError, match="mu must be one amplitude or "
+                                             "one per stream"):
+            integrate_sde(terms, [1.0], 0.0, 1.0, 0.1, mu, streams)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -645,7 +691,8 @@ def test_deviation_step_reads_reference_at_step_start(params, ref):
     terms = model.error_terms(params, noise, tau, ref.state(tau))
     x = np.array([[1e-3], [-2e-3]])
     integrators.em_paths(terms, x, tau, 1e-3, np.full(1, noise.mu),
-                         [NoiseStream(5, 0)], lambda k0, xs, live, cols: None)
+                         [NoiseStream(5, 0).generator()],
+                         lambda k0, xs, live, cols: None)
     want = np.array([1e-3, -2e-3])
     for k in range(tau.size - 1):
         f = rhs_error(want, params, ref.state(tau[k]))
@@ -749,7 +796,7 @@ def test_spline_refuses_bad_nodes(x, y):
 def test_reference_field_is_rhs_primary(params):
     # the reference build's field on Python floats gives rhs_primary's
     # bits: at random states and along the backward leg, node for node
-    field = integrators._scalar_field(params)
+    field = model.scalar_field(params)
     rng = np.random.default_rng(3)
     for tau, r, psi in rng.uniform([5.0, -50.0, -10.0], [400.0, 50.0, 10.0],
                                    size=(1000, 3)):
@@ -761,9 +808,9 @@ def test_reference_field_is_rhs_primary(params):
                    evaluate(exp, params, integrators.REF_TAU_SEED)])
     t_eval = np.linspace(integrators.REF_TAU_SEED, integrators.REF_TAU_MIN,
                          1901)
-    legs = [integrators._solve(fn, y0, integrators.REF_TAU_SEED,
-                               integrators.REF_TAU_MIN, integrators.REF_TOL,
-                               t_eval)
+    legs = [integrators._solve_backward(fn, y0, integrators.REF_TAU_SEED,
+                                        integrators.REF_TAU_MIN,
+                                        integrators.REF_TOL, t_eval)
             for fn in (field, lambda tau, y: rhs_primary(y, tau, params))]
     assert np.array_equal(legs[0][0], legs[1][0])
     assert np.array_equal(legs[0][1], legs[1][1])
@@ -888,7 +935,8 @@ class _ChunkRecorder(_Recorder):
 def test_em_paths_matches_plain_loop(params, ref, monkeypatch, kind, start,
                                      sigma1):
     # sigma1 != 0 feeds both channels, a window of 205.5 dt ends on a
-    # half step, and a ball start draws first; near the largest double a
+    # half step, and the generators reach the engines after a ball start
+    # has drawn from them (plain_ball_starts); near the largest double a
     # step overflows for some paths, and the observer stops others.  With
     # sigma1 = 0 the terms are additive and em_paths forms the noise in
     # bulk, while the plain loop still adds the zero channel; sigma2 is
@@ -915,14 +963,14 @@ def test_em_paths_matches_plain_loop(params, ref, monkeypatch, kind, start,
              else model.error_terms(params, noise, tau, star))
     assert hasattr(fused, "additive") == (sigma1 == 0)
     plain = _allocating_terms(kind, params, noise, tau, star)
-    streams = [NoiseStream(17, j) for j in range(m)]
 
     def run(engine, terms, obs):
         x = np.empty((2, m))
         x[0], x[1] = x0
+        rngs = [NoiseStream(17, j).generator() for j in range(m)]
+        plain_ball_starts(x, rngs, radius)
         with np.errstate(over="ignore", invalid="ignore"):
-            esc = engine(terms, x, tau, dt, np.full(m, noise.mu), streams,
-                         obs, ball_radius=radius)
+            esc = engine(terms, x, tau, dt, np.full(m, noise.mu), rngs, obs)
         return esc, x, obs
 
     esc_ref, x_ref, obs_ref = run(plain_em, plain,
@@ -954,7 +1002,9 @@ def test_em_paths_observes_once_per_chunk(monkeypatch):
     set_chunk(monkeypatch, 64, 3, 3, d=1)
     tau = integrators.step_grid(0.0, 1.0, 1e-3)
     terms = _terms(lambda x: -x, [1.0, 0.5])(tau)
-    streams = [NoiseStream(5, j) for j in range(3)]
+
+    def rngs():
+        return [NoiseStream(5, j).generator() for j in range(3)]
     calls = []
 
     def observe(k0, xs, live, cols):
@@ -963,7 +1013,7 @@ def test_em_paths_observes_once_per_chunk(monkeypatch):
 
     x = np.ones((1, 3))
     escaped_at = integrators.em_paths(terms, x, tau, 1e-3, np.full(3, 0.3),
-                                      streams, observe)
+                                      rngs(), observe)
     assert [k0 for k0, _, _ in calls] == list(range(0, 1000, 64))
     assert [xs.shape[0] for _, xs, _ in calls] == [65] * 15 + [41]
     assert np.array_equal(calls[0][1][0], np.ones((1, 3)))
@@ -981,8 +1031,56 @@ def test_em_paths_observes_once_per_chunk(monkeypatch):
         calls.append(k0)
         return np.ones(xs.shape[2], dtype=bool)
     integrators.em_paths(terms, np.ones((1, 3)), tau, 1e-3, np.full(3, 0.3),
-                         streams, stop_all)
+                         rngs(), stop_all)
     assert calls == [0]
+
+
+@pytest.mark.parametrize("sigma1", [0.4, 0.0], ids=["general", "additive"])
+def test_path_leaving_finite_range_never_returns(params, monkeypatch,
+                                                 sigma1):
+    # em_paths marks a slab row live when it is finite, and that is a
+    # prefix of each column: a step keeps a non-finite component
+    # non-finite.  Paths from next to the largest double overflow at
+    # steps their noise decides, mid-chunk, and each row after a path's
+    # first non-finite row, to its chunk's end, stays non-finite
+    noise = NoiseSchedule(mu=0.3, sigma1=constant_schedule(sigma1),
+                          sigma2=power_schedule(3.0, -0.5))
+    tau = integrators.step_grid(20.0, 20.2055, 1e-3)
+    terms = model.perturbed_terms(params, noise, tau)
+    m = 40
+    set_chunk(monkeypatch, 7, m, m)
+    past_escape = []
+
+    def observe(k0, xs, live, cols):
+        finite = np.isfinite(xs).all(axis=1)
+        n_live = finite.sum(axis=0)
+        assert np.array_equal(live, finite)
+        assert np.array_equal(finite, np.arange(xs.shape[0])[:, None] < n_live)
+        past_escape.append(n_live[n_live < xs.shape[0]] < xs.shape[0] - 1)
+    x = np.empty((2, m))
+    x[0], x[1] = np.linspace(1.6e308, 1.79e308, m), 2.0
+    escaped_at = integrators.em_paths(
+        terms, x, tau, 1e-3, np.full(m, noise.mu),
+        [NoiseStream(23, j).generator() for j in range(m)], observe)
+    assert np.isfinite(x).all()
+    # paths escape at different nodes, and some have non-finite rows
+    # after the first one
+    assert np.unique(escaped_at[~np.isnan(escaped_at)]).size > 2
+    assert np.concatenate(past_escape).any()
+
+
+def test_em_paths_refuses_non_finite_start():
+    # row 0 of the first chunk is the start, and a live mask that is the
+    # rows' finiteness holds only from a finite one
+    tau = integrators.step_grid(0.0, 1.0, 0.1)
+    terms = _terms(lambda x: -x, [1.0, 0.0])(tau)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="starts x must be finite"):
+            integrators.em_paths(terms, np.array([[1.0, bad]]), tau, 0.1,
+                                 np.full(2, 0.2),
+                                 [NoiseStream(1, j).generator()
+                                  for j in range(2)],
+                                 lambda k0, xs, live, cols: None)
 
 
 def _tube_observer(params, ref, tau, m, cls=ensemble._TubeObserver):
@@ -1009,7 +1107,6 @@ def _em_paths_peak(params, ref, cert, sigma1, observer=None):
     m = 256
     tau = integrators.step_grid(20.0, 21.1, 1e-3)
     assert tau.size - 1 > 4 * integrators.chunk_steps(m, m, 2)
-    streams = [NoiseStream(3, j) for j in range(m)]
     x = np.empty((2, m))
     if observer == "stopped":
         terms = model.error_terms(params, noise, tau, ref.state(tau))
@@ -1025,7 +1122,8 @@ def _em_paths_peak(params, ref, cert, sigma1, observer=None):
     tracemalloc.start()
     try:
         integrators.em_paths(terms, x, tau, 1e-3, np.full(m, noise.mu),
-                             streams, obs)
+                             [NoiseStream(3, j).generator() for j in range(m)],
+                             obs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

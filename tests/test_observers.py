@@ -50,14 +50,13 @@ def _watch(mp):
     the escape mask, the stop mask or None); returns the record."""
     calls = []
 
-    def em_paths(terms, x, tau, dt, mu, streams, observe, **kwargs):
+    def em_paths(terms, x, tau, dt, mu, rngs, observe):
         def watched(k0, xs, live, cols):
             stop = observe(k0, xs, live, cols)
             calls.append((k0, cols.copy(), live.sum(axis=0) < xs.shape[0],
                           None if stop is None else stop.copy()))
             return stop
-        return integrators.em_paths(terms, x, tau, dt, mu, streams,
-                                    watched, **kwargs)
+        return integrators.em_paths(terms, x, tau, dt, mu, rngs, watched)
     mp.setattr(ensemble, "em_paths", em_paths)
     return calls
 
