@@ -39,9 +39,10 @@ from .lyapunov import (NoCertificate, certify, chain_a, spot_check,
 from .ensemble import (EnsembleConfig, classify_capture, exit_time_scaling,
                        run_ensemble)
 from .pendulum import (inverse_map, seed_from_averaged, integrate_pendulum,
-                       envelope_compare)
+                       envelope_compare, sample_count)
 
 _REQUIRED = object()
+MAX_SAMPLES = 10_000_000  # rows of one sampled trajectory at most
 
 
 class ConfigError(Exception):
@@ -162,9 +163,11 @@ _CSV_CHUNK = 4096  # rows formatted per string operation
 
 def _write_csv(path: Path, schema_name: str, header, columns):
     """One CSV table from equal-length columns: integer and flag columns
-    as integers (1/0 for flags), every other at 17 significant digits."""
+    as integers (1/0 for flags), string columns as they are, every other
+    at 17 significant digits."""
     cols = [np.asarray(c) for c in columns]
-    row_fmt = ",".join("%d" if c.dtype.kind in "biu" else "%.17g"
+    row_fmt = ",".join("%d" if c.dtype.kind in "biu"
+                       else "%s" if c.dtype.kind == "U" else "%.17g"
                        for c in cols) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# schema {schema_name}/1\n")
@@ -237,7 +240,7 @@ _SCHEMAS = {
         "psi0": (_f(), _REQUIRED),
         "tau0": (_f(0.0), 0.0),
         "tau1": (_f(0.0, lo_open=True), _REQUIRED),
-        "samples": (_i(2, 10_000_000), 2000),
+        "samples": (_i(2, MAX_SAMPLES), 2000),
         "tol": (_f(RTOL_MIN), 1e-10),
     },
     "ensemble": _run_fields(
@@ -281,7 +284,7 @@ _SCHEMAS = {
         "r0": (_f(0.0, lo_open=True), _REQUIRED),
         "psi0": (_f(), _REQUIRED),
         "tau_end": (_f(0.0, lo_open=True), 32.0),
-        "samples": (_i(100, 10_000_000), 4000),
+        "samples": (_i(100, MAX_SAMPLES), 4000),
         "tol": (_f(RTOL_MIN), 1e-10),
         "window": (_pair, None),
         "transient_fraction": (_f(0.0, 0.5), 0.1),
@@ -362,11 +365,14 @@ def _ensemble_config(cfg: dict, need_ref: bool):
 def _cmd_ensemble(cfg: dict, out: Path):
     ref, ens = _ensemble_config(cfg, need_ref=False)
     stats = run_ensemble(ens, ref=ref, out_of_class_ok=cfg["out_of_class_ok"])
+    # a run too short for a capture verdict leaves its cells empty
+    captured = (np.full(stats.n_paths, "") if stats.captured is None
+                else stats.captured)
     _write_csv(out / "ensemble.csv", "autores.ensemble",
                ("path", "exit_time", "censored", "captured", "sup_dev_psi",
                 "sup_dev_r_weighted", "sup_dev_r_raw", "r_end", "psi_end"),
                (np.arange(stats.n_paths), stats.exit_times, stats.censored,
-                stats.captured, stats.sup_psi_dev, stats.sup_r_dev_weighted,
+                captured, stats.sup_psi_dev, stats.sup_r_dev_weighted,
                 stats.sup_r_dev_raw, *stats.end_states.T))
     _write_json(out / "summary.json", stats.to_dict())
 
@@ -434,13 +440,17 @@ def _cmd_pendulum(cfg: dict, out: Path):
     if window is not None and not window[0] < min(window[1], tau_end):
         raise ConfigError("window", f"must ascend and start below tau_end "
                                     f"{tau_end}, got {list(window)}")
+    t_end = 2.0 * tau_end / cfg["eps"]  # the pendulum's fast time
+    if not (math.isfinite(t_end) and sample_count(t_end) <= MAX_SAMPLES):
+        raise ConfigError("tau_end", f"the pendulum's grid over fast time "
+                                     f"2 tau_end / eps = {t_end:.6g} holds "
+                                     f"more than {MAX_SAMPLES} samples")
     t_eval = np.linspace(0.0, tau_end, cfg["samples"])
     avg = integrate_ode(scalar_field(p),
                         [cfg["r0"], cfg["psi0"]], 0.0, tau_end,
                         tol=cfg["tol"], t_eval=t_eval)
     u0, v0 = seed_from_averaged(cfg["r0"], cfg["psi0"], cfg["eps"])
-    traj = integrate_pendulum(pp, u0, v0, 2.0 * tau_end / cfg["eps"],
-                              tol=cfg["tol"])
+    traj = integrate_pendulum(pp, u0, v0, t_end, tol=cfg["tol"])
     _traj_csv(out / "pendulum.csv", "autores.pendulum", ("t", "u", "v"), traj)
     m = envelope_compare(traj, avg, pp,
                          transient_fraction=cfg["transient_fraction"],

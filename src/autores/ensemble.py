@@ -39,6 +39,7 @@ MAX_BLOCK_PATHS = 2048  # no block is wider
 # 1000 paths 73 ns
 U1_PIECE = 1 << 14
 CAPTURE_WINDOW = 0.8  # capture reads the phase from this share of the run on
+CAPTURE_MIN_TAU = 50.0  # a run ending earlier gets no capture verdict
 N_OBS = 41          # supermartingale_check observation times, tau0 included
 DOOB_LADDER = (1.0, 2.0, 4.0)  # its maximal-bound levels / mean U_1 at tau0
 
@@ -99,6 +100,8 @@ class EnsembleStats:
 
     exit_times hold the elapsed time from tau0 to the first exit from
     the eps1 tube; censored paths carry the horizon and are flagged.
+    A run that ends before CAPTURE_MIN_TAU has no capture verdict:
+    capture_fraction, capture_interval and captured are None.
     """
 
     n_paths: int
@@ -106,14 +109,14 @@ class EnsembleStats:
     exceed_psi_interval: tuple
     exceed_prob_r: float
     exceed_r_interval: tuple
-    capture_fraction: float
-    capture_interval: tuple
+    capture_fraction: Optional[float]
+    capture_interval: Optional[tuple]
     exit_times: np.ndarray
     censored: np.ndarray
     sup_psi_dev: np.ndarray
     sup_r_dev_weighted: np.ndarray
     sup_r_dev_raw: np.ndarray
-    captured: np.ndarray
+    captured: Optional[np.ndarray]
     end_states: np.ndarray
     out_of_class: bool = False
 
@@ -125,7 +128,8 @@ class EnsembleStats:
             "exceed_prob_r": self.exceed_prob_r,
             "exceed_r_interval": list(self.exceed_r_interval),
             "capture_fraction": self.capture_fraction,
-            "capture_interval": list(self.capture_interval),
+            "capture_interval": (None if self.capture_interval is None
+                                 else list(self.capture_interval)),
             "median_exit_time": float(np.median(self.exit_times)),
             "censored_fraction": float(np.mean(self.censored)),
             "out_of_class": self.out_of_class,
@@ -332,25 +336,30 @@ def run_ensembles(cfg: EnsembleConfig, mus: Sequence[float],
     measured against ref, whose domain must hold the window [tau0, tau0 +
     horizon] (ValueError otherwise); with no ref, only capture statistics
     are meaningful.  Blow-up is recorded as escape data, never an error.
-    Every path runs to the horizon or its blow-up.
+    Every path runs to the horizon or its blow-up.  A window that ends
+    before CAPTURE_MIN_TAU is too short for a capture verdict, as in
+    classify_capture.
     """
     per_mu, out_of_class = _tube_runs(cfg, mus, ref, out_of_class_ok,
                                       _TubeObserver)
     n = cfg.n_paths
+    decided = cfg.tau0 + cfg.horizon >= CAPTURE_MIN_TAU
     stats = []
     for res in per_mu:
         res["end_states"] = res["end_states"].T
         k_psi = int(np.sum(res["sup_psi_dev"] >= cfg.eps1))
         k_r = int(np.sum(res["sup_r_dev_weighted"] >= cfg.eps1))
         k_cap = int(np.sum(res["captured"]))
+        if not decided:
+            res["captured"] = None
         stats.append(EnsembleStats(
             n_paths=n,
             exceed_prob_psi=k_psi / n,
             exceed_psi_interval=wilson_interval(k_psi, n),
             exceed_prob_r=k_r / n,
             exceed_r_interval=wilson_interval(k_r, n),
-            capture_fraction=k_cap / n,
-            capture_interval=wilson_interval(k_cap, n),
+            capture_fraction=k_cap / n if decided else None,
+            capture_interval=wilson_interval(k_cap, n) if decided else None,
             out_of_class=out_of_class,
             **res,
         ))
@@ -378,11 +387,11 @@ def classify_capture(traj: Trajectory, p: SystemParams) -> str:
     run_ensemble applies to every path.  The range stays bounded on a
     diffusion path, where the total variation grows without bound as the
     recording step shrinks.  A truncated (blown-up) or slipping-phase
-    path is escaped.  Windows shorter than tau_end = 50 are
-    indeterminate.
+    path is escaped.  Windows ending before tau_end = CAPTURE_MIN_TAU
+    are indeterminate.
     """
     tau_end = float(traj.times[-1])
-    if tau_end < 50.0:
+    if tau_end < CAPTURE_MIN_TAU:
         return "indeterminate"
     if traj.truncated:
         return "escaped"

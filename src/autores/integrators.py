@@ -441,7 +441,7 @@ MAX_SDE_STEPS = 50_000_000  # the step budget of one run
 NOISE_BUDGET = 4 << 20  # bytes of chunk buffers per em_paths call
 N_CHANNELS = 2          # Wiener channels per path
 N_SCRATCH = 3           # work rows em_paths lends to terms
-N_OBSERVE = 2           # float64 per path and step left for the observer
+N_OBSERVE = 3           # float64 per path and step left for the observer
 VIEW_BYTES = 128        # bytes of one numpy view, and of a tuple of views
 # steps per chunk at most: a chunk's fixed costs, a draw call per stream
 # and one observer call, are then within about 2 % of its steps' cost, so
@@ -449,15 +449,15 @@ VIEW_BYTES = 128        # bytes of one numpy view, and of a tuple of views
 MAX_CHUNK_STEPS = 512
 
 
-def chunk_steps(m: int, n: int, d: int) -> int:
-    """Steps per chunk for m paths of d components drawing from n streams,
-    from one to MAX_CHUNK_STEPS: per step, the stream-major draws and
-    their step-major copy (N_CHANNELS float64 per stream each), the
-    increments (N_CHANNELS per path), a slab row (d float64 per path),
-    the observer's work (N_OBSERVE float64 per path) and the row's views
-    (d + 2 of VIEW_BYTES) fit in NOISE_BUDGET bytes.  The slab's row 0 is
-    not counted."""
-    per_step = (8 * (N_CHANNELS * (2 * n + m) + (d + N_OBSERVE) * m)
+def chunk_steps(m: int, n: int, d: int, n_chans: int) -> int:
+    """Steps per chunk, one to MAX_CHUNK_STEPS, for m paths of d components
+    drawing from n streams and reading n_chans increment channels: per
+    step, the stream-major draws (N_CHANNELS float64 per stream), the
+    increments (n_chans per path), a slab row (d per path; row 0 is not
+    counted), the row's views (d + 2 of VIEW_BYTES) and the observer's
+    share (N_OBSERVE per path, set from traced peaks; it also covers
+    np.take's transient copy of the strided draws) fit in NOISE_BUDGET."""
+    per_step = (8 * (N_CHANNELS * n + (n_chans + d + N_OBSERVE) * m)
                 + VIEW_BYTES * (d + 2))
     return max(1, min(MAX_CHUNK_STEPS, NOISE_BUDGET // per_step))
 
@@ -492,12 +492,12 @@ def em_paths(terms: Callable, x: np.ndarray, tau: np.ndarray, dt: float,
 
     m is a multiple of len(rngs) = n, and path c draws from the generator
     rngs[c % n], once for all its paths, which can differ only in mu: the
-    increments, in chunks of chunk_steps(m, n, d) steps, first channel
-    then second per step.  Each generator fills its own contiguous rows
-    of a stream-major buffer, and the sqrt(dt) multiply writes them
-    step-major, one column per stream; each running path's increments
-    are then copied from its stream's column.  A step shorter than dt
-    rescales its increment variance to its length.
+    increments, in chunks of chunk_steps steps, first channel then
+    second per step.  Each generator fills its own contiguous rows of a
+    stream-major buffer; the channels the terms read are gathered from
+    there into the step-major increments, one column per running path,
+    read from its stream's rows, and scaled there by sqrt(dt).  A step
+    shorter than dt rescales its increment variance to its length.
 
     Only running paths are stepped.  The chunk of steps from k0 on
     writes them into a (chunk + 1, d, w) slab xs whose row i is the state
@@ -534,11 +534,9 @@ def em_paths(terms: Callable, x: np.ndarray, tau: np.ndarray, dt: float,
     sigma = getattr(terms, "additive", None)
     # additive terms need only the last channel's increments
     chans = slice(None) if sigma is None else slice(-1, None)
-    chunk = min(chunk_steps(m, n, d), n_steps)
     n_chans = N_CHANNELS if sigma is None else 1
+    chunk = min(chunk_steps(m, n, d, n_chans), n_steps)
     z_buf = np.empty((n, chunk, N_CHANNELS))
-    # one column per stream, then one per running path
-    drawn_buf = np.empty((chunk, n_chans, n))
     f, gw = np.empty_like(x), np.empty_like(x)
     scratch = np.empty((N_SCRATCH, m))
     dw_buf = np.empty((chunk, n_chans, m))
@@ -559,17 +557,18 @@ def em_paths(terms: Callable, x: np.ndarray, tau: np.ndarray, dt: float,
     k0 = 0
     while True:
         k1 = min(k0 + chunk, n_steps)
-        drawn, dw = drawn_buf[:k1 - k0], dw_buf[:k1 - k0]
+        dw = dw_buf[:k1 - k0]
         z = z_buf[:len(drawing), :k1 - k0]
         for zi, rng in zip(z, drawing):
             rng.standard_normal(out=zi)
-        np.multiply(z[:, :, chans].transpose(1, 2, 0), sqrt_dt, out=drawn)
-        # exactly 1.0 where h == dt, so one multiply per chunk rescales
-        # the shorter steps and leaves every other increment as drawn
-        drawn *= np.sqrt(h[k0:k1] / dt)[:, None, None]
         # each running path's column is a copy of its stream's; src is in
         # range, and "clip" lets take write into dw without a buffer
-        np.take(drawn, src, axis=2, out=dw, mode="clip")
+        np.take(z[:, :, chans].transpose(1, 2, 0), src, axis=2, out=dw,
+                mode="clip")
+        dw *= sqrt_dt
+        # exactly 1.0 where h == dt, so one multiply per chunk rescales
+        # the shorter steps and leaves every other increment as drawn
+        dw *= np.sqrt(h[k0:k1] / dt)[:, None, None]
         if sigma is not None:
             dw *= sigma[k0:k1, None, None]
             dw *= mu
@@ -606,7 +605,6 @@ def em_paths(terms: Callable, x: np.ndarray, tau: np.ndarray, dt: float,
             mu = mu[run]
             drawing = [rngs[i] for i in running]
             # the narrower buffers are views of the first allocation
-            drawn_buf = _narrow(drawn_buf, len(drawing))
             f, gw, scratch, dw_buf, slab = (
                 _narrow(a, cols.size) for a in (f, gw, scratch, dw_buf, slab))
             f_rows, gw_rows, scratch_rows, states, rows = views()

@@ -59,6 +59,12 @@ def seed_from_averaged(r0: float, psi0: float, eps: float):
     return amp * math.cos(psi0 / 2.0), -amp * math.sin(psi0 / 2.0)
 
 
+def sample_count(t_end: float) -> int:
+    """The samples integrate_pendulum records over [0, t_end]:
+    SAMPLES_PER_UNIT per unit of fast time, at least 64."""
+    return max(64, int(t_end * SAMPLES_PER_UNIT))
+
+
 def integrate_pendulum(pp: PendulumParams, u0: float, v0: float,
                        t_end: float, tol: float = 1e-10) -> Trajectory:
     """Integrate the pumped pendulum from (u, u') = (u0, v0) at t = 0.
@@ -73,8 +79,7 @@ def integrate_pendulum(pp: PendulumParams, u0: float, v0: float,
         pump = 1.0 + eps * math.cos(2.0 * t - alpha * t * t)
         return (v, -pump * math.sin(u) - theta * v)
 
-    n = max(64, int(t_end * SAMPLES_PER_UNIT))
-    t_eval = np.linspace(0.0, t_end, n)
+    t_eval = np.linspace(0.0, t_end, sample_count(t_end))
     return integrate_ode(field, [u0, v0], 0.0, t_end, tol=tol, t_eval=t_eval)
 
 

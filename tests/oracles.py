@@ -246,14 +246,23 @@ def plain_bootstrap(exits, censored, log_mu, n_boot, seed):
     return boot, boot_med, n_censored / n_boot
 
 
-def set_chunk(monkeypatch, chunk, m, n, d=2):
+def set_chunk(monkeypatch, chunk, m, n, d=2,
+              n_chans=integrators.N_CHANNELS):
     """Set NOISE_BUDGET so that em_paths steps m paths of d components
-    drawing from n streams in chunks of `chunk` steps."""
-    per_step = (8 * (integrators.N_CHANNELS * (2 * n + m)
-                     + (d + integrators.N_OBSERVE) * m)
+    drawing from n streams and reading n_chans increment channels in
+    chunks of `chunk` steps."""
+    per_step = (8 * (integrators.N_CHANNELS * n
+                     + (n_chans + d + integrators.N_OBSERVE) * m)
                 + integrators.VIEW_BYTES * (d + 2))
     monkeypatch.setattr(integrators, "NOISE_BUDGET", chunk * per_step)
-    assert integrators.chunk_steps(m, n, d) == chunk
+    assert integrators.chunk_steps(m, n, d, n_chans) == chunk
+
+
+def n_chans_of(noise):
+    """The increment channels em_paths reads for the perturbed or
+    deviation terms of noise: the last one alone when sigma1 is zero,
+    where the terms are additive."""
+    return 1 if noise.sigma1.coeff == 0 else integrators.N_CHANNELS
 
 
 def plain_solve(field_fn, y0, tau0, tau1, tol, t_eval, stats=None):

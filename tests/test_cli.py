@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from autores import cli
+from autores import cli, pendulum
 from autores.cli import main
 from autores.model import SystemParams
 from autores.asymptotics import expand, evaluate
@@ -162,6 +162,8 @@ def _replays(tmp_path, sub, out, names):
 
 def _cell_rule(v) -> str:
     # the per-cell formatting rule of the CSV writer, one value at a time
+    if isinstance(v, str):
+        return v
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
@@ -172,8 +174,10 @@ def _cell_rule(v) -> str:
 @pytest.mark.parametrize("n_rows", [0, 1, 8, cli._CSV_CHUNK + 1])
 def test_write_csv_matches_cell_rule(tmp_path, n_rows):
     # the bulk writer gives each cell the bytes of the per-cell rule:
-    # integer and flag columns as integers, floats at 17 digits, with the
-    # edge values cycled through the rows and across chunk ends
+    # integer and flag columns as integers, string columns as they are
+    # (the empty captured cells of a short ensemble), floats at 17
+    # digits, with the edge values cycled through the rows and across
+    # chunk ends
     special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16,
                1.2345678901234568e+17, 0.1]
     floats = np.resize(np.array(special), n_rows)
@@ -181,10 +185,10 @@ def test_write_csv_matches_cell_rule(tmp_path, n_rows):
     # past 2**53, where a float format would round
     ints = np.arange(n_rows, dtype=np.int64) * -7919 + 2**62 + 1
     flags = np.arange(n_rows) % 3 == 0
-    cols = (ints, floats, flags, floats[::-1].copy())
+    cols = (ints, floats, flags, np.full(n_rows, ""), floats[::-1].copy())
     path = tmp_path / "t.csv"
-    cli._write_csv(path, "autores.test", ("i", "x", "flag", "y"), cols)
-    want = ["# schema autores.test/1", "i,x,flag,y"]
+    cli._write_csv(path, "autores.test", ("i", "x", "flag", "s", "y"), cols)
+    want = ["# schema autores.test/1", "i,x,flag,s,y"]
     want += [",".join(_cell_rule(c[j]) for c in cols) for j in range(n_rows)]
     assert path.read_bytes() == ("\n".join(want) + "\n").encode()
 
@@ -399,6 +403,11 @@ def test_wrong_typed_value_exit2(tmp_path, capsys, no_work, sub, cfg, field):
     ("pendulum", {**PEND_CFG, "window": [10.0, 5.0]}, "window"),
     ("pendulum", {**PEND_CFG, "window": [32.0, 40.0]}, "window"),
     ("ensemble", {**ENS_CFG, "x0": None}, "x0"),
+    # fast time 2 tau_end / eps is 6.4e7 at eps 1e-6: the pendulum's grid
+    # would be 1.28e9 samples, about 10 GB
+    ("pendulum", {**PEND_CFG, "eps": 1e-6}, "tau_end"),
+    # and past float's range at the smallest eps
+    ("pendulum", {**PEND_CFG, "eps": 5e-324}, "tau_end"),
 ])
 def test_cross_field_rules_exit2(tmp_path, capsys, no_work, sub, cfg, field):
     # the documented rules between two fields are config errors, found
@@ -408,6 +417,21 @@ def test_cross_field_rules_exit2(tmp_path, capsys, no_work, sub, cfg, field):
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and f"field '{field}'" in err
+    assert list(out.iterdir()) == []
+
+
+def test_pendulum_grid_cap_is_samples_cap(tmp_path, capsys, no_work):
+    # fast time 500 000 is exactly MAX_SAMPLES samples at 20 per unit, a
+    # grid the run takes on to the integrators; 80 samples more is a
+    # config error
+    assert pendulum.sample_count(500_000.0) == cli.MAX_SAMPLES
+    cfg = {**PEND_CFG, "eps": 0.5, "tau_end": 125_000.0}
+    with pytest.raises(AssertionError, match="work done"):
+        _run(tmp_path, "pendulum", cfg)
+    code, out = _run(tmp_path, "pendulum", {**cfg, "tau_end": 125_001.0},
+                     outname="over")
+    assert code == 2
+    assert "field 'tau_end'" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -511,6 +535,30 @@ def test_ensemble_reproducible_across_threads(tmp_path):
     head = (out1 / "ensemble.csv").read_text().splitlines()[:2]
     assert head[0] == "# schema autores.ensemble/1"
     assert head[1].startswith("path,exit_time,censored,captured")
+
+
+def test_ensemble_short_window_writes_no_capture_verdict(tmp_path):
+    # simulate calls the run from (1.09, 2.15) to tau 10 indeterminate,
+    # and so does ensemble: null fraction and interval, empty cells
+    cfg = {"gamma": 0.1, "lam": 1.0, "mu": 0.35, "tau0": 0.0,
+           "horizon": 10.0, "n_paths": 100, "x0": [1.09, 2.15]}
+    code, out = _run(tmp_path, "ensemble", cfg)
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["capture_fraction"] is None
+    assert summary["capture_interval"] is None
+    lines = (out / "ensemble.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    rows = [line.split(",") for line in lines[2:]]
+    assert len(rows) == 100 and all(len(row) == len(header) for row in rows)
+    assert {row[header.index("captured")] for row in rows} == {""}
+    assert {row[header.index("censored")] for row in rows} == {"1"}
+    code, sim = _run(tmp_path, "simulate",
+                     {**SIM_CFG, "tau1": 10.0, "samples": 11},
+                     name="sim.json", outname="sim")
+    assert code == 0
+    verdict = json.loads((sim / "summary.json").read_text())["verdict"]
+    assert verdict == "indeterminate"
 
 
 def test_ensemble_window_outside_reference_exit1(tmp_path, capsys):

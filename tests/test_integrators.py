@@ -18,7 +18,8 @@ from autores.integrators import (IntegrationError, NoiseStream, Trajectory,
 from autores.ensemble import classify_capture
 from autores.model import (NoiseSchedule, SystemParams, constant_schedule,
                            power_schedule, rhs_error, rhs_primary)
-from oracles import plain_ball_starts, plain_em, plain_solve, set_chunk
+from oracles import (n_chans_of, plain_ball_starts, plain_em, plain_solve,
+                     set_chunk)
 
 
 def test_trajectory_invariants():
@@ -614,10 +615,10 @@ def test_sde_streams_stack_as_columns(monkeypatch, record_every):
     # one call with n streams is n one-stream calls, bit for bit: each
     # column draws its own stream, steps at its own mu and records its
     # own rows.  The budget gives chunks of 64 steps for three columns
-    # and 84 for one, so both runs cross chunks, at different steps;
+    # and 82 for one, so both runs cross chunks, at different steps;
     # the grid ends on a partial step
     set_chunk(monkeypatch, 64, 3, 3, d=1)
-    assert integrators.chunk_steps(1, 1, 1) == 84
+    assert integrators.chunk_steps(1, 1, 1, integrators.N_CHANNELS) == 82
     mus = (0.1, 0.35, 0.55)
     streams = [NoiseStream(9, j) for j in (0, 4, 2)]
     ou = _terms(lambda x: -x, [1.0, 0.5])
@@ -978,7 +979,7 @@ def test_em_paths_matches_plain_loop(params, ref, monkeypatch, kind, start,
     free = ~obs_ref.stopped
     for chunk in (None, 7):
         if chunk is not None:
-            set_chunk(monkeypatch, chunk, m, m)
+            set_chunk(monkeypatch, chunk, m, m, n_chans=n_chans_of(noise))
         esc, x, obs = run(integrators.em_paths, fused,
                           _ChunkRecorder(float(x0[0]), lim, m))
         assert obs.calls == -(-n_steps // (chunk or n_steps))
@@ -1048,7 +1049,7 @@ def test_path_leaving_finite_range_never_returns(params, monkeypatch,
     tau = integrators.step_grid(20.0, 20.2055, 1e-3)
     terms = model.perturbed_terms(params, noise, tau)
     m = 40
-    set_chunk(monkeypatch, 7, m, m)
+    set_chunk(monkeypatch, 7, m, m, n_chans=n_chans_of(noise))
     past_escape = []
 
     def observe(k0, xs, live, cols):
@@ -1106,7 +1107,8 @@ def _em_paths_peak(params, ref, cert, sigma1, observer=None):
                           sigma2=constant_schedule(1.0))
     m = 256
     tau = integrators.step_grid(20.0, 21.1, 1e-3)
-    assert tau.size - 1 > 4 * integrators.chunk_steps(m, m, 2)
+    # additive terms read one channel and take the longest chunks
+    assert tau.size - 1 > 4 * integrators.chunk_steps(m, m, 2, 1)
     x = np.empty((2, m))
     if observer == "stopped":
         terms = model.error_terms(params, noise, tau, ref.state(tau))

@@ -19,7 +19,8 @@ from autores.integrators import NoiseStream, integrate_sde
 from autores.model import (NoiseSchedule, constant_schedule,
                            perturbed_terms, power_schedule)
 from oracles import (PlainStoppedU1, PlainTube, plain_bootstrap,
-                     plain_integrate_sde, plain_run_blocks, set_chunk)
+                     plain_integrate_sde, plain_run_blocks, n_chans_of,
+                     set_chunk)
 
 CHUNKS = (1, 7, None)  # None: the default budget
 
@@ -59,6 +60,19 @@ def _watch(mp):
         return integrators.em_paths(terms, x, tau, dt, mu, rngs, watched)
     mp.setattr(ensemble, "em_paths", em_paths)
     return calls
+
+
+def _keep_tubes(mp):
+    """Make run_ensembles keep each block's _TubeObserver; returns the
+    list they are kept in."""
+    tubes = []
+    make = ensemble._TubeObserver
+
+    def keep(*args):
+        tubes.append(make(*args))
+        return tubes[-1]
+    mp.setattr(ensemble, "_TubeObserver", keep)
+    return tubes
 
 
 def _assert_dropped_unseen(calls):
@@ -119,11 +133,20 @@ def test_run_ensembles_match_per_step_oracle(params, ref, monkeypatch, case):
     for chunk in CHUNKS:
         with monkeypatch.context() as mp:
             if chunk is not None:
-                set_chunk(mp, chunk, len(mus) * cfg.n_paths, cfg.n_paths)
+                set_chunk(mp, chunk, len(mus) * cfg.n_paths, cfg.n_paths,
+                          n_chans=n_chans_of(cfg.noise))
             calls = _watch(mp)
+            tubes = _keep_tubes(mp)
             got = run_ensembles(cfg, mus, ref_or_none)
         for stats, expect in zip(got, want):
             _stats_equal(stats, expect)
+        if not case.startswith("escape"):
+            # these runs end before tau 50, too early for a capture
+            # verdict, but the phase range over the capture window is
+            # still folded, and it is the oracle's
+            tube, = tubes
+            assert np.array_equal(tube.psi_lo, made[0].psi_lo)
+            assert np.array_equal(tube.psi_hi, made[0].psi_hi)
         # the capture and deviation statistics stop no path
         assert all(stop is None for *_, stop in calls)
         _assert_dropped_unseen(calls)
@@ -143,7 +166,9 @@ def test_run_ensembles_match_per_step_oracle(params, ref, monkeypatch, case):
     else:
         assert not escaped.any()
         assert obs.exited.any() and not obs.exited.all()
-        assert want[0].captured.any()
+        assert want[0].captured is None
+        assert (obs.psi_lo < obs.psi_hi).all()
+        assert np.isfinite(obs.psi_hi - obs.psi_lo).all()
     assert n_steps % 7 != 0
 
 
@@ -292,7 +317,8 @@ def test_supermartingale_matches_per_step_oracle(params, ref, cert,
     for chunk in CHUNKS:
         with monkeypatch.context() as mp:
             if chunk is not None:
-                set_chunk(mp, chunk, cfg.n_paths, cfg.n_paths)
+                set_chunk(mp, chunk, cfg.n_paths, cfg.n_paths,
+                          n_chans=n_chans_of(cfg.noise))
             calls = _watch(mp)
             assert run() == want
         _assert_dropped_unseen(calls)

@@ -1,23 +1,29 @@
 """Property tests: Wilson intervals, the Euler-Maruyama step grid, the
 ensemble's path blocks, the noise-class bound, the reference spline
-against scipy's CubicSpline, and ensemble outputs under any chunk
+against scipy's CubicSpline, the series residual's decay, noise
+schedules on the step grid, and ensemble outputs under any chunk
 length, block width and amplitude stacking, over generated inputs."""
 
 import dataclasses
 import math
+import re
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicSpline
 
 from autores import ensemble, integrators
+from autores.asymptotics import STABLE, expand, residual_slope
 from autores.ensemble import (EnsembleConfig, run_ensemble, run_ensembles,
                               supermartingale_check, wilson_interval)
 from autores.integrators import ReferenceSolution, sde_step_count, step_grid
 from autores.lyapunov import noise_class_check
-from autores.model import NoiseSchedule, constant_schedule, power_schedule
+from autores.model import (NoiseSchedule, Schedule, SystemParams,
+                           constant_schedule, error_terms, perturbed_terms,
+                           power_schedule)
 
 
 @st.composite
@@ -100,6 +106,70 @@ def test_step_grid_covers_window(window):
     # a remainder within sde_step_count's rounding tolerance joins the
     # last step instead of making a step of its own
     assert h[-1] <= dt * (1 + 1e-9) + 1e-12 * max(1.0, abs(tau1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(window=_windows(), c=st.floats(-1e300, 1e300), p=st.floats(-3.0, 3.0),
+       which=st.sampled_from(["sigma1", "sigma2"]),
+       kind=st.sampled_from(["perturbed", "error"]))
+# a negative power at tau0 = 0, and a power that overflows mid-grid
+@example(window=(0.0, 1.0, 0.1), c=2.0, p=-1.0, which="sigma1",
+         kind="perturbed")
+@example(window=(100.0, 1000.0, 0.5), c=1e300, p=3.0, which="sigma2",
+         kind="error")
+def test_schedule_on_grid_is_the_formula(params, window, c, p, which, kind):
+    # Schedule(c, p) on the node grid is c * tau ** p bit for bit, and
+    # additive terms carry those bits as the sigma2 they read.  A
+    # schedule that is not finite at some node is refused by either
+    # terms factory, naming the schedule and the first such node
+    tau = step_grid(*window)
+    schedule = Schedule(c, p)
+    with np.errstate(all="ignore"):
+        want = c * tau ** p
+        got = schedule(tau)
+    assert np.array_equal(_bits(got), _bits(want))
+    # sigma1 is zero with a generated sigma2, so the terms are additive
+    other = ({"sigma1": constant_schedule(0.0)} if which == "sigma2"
+             else {"sigma2": constant_schedule(1.0)})
+    noise = NoiseSchedule(mu=0.3, **{which: schedule}, **other)
+    star = (np.ones(tau.size), np.zeros(tau.size))
+
+    def make():
+        if kind == "perturbed":
+            return perturbed_terms(params, noise, tau)
+        return error_terms(params, noise, tau, star)
+    bad = ~np.isfinite(want)
+    if bad.any():
+        first = f"tau={float(tau[np.argmax(bad)]):.6g}"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{which} is not finite at {first}")):
+            make()
+    elif which == "sigma2":
+        assert np.array_equal(_bits(make().additive), _bits(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=st.floats(0.3, 3.0), gamma=st.floats(0.01, 0.9))
+@example(lam=1.0, gamma=0.1)
+@example(lam=3.0, gamma=0.9)
+# where psi_2 is 0.0094, near its sign change
+@example(lam=0.6571564005374051, gamma=0.7728637117646149)
+def test_series_residual_decays_with_order(lam, gamma):
+    # the order-K series matches the equations through order K, so its
+    # residual decays at least like tau^-K over [10, 1000]: an order
+    # left unmatched gives a slope near -K + 1.  The residual's leading
+    # term is lam cos(psi0) psi_{K+1} tau^-K.  For even K the slope is
+    # -K within 0.12 over the whole box.  For odd K, psi_{K+1} changes
+    # sign along a curve of (lam, gamma), through (0.66, 0.77) for
+    # psi_2, and near it the next order takes over inside the window:
+    # fitted slopes from -K - 1.26 to -K + 0.26 were seen there.  K = 5
+    # is left out: its residual nears roundoff at tau 1000
+    p = SystemParams(lam, gamma)
+    for K in range(1, 5):
+        slope = residual_slope(expand(p, STABLE, K), p)
+        assert slope <= -K + 0.4, (K, slope)
+        if K % 2 == 0:
+            assert abs(slope + K) <= 0.15, (K, slope)
 
 
 @settings(max_examples=300, deadline=None)
