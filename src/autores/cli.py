@@ -39,7 +39,7 @@ from .lyapunov import (NoCertificate, certify, chain_a, spot_check,
 from .ensemble import (EnsembleConfig, classify_capture, exit_time_scaling,
                        run_ensemble)
 from .pendulum import (inverse_map, seed_from_averaged, integrate_pendulum,
-                       envelope_compare, sample_count)
+                       envelope_compare, SAMPLES_PER_UNIT)
 
 _REQUIRED = object()
 MAX_SAMPLES = 10_000_000  # rows of one sampled trajectory at most
@@ -441,7 +441,9 @@ def _cmd_pendulum(cfg: dict, out: Path):
         raise ConfigError("window", f"must ascend and start below tau_end "
                                     f"{tau_end}, got {list(window)}")
     t_end = 2.0 * tau_end / cfg["eps"]  # the pendulum's fast time
-    if not (math.isfinite(t_end) and sample_count(t_end) <= MAX_SAMPLES):
+    # sample_count(t_end) <= MAX_SAMPLES, read before its int(), so a grid
+    # whose count overflows (or is inf or nan) is refused as well
+    if not t_end * SAMPLES_PER_UNIT < MAX_SAMPLES + 1:
         raise ConfigError("tau_end", f"the pendulum's grid over fast time "
                                      f"2 tau_end / eps = {t_end:.6g} holds "
                                      f"more than {MAX_SAMPLES} samples")

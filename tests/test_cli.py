@@ -408,6 +408,8 @@ def test_wrong_typed_value_exit2(tmp_path, capsys, no_work, sub, cfg, field):
     ("pendulum", {**PEND_CFG, "eps": 1e-6}, "tau_end"),
     # and past float's range at the smallest eps
     ("pendulum", {**PEND_CFG, "eps": 5e-324}, "tau_end"),
+    # finite fast time 2e307, but 20 samples a unit overflow the count
+    ("pendulum", {**PEND_CFG, "eps": 1e-7, "tau_end": 1e300}, "tau_end"),
 ])
 def test_cross_field_rules_exit2(tmp_path, capsys, no_work, sub, cfg, field):
     # the documented rules between two fields are config errors, found

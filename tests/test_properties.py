@@ -251,14 +251,19 @@ def test_outputs_do_not_depend_on_chunks_blocks_or_stacking(
         params, ref, cert, budget, width, order):
     # any noise budget (chunks of one step up to the whole run), any
     # block width, and the amplitudes stacked in any order give the bits
-    # of each amplitude run alone at the defaults
-    case = _engine_cases(params, ref, cert)
-    with mock.patch.object(integrators, "NOISE_BUDGET", budget), \
-            mock.patch.object(ensemble, "MAX_BLOCK_PATHS", width):
-        stacked = run_ensembles(case["ens"], [_MUS[i] for i in order], ref)
-        report = supermartingale_check(case["err"], cert, N=1, ref=ref)
+    # of each amplitude run alone at the defaults.  The window ends
+    # before tau 50; with the threshold at 0 it carries per-path capture
+    # flags, so the phase-range fold is compared too
+    with mock.patch.object(ensemble, "CAPTURE_MIN_TAU", 0.0):
+        case = _engine_cases(params, ref, cert)
+        with mock.patch.object(integrators, "NOISE_BUDGET", budget), \
+                mock.patch.object(ensemble, "MAX_BLOCK_PATHS", width):
+            stacked = run_ensembles(case["ens"], [_MUS[i] for i in order],
+                                    ref)
+            report = supermartingale_check(case["err"], cert, N=1, ref=ref)
     for i, got in zip(order, stacked):
         want = case["each"][i]
+        assert want.captured is not None
         for field in dataclasses.fields(want):
             a, b = getattr(got, field.name), getattr(want, field.name)
             if isinstance(b, np.ndarray):
