@@ -219,7 +219,11 @@ def _fold(ufunc, acc, cols, values, where, initial):
 
 
 class _TubeObserver:
-    """Deviation, exit and capture statistics of one block of paths."""
+    """Deviation, exit and capture statistics of one block of paths.  The
+    capture statistic is kept only for a capture verdict: not for a run
+    that ends before CAPTURE_MIN_TAU, nor where VERDICT is false."""
+
+    VERDICT = True
 
     def __init__(self, cfg: EnsembleConfig, tau, star, m: int):
         self.cfg, self.tau = cfg, tau
@@ -232,6 +236,8 @@ class _TubeObserver:
         self.exited = np.zeros(m, dtype=bool)
         # phase range over the classification window, the statistic of
         # classify_capture
+        self.verdict = (self.VERDICT
+                        and cfg.tau0 + cfg.horizon >= CAPTURE_MIN_TAU)
         self.window_start = cfg.tau0 + CAPTURE_WINDOW * cfg.horizon
         self.psi_lo = np.full(m, np.inf)
         self.psi_hi = np.full(m, -np.inf)
@@ -262,6 +268,8 @@ class _TubeObserver:
                 first = out.argmax(axis=0)
                 self.exit_time[cols[new]] = tau[first[new]] - self.cfg.tau0
                 self.exited[cols[new]] = True
+        if not self.verdict:
+            return
         # the steps that end in the window are the last ones
         j = int(np.searchsorted(tau, self.window_start))
         if j < tau.size:
@@ -271,26 +279,32 @@ class _TubeObserver:
     def result(self, x, escaped_at):
         cfg = self.cfg
         dead = ~np.isnan(escaped_at)
-        captured = ~dead & _captured(x[0], cfg.tau0 + cfg.horizon,
-                                     self.psi_hi - self.psi_lo, cfg.params)
         # escape by blow-up counts as an exit wherever the tube was being
         # tracked
         exit_times = np.where(dead & ~self.exited, escaped_at - cfg.tau0,
                               self.exit_time)
-        # the fields of EnsembleStats; end_states is transposed to one row
-        # per path once the blocks are merged
-        return {
+        # the fields of EnsembleStats, captured only with a verdict;
+        # end_states is transposed to one row per path once the blocks
+        # are merged
+        res = {
             "exit_times": exit_times, "censored": ~(self.exited | dead),
             "sup_psi_dev": self.sup_psi, "sup_r_dev_weighted": self.sup_rw,
-            "sup_r_dev_raw": self.sup_rr, "captured": captured,
-            "end_states": x,
+            "sup_r_dev_raw": self.sup_rr, "end_states": x,
         }
+        if self.verdict:
+            res["captured"] = ~dead & _captured(
+                x[0], cfg.tau0 + cfg.horizon, self.psi_hi - self.psi_lo,
+                cfg.params)
+        return res
 
 
 class _ExitObserver(_TubeObserver):
     """_TubeObserver that stops each path at its first exit from the
     tube.  Its exit times and censoring are those of the paths stepped to
-    the horizon; its other statistics stop with the path."""
+    the horizon; its other statistics stop with the path, and it gives
+    no capture verdict (exit_time_scaling reads none)."""
+
+    VERDICT = False
 
     def __call__(self, k0, xs, live, cols):
         super().__call__(k0, xs, live, cols)
@@ -343,15 +357,14 @@ def run_ensembles(cfg: EnsembleConfig, mus: Sequence[float],
     per_mu, out_of_class = _tube_runs(cfg, mus, ref, out_of_class_ok,
                                       _TubeObserver)
     n = cfg.n_paths
-    decided = cfg.tau0 + cfg.horizon >= CAPTURE_MIN_TAU
     stats = []
     for res in per_mu:
         res["end_states"] = res["end_states"].T
         k_psi = int(np.sum(res["sup_psi_dev"] >= cfg.eps1))
         k_r = int(np.sum(res["sup_r_dev_weighted"] >= cfg.eps1))
-        k_cap = int(np.sum(res["captured"]))
-        if not decided:
-            res["captured"] = None
+        # no capture verdict, no "captured" (_TubeObserver)
+        decided = res.setdefault("captured", None) is not None
+        k_cap = int(np.sum(res["captured"])) if decided else 0
         stats.append(EnsembleStats(
             n_paths=n,
             exceed_prob_psi=k_psi / n,

@@ -105,7 +105,12 @@ def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
     A failed run raises IntegrationError at the time the solver stopped,
     with scipy's message; non-finite output raises it at the first
     non-finite sample.  _check_window refuses tau1 <= tau0: a backward
-    run is _solve_backward's."""
+    run is _solve_backward's.
+
+    field_fn may return the same buffer on every call, rewritten in
+    place: the driver copies each value into its stage buffer before the
+    next call, and f0 (_dop853_start), the one value it holds across a
+    second call, is a copy."""
     if not tol >= RTOL_MIN:
         raise ValueError(f"tol must be at least RTOL_MIN = {RTOL_MIN:.3g}, "
                          f"got {tol}")
@@ -155,7 +160,8 @@ def _dop853_start(fun: Callable, t0: float, y0, t_bound: float, tol: float):
     """The start of a DOP853 run from (t0, y0) forward to t_bound > t0, as
     scipy's DOP853(fun, t0, y0, t_bound, rtol=tol, atol=tol) constructor
     makes it (OdeSolver, RungeKutta and check_arguments): y0 as a checked
-    float64 vector, f0 = fun(t0, y0) as float64, and the first step size.
+    float64 vector, f0 = fun(t0, y0) as a float64 copy, and the first
+    step size.
 
     The size is scipy's select_initial_step (Hairer, Norsett & Wanner,
     Solving ODEs I, Sec. II.4), ported line for line with DOP853's error
@@ -168,7 +174,8 @@ def _dop853_start(fun: Callable, t0: float, y0, t_bound: float, tol: float):
     if not np.isfinite(y0).all():
         raise ValueError(
             "All components of the initial state `y0` must be finite.")
-    f0 = np.asarray(fun(t0, y0), dtype=float)
+    # a copy: the trial step's call may rewrite fun's buffer (_solve)
+    f0 = np.array(fun(t0, y0), dtype=float)
     interval_length = t_bound - t0
     scale = tol + np.abs(y0) * tol
     root_n = y0.size ** 0.5
@@ -354,7 +361,9 @@ def integrate_ode_batch(field_fn: Callable, x0s, tau0: float, tau1: float,
     x0s has shape (m, d).  The m states are stacked component-major into
     one vector of length d*m, and field_fn(tau, y) is called with y of
     shape (d, m), so a field written with array operations (rhs_primary)
-    serves every member in one call; it returns d arrays of length m.
+    serves every member in one call; it returns d arrays of length m,
+    and may return one (d, m) buffer that it rewrites on every call
+    (model.rhs_primary_into), since _solve copies what it keeps.
     One adaptive run with shared steps replaces m runs, stepped by _solve
     like integrate_ode's (DOP853's step, one field call per stage
     for all members), and the result is split into m Trajectory

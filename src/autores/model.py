@@ -84,6 +84,25 @@ def rhs_primary(s, tau: ArrayLike, p: SystemParams):
     return r * np.sin(psi) - p.gamma * r, r - p.lam * tau + np.cos(psi)
 
 
+def rhs_primary_into(x, tau: float, p: SystemParams, f, scratch):
+    """Write rhs_primary(x, tau, p) into the two rows of f, in its
+    operation order, so with its bits and no temporaries.  The three
+    scratch rows take sin psi, cos psi and a temporary; sin psi and cos
+    psi are left there for the caller.  f and scratch are sequences of
+    rows; a tuple of views made once is cheaper to unpack than an array,
+    which makes a view per row on every call."""
+    r, psi = x
+    f_r, f_psi = f
+    sin_psi, cos_psi, tmp = scratch
+    np.sin(psi, out=sin_psi)
+    np.cos(psi, out=cos_psi)
+    np.multiply(r, sin_psi, out=f_r)
+    np.multiply(r, p.gamma, out=tmp)
+    f_r -= tmp
+    np.subtract(r, p.lam * tau, out=f_psi)
+    f_psi += cos_psi
+
+
 def scalar_field(p: SystemParams):
     """The unperturbed field as fun(tau, y) for one state y = (r, psi):
     rhs_primary's operations in its order on Python floats, so the same
@@ -133,9 +152,8 @@ def perturbed_terms(p: SystemParams, n: NoiseSchedule, tau: np.ndarray):
     buffer contract: it writes the drift into f and G w into gw for the
     state x = (r, psi) at node k and the two Wiener increments w of step
     k, with time and schedules read at node k, using the three scratch
-    rows for sin, cos and a temporary.  The Ito drift
-    is the unperturbed field, computed in rhs_primary's operation order,
-    so both give the same bits.
+    rows for sin, cos and a temporary.  The Ito drift is the unperturbed
+    field, written by rhs_primary_into, so with rhs_primary's bits.
 
     With sigma1 zero at every step the noise is additive, G w = (0,
     sigma2 w2): terms then writes only f and carries sigma2 on tau as
@@ -143,21 +161,12 @@ def perturbed_terms(p: SystemParams, n: NoiseSchedule, tau: np.ndarray):
     """
     s1, s2 = _intensities(n, tau)
     additive = not s1.any()
-    lam, gamma = p.lam, p.gamma
 
     def terms(k, x, w, f, gw, scratch):
-        r, psi = x
-        f_r, f_psi = f
-        sin_psi, cos_psi, tmp = scratch
-        np.sin(psi, out=sin_psi)
-        np.cos(psi, out=cos_psi)
-        np.multiply(r, sin_psi, out=f_r)
-        np.multiply(r, gamma, out=tmp)
-        f_r -= tmp
-        np.subtract(r, lam * tau[k], out=f_psi)
-        f_psi += cos_psi
+        rhs_primary_into(x, tau[k], p, f, scratch)
         if not additive:
-            _noise(s1[k], s2[k], r, sin_psi, cos_psi, w, gw, tmp)
+            sin_psi, cos_psi, tmp = scratch
+            _noise(s1[k], s2[k], x[0], sin_psi, cos_psi, w, gw, tmp)
     if additive:
         terms.additive = s2
     return terms

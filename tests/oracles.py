@@ -28,7 +28,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
-from autores import asymptotics, integrators
+from autores import asymptotics, ensemble, integrators
 from autores.ensemble import CAPTURE_WINDOW, _captured
 from autores.integrators import IntegrationError, NoiseStream, Trajectory
 from autores.lyapunov import chain_U, dV_dtau, eval_V, weighted_norm
@@ -111,7 +111,9 @@ def plain_run_blocks(cfg, mus, tau, terms, observer):
 
 
 class PlainTube:
-    """Deviation, exit and capture statistics of one block of paths."""
+    """Deviation, exit and capture statistics of one block of paths; the
+    per-path capture flags only for a run that ends at or after
+    ensemble.CAPTURE_MIN_TAU, read when the result is made."""
 
     def __init__(self, cfg, tau, star, m):
         self.cfg = cfg
@@ -152,16 +154,18 @@ class PlainTube:
     def result(self, x, escaped_at):
         cfg = self.cfg
         dead = ~np.isnan(escaped_at)
-        captured = ~dead & _captured(x[0], cfg.tau0 + cfg.horizon,
-                                     self.psi_hi - self.psi_lo, cfg.params)
         exit_times = np.where(dead & ~self.exited, escaped_at - cfg.tau0,
                               self.exit_time)
-        return {
+        res = {
             "exit_times": exit_times, "censored": ~(self.exited | dead),
             "sup_psi_dev": self.sup_psi, "sup_r_dev_weighted": self.sup_rw,
-            "sup_r_dev_raw": self.sup_rr, "captured": captured,
-            "end_states": x,
+            "sup_r_dev_raw": self.sup_rr, "end_states": x,
         }
+        if cfg.tau0 + cfg.horizon >= ensemble.CAPTURE_MIN_TAU:
+            res["captured"] = ~dead & _captured(
+                x[0], cfg.tau0 + cfg.horizon, self.psi_hi - self.psi_lo,
+                cfg.params)
+        return res
 
 
 class PlainStoppedU1:

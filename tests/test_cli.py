@@ -10,7 +10,8 @@ import pytest
 
 from autores import cli, pendulum
 from autores.cli import main
-from autores.model import SystemParams
+from autores.integrators import integrate_ode_batch
+from autores.model import SystemParams, rhs_primary
 from autores.asymptotics import expand, evaluate
 from autores.lyapunov import thresholds_beta
 
@@ -702,6 +703,25 @@ def test_figures_fig1(tmp_path):
     verdicts = [run["verdict"] for run in runs]
     assert verdicts == FIG1_VERDICTS
     assert verdicts.count("captured") == 22
+
+
+def test_fig1_tables_are_the_stacked_rhs_primary_solve(tmp_path):
+    # each table is, byte for byte, _write_csv of the times and states of
+    # the stacked solve of rhs_primary: the field's reused buffer and the
+    # time column formatted once change no byte
+    code, out = _run(tmp_path, "figures", {"which": "fig1", "horizon": 5.0})
+    assert code == 0
+    p = SystemParams(lam=1.0, gamma=0.1)
+    starts = [(run["r0"], run["psi0"]) for run in
+              json.loads((out / "index.json").read_text())["runs"]]
+    trajs = integrate_ode_batch(lambda t, y: rhs_primary(y, t, p), starts,
+                                0.0, 5.0, t_eval=np.linspace(0.0, 5.0, 2400))
+    want = tmp_path / "want.csv"
+    for k, traj in enumerate(trajs):
+        cli._write_csv(want, "autores.trajectory", ("tau", "r", "psi"),
+                       (traj.times, *traj.states.T))
+        got = out / f"fig1_r{k // 4}_p{k % 4}.csv"
+        assert got.read_bytes() == want.read_bytes(), got.name
 
 
 def test_console_script_runs():

@@ -433,6 +433,31 @@ def test_short_window_has_no_capture_verdict(params, monkeypatch):
                                   equal_nan=True), field.name
 
 
+def test_phase_fold_only_for_a_capture_verdict(ref, cfg_maker, monkeypatch):
+    # the phase range over the capture window (the np.minimum fold) is
+    # folded only where a capture verdict is returned: not by
+    # exit_time_scaling, which reads none, even on a window that ends at
+    # tau 60, nor by a run that ends before tau 50; the deviation
+    # statistics are folded in every run
+    folds = []
+    fold = ensemble._fold
+
+    def spy(ufunc, *args):
+        folds.append(ufunc)
+        return fold(ufunc, *args)
+    monkeypatch.setattr(ensemble, "_fold", spy)
+    early = cfg_maker(n_paths=100, horizon=5.0, eps1=0.3)
+    late = cfg_maker(n_paths=100, horizon=5.0, eps1=0.3, tau0=55.0,
+                     x0=tuple(ref.state(55.0)))
+    for cfg in (early, late):
+        exit_time_scaling(cfg, [0.2, 0.3, 0.45], ref, n_boot=10)
+        assert np.maximum in folds and np.minimum not in folds
+    assert run_ensemble(early, ref).captured is None
+    assert np.maximum in folds and np.minimum not in folds
+    assert run_ensemble(late, ref).captured.dtype == bool
+    assert np.minimum in folds
+
+
 @pytest.fixture
 def verdict_at_any_horizon(monkeypatch):
     # the windows compared by _stats_equal end before tau 50; with the

@@ -150,6 +150,34 @@ def test_batch_blowup_fails_the_run():
     assert solo.value.tau == pytest.approx(0.5, abs=1e-6)
 
 
+def test_batch_field_may_reuse_its_buffer(params):
+    # a field that rewrites and returns one (d, m) buffer on every call
+    # gives rhs_primary's run: the driver copies the value at tau0 before
+    # its trial call, which would otherwise overwrite it and change the
+    # first step
+    starts = [(0.25, math.pi / 2), (0.5, 0.0), (1.0, math.pi),
+              (2.0, 3 * math.pi / 2)]
+    buf = np.empty((2, len(starts)))
+    calls = []
+
+    def reused(t, y):
+        calls.append(t)
+        buf[0], buf[1] = rhs_primary(y, t, params)
+        return buf
+    t_eval = np.linspace(0.0, 20.0, 800)
+    got = integrate_ode_batch(reused, starts, 0.0, 20.0, t_eval=t_eval)
+    want_calls = []
+
+    def fresh(t, y):
+        want_calls.append(t)
+        return rhs_primary(y, t, params)
+    want = integrate_ode_batch(fresh, starts, 0.0, 20.0, t_eval=t_eval)
+    assert calls == want_calls
+    for a, b in zip(got, want):
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.states, b.states)
+
+
 @pytest.mark.parametrize("t_eval", [np.linspace(0.0, 0.9, 4), [0.9]])
 def test_failed_run_located_where_the_solver_stopped(t_eval):
     # y' = y^2 from 2 blows up at 0.5; the last t_eval sample passed
@@ -1086,7 +1114,12 @@ def test_em_paths_refuses_non_finite_start():
 
 def _tube_observer(params, ref, tau, m, cls=ensemble._TubeObserver):
     cfg = SimpleNamespace(tau0=20.0, horizon=1.1, eps1=0.3, params=params)
-    return cls(cfg, tau, ref.state(tau), m)
+    obs = cls(cfg, tau, ref.state(tau), m)
+    # the window ends before a capture verdict; a tube observer still
+    # folds the phase range, as in a run that gives one, so its peak is
+    # the most it holds
+    obs.verdict = cls.VERDICT
+    return obs
 
 
 def _stopped_u1(params, ref, cert, tau, m):

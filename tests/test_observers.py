@@ -128,6 +128,11 @@ def _stats_equal(got, want):
                                   "escape-untracked"])
 def test_run_ensembles_match_per_step_oracle(params, ref, monkeypatch, case):
     cfg, mus, ref_or_none = _ensemble_cases(params, ref)[case]
+    if not case.startswith("escape"):
+        # these runs end before tau 50, too early for a capture verdict
+        # and so for the phase-range fold; with the threshold at 0 the
+        # fold runs and its per-path flags are compared with the rest
+        monkeypatch.setattr(ensemble, "CAPTURE_MIN_TAU", 0.0)
     want, made = _oracle(monkeypatch,
                          lambda: run_ensembles(cfg, mus, ref_or_none))
     for chunk in CHUNKS:
@@ -141,9 +146,7 @@ def test_run_ensembles_match_per_step_oracle(params, ref, monkeypatch, case):
         for stats, expect in zip(got, want):
             _stats_equal(stats, expect)
         if not case.startswith("escape"):
-            # these runs end before tau 50, too early for a capture
-            # verdict, but the phase range over the capture window is
-            # still folded, and it is the oracle's
+            # the phase range over the capture window is the oracle's
             tube, = tubes
             assert np.array_equal(tube.psi_lo, made[0].psi_lo)
             assert np.array_equal(tube.psi_hi, made[0].psi_hi)
@@ -166,7 +169,7 @@ def test_run_ensembles_match_per_step_oracle(params, ref, monkeypatch, case):
     else:
         assert not escaped.any()
         assert obs.exited.any() and not obs.exited.all()
-        assert want[0].captured is None
+        assert want[0].captured.dtype == bool
         assert (obs.psi_lo < obs.psi_hi).all()
         assert np.isfinite(obs.psi_hi - obs.psi_lo).all()
     assert n_steps % 7 != 0

@@ -1,8 +1,9 @@
 """Property tests: Wilson intervals, the Euler-Maruyama step grid, the
 ensemble's path blocks, the noise-class bound, the reference spline
-against scipy's CubicSpline, the series residual's decay, noise
-schedules on the step grid, and ensemble outputs under any chunk
-length, block width and amplitude stacking, over generated inputs."""
+against scipy's CubicSpline, the in-place drift writer against
+rhs_primary, the series residual's decay, noise schedules on the step
+grid, and ensemble outputs under any chunk length, block width and
+amplitude stacking, over generated inputs."""
 
 import dataclasses
 import math
@@ -23,7 +24,7 @@ from autores.integrators import ReferenceSolution, sde_step_count, step_grid
 from autores.lyapunov import noise_class_check
 from autores.model import (NoiseSchedule, Schedule, SystemParams,
                            constant_schedule, error_terms, perturbed_terms,
-                           power_schedule)
+                           power_schedule, rhs_primary, rhs_primary_into)
 
 
 @st.composite
@@ -146,6 +147,35 @@ def test_schedule_on_grid_is_the_formula(params, window, c, p, which, kind):
             make()
     elif which == "sigma2":
         assert np.array_equal(_bits(make().additive), _bits(want))
+
+
+@st.composite
+def _drift_states(draw):
+    # (2, m) states, psi up to 1e3 in size, where sin and cos reduce
+    # their argument
+    m = draw(st.integers(1, 70))
+    return draw(arrays(np.float64, (2, m), elements=st.floats(-1e3, 1e3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_drift_states(), tau=st.floats(-1e3, 1e3),
+       lam=st.floats(1e-3, 1e3),
+       gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(x=np.array([[0.0, -0.0], [0.0, np.pi]]), tau=0.0, lam=1.0,
+         gamma=0.1)
+def test_drift_writer_is_rhs_primary(x, tau, lam, gamma):
+    # the in-place writer gives rhs_primary's bits, -0.0 included, and
+    # leaves sin psi and cos psi in its scratch rows, from rows given as
+    # an array or as a tuple of views
+    p = SystemParams(lam, gamma)
+    want = rhs_primary(x, tau, p)
+    for as_rows in (np.asarray, tuple):
+        f, scratch = np.empty_like(x), np.empty((3, x.shape[1]))
+        rhs_primary_into(x, tau, p, as_rows(f), as_rows(scratch))
+        for got, expect in zip(f, want):
+            assert np.array_equal(_bits(got), _bits(expect))
+        assert np.array_equal(_bits(scratch[0]), _bits(np.sin(x[1])))
+        assert np.array_equal(_bits(scratch[1]), _bits(np.cos(x[1])))
 
 
 @settings(max_examples=40, deadline=None)
