@@ -1,17 +1,18 @@
 """Deterministic adaptive integration and fixed-step Ito integration.
 
-The adaptive side takes the steps of the embedded Runge-Kutta pair
-DOP853, with dense output, as scipy's solve_ivp takes them: the tableau
-is a verbatim copy of scipy's (dop853_coefficients), and the start, the
-step and the interpolant are ports of scipy's code that keep its numpy
-calls, so a run gives solve_ivp's bits.  It runs forward only; a
-backward run is the forward run of the time-reversed field.  The
-reference solution is read from a not-a-knot cubic spline built and
-evaluated as scipy's CubicSpline does, its one linear solve
-scipy.linalg.solve_banded.  The stochastic side is Euler-Maruyama with
-counter-based noise streams: the increments for (master_seed,
-path_index) are reproducible across runs, platforms and block widths,
-and distinct path indices give statistically independent streams.
+The adaptive side takes the steps of the embedded Runge-Kutta pair DOP853,
+with dense output, as scipy's solve_ivp takes them: the tableau is a
+verbatim copy of scipy's (dop853_coefficients), and the start, the step and
+the interpolant are ports of scipy's code that keep its numpy calls, so a
+run gives solve_ivp's bits.  A field gets its state in a buffer the driver
+rewrites, valid only during the call, and neither keeps nor writes it.  The
+driver runs forward only; a backward run is the forward run of the
+time-reversed field.  The reference solution is read from a not-a-knot
+cubic spline built and evaluated as scipy's CubicSpline does, its one
+linear solve scipy.linalg.solve_banded.  The stochastic side is
+Euler-Maruyama with counter-based noise streams: the increments for
+(master_seed, path_index) are reproducible across runs, platforms and block
+widths, and distinct path indices give statistically independent streams.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ class Trajectory:
             raise ValueError("states must be finite; truncate before construction")
 
 
-# accepted steps whose interpolants _solve evaluates together: a few
-# hundred kB of stacked coefficients at fig1's 64 components, where all
-# of a run's steps at once would hold megabytes
+# accepted steps whose interpolants _solve evaluates together: 16 stage
+# rows of n values a step, not its 7 coefficient rows, 512 kB at fig1's
+# 64 components; all of a run's steps would hold megabytes
 DENSE_PIECE = 64
 
 # scipy's step-size control for its Runge-Kutta pairs: the safety factor,
@@ -98,19 +99,21 @@ def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
     y0, evaluates the field at tau0 and picks the first step.  The stage
     buffer is the constructor's K_extended, one row per stage of the
     extended tableau, and _dop853_steps takes the steps.  Each step that
-    covers samples gets its interpolant's coefficients
-    (_dense_coefficients), kept with the samples it covers and evaluated
-    DENSE_PIECE steps at once (_dense_values).
+    covers samples runs the extended tableau's three extra stages and
+    keeps its stage buffer with the samples it covers; _dense_values
+    forms the interpolants' coefficients and evaluates them DENSE_PIECE
+    steps at once.
 
     A failed run raises IntegrationError at the time the solver stopped,
     with scipy's message; non-finite output raises it at the first
     non-finite sample.  _check_window refuses tau1 <= tau0: a backward
     run is _solve_backward's.
 
-    field_fn may return the same buffer on every call, rewritten in
-    place: the driver copies each value into its stage buffer before the
-    next call, and f0 (_dop853_start), the one value it holds across a
-    second call, is a copy."""
+    field_fn gets y in a buffer the driver rewrites (_run_stages), valid
+    during the call only, and neither keeps nor writes it.  It may return
+    one buffer rewritten on every call: the driver copies each value into
+    its stage buffer before the next call, and f0 (_dop853_start), the
+    one value it holds across a second call, is a copy."""
     if not tol >= RTOL_MIN:
         raise ValueError(f"tol must be at least RTOL_MIN = {RTOL_MIN:.3g}, "
                          f"got {tol}")
@@ -134,20 +137,23 @@ def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
         y0, f0, h_abs = _dop853_start(field_fn, tau0, y0, tau1, tol)
         K = np.empty((dop853.N_STAGES_EXTENDED, y0.size))
         K[0] = f0
+        y_s = np.empty(y0.size)  # the stage state handed to field_fn
         first = dop853.N_STAGES + 1
         extra = _stages(K, dop853.A[first:], dop853.C[first:], first)
+        Ks = np.empty((DENSE_PIECE,) + K.shape)  # a piece's stage buffers
         for t_old, y_old, t, y, h in _dop853_steps(field_fn, K, tau0, y0,
-                                                   tau1, h_abs, tol):
+                                                   tau1, h_abs, tol, y_s):
             j_new = bisect.bisect_right(keys, t)
             if j_new > j:
-                F = _dense_coefficients(field_fn, K, extra, t_old, y_old, y, h)
-                piece.append((t_old, h, y_old, F, j, j_new))
+                _run_stages(field_fn, K, extra, t_old, y_old, h, y_s)
+                Ks[len(piece)] = K
+                piece.append((t_old, h, y_old, y, j, j_new))
                 j = j_new
                 if len(piece) == DENSE_PIECE:
-                    _dense_values(piece, times, values)
+                    _dense_values(piece, Ks, times, values)
                     piece = []
         if piece:
-            _dense_values(piece, times, values)
+            _dense_values(piece, Ks, times, values)
     # the last step ends on tau1, so every sample is covered
     finite = np.isfinite(values).all(axis=0)
     if not finite.all():
@@ -207,12 +213,24 @@ def _stages(K: np.ndarray, A: np.ndarray, C: np.ndarray, first: int) -> list:
             for s, (a, c) in enumerate(zip(A, C), start=first)]
 
 
+def _run_stages(fun: Callable, K: np.ndarray, stages: list, t: float,
+                y: np.ndarray, h: float, y_s: np.ndarray):
+    """K[s] = fun(t + c h, y + np.dot(K[:s].T, a) * h) for the stages
+    (_stages), scipy's bits: fun gets the state in the buffer y_s, formed
+    as np.dot(K[:s].T, a) * h + y, since IEEE addition commutes."""
+    for s, K_s, a, c in stages:
+        np.dot(K_s, a, out=y_s)
+        y_s *= h
+        y_s += y
+        K[s] = fun(t + c * h, y_s)
+
+
 def _dop853_steps(fun: Callable, K: np.ndarray, t: float, y: np.ndarray,
-                  t_bound: float, h_abs, tol: float):
+                  t_bound: float, h_abs, tol: float, y_s: np.ndarray):
     """The accepted steps of the DOP853 run from (t, y) forward to t_bound at
     first step size h_abs and rtol = atol = tol, as (t_old, y_old, t, y,
     h).  K is the stage buffer, with f(t, y) in K[0]; it holds the step's
-    stages until the next step is asked for.
+    stages until the next step is asked for, y_s each stage's state.
 
     A step is scipy's (RungeKutta._step_impl, rk_step and DOP853's error
     norm): the same stage times, field calls, rejections and step-size
@@ -220,12 +238,14 @@ def _dop853_steps(fun: Callable, K: np.ndarray, t: float, y: np.ndarray,
     dop853_coefficients, sliced as scipy's DOP853 class slices it.  Every
     numpy operation whose rounding matters stays the numpy call scipy
     makes, with the same shapes: each stage sum np.dot(K[:s].T, a) * h,
-    the solution update, the error scale and the error norms.  The stage
-    sums cannot become Python sums, since BLAS's dot does not round as a
-    sequential sum does.  What goes is overhead: the field is called
+    the solution update, the error scale and the error vectors.  The
+    stage sums cannot become Python sums, since BLAS's dot does not round
+    as a sequential sum does.  What goes is overhead: the field is called
     directly, not through scipy's counting and asarray wrappers, the
-    stage views are made once (_stages), and t, h and the step control
-    are Python floats, which round as numpy's scalars do.
+    stage views are made once (_stages), |y_new| is kept as the next
+    step's |y|, the error norms are np.linalg.norm's sqrt(v.dot(v))
+    without its checks, and t, h and the step control are Python floats,
+    which round as numpy's scalars do.
 
     A step size below ten spacings of t raises IntegrationError with
     scipy's message at t."""
@@ -234,6 +254,7 @@ def _dop853_steps(fun: Callable, K: np.ndarray, t: float, y: np.ndarray,
     K_B, K_E = K[:n_stages].T, K[:n_stages + 1].T
     B, E3, E5 = dop853.B, dop853.E3, dop853.E5
     h_abs, n = float(h_abs), y.size
+    abs_y = np.abs(y)
     while t < t_bound:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
@@ -245,13 +266,13 @@ def _dop853_steps(fun: Callable, K: np.ndarray, t: float, y: np.ndarray,
                     f"adaptive solver failed: {TOO_SMALL_STEP}", t)
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
-            for s, K_s, a, c in stages:
-                K[s] = fun(t + c * h, y + np.dot(K_s, a) * h)
+            _run_stages(fun, K, stages, t, y, h, y_s)
             y_new = y + h * np.dot(K_B, B)
             K[n_stages] = fun(t + h, y_new)
-            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-            err5 = float(np.linalg.norm(np.dot(K_E, E5) / scale) ** 2)
-            err3 = float(np.linalg.norm(np.dot(K_E, E3) / scale) ** 2)
+            abs_new = np.abs(y_new)
+            scale = tol + np.maximum(abs_y, abs_new) * tol
+            v5, v3 = np.dot(K_E, E5) / scale, np.dot(K_E, E3) / scale
+            err5, err3 = math.sqrt(v5.dot(v5)) ** 2, math.sqrt(v3.dot(v3)) ** 2
             if err5 == 0 and err3 == 0:
                 error_norm = 0.0
             else:
@@ -263,49 +284,40 @@ def _dop853_steps(fun: Callable, K: np.ndarray, t: float, y: np.ndarray,
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
-        t_old, y_old, t, y = t, y, t_new, y_new
+        t_old, y_old, t, y, abs_y = t, y, t_new, y_new, abs_new
         yield t_old, y_old, t, y, h
         # the next step starts from this one's last stage, f(t, y)
         K[0] = K[n_stages]
 
 
-def _dense_coefficients(fun: Callable, K: np.ndarray, extra: list,
-                        t_old: float, y_old: np.ndarray, y: np.ndarray,
-                        h: float) -> np.ndarray:
-    """The coefficients F of the accepted step's interpolant, as scipy's
-    DOP853._dense_output_impl makes them: the three extra stages extra
-    (_stages) into K, then F from all of K."""
-    for s, K_s, a, c in extra:
-        K[s] = fun(t_old + c * h, y_old + np.dot(K_s, a) * h)
-    f_old = K[0]
-    delta_y = y - y_old
-    F = np.empty((dop853.D.shape[0] + 3, y.size))
-    F[0] = delta_y
-    F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (K[dop853.N_STAGES] + f_old)
-    F[3:] = h * np.dot(dop853.D, K)
-    return F
-
-
-def _dense_values(piece: list, t: np.ndarray, out: np.ndarray):
+def _dense_values(piece: list, Ks: np.ndarray, t: np.ndarray,
+                  out: np.ndarray):
     """Write DOP853 interpolants' values at their samples into out.
 
-    piece holds (t_old, h, y_old, F, i, j) for consecutive steps: the
-    step's start, size, start state and interpolant coefficients,
-    covering the samples t[i:j] and the columns out[:, i:j], so the piece
-    covers one run of samples.  The evaluation is scipy's
-    Dop853DenseOutput Horner scheme, its elementwise operations in its
-    order, over all the piece's samples at once, so every value keeps its
-    bits."""
-    t_old, h, y_old, F, lo, hi = zip(*piece)
+    piece holds (t_old, h, y_old, y, i, j) for P consecutive steps: the
+    step's start, size, start and end states, covering the samples t[i:j]
+    and the columns out[:, i:j], so the piece covers one run of samples;
+    Ks[:P] holds their stage buffers.  The coefficients F are scipy's
+    DOP853._dense_output_impl's, its h np.dot(D, K) one np.matmul for the
+    piece, and the evaluation its Dop853DenseOutput Horner scheme over
+    all the piece's samples, elementwise operations in scipy's order, so
+    every value keeps its bits."""
+    t_old, h, y_old, y, lo, hi = zip(*piece)
+    K, h = Ks[:len(piece)], np.array(h)[:, None]
+    y_old = np.stack(y_old)
+    f_old, delta_y = K[:, 0], np.stack(y) - y_old
+    F = np.empty((len(piece), dop853.D.shape[0] + 3, y_old.shape[1]))
+    F[:, 0] = delta_y
+    F[:, 1] = h * f_old - delta_y
+    F[:, 2] = 2 * delta_y - h * (K[:, dop853.N_STAGES] + f_old)
+    F[:, 3:] = h[:, :, None] * np.matmul(dop853.D, K)
     at = np.repeat(np.arange(len(piece)), np.subtract(hi, lo))
-    x = ((t[lo[0]:hi[-1]] - np.array(t_old)[at]) / np.array(h)[at])[:, None]
-    F = np.stack(F)[at]  # (samples, powers, n)
+    x = ((t[lo[0]:hi[-1]] - np.array(t_old)[at]) / h[at, 0])[:, None]
     y = np.zeros((at.size, F.shape[2]))
     for i in range(F.shape[1]):
-        y += F[:, -1 - i]
+        y += F[at, -1 - i]
         y *= x if i % 2 == 0 else 1 - x
-    y += np.stack(y_old)[at]
+    y += y_old[at]
     out[:, lo[0]:hi[-1]] = y.T
 
 
@@ -341,10 +353,11 @@ def integrate_ode(field_fn: Callable, x0, tau0: float, tau1: float,
     sampled at t_eval, at rtol = atol = tol >= RTOL_MIN: _solve's run,
     solve_ivp's to the bit.  field_fn is called directly, once per stage,
     with tau a Python float after the two calls that pick the first
-    step; it returns len(x0) values.  Raises IntegrationError on
-    step-size underflow, at the time the solver stopped whatever t_eval
-    holds, or on non-finite output, at its first non-finite sample.
-    """
+    step, and x a buffer of the driver's, valid only during the call,
+    which it neither keeps nor writes; it returns len(x0) values.  Raises
+    IntegrationError on step-size underflow, at the time the solver
+    stopped whatever t_eval holds, or on non-finite output, at its first
+    non-finite sample."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     times, values = _solve(field_fn, x0, tau0, tau1, tol, t_eval)
     return Trajectory(times=times, states=values.T)
@@ -360,16 +373,16 @@ def integrate_ode_batch(field_fn: Callable, x0s, tau0: float, tau1: float,
 
     x0s has shape (m, d).  The m states are stacked component-major into
     one vector of length d*m, and field_fn(tau, y) is called with y of
-    shape (d, m), so a field written with array operations (rhs_primary)
-    serves every member in one call; it returns d arrays of length m,
-    and may return one (d, m) buffer that it rewrites on every call
-    (model.rhs_primary_into), since _solve copies what it keeps.
-    One adaptive run with shared steps replaces m runs, stepped by _solve
-    like integrate_ode's (DOP853's step, one field call per stage
-    for all members), and the result is split into m Trajectory
-    objects.  Nothing is truncated: a failed run or non-finite output
-    raises IntegrationError, and a member that blows up makes the shared
-    run fail where its solo run would, at the time the solver stopped.
+    shape (d, m), a view of _solve's buffer valid only during the call,
+    which it neither keeps nor writes; a field written with array
+    operations (rhs_primary) serves every member in one call.  It returns
+    d arrays of length m, or one (d, m) buffer that it rewrites on every
+    call (model.rhs_primary_into), since _solve copies what it keeps.
+    One adaptive run with shared steps, one field call per stage for all
+    members, replaces m runs, and is split into m Trajectory objects.
+    Nothing is truncated: a failed run or non-finite output raises
+    IntegrationError, and a member that blows up makes the shared run
+    fail where its solo run would, at the time the solver stopped.
 
     The run uses rtol = atol = tol/sqrt(m) with tol = 1e-10.  For a solver that
     accepts a step when the RMS over all d*m components of

@@ -271,11 +271,16 @@ def n_chans_of(noise):
 
 def plain_solve(field_fn, y0, tau0, tau1, tol, t_eval, stats=None):
     """integrators._solve, or _solve_backward when tau1 < tau0, as one
-    solve_ivp call: (times, values), the same errors, but a failed run is located at the last t_eval sample
-    passed, not where the solver stopped.  stats, a dict when given,
-    receives solve_ivp's count of field calls as stats["nfev"]."""
+    solve_ivp call: (times, values), the same errors, but a failed run is
+    located at the last t_eval sample passed, not where the solver
+    stopped.  solve_ivp keeps the arrays a field returns, so each value
+    is copied: a field may return one buffer it rewrites (fig1's), as
+    the driver allows.  stats, a dict when given, receives solve_ivp's
+    count of field calls as stats["nfev"]."""
+    def fresh(t, y):
+        return np.array(field_fn(t, y), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(field_fn, (tau0, tau1), y0, method="DOP853",
+        sol = solve_ivp(fresh, (tau0, tau1), y0, method="DOP853",
                         rtol=tol, atol=tol, t_eval=t_eval, dense_output=False)
     if stats is not None:
         stats["nfev"] = sol.nfev

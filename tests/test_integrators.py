@@ -281,16 +281,21 @@ _SOLVES = {
 }
 
 
-def _counted(solve, calls: list):
-    """solve with its field wrapped in a call counter: each run appends
-    its field calls to calls."""
-    def run(field_fn, *args):
-        calls.append(0)
+def _recorded(solve, runs: list):
+    """solve with its field wrapped in a recorder: each run appends to
+    runs the (t, y) of its field calls in order, y copied, since the
+    driver hands the field a buffer it rewrites.  A backward run (tau1 <
+    tau0) records its times negated, as the calls of the time-reversed
+    field that _solve_backward hands to _solve."""
+    def run(field_fn, y0, tau0, tau1, *args):
+        sign = -1.0 if tau1 < tau0 else 1.0
+        calls = []
+        runs.append(calls)
 
         def field(t, y):
-            calls[-1] += 1
+            calls.append((sign * t, np.array(y, dtype=float)))
             return field_fn(t, y)
-        return solve(field, *args)
+        return solve(field, y0, tau0, tau1, *args)
     return run
 
 
@@ -298,13 +303,13 @@ def _counted(solve, calls: list):
 def solve_ivp_runs():
     """Each _SOLVES case through oracles.plain_solve, run once, backward
     cases as scipy's backward run: (times, values, solve_ivp's nfev,
-    field calls counted)."""
+    field calls recorded)."""
     return {}
 
 
 def _oracle(solve_ivp_runs, case, params, monkeypatch):
     if case not in solve_ivp_runs:
-        calls, nfev = [], []
+        runs, nfev = [], []
 
         def oracle(*args):
             stats = {}
@@ -313,9 +318,9 @@ def _oracle(solve_ivp_runs, case, params, monkeypatch):
             return out
         with monkeypatch.context() as mp:
             for name in ("_solve", "_solve_backward"):
-                mp.setattr(integrators, name, _counted(oracle, calls))
+                mp.setattr(integrators, name, _recorded(oracle, runs))
             t, y = _SOLVES[case](params)
-        solve_ivp_runs[case] = t, y, nfev, calls
+        solve_ivp_runs[case] = t, y, nfev, runs
     return solve_ivp_runs[case]
 
 
@@ -333,17 +338,24 @@ def test_driver_is_solve_ivp_bit_for_bit(params, monkeypatch,
 @pytest.mark.parametrize("case", list(_SOLVES))
 def test_driver_makes_solve_ivp_field_calls(params, monkeypatch,
                                             solve_ivp_runs, case):
-    # equal samples could come from other steps; equal field calls show
-    # the same steps, rejections and dense-output stages ran.  A backward
-    # case's calls are those of its reversed field, made by _solve
-    _, _, nfev, oracle_calls = _oracle(solve_ivp_runs, case, params,
-                                       monkeypatch)
-    assert oracle_calls == nfev
-    calls = []
+    # equal samples could come from other steps; equal field calls, each
+    # at the same time and state to the bit, show the same stages,
+    # rejections and dense-output stages ran.  A backward case's calls
+    # are those of its reversed field, made by _solve
+    _, _, nfev, oracle_runs = _oracle(solve_ivp_runs, case, params,
+                                      monkeypatch)
+    assert [len(calls) for calls in oracle_runs] == nfev
+    runs = []
     monkeypatch.setattr(integrators, "_solve",
-                        _counted(integrators._solve, calls))
+                        _recorded(integrators._solve, runs))
     _SOLVES[case](params)
-    assert calls == nfev
+    assert [len(calls) for calls in runs] == nfev
+    for got, want in zip(runs, oracle_runs):
+        got_t, got_y = zip(*got)
+        want_t, want_y = zip(*want)
+        assert np.array_equal(_bits(got_t), _bits(want_t))
+        assert np.array_equal(_bits(np.stack(got_y)),
+                              _bits(np.stack(want_y)))
 
 
 def test_pendulum_case_rejects_steps(params, monkeypatch):

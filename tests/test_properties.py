@@ -2,8 +2,9 @@
 ensemble's path blocks, the noise-class bound, the reference spline
 against scipy's CubicSpline, the in-place drift writer against
 rhs_primary, the series residual's decay, noise schedules on the step
-grid, and ensemble outputs under any chunk length, block width and
-amplitude stacking, over generated inputs."""
+grid, the numpy identities the DOP853 driver leans on, and ensemble
+outputs under any chunk length, block width and amplitude stacking,
+over generated inputs."""
 
 import dataclasses
 import math
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicSpline
 
+from autores import dop853_coefficients as dop853
 from autores import ensemble, integrators
 from autores.asymptotics import STABLE, expand, residual_slope
 from autores.ensemble import (EnsembleConfig, run_ensemble, run_ensembles,
@@ -301,3 +303,37 @@ def test_outputs_do_not_depend_on_chunks_blocks_or_stacking(
             else:
                 assert a == b, field.name
     assert report == case["report"]
+
+
+@st.composite
+def _stage_stacks(draw):
+    # P stage buffers of 16 rows of n values, like a dense piece's: each
+    # row scaled by its own power of ten across 1e-150..1e150, with zeros
+    # of either sign
+    n, P = draw(st.integers(1, 70)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exps = draw(arrays(np.int64, (P, dop853.N_STAGES_EXTENDED, 1),
+                       elements=st.integers(-150, 150)))
+    K = rng.standard_normal((P, dop853.N_STAGES_EXTENDED, n)) * 10.0 ** exps
+    zero = rng.random(K.shape) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    K[zero] = np.copysign(0.0, rng.standard_normal(zero.sum()))
+    return K
+
+
+@settings(max_examples=300, deadline=None)
+@given(Ks=_stage_stacks())
+def test_driver_numpy_identities(Ks):
+    # the DOP853 driver's reshaped numpy calls keep the bits of the calls
+    # scipy makes: one np.matmul over a piece's stage buffers is np.dot
+    # per buffer; a stage sum written through out= is the fresh one; and
+    # sqrt(v.dot(v)) ** 2 is np.linalg.norm(v) ** 2
+    stacked = np.matmul(dop853.D, Ks)
+    for K, got in zip(Ks, stacked):
+        assert np.array_equal(_bits(got), _bits(np.dot(dop853.D, K)))
+    K, y_s = Ks[0], np.empty(Ks.shape[2])
+    for s, a in enumerate(dop853.A[1:], start=1):
+        np.dot(K[:s].T, a[:s], out=y_s)
+        assert np.array_equal(_bits(y_s), _bits(np.dot(K[:s].T, a[:s])))
+    for v in K:
+        assert (_bits(math.sqrt(v.dot(v)) ** 2)
+                == _bits(float(np.linalg.norm(v) ** 2)))
