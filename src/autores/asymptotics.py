@@ -69,16 +69,6 @@ def _residual_coeffs(gamma: float, lam: float, psi0: float,
     at the same order as everything else.
     """
     n = K + 2  # keep one extra order so shifted products stay exact through K
-
-    def mul(a, b):
-        out = np.zeros(n)
-        for i, ai in enumerate(a):
-            if ai == 0.0:
-                continue
-            jmax = n - i
-            out[i:i + jmax] += ai * b[:jmax]
-        return out
-
     P = np.zeros(n)
     P[1:K + 1] = psi[:K]
     # cos(P), sin(P) as truncated Taylor series; P = O(x) so P^m needs m <= n
@@ -88,7 +78,7 @@ def _residual_coeffs(gamma: float, lam: float, psi0: float,
     term = np.zeros(n)
     term[0] = 1.0  # running P^m / m!
     for m in range(1, n):
-        term = mul(term, P) / m
+        term = np.convolve(term, P)[:n] / m
         if m % 2 == 1:
             sinP += term * (-1.0) ** ((m - 1) // 2)
         else:
@@ -103,7 +93,7 @@ def _residual_coeffs(gamma: float, lam: float, psi0: float,
     S[0] -= gamma  # vanishes identically when sin psi0 = gamma
 
     # amplitude equation: d/dtau(lam/x + R) = (lam/x + R)(sin psi - gamma)
-    RS = mul(R, S)
+    RS = np.convolve(R, S)[:n]
     rhs1 = np.zeros(n)
     rhs1[:n - 1] += lam * S[1:]  # the lam/x factor shifts S down one order
     rhs1 += RS
@@ -124,38 +114,30 @@ def _residual_coeffs(gamma: float, lam: float, psi0: float,
 def expand(p: SystemParams, branch: str, K: int) -> AsymptoticExpansion:
     """Coefficients through order K by matching powers of 1/tau.
 
-    At each order j the two residual coefficients are affine in the pair
-    of new unknowns (r_j, psi_{j+1}); the phase-equation row involves only
-    r_j, so the system is triangular and is solved explicitly.  Raises
-    ArithmeticError naming the order if a pivot degenerates (it cannot for
-    valid parameters, where both pivots are bounded away from zero).
+    At order j the residual coefficients are affine in the new unknowns
+    (r_j, psi_{j+1}) with closed-form pivots: the phase row is known
+    terms - r_j, the amplitude row known terms - (sin psi0 - gamma) r_j -
+    lam cos psi0 psi_{j+1}.  So one residual evaluation with both at zero
+    solves the order, and no pivot vanishes (|cos psi0| = sqrt(1 -
+    gamma^2)).  The coefficients grow factorially; one that overflows
+    raises ArithmeticError naming its order.
     """
     if K < 0:
         raise ValueError(f"order K must be >= 0, got {K}")
     psi0 = solve_psi0(p, branch)
+    coupling = np.sin(psi0) - p.gamma  # the residual's S[0], bit for bit
+    phase_pivot = p.lam * np.cos(psi0)
     r = np.zeros(K + 1)
     psi = np.zeros(K)
-
-    def resid_at(j, rj, pj1):
-        rr = r.copy()
-        pp = psi.copy()
-        rr[j] = rj
-        if j < K:
-            pp[j] = pj1
-        e1, e2 = _residual_coeffs(p.gamma, p.lam, psi0, rr, pp, K)
-        return np.array([e1[j], e2[j]])
-
-    for j in range(K + 1):
-        b = resid_at(j, 0.0, 0.0)
-        d_r = resid_at(j, 1.0, 0.0) - b    # residual response to r_j
-        if abs(d_r[1]) < 1e-12:
-            raise ArithmeticError(f"degenerate amplitude pivot at order {j}")
-        r[j] = -b[1] / d_r[1]
-        if j < K:
-            d_p = resid_at(j, 0.0, 1.0) - b  # residual response to psi_{j+1}
-            if abs(d_p[0]) < 1e-12 * max(1.0, p.lam):
-                raise ArithmeticError(f"degenerate phase pivot at order {j}")
-            psi[j] = -(b[0] + d_r[0] * r[j]) / d_p[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(K + 1):
+            e_r, e_psi = _residual_coeffs(p.gamma, p.lam, psi0, r, psi, K)
+            r[j] = e_psi[j]
+            if j < K:
+                psi[j] = (e_r[j] - coupling * r[j]) / phase_pivot
+            if not (np.isfinite(r[j]) and np.isfinite(psi[j:j + 1]).all()):
+                raise ArithmeticError(
+                    f"series coefficient at order {j} is not finite")
 
     return AsymptoticExpansion(branch=branch, psi0=psi0,
                                r_coeffs=r, psi_coeffs=psi, order=K)

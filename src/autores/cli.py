@@ -316,10 +316,17 @@ def _cmd_series(cfg: dict, out: Path):
         if cfg["tau_max"] <= cfg["tau_min"]:
             raise ConfigError("tau_max", "must exceed tau_min")
     e = expand(p, cfg["branch"], cfg["order"])
-    _write_json(out / "coefficients.json", e.to_dict(p))
     if on_grid:
         tau = np.geomspace(cfg["tau_min"], cfg["tau_max"], cfg["tau_n"])
-        r, psi = evaluate(e, p, tau)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r, psi = evaluate(e, p, tau)
+        finite = np.isfinite(r) & np.isfinite(psi)
+        if not finite.all():  # powers of 1/tau overflow low, lam*tau high
+            raise ConfigError("tau_max" if finite[0] else "tau_min",
+                              f"the order-{e.order} series is not finite "
+                              f"at tau = {float(tau[~finite][0])!r}")
+    _write_json(out / "coefficients.json", e.to_dict(p))
+    if on_grid:
         _write_csv(out / "series.csv", "autores.series", ("tau", "r", "psi"),
                    (tau, r, psi))
 

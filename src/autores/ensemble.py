@@ -311,6 +311,19 @@ class _ExitObserver(_TubeObserver):
         return self.exited[cols]
 
 
+def _out_of_class(cfg: EnsembleConfig, ok: Optional[bool]) -> bool:
+    """Whether cfg's noise schedule leaves its class (sup over the run of
+    |sigma1| tau + |sigma2| above h), which raises ValueError unless ok;
+    ok None: the caller has no out-of-class override to name."""
+    check = noise_class_check(cfg.noise, max(cfg.tau0, 1e-6))
+    if not check["admissible"] and not ok:
+        raise ValueError(
+            f"noise schedule not in class (bound {check['bound']}, h "
+            f"{cfg.noise.h})" + ("" if ok is None else
+                                 "; pass out_of_class_ok=True to run anyway"))
+    return not check["admissible"]
+
+
 def _tube_runs(cfg: EnsembleConfig, mus: Sequence[float],
                ref: Optional[ReferenceSolution], out_of_class_ok: bool,
                observer) -> tuple:
@@ -321,12 +334,7 @@ def _tube_runs(cfg: EnsembleConfig, mus: Sequence[float],
         raise ValueError("need at least one noise amplitude")
     for mu in mus:
         replace(cfg.noise, mu=mu)  # NoiseSchedule refuses mu outside (0, 1)
-    check = noise_class_check(cfg.noise, max(cfg.tau0, 1e-6))
-    out_of_class = not check["admissible"]
-    if out_of_class and not out_of_class_ok:
-        raise ValueError(
-            f"noise schedule not in class (bound {check['bound']}, "
-            f"h {cfg.noise.h}); pass out_of_class_ok=True to run anyway")
+    out_of_class = _out_of_class(cfg, out_of_class_ok)
     tau, star = _precompute_step_grid(cfg, ref)
     per_mu = _run_blocks(cfg, mus, tau,
                          perturbed_terms(cfg.params, cfg.noise, tau),
@@ -590,13 +598,15 @@ def supermartingale_check(cfg: EnsembleConfig, cert: StabilityCertificate,
     mean-start/c bound, within 3 standard errors.  The window [tau0,
     tau0 + horizon] must lie in the reference domain: outside it the error
     system has no reference to deviate from.  It must also start no
-    earlier than cert.tau0, from where the certified inequalities hold.
-    threads is accepted for older callers and has no effect: the blocks
-    run on the calling thread.
+    earlier than cert.tau0, from where the certified inequalities hold,
+    and its noise schedule must be in class, since U_1's constant assumes
+    the class bound h.  threads is accepted for older callers and has no
+    effect: the blocks run on the calling thread.
     """
     if N != 1:
         raise NotImplementedError("only the N=1 comparison chain is testable "
                                   "with closed-form constants")
+    _out_of_class(cfg, None)
     tau, star = _precompute_step_grid(cfg, ref)
     if cfg.tau0 < cert.tau0:
         raise ValueError(f"window starts at tau0 {cfg.tau0}, before the "

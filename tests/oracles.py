@@ -20,10 +20,14 @@ one spline per component, and plain_tube_samples,
 plain_inequality_slacks and plain_first_violation are certify's tube as
 flat arrays that read the reference at every sample, with one slack
 array per inequality.
+mp_series is asymptotics.expand in mpmath arithmetic, with cos and sin of
+the phase series from their own derivative recurrence instead of Taylor
+composition.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
@@ -361,3 +365,46 @@ def plain_first_violation(R, Psi, tau, lo, hi, decay):
     idx = int(np.argmin((lo, hi, decay)[which]))
     return (f"{names[which]} inequality violated", float(tau[idx]),
             float(R[idx]), float(Psi[idx]))
+
+
+def mp_series(lam, gamma, branch, K, dps=70):
+    """(r_0..r_K, psi_1..psi_K) of the captured-solution series, solved
+    order by order at dps digits and rounded to floats.  With x = 1/tau,
+    P = psi - psi0 = sum P_k x^k, C = cos P and S = sin P obey
+    k C_k = -sum_m m P_m S_(k-m) and k S_k = sum_m m P_m C_(k-m).  At
+    order j the phase equation d psi/dtau = r - lam tau + cos psi gives
+    r_j, and the amplitude equation dr/dtau = r (sin psi - gamma) then
+    gives psi_(j+1), the only unknown in its x^(j+1) coefficient of sin."""
+    with mpmath.workdps(dps):
+        lam, gamma = mpmath.mpf(lam), mpmath.mpf(gamma)
+        psi0 = mpmath.asin(gamma)
+        if branch == asymptotics.STABLE:
+            psi0 = mpmath.pi - psi0
+        s0, c0 = mpmath.sin(psi0), mpmath.cos(psi0)
+        zero = mpmath.mpf(0)
+        r, P = [zero] * (K + 1), [zero] * (K + 2)
+        C, S = [mpmath.mpf(1)] + [zero] * (K + 1), [zero] * (K + 2)
+
+        def trig(k):
+            ms = range(1, k + 1)
+            C[k] = -mpmath.fsum(m * P[m] * S[k - m] for m in ms) / k
+            S[k] = mpmath.fsum(m * P[m] * C[k - m] for m in ms) / k
+
+        def sin_psi(k):  # coefficient k of sin psi - gamma
+            return s0 * C[k] + c0 * S[k] - (gamma if k == 0 else 0)
+
+        for j in range(K + 1):
+            # x^j of the phase equation: -(j-1) P_(j-1) = r_j + (cos psi)_j
+            r[j] = -(j - 1) * P[j - 1] * (j >= 2) - (c0 * C[j] - s0 * S[j])
+            if j == K:
+                break
+            # x^j of the amplitude equation, with lam tau + R for r:
+            # lam [j = 0] - (j-1) r_(j-1) = lam (sin psi)_(j+1)
+            #                              + sum_i r_i (sin psi - gamma)_(j-i)
+            trig(j + 1)  # with P_(j+1) = 0, so S_(j+1) lacks its P_(j+1)
+            lhs = lam * (j == 0) - (j - 1) * r[j - 1] * (j >= 2)
+            known = lam * sin_psi(j + 1) + mpmath.fsum(
+                r[i] * sin_psi(j - i) for i in range(j + 1))
+            P[j + 1] = (lhs - known) / (lam * c0)
+            trig(j + 1)
+        return ([float(c) for c in r], [float(c) for c in P[1:K + 1]])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from autores import SystemParams
 from autores.asymptotics import (STABLE, UNSTABLE, evaluate,
                                  evaluate_derivative, expand, residual,
                                  residual_slope, solve_psi0)
+from oracles import mp_series
 
 # regression values produced by the recurrence itself at gamma=0.1, lam=1
 STABLE_PSI0 = 3.0414252324282334
@@ -72,6 +74,39 @@ def test_orders_are_consistent(p):
     hi = expand(p, STABLE, 6)
     assert list(hi.r_coeffs[:3]) == list(lo.r_coeffs)
     assert list(hi.psi_coeffs[:2]) == list(lo.psi_coeffs)
+
+
+# (lam, gamma, branch, K) -> relative tolerance where 1e-12 does not hold:
+# at lam 3, gamma 0.9 the order-64 coefficients come out of sums of terms
+# up to 100 times their size (psi_63 against r_63), and even the
+# oracle's own recurrence in 16-digit arithmetic is 4.9e-13 off there;
+# expand is 4.8e-12 off
+SERIES_RTOL = {(3.0, 0.9, STABLE, 64): 1e-11}
+
+
+@pytest.mark.parametrize("K", [16, 32, 64])
+@pytest.mark.parametrize("branch", [STABLE, UNSTABLE])
+@pytest.mark.parametrize("lam, gamma", [(1.0, 0.1), (2.0, 0.7), (0.5, 0.3),
+                                        (3.0, 0.9), (0.1, 0.5)])
+def test_coefficients_match_high_precision_oracle(lam, gamma, branch, K):
+    # the coefficients grow factorially (about 5e59 at order 64 for lam 1,
+    # gamma 0.1); each must still hold its relative accuracy
+    e = expand(SystemParams(lam=lam, gamma=gamma), branch, K)
+    want_r, want_psi = mp_series(lam, gamma, branch, K)
+    rtol = SERIES_RTOL.get((lam, gamma, branch, K), 1e-12)
+    np.testing.assert_allclose(e.r_coeffs, want_r, rtol=rtol, atol=0)
+    np.testing.assert_allclose(e.psi_coeffs, want_psi, rtol=rtol, atol=0)
+
+
+def test_overflowing_order_raises_silently():
+    # at lam 1e-9 the coefficients pass the float range before order 64;
+    # the error names the order and no RuntimeWarning escapes
+    p = SystemParams(lam=1e-9, gamma=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError,
+                           match=r"at order \d+ is not finite"):
+            expand(p, STABLE, 64)
 
 
 def test_evaluate_is_the_polynomial(p):

@@ -120,12 +120,39 @@ def test_series_outputs(tmp_path):
     assert manifest["subcommand"] == "series"
     assert manifest["config"]["order"] == 3
 
+    # the higher orders the schema accepts are solved too
+    code, out = _run(tmp_path, "series", {**SERIES_CFG, "order": 32},
+                     outname="out32")
+    assert code == 0
+    coeff = json.loads((out / "coefficients.json").read_text())
+    assert len(coeff["r"]) == 33 and len(coeff["psi"]) == 32
+    assert all(math.isfinite(c) for c in coeff["r"] + coeff["psi"])
+
 
 def test_series_partial_grid_writes_nothing(tmp_path, capsys):
     # the tau_* fields go together; a config error leaves no artifact
     code, out = _run(tmp_path, "series", {**SERIES_CFG, "tau_min": 10.0})
     assert code == 2
     assert "tau_min" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_series_overflowing_grid_writes_nothing(tmp_path, capsys):
+    # at tau 1e-200 the powers of 1/tau overflow; the grid is a config
+    # error before any file is written, and no RuntimeWarning escapes
+    cfg = {**SERIES_CFG, "tau_min": 1e-200, "tau_max": 10.0, "tau_n": 3}
+    code, out = _run(tmp_path, "series", cfg)
+    assert code == 2
+    assert "field 'tau_min'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_series_overflowing_order_exit1(tmp_path, capsys):
+    # at lam 1e-9 the coefficients pass the float range at order 35
+    code, out = _run(tmp_path, "series",
+                     {"gamma": 0.5, "lam": 1e-9, "order": 64})
+    assert code == 1
+    assert "at order 35 is not finite" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 

@@ -336,6 +336,17 @@ def test_supermartingale_depth_limit(ref, cert, cfg_maker):
         supermartingale_check(cfg, cert, N=2, ref=ref)
 
 
+def test_supermartingale_refuses_out_of_class_schedule(ref, cert,
+                                                       cfg_maker):
+    # U_1's constant assumes the class bound h; sigma2 5 against h 1 is
+    # outside it, so the check has nothing to test and no override
+    cfg = cfg_maker(mu=0.05, n_paths=100, horizon=1.0, x0=(0.0, 0.0),
+                    tau0=cert.tau0, noise=_noise(0.05, s2=5.0))
+    with pytest.raises(ValueError, match="not in class") as exc:
+        supermartingale_check(cfg, cert, N=1, ref=ref)
+    assert "out_of_class_ok" not in str(exc.value)
+
+
 @pytest.mark.parametrize("tau0, match", [
     pytest.param(395.0, "reference domain", id="395.0"),
     pytest.param(2.0, "reference domain", id="2.0"),

@@ -9,8 +9,8 @@ from autores import lyapunov
 from autores.integrators import integrate_ode
 from autores.lyapunov import (NoCertificate, StabilityCertificate, certify,
                               chain_U, chain_a, dV_dtau, eval_V, grad_V,
-                              noise_class_check, spot_check, thresholds,
-                              thresholds_beta, weighted_norm)
+                              hess_V, noise_class_check, spot_check,
+                              thresholds, thresholds_beta, weighted_norm)
 from oracles import (plain_first_violation, plain_inequality_slacks,
                      plain_tube_samples)
 
@@ -63,6 +63,26 @@ def test_grad_matches_finite_difference(params, ref):
           - eval_V((e[0], e[1] - h), tau, params, star)) / (2 * h)
     assert gr == pytest.approx(fr, rel=1e-5, abs=1e-9)
     assert gp == pytest.approx(fp, rel=1e-5, abs=1e-9)
+
+
+def test_hessian_matches_difference_of_gradient(params, ref, cert):
+    # certify reads its C from hess_V; central differences of grad_V at
+    # points of the certified tube check each closed-form entry
+    R, Psi, taus = _tube_points(cert.d0, cert.tau0, 300.0, 200, seed=7)
+    star = ref.state(taus)
+    h = 1e-5
+
+    def grad_at(dR, dPsi):
+        return grad_V((R + dR, Psi + dPsi), taus, params, star)
+
+    (gR_hi, gP_hi), (gR_lo, gP_lo) = grad_at(h, 0.0), grad_at(-h, 0.0)
+    d_R = ((gR_hi - gR_lo) / (2 * h), (gP_hi - gP_lo) / (2 * h))
+    (gR_hi, gP_hi), (gR_lo, gP_lo) = grad_at(0.0, h), grad_at(0.0, -h)
+    d_Psi = ((gR_hi - gR_lo) / (2 * h), (gP_hi - gP_lo) / (2 * h))
+    V_RR, V_RP, V_PP = hess_V((R, Psi), taus, params, star)
+    for got, want in ((V_RR, d_R[0]), (V_RP, d_R[1]), (V_RP, d_Psi[0]),
+                      (V_PP, d_Psi[1])):
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
 
 
 def test_certificate_regression(params, cert):
