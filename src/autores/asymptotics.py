@@ -143,37 +143,43 @@ def expand(p: SystemParams, branch: str, K: int) -> AsymptoticExpansion:
                                r_coeffs=r, psi_coeffs=psi, order=K)
 
 
+def _checked(e: AsymptoticExpansion, tau, what: str, form) -> tuple:
+    """form(tau, 1/tau) as two arrays of tau's shape, tau > 0 (what names
+    the caller otherwise).  ValueError names the first tau where a value
+    is not finite, where the powers of 1/tau (or lam tau) overflow."""
+    tau = np.asarray(tau, dtype=float)
+    if not np.all(tau > 0):  # NaN included
+        raise ValueError(f"{what} requires tau > 0")
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = (v + np.zeros_like(tau) for v in form(tau, 1.0 / tau))
+    bad = ~(np.isfinite(a) & np.isfinite(b))
+    if bad.any():
+        raise ValueError(f"the order-{e.order} series is not finite at "
+                         f"tau = {float(tau[bad][0])!r}")
+    return a, b
+
+
 def evaluate(e: AsymptoticExpansion, p: SystemParams, tau):
     """Truncated series value (r, psi) at tau > 0; accepts arrays."""
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau <= 0):
-        raise ValueError("series evaluation requires tau > 0")
-    x = 1.0 / tau
-    r = p.lam * tau + sum(e.r_coeffs[k] * x ** k for k in range(e.order + 1))
-    psi = e.psi0 + sum(e.psi_coeffs[k - 1] * x ** k for k in range(1, e.order + 1))
-    return r, psi + np.zeros_like(tau)
+    return _checked(e, tau, "series evaluation", lambda tau, x: (
+        p.lam * tau + sum(c * x ** k for k, c in enumerate(e.r_coeffs)),
+        e.psi0 + sum(c * x ** k for k, c in enumerate(e.psi_coeffs, 1))))
 
 
 def evaluate_derivative(e: AsymptoticExpansion, p: SystemParams, tau):
-    """Exact tau-derivative of the truncated series."""
-    tau = np.asarray(tau, dtype=float)
-    x = 1.0 / tau
-    dr = p.lam + sum(-k * e.r_coeffs[k] * x ** (k + 1)
-                     for k in range(1, e.order + 1))
-    dpsi = sum(-k * e.psi_coeffs[k - 1] * x ** (k + 1)
-               for k in range(1, e.order + 1))
-    return dr + np.zeros_like(tau), dpsi + np.zeros_like(tau)
+    """Exact tau-derivative of the truncated series at tau > 0."""
+    return _checked(e, tau, "series derivative", lambda tau, x: (
+        p.lam + sum(-k * c * x ** (k + 1)
+                    for k, c in enumerate(e.r_coeffs[1:], 1)),
+        sum(-k * c * x ** (k + 1) for k, c in enumerate(e.psi_coeffs, 1))))
 
 
 def residual(e: AsymptoticExpansion, p: SystemParams, tau) -> Tuple:
-    """Defect of the truncation in both equations at tau.
+    """Defect of the truncation in both equations at tau > 0.
 
     Returns (series derivative minus field) componentwise; the norm decays
     like a power of tau whose exponent improves with the order.
     """
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau <= 0):
-        raise ValueError("residual requires tau > 0")
     dr, dpsi = evaluate_derivative(e, p, tau)
     f_r, f_psi = rhs_primary(evaluate(e, p, tau), tau, p)
     return dr - f_r, dpsi - f_psi

@@ -318,13 +318,13 @@ def _cmd_series(cfg: dict, out: Path):
     e = expand(p, cfg["branch"], cfg["order"])
     if on_grid:
         tau = np.geomspace(cfg["tau_min"], cfg["tau_max"], cfg["tau_n"])
-        with np.errstate(over="ignore", invalid="ignore"):
-            r, psi = evaluate(e, p, tau)
-        finite = np.isfinite(r) & np.isfinite(psi)
-        if not finite.all():  # powers of 1/tau overflow low, lam*tau high
-            raise ConfigError("tau_max" if finite[0] else "tau_min",
-                              f"the order-{e.order} series is not finite "
-                              f"at tau = {float(tau[~finite][0])!r}")
+        # powers of 1/tau overflow low, lam*tau high: a grid whose first
+        # point is finite fails at its upper end
+        for name, grid in (("tau_min", tau[:1]), ("tau_max", tau)):
+            try:
+                r, psi = evaluate(e, p, grid)
+            except ValueError as exc:
+                raise ConfigError(name, str(exc)) from None
     _write_json(out / "coefficients.json", e.to_dict(p))
     if on_grid:
         _write_csv(out / "series.csv", "autores.series", ("tau", "r", "psi"),

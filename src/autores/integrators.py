@@ -3,8 +3,9 @@
 The adaptive side takes the steps of the embedded Runge-Kutta pair DOP853,
 with dense output, as scipy's solve_ivp takes them: the tableau is a
 verbatim copy of scipy's (dop853_coefficients), and the start, the step and
-the interpolant are ports of scipy's code that keep its numpy calls, so a
-run gives solve_ivp's bits.  A field gets its state in a buffer the driver
+the interpolant are ports of scipy's code that keep its numpy calls (its
+sums as ndarray.dot, np.dot's routine without the dispatcher), so a run
+gives solve_ivp's bits.  A field gets its state in a buffer the driver
 rewrites, valid only during the call, and neither keeps nor writes it.  The
 driver runs forward only; a backward run is the forward run of the
 time-reversed field.  The reference solution is read from a not-a-knot
@@ -217,9 +218,10 @@ def _run_stages(fun: Callable, K: np.ndarray, stages: list, t: float,
                 y: np.ndarray, h: float, y_s: np.ndarray):
     """K[s] = fun(t + c h, y + np.dot(K[:s].T, a) * h) for the stages
     (_stages), scipy's bits: fun gets the state in the buffer y_s, formed
-    as np.dot(K[:s].T, a) * h + y, since IEEE addition commutes."""
+    as K[:s].T.dot(a) * h + y, since IEEE addition commutes.  ndarray.dot
+    is np.dot's routine without the dispatcher: the same BLAS call."""
     for s, K_s, a, c in stages:
-        np.dot(K_s, a, out=y_s)
+        K_s.dot(a, y_s)
         y_s *= h
         y_s += y
         K[s] = fun(t + c * h, y_s)
@@ -240,12 +242,13 @@ def _dop853_steps(fun: Callable, K: np.ndarray, t: float, y: np.ndarray,
     makes, with the same shapes: each stage sum np.dot(K[:s].T, a) * h,
     the solution update, the error scale and the error vectors.  The
     stage sums cannot become Python sums, since BLAS's dot does not round
-    as a sequential sum does.  What goes is overhead: the field is called
-    directly, not through scipy's counting and asarray wrappers, the
-    stage views are made once (_stages), |y_new| is kept as the next
-    step's |y|, the error norms are np.linalg.norm's sqrt(v.dot(v))
-    without its checks, and t, h and the step control are Python floats,
-    which round as numpy's scalars do.
+    as a sequential sum does.  What goes is overhead: each sum is
+    ndarray.dot, np.dot's routine without its Python-level dispatcher,
+    the field is called directly, not through scipy's counting and
+    asarray wrappers, the stage views are made once (_stages), |y_new|
+    is kept as the next step's |y|, the error norms are np.linalg.norm's
+    sqrt(v.dot(v)) without its checks, and t, h and the step control are
+    Python floats, which round as numpy's scalars do.
 
     A step size below ten spacings of t raises IntegrationError with
     scipy's message at t."""
@@ -267,11 +270,11 @@ def _dop853_steps(fun: Callable, K: np.ndarray, t: float, y: np.ndarray,
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
             _run_stages(fun, K, stages, t, y, h, y_s)
-            y_new = y + h * np.dot(K_B, B)
+            y_new = y + h * K_B.dot(B)
             K[n_stages] = fun(t + h, y_new)
             abs_new = np.abs(y_new)
             scale = tol + np.maximum(abs_y, abs_new) * tol
-            v5, v3 = np.dot(K_E, E5) / scale, np.dot(K_E, E3) / scale
+            v5, v3 = K_E.dot(E5) / scale, K_E.dot(E3) / scale
             err5, err3 = math.sqrt(v5.dot(v5)) ** 2, math.sqrt(v3.dot(v3)) ** 2
             if err5 == 0 and err3 == 0:
                 error_norm = 0.0
@@ -372,9 +375,9 @@ def integrate_ode_batch(field_fn: Callable, x0s, tau0: float, tau1: float,
     sampled at t_eval.
 
     x0s has shape (m, d).  The m states are stacked component-major into
-    one vector of length d*m, and field_fn(tau, y) is called with y of
-    shape (d, m), a view of _solve's buffer valid only during the call,
-    which it neither keeps nor writes; a field written with array
+    one vector of length d*m, and field_fn(tau, y) is called with y the d
+    rows of length m, views of _solve's buffer valid only during the
+    call, which it neither keeps nor writes; a field written with array
     operations (rhs_primary) serves every member in one call.  It returns
     d arrays of length m, or one (d, m) buffer that it rewrites on every
     call (model.rhs_primary_into), since _solve copies what it keeps.
@@ -402,9 +405,14 @@ def integrate_ode_batch(field_fn: Callable, x0s, tau0: float, tau1: float,
         raise ValueError(f"x0s must be a non-empty (m, d) array, got shape "
                          f"{x0s.shape}")
     m, d = x0s.shape
+    buf = rows = None
 
     def stacked(t, y):
-        return np.asarray(field_fn(t, y.reshape(d, m)), dtype=float).ravel()
+        # views made once per buffer: the stage states share _solve's one
+        nonlocal buf, rows
+        if y is not buf:
+            buf, rows = y, tuple(y.reshape(d, m))
+        return np.asarray(field_fn(t, rows), dtype=float).ravel()
 
     times, values = _solve(stacked, x0s.T.ravel(), tau0, tau1,
                            _BATCH_TOL / math.sqrt(m), t_eval)

@@ -94,12 +94,12 @@ def rhs_primary_into(x, tau: float, p: SystemParams, f, scratch):
     r, psi = x
     f_r, f_psi = f
     sin_psi, cos_psi, tmp = scratch
-    np.sin(psi, out=sin_psi)
-    np.cos(psi, out=cos_psi)
-    np.multiply(r, sin_psi, out=f_r)
-    np.multiply(r, p.gamma, out=tmp)
+    np.sin(psi, sin_psi)
+    np.cos(psi, cos_psi)
+    np.multiply(r, sin_psi, f_r)
+    np.multiply(r, p.gamma, tmp)
     f_r -= tmp
-    np.subtract(r, p.lam * tau, out=f_psi)
+    np.subtract(r, p.lam * tau, f_psi)
     f_psi += cos_psi
 
 
@@ -122,12 +122,12 @@ def _noise(s1, s2, r, sin_psi, cos_psi, w, gw, tmp):
     (sigma1 cos psi, sigma2).  r may be gw[0]; tmp is a work row."""
     g_r, g_psi = gw
     w1, w2 = w[0], w[1]
-    np.multiply(r, s1, out=g_r)
+    np.multiply(r, s1, g_r)
     g_r *= sin_psi
     g_r *= w1
-    np.multiply(cos_psi, s1, out=g_psi)
+    np.multiply(cos_psi, s1, g_psi)
     g_psi *= w1
-    np.multiply(w2, s2, out=tmp)
+    np.multiply(w2, s2, tmp)
     g_psi += tmp
 
 
@@ -254,20 +254,20 @@ def error_terms(p: SystemParams, n: NoiseSchedule, tau: np.ndarray, star):
         f_R, f_Psi = f
         rsk, psk = rs[k], ps[k]
         sin_d, cos_d, tmp = scratch
-        np.add(Psi, psk, out=tmp)
-        np.cos(tmp, out=cos_d)
-        np.sin(tmp, out=sin_d)
-        np.add(R, cos_d, out=f_Psi)  # dH/dR
+        np.add(Psi, psk, tmp)
+        np.cos(tmp, cos_d)
+        np.sin(tmp, sin_d)
+        np.add(R, cos_d, f_Psi)  # dH/dR
         f_Psi -= math.cos(psk)
-        np.add(R, rsk, out=tmp)  # tmp = dH/dPsi
-        np.negative(tmp, out=tmp)
+        np.add(R, rsk, tmp)  # tmp = dH/dPsi
+        np.negative(tmp, tmp)
         tmp *= sin_d
         tmp += rsk * math.sin(psk)
-        np.negative(tmp, out=f_R)
-        np.multiply(R, gamma, out=tmp)
+        np.negative(tmp, f_R)
+        np.multiply(R, gamma, tmp)
         f_R -= tmp
         if not additive:
-            np.add(R, rsk, out=gw[0])
+            np.add(R, rsk, gw[0])
             _noise(s1[k], s2[k], gw[0], sin_d, cos_d, w, gw, tmp)
     if additive:
         terms.additive = s2

@@ -121,6 +121,28 @@ def test_evaluate_is_the_polynomial(p):
     assert psi == pytest.approx(psi_hand, rel=1e-15)
 
 
+@pytest.mark.parametrize("fn", [evaluate, evaluate_derivative, residual])
+def test_evaluation_refuses_overflowing_tau(p, fn):
+    # the powers of 1/tau overflow at tau 1e-200: an error naming the
+    # first such tau, not a RuntimeWarning (an error under this suite's
+    # filter) and inf or NaN
+    e = expand(p, STABLE, 3)
+    with pytest.raises(ValueError,
+                       match=r"order-3 series is not finite at tau = 1e-200"):
+        fn(e, p, np.array([1.0, 1e-200, 1e-300]))
+    # lam * tau overflows at 1e308 with lam 2; the derivative has no
+    # such term
+    big = SystemParams(lam=2.0, gamma=0.1)
+    if fn is evaluate_derivative:
+        assert np.isfinite(fn(expand(big, STABLE, 3), big, 1e308)).all()
+    else:
+        with pytest.raises(ValueError, match=r"not finite at tau = 1e\+308"):
+            fn(expand(big, STABLE, 3), big, [10.0, 1e308])
+    for tau in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=r"requires tau > 0"):
+            fn(e, p, tau)
+
+
 def test_evaluate_derivative_matches_finite_difference(p):
     e = expand(p, STABLE, 3)
     tau, h = 40.0, 1e-5

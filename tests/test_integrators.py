@@ -1,5 +1,8 @@
 import dataclasses
+import json
 import math
+import os
+import sys
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -8,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import DOP853, solve_ivp
 
-from autores import (asymptotics, dop853_coefficients, ensemble,
+from autores import (asymptotics, cli, dop853_coefficients, ensemble,
                      integrators, model, pendulum)
 from autores.asymptotics import STABLE, evaluate, expand
 from autores.integrators import (IntegrationError, NoiseStream, Trajectory,
@@ -176,6 +179,83 @@ def test_batch_field_may_reuse_its_buffer(params):
     for a, b in zip(got, want):
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.states, b.states)
+
+
+def test_batch_field_reads_rows_at_three_components():
+    # a three-component linear field over four starts gets its state as
+    # three rows of length 4 and returns three arrays; the run is
+    # solve_ivp's run of the same stacked system, bit for bit
+    A = np.array([[-0.5, 1.0, 0.0], [-1.0, -0.5, 0.3], [0.2, -0.3, -0.1]])
+    starts = np.array([[1.0, 0.0, -0.5], [0.5, 2.0, 0.0], [-1.0, 0.3, 0.7],
+                       [0.0, -0.4, 1.5]])
+    m, d = starts.shape
+    shapes = set()
+
+    def linear(t, rows):
+        shapes.add(tuple(row.shape for row in rows))
+        x, y, z = rows
+        return tuple(a * x + b * y + c * z + 0.1 * t for a, b, c in A)
+    t_eval = np.linspace(0.0, 8.0, 161)
+    batch = integrate_ode_batch(linear, starts, 0.0, 8.0, t_eval=t_eval)
+    assert shapes == {((m,),) * d}
+    times, values = plain_solve(
+        lambda t, y: np.concatenate(linear(t, tuple(y.reshape(d, m)))),
+        starts.T.ravel(), 0.0, 8.0, integrators._BATCH_TOL / math.sqrt(m),
+        t_eval)
+    for k, member in enumerate(batch):
+        assert np.array_equal(member.times, times)
+        assert np.array_equal(member.states, values[k::m].T)
+
+
+def _numpy_calls_per_step(monkeypatch, run) -> tuple:
+    """(calls into Python frames under numpy's package directory made
+    inside integrators._solve, accepted steps) over run().  Counting is
+    on only inside _solve: the checks a Trajectory makes run once per
+    member, not once per step."""
+    numpy_dir = os.path.dirname(np.__file__) + os.sep
+    solve, steps = integrators._solve, integrators._dop853_steps
+    count = {"calls": 0, "steps": 0}
+
+    def profile(frame, event, arg):
+        if (event == "call"
+                and frame.f_code.co_filename.startswith(numpy_dir)):
+            count["calls"] += 1
+
+    def profiled_solve(*args):
+        sys.setprofile(profile)
+        try:
+            return solve(*args)
+        finally:
+            sys.setprofile(None)
+
+    def counted_steps(*args):
+        for step in steps(*args):
+            count["steps"] += 1
+            yield step
+    monkeypatch.setattr(integrators, "_solve", profiled_solve)
+    monkeypatch.setattr(integrators, "_dop853_steps", counted_steps)
+    run()
+    return count["calls"], count["steps"]
+
+
+@pytest.mark.parametrize("sub,cfg", [
+    ("simulate", {"gamma": 0.1, "lam": 1.0, "r0": 1.09, "psi0": 2.15,
+                  "tau1": 200.0}),
+    ("figures", {"which": "fig1", "horizon": 60.0}),
+], ids=["simulate", "fig1"])
+def test_dop853_steps_make_no_numpy_python_calls(monkeypatch, tmp_path, sub,
+                                                 cfg):
+    # a DOP853 step is per-call overhead at 2 to 64 components, so its
+    # sums are ndarray.dot, not np.dot with its Python-level dispatcher,
+    # and fig1's field gets row views, not an array to reshape and unpack:
+    # what is left of numpy's Python code runs once per run or dense
+    # piece (np.linalg.norm, np.stack, np.repeat), not once per step
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    calls, steps = _numpy_calls_per_step(monkeypatch, lambda: cli.main(
+        [sub, "--config", str(path), "--out", str(tmp_path / "out")]))
+    assert steps >= 1000
+    assert calls < steps
 
 
 @pytest.mark.parametrize("t_eval", [np.linspace(0.0, 0.9, 4), [0.9]])
