@@ -8,9 +8,10 @@ sums as ndarray.dot, np.dot's routine without the dispatcher), so a run
 gives solve_ivp's bits.  A field gets its state in a buffer the driver
 rewrites, valid only during the call, and neither keeps nor writes it.  The
 driver runs forward only; a backward run is the forward run of the
-time-reversed field.  The reference solution is read from a not-a-knot
-cubic spline built and evaluated as scipy's CubicSpline does, its one
-linear solve scipy.linalg.solve_banded.  The stochastic side is
+time-reversed field.  The reference solution is its own series above a
+switch time, and below it a not-a-knot cubic spline through one backward
+leg, built and evaluated as scipy's CubicSpline does, its one linear
+solve scipy.linalg.solve_banded.  The stochastic side is
 Euler-Maruyama with counter-based noise streams: the increments for
 (master_seed, path_index) are reproducible across runs, platforms and block
 widths, and distinct path indices give statistically independent streams.
@@ -87,7 +88,7 @@ RTOL_MIN = 100 * np.finfo(float).eps  # scipy's floor on rtol
 
 
 def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
-           tol: float, t_eval):
+           tol: float, t_eval, max_steps=math.inf):
     """One checked DOP853 run forward from tau0 to tau1 > tau0; returns
     (times, (len(y0), n) values) at the n samples of t_eval, which
     increase strictly inside the window.
@@ -107,8 +108,9 @@ def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
 
     A failed run raises IntegrationError at the time the solver stopped,
     with scipy's message; non-finite output raises it at the first
-    non-finite sample.  _check_window refuses tau1 <= tau0: a backward
-    run is _solve_backward's.
+    non-finite sample, and at the end of the last step allowed if the
+    run needs more than max_steps accepted steps.  _check_window refuses
+    tau1 <= tau0: a backward run is _solve_backward's.
 
     field_fn gets y in a buffer the driver rewrites (_run_stages), valid
     during the call only, and neither keeps nor writes it.  It may return
@@ -142,8 +144,11 @@ def _solve(field_fn: Callable, y0: np.ndarray, tau0: float, tau1: float,
         first = dop853.N_STAGES + 1
         extra = _stages(K, dop853.A[first:], dop853.C[first:], first)
         Ks = np.empty((DENSE_PIECE,) + K.shape)  # a piece's stage buffers
-        for t_old, y_old, t, y, h in _dop853_steps(field_fn, K, tau0, y0,
-                                                   tau1, h_abs, tol, y_s):
+        steps = _dop853_steps(field_fn, K, tau0, y0, tau1, h_abs, tol, y_s)
+        for n, (t_old, y_old, t, y, h) in enumerate(steps, 1):
+            if n > max_steps:
+                raise IntegrationError(f"adaptive solver needs more than "
+                                       f"{max_steps} steps", t_old)
             j_new = bisect.bisect_right(keys, t)
             if j_new > j:
                 _run_stages(field_fn, K, extra, t_old, y_old, h, y_s)
@@ -330,7 +335,7 @@ def _time_reversed(field_fn: Callable) -> Callable:
 
 
 def _solve_backward(field_fn: Callable, y0: np.ndarray, tau0: float,
-                    tau1: float, tol: float, t_eval):
+                    tau1: float, tol: float, t_eval, max_steps=math.inf):
     """_solve's run from tau0 back to tau1 < tau0 at the decreasing
     t_eval: the forward run of _time_reversed(field_fn) over [-tau0,
     -tau1] at -t_eval, its times negated back and a failure located at
@@ -339,7 +344,7 @@ def _solve_backward(field_fn: Callable, y0: np.ndarray, tau0: float,
     scipy's backward run, and the values are solve_ivp's bits."""
     try:
         s, values = _solve(_time_reversed(field_fn), y0, -tau0, -tau1, tol,
-                           -np.asarray(t_eval, dtype=float))
+                           -np.asarray(t_eval, dtype=float), max_steps)
     except IntegrationError as exc:
         raise IntegrationError(exc.message, -exc.tau) from None
     return -s, values
@@ -701,7 +706,8 @@ def integrate_sde(make_terms: Callable, x0, tau0: float, tau1: float,
 
 
 # reference build settings, see reference_solution
-REF_K, REF_TAU_SEED, REF_SEED_RESIDUAL_TOL = 3, 100.0, 1e-5
+REF_K, REF_SEED_RESIDUAL_TOL, REF_MAX_STEPS = 24, 1e-13, 10_000
+REF_SWITCH_LADDER = (10.0, 15.0, 20.0, 30.0, 50.0, 100.0, 200.0, 400.0)
 REF_TOL, REF_TAU_MIN, REF_TAU_MAX, REF_GRID_STEP = 1e-12, 5.0, 400.0, 0.05
 
 
@@ -755,43 +761,55 @@ def _not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class ReferenceSolution:
-    """Captured reference solution (r*, psi*) on a dense grid.
+    """Captured reference solution (r*, psi*) on [tau_min, tau_max].
 
-    Built by reference_solution from the series and the flow, and cached
-    on a uniform grid with one not-a-knot cubic spline through the (n, 2)
-    node values (_not_a_knot_spline, scipy's CubicSpline to the bit, as
-    state evaluates it).  Read-only after construction, and shared:
-    reference_solution hands one object to every caller with the same
-    params.  The spline returns every node's value to within one ulp, not
-    always exactly: at tau_max it sums the last piece's polynomial, and
-    psi* there comes back one ulp off at gamma 0.1.
+    Up to tau_s, the last of times, one not-a-knot cubic spline through
+    the (n, 2) node values (_not_a_knot_spline, scipy's CubicSpline to
+    the bit, as state evaluates it); above it, up to tau_max, series(tau)
+    as two arrays of tau's shape.  Read-only after construction, and
+    shared: reference_solution hands one object to every caller with the
+    same params.
 
     The phase approaches psi0 = pi - arcsin(gamma) like psi0 - 1/(nu*tau),
     nu = sqrt(1 - gamma^2): with gamma = 0.1 it is 0.17 away at tau_min = 5
     and inside 0.1 only from tau ~ 9.
     """
 
-    def __init__(self, times: np.ndarray, values: np.ndarray):
+    def __init__(self, times: np.ndarray, values: np.ndarray,
+                 series: Callable, tau_max: float):
         self._spline = _not_a_knot_spline(times, values)
         self._nodes = np.asarray(times, dtype=float)
+        self._series = series
         self.tau_min = float(self._nodes[0])
-        self.tau_max = float(self._nodes[-1])
+        self.tau_s = float(self._nodes[-1])
+        self.tau_max = float(tau_max)
 
     def state(self, tau):
         """(r*, psi*) at tau as the two contiguous rows of one array, of
         tau's shape each; accepts arrays; errors outside the domain and on
         NaN.
 
-        The value is scipy's PPoly evaluation of the spline, to the bit:
-        the piece is the last whose node is at or below tau, clipped to
-        the first and last piece, and its cubic is summed from 0 in
-        increasing powers of s = tau - x[i]."""
+        At tau <= tau_s the value is scipy's PPoly evaluation of the
+        spline, to the bit: the piece is the last whose node is at or
+        below tau, clipped to the first and last piece, and its cubic is
+        summed from 0 in increasing powers of s = tau - x[i].  So tau_s
+        itself comes back within one ulp of its node value, not always
+        exactly.  Above tau_s the value is the series'."""
         tau = np.asarray(tau, dtype=float)
         # NaN fails both comparisons
         if not ((self.tau_min - 1e-12 <= tau)
                 & (tau <= self.tau_max + 1e-12)).all():
             raise ValueError(
                 f"tau outside reference domain [{self.tau_min}, {self.tau_max}]")
+        flat = tau.ravel()
+        above = flat > self.tau_s
+        value = np.empty((2, flat.size))
+        value[:, ~above] = self._spline_state(flat[~above])
+        if above.any():
+            value[:, above] = self._series(flat[above])
+        return value.reshape((2,) + tau.shape)
+
+    def _spline_state(self, tau: np.ndarray) -> np.ndarray:
         x = self._nodes
         i = np.clip(np.searchsorted(x, tau, "right") - 1, 0, x.size - 2)
         s = tau - x[i]
@@ -806,12 +824,18 @@ class ReferenceSolution:
 def reference_solution(params: SystemParams) -> ReferenceSolution:
     """The captured reference solution for the stable branch.
 
-    The order-REF_K series at REF_TAU_SEED must leave an equation residual
-    below REF_SEED_RESIDUAL_TOL (checked, not assumed).  Both legs of
-    model.scalar_field, back to REF_TAU_MIN = 5 (_solve_backward) and on
-    to REF_TAU_MAX = 400, run at REF_TOL, sampled every REF_GRID_STEP, so
-    a failed or non-finite leg raises IntegrationError.  The domain
-    includes the approach to the lock (see ReferenceSolution).
+    The order-REF_K series is the reference above tau_s, the first time
+    of REF_SWITCH_LADDER where its equation residual norm is at most
+    REF_SEED_RESIDUAL_TOL (checked, not assumed; ValueError names the
+    best rung if none is), up to REF_TAU_MAX = 400.  Below tau_s, one leg
+    of model.scalar_field from the series' value there runs back to
+    REF_TAU_MIN = 5 (_solve_backward) at REF_TOL, sampled every
+    REF_GRID_STEP, so a failed or non-finite leg raises IntegrationError.
+    The domain includes the approach to the lock (see ReferenceSolution).
+    The flow's divergence is -gamma: going back, a locked leg widens an
+    error at tau_s about exp(gamma (tau_s - 5) / 2)-fold, and one that
+    leaves the lock winds ever faster, so past REF_MAX_STEPS accepted
+    steps the leg raises IntegrationError (from 400 at (5, 0.99)).
 
     The build is deterministic, so it runs once per SystemParams per
     process: equal params return the same object, which every caller
@@ -819,23 +843,20 @@ def reference_solution(params: SystemParams) -> ReferenceSolution:
     reference_solution.__wrapped__ builds afresh.
     """
     exp = asymptotics.expand(params, asymptotics.STABLE, REF_K)
-    res = asymptotics.residual(exp, params, REF_TAU_SEED)
-    res_norm = float(np.hypot(res[0], res[1]))
-    if res_norm > REF_SEED_RESIDUAL_TOL:
+    ladder = np.array(REF_SWITCH_LADDER)
+    norms = np.hypot(*asymptotics.residual(exp, params, ladder))
+    passed = np.flatnonzero(norms <= REF_SEED_RESIDUAL_TOL)
+    if not passed.size:
+        best = int(np.argmin(norms))
         raise ValueError(
-            f"series residual {res_norm:.3e} at tau_seed={REF_TAU_SEED} "
-            f"exceeds {REF_SEED_RESIDUAL_TOL:.3e}")
-    r0, psi0 = asymptotics.evaluate(exp, params, REF_TAU_SEED)
-    y_seed = np.array([float(r0), float(psi0)])
-    field = model.scalar_field(params)
-
-    def leg(solve, tau_end):
-        n = int(round(abs(tau_end - REF_TAU_SEED) / REF_GRID_STEP)) + 1
-        return solve(field, y_seed, REF_TAU_SEED, tau_end, REF_TOL,
-                     np.linspace(REF_TAU_SEED, tau_end, n))
-
-    t_b, y_b = leg(_solve_backward, REF_TAU_MIN)
-    t_f, y_f = leg(_solve, REF_TAU_MAX)
-    times = np.concatenate([t_b[::-1], t_f[1:]])
-    values = np.concatenate([y_b[:, ::-1], y_f[:, 1:]], axis=1)
-    return ReferenceSolution(times, values.T)
+            f"series residual {norms[best]:.3e} at tau={ladder[best]:g}, the "
+            f"best of {REF_SWITCH_LADDER}, exceeds {REF_SEED_RESIDUAL_TOL:.3e}")
+    tau_s = float(ladder[passed[0]])
+    y_seed = np.array(asymptotics.evaluate(exp, params, tau_s), dtype=float)
+    n = int(round((tau_s - REF_TAU_MIN) / REF_GRID_STEP)) + 1
+    times, values = _solve_backward(
+        model.scalar_field(params), y_seed, tau_s, REF_TAU_MIN, REF_TOL,
+        np.linspace(tau_s, REF_TAU_MIN, n), REF_MAX_STEPS)
+    return ReferenceSolution(
+        times[::-1], values[:, ::-1].T,
+        functools.partial(asymptotics.evaluate, exp, params), REF_TAU_MAX)

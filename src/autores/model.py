@@ -225,12 +225,6 @@ def hamiltonian_hessian(e, star):
     return H_RR, H_RPsi, H_PsiPsi
 
 
-def rhs_error(e, p: SystemParams, star):
-    """Vector field of the deviation system: (-dH/dPsi - gamma R, dH/dR)."""
-    dH_dR, dH_dPsi = hamiltonian_partials(e, star)
-    return -dH_dPsi - p.gamma * e[0], dH_dR
-
-
 def error_terms(p: SystemParams, n: NoiseSchedule, tau: np.ndarray, star):
     """Euler-Maruyama terms of the deviation system (R, Psi).
 
@@ -241,8 +235,8 @@ def error_terms(p: SystemParams, n: NoiseSchedule, tau: np.ndarray, star):
     reference solution itself satisfies the deterministic equations, so
     its noise terms cancel.  Returns terms(k, x, w, f, gw, scratch) under
     the buffer contract of perturbed_terms, additive noise included; the
-    drift follows rhs_error's operation order, with sin and cos of psi*
-    + Psi evaluated once per step.
+    drift is (-dH/dPsi - gamma R, dH/dR) in the operation order of
+    tests/oracles.py::rhs_error, with sin and cos of psi* + Psi once a step.
     """
     s1, s2 = _intensities(n, tau)
     additive = not s1.any()

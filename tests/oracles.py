@@ -15,14 +15,16 @@ called for.
 plain_bootstrap is exit_time_scaling's bootstrap, one resample at a time.
 plain_solve is integrators._solve and _solve_backward as a solve_ivp
 call, whose interpolants are evaluated one step at a time.
-PlainReference is the reference solution from two solve_ivp legs, as
-one spline per component, and plain_tube_samples,
+PlainReference is the reference solution from its solve_ivp leg, as
+one spline per component below the switch time and the series above it,
+and plain_tube_samples,
 plain_inequality_slacks and plain_first_violation are certify's tube as
 flat arrays that read the reference at every sample, with one slack
 array per inequality.
 mp_series is asymptotics.expand in mpmath arithmetic, with cos and sin of
 the phase series from their own derivative recurrence instead of Taylor
-composition.
+composition.  rhs_error is the deviation system's field written plainly,
+the oracle of model.error_terms' drift.
 """
 
 import math
@@ -36,7 +38,7 @@ from autores import asymptotics, ensemble, integrators
 from autores.ensemble import CAPTURE_WINDOW, _captured
 from autores.integrators import IntegrationError, NoiseStream, Trajectory
 from autores.lyapunov import chain_U, dV_dtau, eval_V, weighted_norm
-from autores.model import scalar_field
+from autores.model import hamiltonian_partials, scalar_field
 
 
 def plain_ball_starts(x, rngs, radius):
@@ -273,14 +275,16 @@ def n_chans_of(noise):
     return 1 if noise.sigma1.coeff == 0 else integrators.N_CHANNELS
 
 
-def plain_solve(field_fn, y0, tau0, tau1, tol, t_eval, stats=None):
+def plain_solve(field_fn, y0, tau0, tau1, tol, t_eval, max_steps=math.inf,
+                stats=None):
     """integrators._solve, or _solve_backward when tau1 < tau0, as one
     solve_ivp call: (times, values), the same errors, but a failed run is
     located at the last t_eval sample passed, not where the solver
-    stopped.  solve_ivp keeps the arrays a field returns, so each value
-    is copied: a field may return one buffer it rewrites (fig1's), as
-    the driver allows.  stats, a dict when given, receives solve_ivp's
-    count of field calls as stats["nfev"]."""
+    stopped.  solve_ivp has no step budget, so max_steps is not enforced:
+    the runs compared stay within theirs.  solve_ivp keeps the arrays a
+    field returns, so each value is copied: a field may return one buffer
+    it rewrites (fig1's), as the driver allows.  stats, a dict when
+    given, receives solve_ivp's count of field calls as stats["nfev"]."""
     def fresh(t, y):
         return np.array(field_fn(t, y), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -300,36 +304,44 @@ def plain_solve(field_fn, y0, tau0, tau1, tol, t_eval, stats=None):
 
 
 class PlainReference:
-    """integrators.reference_solution with both legs run by solve_ivp
-    (plain_solve), concatenated and interpolated one component at a
-    time: times, r and psi hold the legs' node values, and state(tau)
-    returns (r*, psi*) from two splines."""
+    """integrators.reference_solution with its leg run by solve_ivp
+    (plain_solve) and interpolated one component at a time: times, r and
+    psi hold the leg's node values up to the switch time tau_s, the
+    first rung of the ladder where the series' residual, evaluated one
+    rung at a time, meets the tolerance.  state(tau) returns (r*, psi*)
+    from two splines at tau <= tau_s and from the series above."""
 
     def __init__(self, params):
-        exp = asymptotics.expand(params, asymptotics.STABLE,
-                                 integrators.REF_K)
-        seed = integrators.REF_TAU_SEED
-        y_seed = np.array([float(v)
-                           for v in asymptotics.evaluate(exp, params, seed)])
-        field = scalar_field(params)
-
-        def leg(tau_end):
-            n = int(round(abs(tau_end - seed) / integrators.REF_GRID_STEP)) + 1
-            return plain_solve(field, y_seed, seed, tau_end,
-                               integrators.REF_TOL,
-                               np.linspace(seed, tau_end, n))
-
-        t_b, y_b = leg(integrators.REF_TAU_MIN)
-        t_f, y_f = leg(integrators.REF_TAU_MAX)
-        self.times = np.concatenate([t_b[::-1], t_f[1:]])
-        self.r = np.concatenate([y_b[0][::-1], y_f[0][1:]])
-        self.psi = np.concatenate([y_b[1][::-1], y_f[1][1:]])
+        self.exp = asymptotics.expand(params, asymptotics.STABLE,
+                                      integrators.REF_K)
+        self.params = params
+        self.tau_s = next(
+            tau for tau in integrators.REF_SWITCH_LADDER
+            if math.hypot(*asymptotics.residual(self.exp, params, tau))
+            <= integrators.REF_SEED_RESIDUAL_TOL)
+        y_seed = np.array([float(v) for v in
+                           asymptotics.evaluate(self.exp, params, self.tau_s)])
+        n = int(round((self.tau_s - integrators.REF_TAU_MIN)
+                      / integrators.REF_GRID_STEP)) + 1
+        t, y = plain_solve(scalar_field(params), y_seed, self.tau_s,
+                           integrators.REF_TAU_MIN, integrators.REF_TOL,
+                           np.linspace(self.tau_s, integrators.REF_TAU_MIN, n))
+        self.times, self.r, self.psi = t[::-1], y[0][::-1], y[1][::-1]
         self._spline_r = CubicSpline(self.times, self.r)
         self._spline_psi = CubicSpline(self.times, self.psi)
 
     def state(self, tau):
         tau = np.asarray(tau, dtype=float)
-        return self._spline_r(tau), self._spline_psi(tau)
+        below = tau <= self.tau_s
+        series = asymptotics.evaluate(self.exp, self.params, tau)
+        return (np.where(below, self._spline_r(tau), series[0]),
+                np.where(below, self._spline_psi(tau), series[1]))
+
+
+def rhs_error(e, p, star):
+    """Vector field of the deviation system: (-dH/dPsi - gamma R, dH/dR)."""
+    dH_dR, dH_dPsi = hamiltonian_partials(e, star)
+    return -dH_dPsi - p.gamma * e[0], dH_dR
 
 
 def plain_tube_samples(d0, tau0, tau_hi, grid):

@@ -7,6 +7,7 @@ import tracemalloc
 import warnings
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import DOP853, solve_ivp
@@ -20,9 +21,9 @@ from autores.integrators import (IntegrationError, NoiseStream, Trajectory,
                                  reference_solution, sde_step_count)
 from autores.ensemble import classify_capture
 from autores.model import (NoiseSchedule, SystemParams, constant_schedule,
-                           power_schedule, rhs_error, rhs_primary)
-from oracles import (n_chans_of, plain_ball_starts, plain_em, plain_solve,
-                     set_chunk)
+                           power_schedule, rhs_primary)
+from oracles import (mp_series, n_chans_of, plain_ball_starts, plain_em,
+                     plain_solve, rhs_error, set_chunk)
 
 
 def test_trajectory_invariants():
@@ -62,21 +63,21 @@ def test_solve_refuses_backward_window():
                            1e-10, [5.0, 4.0])
 
 
-def test_backward_blowup_located_at_positive_tau(params, monkeypatch):
-    # a reference field that blows up below tau = 60 fails the backward
-    # leg there: the error is located at tau, not at the reversed run's
-    # time -tau
+def test_backward_blowup_located_at_positive_tau(params, ref, monkeypatch):
+    # a reference field that blows up below tau = 12 fails the backward
+    # leg from tau_s = 20 there: the error is located at tau, not at the
+    # reversed run's time -tau
     field = model.scalar_field(params)
 
     def blowing_up(p):
         def fun(tau, y):
-            return (-y[0] ** 2, 0.0) if tau < 60.0 else field(tau, y)
+            return (-y[0] ** 2, 0.0) if tau < 12.0 else field(tau, y)
         return fun
     monkeypatch.setattr(model, "scalar_field", blowing_up)
     with pytest.raises(IntegrationError) as exc:
         reference_solution.__wrapped__(params)
-    assert integrators.REF_TAU_MIN <= exc.value.tau <= integrators.REF_TAU_SEED
-    assert exc.value.tau == pytest.approx(60.0, abs=0.1)
+    assert integrators.REF_TAU_MIN <= exc.value.tau < 12.0 < ref.tau_s
+    assert exc.value.tau == pytest.approx(12.0, abs=0.1)
     assert str(exc.value).endswith(f"(at tau={exc.value.tau:.6g})")
 
 
@@ -297,11 +298,10 @@ def _run(field_fn, y0, tau0, tau1, tol, t_eval):
     return solve(field_fn, y0, tau0, tau1, tol, t_eval)
 
 
-def _reference_leg(params, tau_end, sampled=True):
-    # reference_solution's leg from REF_TAU_SEED to tau_end, on its grid
-    # or at the solver's accepted steps
+def _reference_leg(params, seed, tau_end, sampled=True):
+    # a leg as reference_solution runs its one, from the series at seed
+    # to tau_end, on its grid or at the solver's accepted steps
     exp = expand(params, STABLE, integrators.REF_K)
-    seed = integrators.REF_TAU_SEED
     y0 = np.array([float(v) for v in evaluate(exp, params, seed)])
     field = model.scalar_field(params)
     n = round(abs(tau_end - seed) / integrators.REF_GRID_STEP) + 1
@@ -338,10 +338,14 @@ def _pendulum(params):
 
 
 # _simulate takes about 1600 accepted steps on [20, 60]; the "steps"
-# cases sample at every step's end, the edge of two steps' interpolants
+# cases sample at every step's end, the edge of two steps' interpolants.
+# The reference's leg runs from tau_s = 20 at (1, 0.1); the legs from the
+# series at tau 100 are long runs each way, back over 1900 samples and on
+# over 6000
 _SOLVES = {
-    "reference leg 100 -> 5": lambda p: _reference_leg(p, 5.0),
-    "reference leg 100 -> 400": lambda p: _reference_leg(p, 400.0),
+    "reference leg 20 -> 5": lambda p: _reference_leg(p, 20.0, 5.0),
+    "reference leg 100 -> 5": lambda p: _reference_leg(p, 100.0, 5.0),
+    "reference leg 100 -> 400": lambda p: _reference_leg(p, 100.0, 400.0),
     "steps": lambda p: _simulate(p, 20.0, 60.0),
     "steps backward": lambda p: _simulate(p, 60.0, 20.0),
     "sparser than the steps": lambda p: _simulate(
@@ -357,7 +361,10 @@ _SOLVES = {
                                                      [60.0, 33.3, 20.0]),
     "fig1 batch": _fig1,
     "pendulum": _pendulum,
-    "reference leg 100 -> 5 steps": lambda p: _reference_leg(p, 5.0, False),
+    "reference leg 20 -> 5 steps": lambda p: _reference_leg(p, 20.0, 5.0,
+                                                           False),
+    "reference leg 100 -> 5 steps": lambda p: _reference_leg(p, 100.0, 5.0,
+                                                            False),
 }
 
 
@@ -862,13 +869,16 @@ def test_reference_built_once_per_params(params, ref):
 
 def test_reference_is_two_splines_bit_for_bit(ref, plain_ref):
     # one spline through the (n, 2) node values gives each component's
-    # own spline, bit for bit, as two contiguous rows
+    # own spline, bit for bit, as two contiguous rows, and above tau_s
+    # both read the series
+    assert ref.tau_s == plain_ref.tau_s == 20.0
     assert np.array_equal(ref._nodes, plain_ref.times)
     nodes = plain_ref.times
     rng = np.random.default_rng(11)
     for tau in (nodes, (nodes[:-1] + nodes[1:]) / 2.0,
                 rng.uniform(ref.tau_min, ref.tau_max, 100_000),
-                rng.uniform(ref.tau_min, ref.tau_max, (40, 50)), 77.3):
+                rng.uniform(ref.tau_min, ref.tau_max, (40, 50)), 12.3, 77.3,
+                [ref.tau_s, np.nextafter(ref.tau_s, 400.0)]):
         got = ref.state(tau)
         assert got.shape == (2,) + np.shape(tau)
         assert got[0].flags.c_contiguous and got[1].flags.c_contiguous
@@ -877,9 +887,8 @@ def test_reference_is_two_splines_bit_for_bit(ref, plain_ref):
 
 
 def test_reference_nodes_within_one_ulp(ref, plain_ref):
-    # the spline reproduces the legs' node values to one ulp; at
-    # tau_max it sums the last piece's polynomial, and psi* comes back
-    # one ulp off there
+    # the spline reproduces the backward leg's node values to one ulp; at
+    # tau_s it sums the last piece's polynomial
     r, psi = ref.state(plain_ref.times)
     np.testing.assert_array_max_ulp(r, plain_ref.r, maxulp=1)
     np.testing.assert_array_max_ulp(psi, plain_ref.psi, maxulp=1)
@@ -896,7 +905,7 @@ def test_reference_refuses_nan(ref):
 def test_spline_refuses_fewer_than_four_nodes(n):
     x = np.arange(float(n))
     with pytest.raises(ValueError, match=f"at least 4 nodes, got {n}"):
-        integrators.ReferenceSolution(x, np.ones((n, 2)))
+        integrators.ReferenceSolution(x, np.ones((n, 2)), None, 400.0)
 
 
 @pytest.mark.parametrize("x, y", [
@@ -909,12 +918,12 @@ def test_spline_refuses_fewer_than_four_nodes(n):
 ], ids=["repeated", "unsorted", "inf node", "nan value", "short values",
         "1-d values"])
 def test_spline_refuses_bad_nodes(x, y):
-    # CubicSpline's input checks, kept: the reference legs never break them
+    # CubicSpline's input checks, kept: the reference leg never breaks them
     with pytest.raises(ValueError, match="strictly increasing"):
-        integrators.ReferenceSolution(np.array(x), np.array(y))
+        integrators.ReferenceSolution(np.array(x), np.array(y), None, 400.0)
 
 
-def test_reference_field_is_rhs_primary(params):
+def test_reference_field_is_rhs_primary(params, ref):
     # the reference build's field on Python floats gives rhs_primary's
     # bits: at random states and along the backward leg, node for node
     field = model.scalar_field(params)
@@ -925,11 +934,9 @@ def test_reference_field_is_rhs_primary(params):
         want = rhs_primary(np.array([r, psi]), tau, params)
         assert np.array_equal(np.array(got), np.array(want))
     exp = expand(params, STABLE, integrators.REF_K)
-    y0 = np.array([float(v) for v in
-                   evaluate(exp, params, integrators.REF_TAU_SEED)])
-    t_eval = np.linspace(integrators.REF_TAU_SEED, integrators.REF_TAU_MIN,
-                         1901)
-    legs = [integrators._solve_backward(fn, y0, integrators.REF_TAU_SEED,
+    y0 = np.array([float(v) for v in evaluate(exp, params, ref.tau_s)])
+    t_eval = ref._nodes[::-1]
+    legs = [integrators._solve_backward(fn, y0, ref.tau_s,
                                         integrators.REF_TAU_MIN,
                                         integrators.REF_TOL, t_eval)
             for fn in (field, lambda tau, y: rhs_primary(y, tau, params))]
@@ -941,15 +948,131 @@ def test_failed_reference_build_not_kept(monkeypatch):
     # a build that raises is not cached: the next call builds again
     calls = []
 
-    def bad_residual(*args):
-        calls.append(args)
-        return (1.0, 0.0)
+    def bad_residual(e, p, tau):
+        calls.append(tau)
+        return np.ones_like(tau), np.zeros_like(tau)
     monkeypatch.setattr(asymptotics, "residual", bad_residual)
     p = SystemParams(lam=2.0, gamma=0.3)
     for n in (1, 2):
         with pytest.raises(ValueError, match="series residual"):
             reference_solution(p)
         assert len(calls) == n
+
+
+def _mp_series_at(p, taus, K=40):
+    # the order-K series at each of taus, summed at 40 digits from
+    # mp_series' coefficients: (r, psi) as two lists of mpf
+    r, psi = mp_series(p.lam, p.gamma, STABLE, K)
+    with mpmath.workdps(40):
+        psi0 = mpmath.pi - mpmath.asin(p.gamma)
+        xs = [1 / mpmath.mpf(tau) for tau in taus]
+        return ([p.lam / x + mpmath.fsum(c * x ** k for k, c in enumerate(r))
+                 for x in xs],
+                [psi0 + mpmath.fsum(c * x ** k for k, c in enumerate(psi, 1))
+                 for x in xs])
+
+
+def _max_errors(got, want_r, want_psi):
+    # (largest relative error in r, largest absolute error in psi)
+    with mpmath.workdps(40):
+        return (float(max(abs(mpmath.mpf(float(g)) / w - 1)
+                          for g, w in zip(got[0], want_r))),
+                float(max(abs(mpmath.mpf(float(g)) - w)
+                          for g, w in zip(got[1], want_psi))))
+
+
+@pytest.mark.parametrize("lam, gamma", [(1.0, 0.1), (2.0, 0.7)])
+def test_reference_above_switch_is_the_series(lam, gamma):
+    # above tau_s the reference is the order-24 series, within 1e-13 of
+    # the order-40 series summed at 40 digits up to tau 400; measured
+    # 1e-16 in r and 7e-16 in psi.  The two-leg build, seeded from the
+    # order-3 series at tau 100, was 5.6e-7 off on [20, 60]
+    p = SystemParams(lam=lam, gamma=gamma)
+    ref = reference_solution(p)
+    taus = np.geomspace(ref.tau_s, ref.tau_max, 50)
+    taus[0] = np.nextafter(ref.tau_s, math.inf)
+    err_r, err_psi = _max_errors(ref.state(taus), *_mp_series_at(p, taus))
+    assert err_r <= 1e-13 and err_psi <= 1e-13
+
+
+@pytest.mark.parametrize("lam, gamma, bound", [
+    # measured 2.2e-11 (r) and 4.7e-10 (psi): the spline's error at
+    # step 0.05
+    (1.0, 0.1, 2e-9),
+    # measured 2.0e-10 and 6.5e-9: the phase bends more at gamma 0.7
+    (2.0, 0.7, 2.5e-8)])
+def test_reference_below_switch_is_the_flow(lam, gamma, bound):
+    # below tau_s the reference is within bound (relative in r, absolute
+    # in psi) of a tol-1e-13 solve_ivp leg seeded from the mpmath series
+    # at tau_s, at the spline's nodes and midway between them
+    p = SystemParams(lam=lam, gamma=gamma)
+    ref = reference_solution(p)
+    nodes = ref._nodes
+    want_r, want_psi = _mp_series_at(p, [ref.tau_s])
+    y0 = [float(want_r[0]), float(want_psi[0])]
+    taus = np.sort(np.concatenate([nodes, (nodes[1:] + nodes[:-1]) / 2]))
+    sol = solve_ivp(model.scalar_field(p), (ref.tau_s, ref.tau_min), y0,
+                    method="DOP853", rtol=1e-13, atol=1e-13,
+                    t_eval=taus[::-1])
+    got = ref.state(sol.t)
+    assert np.max(np.abs(got[0] / sol.y[0] - 1)) <= bound
+    assert np.max(np.abs(got[1] - sol.y[1])) <= bound
+
+
+@pytest.mark.parametrize("lam, gamma, tau_s", [
+    (1.0, 0.1, 20.0), (2.0, 0.7, 15.0), (0.25, 0.05, 30.0),
+    # the order-3 series at tau 100 refused these three
+    (0.1, 0.5, 100.0), (3.0, 0.9, 30.0), (0.1, 0.1, 50.0)])
+def test_reference_switches_at_first_passing_rung(lam, gamma, tau_s):
+    p = SystemParams(lam=lam, gamma=gamma)
+    ref = reference_solution.__wrapped__(p)
+    assert ref.tau_s == tau_s
+    assert (ref.tau_min, ref.tau_max) == (integrators.REF_TAU_MIN,
+                                          integrators.REF_TAU_MAX)
+    exp = expand(p, STABLE, integrators.REF_K)
+    norms = np.hypot(*asymptotics.residual(
+        exp, p, np.array(integrators.REF_SWITCH_LADDER)))
+    rung = integrators.REF_SWITCH_LADDER.index(tau_s)
+    assert norms[rung] <= integrators.REF_SEED_RESIDUAL_TOL
+    assert (norms[:rung] > integrators.REF_SEED_RESIDUAL_TOL).all()
+
+
+@pytest.mark.parametrize("lam, gamma, match", [
+    # no rung's residual meets the tolerance: lam 1000 leaves 1.1e-12 at
+    # best, rounding on r ~ 1e4
+    (1000.0, 0.1, r"series residual 1\.1\d*e-12 at tau=10,"),
+    (1e-3, 0.5, r"series residual .* at tau=400,"),
+])
+def test_reference_refuses_series_on_no_rung(lam, gamma, match):
+    with pytest.raises(ValueError, match=match):
+        reference_solution.__wrapped__(SystemParams(lam=lam, gamma=gamma))
+
+
+def test_reference_leg_has_a_step_budget():
+    # at (5, 0.99) only tau 400 passes, and the leg back from there
+    # leaves the lock by tau 355: r then grows like exp(gamma (400 -
+    # tau)) and the phase winds ever faster.  The build stops at
+    # REF_MAX_STEPS accepted steps instead of running for hours
+    with pytest.raises(IntegrationError, match="more than 10000 steps") as exc:
+        reference_solution.__wrapped__(SystemParams(lam=5.0, gamma=0.99))
+    assert integrators.REF_TAU_MIN < exc.value.tau < 355.0
+
+
+def test_reference_build_field_calls(params, monkeypatch):
+    # the build at (1, 0.1) is one short leg: 1847 field calls, against
+    # 38 401 for the two legs from tau 100
+    field, calls = model.scalar_field, []
+
+    def counted(p):
+        fun = field(p)
+
+        def count(tau, y):
+            calls.append(tau)
+            return fun(tau, y)
+        return count
+    monkeypatch.setattr(model, "scalar_field", counted)
+    reference_solution.__wrapped__(params)
+    assert 0 < len(calls) <= 3000
 
 
 def test_reference_domain_enforced(params, ref):

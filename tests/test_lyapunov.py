@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from autores.model import (NoiseSchedule, constant_schedule, power_schedule,
-                           rhs_error)
+from autores.model import NoiseSchedule, constant_schedule, power_schedule
 from autores import lyapunov
 from autores.integrators import integrate_ode
 from autores.lyapunov import (NoCertificate, StabilityCertificate, certify,
@@ -12,7 +11,7 @@ from autores.lyapunov import (NoCertificate, StabilityCertificate, certify,
                               hess_V, noise_class_check, spot_check,
                               thresholds, thresholds_beta, weighted_norm)
 from oracles import (plain_first_violation, plain_inequality_slacks,
-                     plain_tube_samples)
+                     plain_tube_samples, rhs_error)
 
 
 def _tube_points(d0, tau_lo, tau_hi, n, seed=5):

@@ -8,8 +8,8 @@ from autores.integrators import N_SCRATCH
 from autores.model import (NoiseSchedule, Schedule, constant_schedule,
                            error_terms, hamiltonian, hamiltonian_hessian,
                            hamiltonian_partials, hamiltonian_time_partial,
-                           perturbed_terms, power_schedule, rhs_error,
-                           rhs_primary)
+                           perturbed_terms, power_schedule, rhs_primary)
+from oracles import rhs_error
 
 
 def test_params_validation():

@@ -71,19 +71,23 @@ def _bits(a):
 def test_reference_spline_is_cubic_spline(data):
     # the not-a-knot spline's coefficients and values are CubicSpline's
     # bits: at the nodes, the midpoints, random points and up to 1e-12
-    # past either end, where the end pieces extrapolate
+    # before the first node, where the first piece extrapolates.  Past
+    # the last node, the switch time, the reference reads its series
     x, y, seed = data
-    spline = ReferenceSolution(x, y)
+    spline = ReferenceSolution(x, y, lambda tau: (3.0 * tau, -tau), x[-1])
     want = CubicSpline(x, y)
     assert np.array_equal(_bits(spline._spline),
                           _bits(want.c.transpose(0, 2, 1)))
     rng = np.random.default_rng(seed)
     outside = rng.uniform(0.0, 1e-12, 8)
     for tau in (x, (x[:-1] + x[1:]) / 2, rng.uniform(x[0], x[-1], 500),
-                np.concatenate([x[0] - outside, x[-1] + outside]),
-                rng.uniform(x[0], x[-1], (3, 7)), x[-1]):
+                x[0] - outside, rng.uniform(x[0], x[-1], (3, 7)), x[-1]):
         got = spline.state(tau)
         assert np.array_equal(_bits(got), _bits(np.moveaxis(want(tau), -1, 0)))
+    above = x[-1] + outside
+    above = above[above > x[-1]]
+    assert np.array_equal(_bits(spline.state(above)),
+                          _bits(np.stack([3.0 * above, -above])))
 
 
 @st.composite
