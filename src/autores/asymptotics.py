@@ -183,15 +183,3 @@ def residual(e: AsymptoticExpansion, p: SystemParams, tau) -> Tuple:
     dr, dpsi = evaluate_derivative(e, p, tau)
     f_r, f_psi = rhs_primary(evaluate(e, p, tau), tau, p)
     return dr - f_r, dpsi - f_psi
-
-
-def residual_slope(e: AsymptoticExpansion, p: SystemParams,
-                   tau_lo: float = 10.0, tau_hi: float = 1000.0,
-                   samples: int = 40) -> float:
-    """Fitted log-log slope of the residual norm over [tau_lo, tau_hi]."""
-    taus = np.geomspace(tau_lo, tau_hi, samples)
-    rr, rp = residual(e, p, taus)
-    norms = np.hypot(rr, rp)
-    # guard: a residual that is exactly zero has no slope to fit
-    norms = np.maximum(norms, 1e-300)
-    return float(np.polyfit(np.log(taus), np.log(norms), 1)[0])

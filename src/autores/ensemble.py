@@ -136,23 +136,6 @@ class EnsembleStats:
         }
 
 
-def _precompute_step_grid(cfg: EnsembleConfig,
-                          ref: Optional[ReferenceSolution]):
-    """The node times tau of all paths (step_grid) and star, the reference
-    samples (r*, psi*) at every node, or None with no reference.
-
-    With a reference the window [tau0, tau0 + horizon] must lie in its
-    domain: outside it a path has no reference to deviate from.
-    """
-    tau1 = cfg.tau0 + cfg.horizon
-    if ref is not None and not (ref.tau_min <= cfg.tau0
-                                and tau1 <= ref.tau_max):
-        raise ValueError(f"window [{cfg.tau0}, {tau1}] is not inside the "
-                         f"reference domain [{ref.tau_min}, {ref.tau_max}]")
-    tau = step_grid(cfg.tau0, tau1, cfg.dt)
-    return tau, None if ref is None else ref.state(tau)
-
-
 def _path_blocks(n_paths: int, n_mus: int = 1) -> list:
     """The (lo, hi) path ranges of the blocks, in path order: as few
     blocks as keep n_mus * width within MAX_BLOCK_PATHS columns (one
@@ -311,17 +294,32 @@ class _ExitObserver(_TubeObserver):
         return self.exited[cols]
 
 
-def _out_of_class(cfg: EnsembleConfig, ok: Optional[bool]) -> bool:
-    """Whether cfg's noise schedule leaves its class (sup over the run of
-    |sigma1| tau + |sigma2| above h), which raises ValueError unless ok;
-    ok None: the caller has no out-of-class override to name."""
+def _window(cfg: EnsembleConfig, ref: Optional[ReferenceSolution],
+            ok: Optional[bool]) -> tuple:
+    """The node times tau of all paths (step_grid), star, the reference
+    samples (r*, psi*) at every node or None with no reference, and
+    whether cfg's noise schedule leaves its class (sup over the run of
+    |sigma1| tau + |sigma2| above h).
+
+    ValueError, in this order: a schedule out of class, unless ok (None:
+    the caller has no out-of-class override to name); with a reference,
+    a window [tau0, tau0 + horizon] outside its domain, where a path has
+    no reference to deviate from.
+    """
     check = noise_class_check(cfg.noise, max(cfg.tau0, 1e-6))
     if not check["admissible"] and not ok:
         raise ValueError(
             f"noise schedule not in class (bound {check['bound']}, h "
             f"{cfg.noise.h})" + ("" if ok is None else
                                  "; pass out_of_class_ok=True to run anyway"))
-    return not check["admissible"]
+    tau1 = cfg.tau0 + cfg.horizon
+    if ref is not None and not (ref.tau_min <= cfg.tau0
+                                and tau1 <= ref.tau_max):
+        raise ValueError(f"window [{cfg.tau0}, {tau1}] is not inside the "
+                         f"reference domain [{ref.tau_min}, {ref.tau_max}]")
+    tau = step_grid(cfg.tau0, tau1, cfg.dt)
+    return (tau, None if ref is None else ref.state(tau),
+            not check["admissible"])
 
 
 def _tube_runs(cfg: EnsembleConfig, mus: Sequence[float],
@@ -334,8 +332,7 @@ def _tube_runs(cfg: EnsembleConfig, mus: Sequence[float],
         raise ValueError("need at least one noise amplitude")
     for mu in mus:
         replace(cfg.noise, mu=mu)  # NoiseSchedule refuses mu outside (0, 1)
-    out_of_class = _out_of_class(cfg, out_of_class_ok)
-    tau, star = _precompute_step_grid(cfg, ref)
+    tau, star, out_of_class = _window(cfg, ref, out_of_class_ok)
     per_mu = _run_blocks(cfg, mus, tau,
                          perturbed_terms(cfg.params, cfg.noise, tau),
                          lambda m: observer(cfg, tau, star, m))
@@ -606,8 +603,7 @@ def supermartingale_check(cfg: EnsembleConfig, cert: StabilityCertificate,
     if N != 1:
         raise NotImplementedError("only the N=1 comparison chain is testable "
                                   "with closed-form constants")
-    _out_of_class(cfg, None)
-    tau, star = _precompute_step_grid(cfg, ref)
+    tau, star, _ = _window(cfg, ref, None)
     if cfg.tau0 < cert.tau0:
         raise ValueError(f"window starts at tau0 {cfg.tau0}, before the "
                          f"certificate's tau0 {cert.tau0}")

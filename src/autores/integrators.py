@@ -707,6 +707,7 @@ def integrate_sde(make_terms: Callable, x0, tau0: float, tau1: float,
 
 # reference build settings, see reference_solution
 REF_K, REF_SEED_RESIDUAL_TOL, REF_MAX_STEPS = 24, 1e-13, 10_000
+REF_SEED_RESIDUAL_ULPS = 16
 REF_SWITCH_LADDER = (10.0, 15.0, 20.0, 30.0, 50.0, 100.0, 200.0, 400.0)
 REF_TOL, REF_TAU_MIN, REF_TAU_MAX, REF_GRID_STEP = 1e-12, 5.0, 400.0, 0.05
 
@@ -826,11 +827,14 @@ def reference_solution(params: SystemParams) -> ReferenceSolution:
 
     The order-REF_K series is the reference above tau_s, the first time
     of REF_SWITCH_LADDER where its equation residual norm is at most
-    REF_SEED_RESIDUAL_TOL (checked, not assumed; ValueError names the
-    best rung if none is), up to REF_TAU_MAX = 400.  Below tau_s, one leg
-    of model.scalar_field from the series' value there runs back to
-    REF_TAU_MIN = 5 (_solve_backward) at REF_TOL, sampled every
-    REF_GRID_STEP, so a failed or non-finite leg raises IntegrationError.
+    REF_SEED_RESIDUAL_TOL or REF_SEED_RESIDUAL_ULPS eps |r|, whichever is
+    larger: both equations cancel terms of size r, so their rounding
+    alone leaves a few eps |r|.  This is checked, not assumed; ValueError
+    names the best rung if none passes.  The series runs up to
+    REF_TAU_MAX = 400.  Below tau_s, one leg of model.scalar_field from
+    the series' value there runs back to REF_TAU_MIN = 5
+    (_solve_backward) at REF_TOL, sampled every REF_GRID_STEP, so a
+    failed or non-finite leg raises IntegrationError.
     The domain includes the approach to the lock (see ReferenceSolution).
     The flow's divergence is -gamma: going back, a locked leg widens an
     error at tau_s about exp(gamma (tau_s - 5) / 2)-fold, and one that
@@ -845,12 +849,15 @@ def reference_solution(params: SystemParams) -> ReferenceSolution:
     exp = asymptotics.expand(params, asymptotics.STABLE, REF_K)
     ladder = np.array(REF_SWITCH_LADDER)
     norms = np.hypot(*asymptotics.residual(exp, params, ladder))
-    passed = np.flatnonzero(norms <= REF_SEED_RESIDUAL_TOL)
+    r = asymptotics.evaluate(exp, params, ladder)[0]
+    tols = np.maximum(REF_SEED_RESIDUAL_TOL, REF_SEED_RESIDUAL_ULPS
+                      * np.finfo(float).eps * np.abs(r))
+    passed = np.flatnonzero(norms <= tols)
     if not passed.size:
-        best = int(np.argmin(norms))
+        best = int(np.argmin(norms / tols))
         raise ValueError(
             f"series residual {norms[best]:.3e} at tau={ladder[best]:g}, the "
-            f"best of {REF_SWITCH_LADDER}, exceeds {REF_SEED_RESIDUAL_TOL:.3e}")
+            f"best of {REF_SWITCH_LADDER}, exceeds {tols[best]:.3e}")
     tau_s = float(ladder[passed[0]])
     y_seed = np.array(asymptotics.evaluate(exp, params, tau_s), dtype=float)
     n = int(round((tau_s - REF_TAU_MIN) / REF_GRID_STEP)) + 1

@@ -78,19 +78,24 @@ def power_schedule(c: float, p: float) -> Schedule:
 
 
 def rhs_primary(s, tau: ArrayLike, p: SystemParams):
-    """Right-hand side of the unperturbed system at state s = (r, psi)."""
-    r, psi = s
-    tau = np.asarray(tau, dtype=float)
-    return r * np.sin(psi) - p.gamma * r, r - p.lam * tau + np.cos(psi)
+    """Right-hand side of the unperturbed system at state s = (r, psi),
+    over the broadcast shape of r, psi and tau: rhs_primary_into on fresh
+    rows, so the field is written once."""
+    r, psi, tau = np.broadcast_arrays(*s, np.asarray(tau, dtype=float))
+    f = np.empty((2, r.size))
+    rhs_primary_into((r.ravel(), psi.ravel()), tau.ravel(), p, f,
+                     np.empty((3, r.size)))
+    return f[0].reshape(r.shape)[()], f[1].reshape(r.shape)[()]
 
 
-def rhs_primary_into(x, tau: float, p: SystemParams, f, scratch):
-    """Write rhs_primary(x, tau, p) into the two rows of f, in its
-    operation order, so with its bits and no temporaries.  The three
-    scratch rows take sin psi, cos psi and a temporary; sin psi and cos
-    psi are left there for the caller.  f and scratch are sequences of
-    rows; a tuple of views made once is cheaper to unpack than an array,
-    which makes a view per row on every call."""
+def rhs_primary_into(x, tau: ArrayLike, p: SystemParams, f, scratch):
+    """Write the unperturbed field r sin psi - gamma r, (r - lam tau) +
+    cos psi at x = (r, psi) and tau into the two rows of f; at a float
+    tau it makes no temporaries.  The three scratch rows take sin psi,
+    cos psi and a temporary; sin psi and cos psi are left there for the
+    caller.  f and scratch are sequences of rows; a tuple of views made
+    once is cheaper to unpack than an array, which makes a view per row
+    on every call."""
     r, psi = x
     f_r, f_psi = f
     sin_psi, cos_psi, tmp = scratch

@@ -23,8 +23,11 @@ flat arrays that read the reference at every sample, with one slack
 array per inequality.
 mp_series is asymptotics.expand in mpmath arithmetic, with cos and sin of
 the phase series from their own derivative recurrence instead of Taylor
-composition.  rhs_error is the deviation system's field written plainly,
-the oracle of model.error_terms' drift.
+composition.  plain_rhs_primary is the unperturbed field as one
+broadcast expression, the oracle of model.rhs_primary and
+rhs_primary_into; rhs_error is the deviation system's field written
+plainly, the oracle of model.error_terms' drift.  residual_slope fits
+the decay of asymptotics.residual over a range of tau.
 """
 
 import math
@@ -303,12 +306,21 @@ def plain_solve(field_fn, y0, tau0, tau1, tol, t_eval, max_steps=math.inf,
     return sol.t, sol.y
 
 
+def seed_residual_tol(exp, params, tau):
+    """The residual norm the reference build accepts at the rung tau:
+    REF_SEED_RESIDUAL_TOL, or REF_SEED_RESIDUAL_ULPS rounding units of
+    the series' |r| there if that is larger."""
+    r = float(asymptotics.evaluate(exp, params, tau)[0])
+    return max(integrators.REF_SEED_RESIDUAL_TOL,
+               integrators.REF_SEED_RESIDUAL_ULPS * math.ulp(1.0) * abs(r))
+
+
 class PlainReference:
     """integrators.reference_solution with its leg run by solve_ivp
     (plain_solve) and interpolated one component at a time: times, r and
     psi hold the leg's node values up to the switch time tau_s, the
     first rung of the ladder where the series' residual, evaluated one
-    rung at a time, meets the tolerance.  state(tau) returns (r*, psi*)
+    rung at a time, meets seed_residual_tol.  state(tau) returns (r*, psi*)
     from two splines at tau <= tau_s and from the series above."""
 
     def __init__(self, params):
@@ -318,7 +330,7 @@ class PlainReference:
         self.tau_s = next(
             tau for tau in integrators.REF_SWITCH_LADDER
             if math.hypot(*asymptotics.residual(self.exp, params, tau))
-            <= integrators.REF_SEED_RESIDUAL_TOL)
+            <= seed_residual_tol(self.exp, params, tau))
         y_seed = np.array([float(v) for v in
                            asymptotics.evaluate(self.exp, params, self.tau_s)])
         n = int(round((self.tau_s - integrators.REF_TAU_MIN)
@@ -336,6 +348,24 @@ class PlainReference:
         series = asymptotics.evaluate(self.exp, self.params, tau)
         return (np.where(below, self._spline_r(tau), series[0]),
                 np.where(below, self._spline_psi(tau), series[1]))
+
+
+def plain_rhs_primary(s, tau, p):
+    """The unperturbed field (r sin psi - gamma r, (r - lam tau) + cos
+    psi) written as one broadcast numpy expression per component."""
+    r, psi = s
+    tau = np.asarray(tau, dtype=float)
+    return r * np.sin(psi) - p.gamma * r, r - p.lam * tau + np.cos(psi)
+
+
+def residual_slope(e, p, tau_lo=10.0, tau_hi=1000.0, samples=40):
+    """Fitted log-log slope of the series residual norm over [tau_lo,
+    tau_hi], at samples geometrically spaced times."""
+    taus = np.geomspace(tau_lo, tau_hi, samples)
+    norms = np.hypot(*asymptotics.residual(e, p, taus))
+    # guard: a residual that is exactly zero has no slope to fit
+    norms = np.maximum(norms, 1e-300)
+    return float(np.polyfit(np.log(taus), np.log(norms), 1)[0])
 
 
 def rhs_error(e, p, star):

@@ -16,7 +16,7 @@ from scipy.integrate import solve_ivp
 from autores.cli import main
 from autores.model import (NoiseSchedule, SystemParams, constant_schedule,
                            rhs_primary)
-from autores.asymptotics import evaluate, expand, residual_slope
+from autores.asymptotics import evaluate, expand
 from autores.integrators import integrate_ode
 from autores.lyapunov import chain_a, spot_check, thresholds
 from autores.ensemble import (EnsembleConfig, classify_capture,
@@ -24,6 +24,7 @@ from autores.ensemble import (EnsembleConfig, classify_capture,
                               supermartingale_check)
 from autores.pendulum import (envelope_compare, integrate_pendulum,
                               inverse_map, seed_from_averaged)
+from oracles import residual_slope
 
 
 def _report(num: str, ok: bool, detail: str):

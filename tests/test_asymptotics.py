@@ -7,8 +7,8 @@ import pytest
 from autores import SystemParams
 from autores.asymptotics import (STABLE, UNSTABLE, evaluate,
                                  evaluate_derivative, expand, residual,
-                                 residual_slope, solve_psi0)
-from oracles import mp_series
+                                 solve_psi0)
+from oracles import mp_series, residual_slope
 
 # regression values produced by the recurrence itself at gamma=0.1, lam=1
 STABLE_PSI0 = 3.0414252324282334

@@ -374,6 +374,20 @@ def test_run_ensemble_refuses_window_outside_reference(ref, cfg_maker, tau0):
         run_ensemble(cfg, ref)
 
 
+def test_noise_class_refused_before_reference_domain(ref, cert, cfg_maker):
+    # a schedule out of class (sigma2 5 against h 1) and a window past
+    # the reference's end: both runs name the class first; with the
+    # class override, run_ensemble names the window
+    cfg = cfg_maker(mu=0.05, n_paths=100, horizon=10.0, x0=(0.0, 0.0),
+                    tau0=395.0, noise=_noise(0.05, s2=5.0))
+    with pytest.raises(ValueError, match="not in class"):
+        run_ensemble(cfg, ref)
+    with pytest.raises(ValueError, match="not in class"):
+        supermartingale_check(cfg, cert, N=1, ref=ref)
+    with pytest.raises(ValueError, match=r"window \[.*reference domain"):
+        run_ensemble(cfg, ref, out_of_class_ok=True)
+
+
 @pytest.mark.parametrize("sigma1", [0.0, 0.02])
 def test_single_path_is_ensemble_path(params, sigma1):
     # one engine: the single path for (master_seed, j) is path j of the

@@ -23,7 +23,8 @@ from autores.ensemble import classify_capture
 from autores.model import (NoiseSchedule, SystemParams, constant_schedule,
                            power_schedule, rhs_primary)
 from oracles import (mp_series, n_chans_of, plain_ball_starts, plain_em,
-                     plain_solve, rhs_error, set_chunk)
+                     plain_solve, rhs_error, seed_residual_tol,
+                     set_chunk)
 
 
 def test_trajectory_invariants():
@@ -981,12 +982,13 @@ def _max_errors(got, want_r, want_psi):
                           for g, w in zip(got[1], want_psi))))
 
 
-@pytest.mark.parametrize("lam, gamma", [(1.0, 0.1), (2.0, 0.7)])
+@pytest.mark.parametrize("lam, gamma", [(1.0, 0.1), (2.0, 0.7),
+                                        (1000.0, 0.1)])
 def test_reference_above_switch_is_the_series(lam, gamma):
     # above tau_s the reference is the order-24 series, within 1e-13 of
     # the order-40 series summed at 40 digits up to tau 400; measured
-    # 1e-16 in r and 7e-16 in psi.  The two-leg build, seeded from the
-    # order-3 series at tau 100, was 5.6e-7 off on [20, 60]
+    # at most 2e-16 in r and 1.1e-15 in psi.  The two-leg build, seeded
+    # from the order-3 series at tau 100, was 5.6e-7 off on [20, 60]
     p = SystemParams(lam=lam, gamma=gamma)
     ref = reference_solution(p)
     taus = np.geomspace(ref.tau_s, ref.tau_max, 50)
@@ -1000,7 +1002,9 @@ def test_reference_above_switch_is_the_series(lam, gamma):
     # step 0.05
     (1.0, 0.1, 2e-9),
     # measured 2.0e-10 and 6.5e-9: the phase bends more at gamma 0.7
-    (2.0, 0.7, 2.5e-8)])
+    (2.0, 0.7, 2.5e-8),
+    # measured 1.0e-13 and 1.4e-9: a short leg from tau_s 10
+    (1000.0, 0.1, 5e-9)])
 def test_reference_below_switch_is_the_flow(lam, gamma, bound):
     # below tau_s the reference is within bound (relative in r, absolute
     # in psi) of a tol-1e-13 solve_ivp leg seeded from the mpmath series
@@ -1022,7 +1026,11 @@ def test_reference_below_switch_is_the_flow(lam, gamma, bound):
 @pytest.mark.parametrize("lam, gamma, tau_s", [
     (1.0, 0.1, 20.0), (2.0, 0.7, 15.0), (0.25, 0.05, 30.0),
     # the order-3 series at tau 100 refused these three
-    (0.1, 0.5, 100.0), (3.0, 0.9, 30.0), (0.1, 0.1, 50.0)])
+    (0.1, 0.5, 100.0), (3.0, 0.9, 30.0), (0.1, 0.1, 50.0),
+    # here 16 eps |r|, r ~ lam tau, is above 1e-13 and sets the
+    # tolerance: 1e-13 alone would put (100, 0.1) at 20 and refuse
+    # (1000, 0.1)
+    (100.0, 0.1, 10.0), (1000.0, 0.1, 10.0)])
 def test_reference_switches_at_first_passing_rung(lam, gamma, tau_s):
     p = SystemParams(lam=lam, gamma=gamma)
     ref = reference_solution.__wrapped__(p)
@@ -1030,17 +1038,14 @@ def test_reference_switches_at_first_passing_rung(lam, gamma, tau_s):
     assert (ref.tau_min, ref.tau_max) == (integrators.REF_TAU_MIN,
                                           integrators.REF_TAU_MAX)
     exp = expand(p, STABLE, integrators.REF_K)
-    norms = np.hypot(*asymptotics.residual(
-        exp, p, np.array(integrators.REF_SWITCH_LADDER)))
-    rung = integrators.REF_SWITCH_LADDER.index(tau_s)
-    assert norms[rung] <= integrators.REF_SEED_RESIDUAL_TOL
-    assert (norms[:rung] > integrators.REF_SEED_RESIDUAL_TOL).all()
+    passes = [math.hypot(*asymptotics.residual(exp, p, tau))
+              <= seed_residual_tol(exp, p, tau)
+              for tau in integrators.REF_SWITCH_LADDER]
+    assert passes.index(True) == integrators.REF_SWITCH_LADDER.index(tau_s)
 
 
 @pytest.mark.parametrize("lam, gamma, match", [
-    # no rung's residual meets the tolerance: lam 1000 leaves 1.1e-12 at
-    # best, rounding on r ~ 1e4
-    (1000.0, 0.1, r"series residual 1\.1\d*e-12 at tau=10,"),
+    # no rung's residual meets the tolerance
     (1e-3, 0.5, r"series residual .* at tau=400,"),
 ])
 def test_reference_refuses_series_on_no_rung(lam, gamma, match):

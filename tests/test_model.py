@@ -9,7 +9,7 @@ from autores.model import (NoiseSchedule, Schedule, constant_schedule,
                            error_terms, hamiltonian, hamiltonian_hessian,
                            hamiltonian_partials, hamiltonian_time_partial,
                            perturbed_terms, power_schedule, rhs_primary)
-from oracles import rhs_error
+from oracles import plain_rhs_primary, rhs_error
 
 
 def test_params_validation():
@@ -31,15 +31,33 @@ def test_rhs_primary_hand_point():
 
 
 def test_rhs_primary_broadcasts():
-    p = SystemParams(lam=1.0, gamma=0.1)
-    r = np.array([1.0, 2.0, 3.0])
-    psi = np.array([0.0, 1.0, 2.0])
-    tau = np.array([5.0, 6.0, 7.0])
-    dr, dpsi = rhs_primary((r, psi), tau, p)
-    for i in range(3):
-        a, b = rhs_primary((r[i], psi[i]), tau[i], p)
-        assert dr[i] == pytest.approx(a, rel=1e-15)
-        assert dpsi[i] == pytest.approx(b, rel=1e-15)
+    # rhs_primary gives the plain broadcast field's bits, -0.0 included,
+    # over the broadcast shape of r, psi and tau, and scalars for scalars
+    p = SystemParams(lam=1.5, gamma=0.1)
+    taus = np.geomspace(10.0, 400.0, 32)
+    cases = [
+        (2.0, 0.5, 3.0),  # scalars
+        (np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, -0.0]),
+         np.array([5.0, 6.0, 7.0])),  # rows
+        (taus + 1.0, 3.0 - 1.0 / taus, taus),  # certify's (32,) star and tau
+        # states against times: a column of states, one state, one time
+        (np.array([[1.0], [2.0], [3.0]]), np.array([[0.5], [1.5], [2.5]]),
+         np.array([5.0, 6.0, 7.0, 8.0])),
+        (1.5, 0.7, np.linspace(5.0, 9.0, 5)),
+        (np.array([1.0, -2.0]), np.array([0.3, 4.0]), 9.0)]
+    for r, psi, tau in cases:
+        shape = np.broadcast_shapes(np.shape(r), np.shape(psi),
+                                    np.shape(tau))
+        got = rhs_primary((r, psi), tau, p)
+        for g, want in zip(got, plain_rhs_primary((r, psi), tau, p)):
+            assert np.shape(g) == shape
+            assert isinstance(g, (float, np.ndarray))
+            assert np.array_equal(_bits(g),
+                                  _bits(np.broadcast_to(want, shape)))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
 def test_schedules():

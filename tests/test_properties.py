@@ -1,10 +1,10 @@
 """Property tests: Wilson intervals, the Euler-Maruyama step grid, the
 ensemble's path blocks, the noise-class bound, the reference spline
-against scipy's CubicSpline, the in-place drift writer against
-rhs_primary, the series residual's decay, noise schedules on the step
-grid, the numpy identities the DOP853 driver leans on, and ensemble
-outputs under any chunk length, block width and amplitude stacking,
-over generated inputs."""
+against scipy's CubicSpline, rhs_primary and the in-place drift writer
+against the plain field, the series residual's decay, noise schedules
+on the step grid, the numpy identities the DOP853 driver leans on, and
+ensemble outputs under any chunk length, block width and amplitude
+stacking, over generated inputs."""
 
 import dataclasses
 import math
@@ -19,7 +19,7 @@ from scipy.interpolate import CubicSpline
 
 from autores import dop853_coefficients as dop853
 from autores import ensemble, integrators
-from autores.asymptotics import STABLE, expand, residual_slope
+from autores.asymptotics import STABLE, expand
 from autores.ensemble import (EnsembleConfig, run_ensemble, run_ensembles,
                               supermartingale_check, wilson_interval)
 from autores.integrators import ReferenceSolution, sde_step_count, step_grid
@@ -27,6 +27,7 @@ from autores.lyapunov import noise_class_check
 from autores.model import (NoiseSchedule, Schedule, SystemParams,
                            constant_schedule, error_terms, perturbed_terms,
                            power_schedule, rhs_primary, rhs_primary_into)
+from oracles import plain_rhs_primary, residual_slope
 
 
 @st.composite
@@ -170,11 +171,14 @@ def _drift_states(draw):
 @example(x=np.array([[0.0, -0.0], [0.0, np.pi]]), tau=0.0, lam=1.0,
          gamma=0.1)
 def test_drift_writer_is_rhs_primary(x, tau, lam, gamma):
-    # the in-place writer gives rhs_primary's bits, -0.0 included, and
-    # leaves sin psi and cos psi in its scratch rows, from rows given as
-    # an array or as a tuple of views
+    # rhs_primary and the in-place writer give the plain broadcast
+    # field's bits, -0.0 included, and the writer leaves sin psi and cos
+    # psi in its scratch rows, from rows given as an array or as a tuple
+    # of views
     p = SystemParams(lam, gamma)
-    want = rhs_primary(x, tau, p)
+    want = plain_rhs_primary(x, tau, p)
+    for got, expect in zip(rhs_primary(x, tau, p), want):
+        assert np.array_equal(_bits(got), _bits(expect))
     for as_rows in (np.asarray, tuple):
         f, scratch = np.empty_like(x), np.empty((3, x.shape[1]))
         rhs_primary_into(x, tau, p, as_rows(f), as_rows(scratch))
