@@ -203,17 +203,20 @@ def _fold(ufunc, acc, cols, values, where, initial):
 
 class _TubeObserver:
     """Deviation, exit and capture statistics of one block of paths.  The
-    capture statistic is kept only for a capture verdict: not for a run
-    that ends before CAPTURE_MIN_TAU, nor where VERDICT is false."""
+    deviation maxima are kept only where DEVIATIONS is true, and the
+    capture statistic only for a capture verdict: not for a run that
+    ends before CAPTURE_MIN_TAU, nor where VERDICT is false."""
 
     VERDICT = True
+    DEVIATIONS = True
 
     def __init__(self, cfg: EnsembleConfig, tau, star, m: int):
         self.cfg, self.tau = cfg, tau
         self.star = star  # deviation statistics exist only with a reference
-        self.sup_psi = np.zeros(m)
-        self.sup_rw = np.zeros(m)
-        self.sup_rr = np.zeros(m)
+        if self.DEVIATIONS:
+            self.sup_psi = np.zeros(m)
+            self.sup_rw = np.zeros(m)
+            self.sup_rr = np.zeros(m)
         # exit times are elapsed since tau0; censored paths carry the horizon
         self.exit_time = np.full(m, cfg.horizon)
         self.exited = np.zeros(m, dtype=bool)
@@ -234,16 +237,19 @@ class _TubeObserver:
         tau = self.tau[nodes]
         if self.star is not None:
             rs, ps = (s[nodes, None] for s in self.star)
-            eps1 = self.cfg.eps1
+            eps1, keep = self.cfg.eps1, self.DEVIATIONS
             dev = np.subtract(psi, ps)
             np.abs(dev, out=dev)
-            _fold(np.maximum, self.sup_psi, cols, dev, live, 0.0)
+            if keep:
+                _fold(np.maximum, self.sup_psi, cols, dev, live, 0.0)
             out = dev >= eps1
             np.subtract(r, rs, out=dev)
             np.abs(dev, out=dev)
-            _fold(np.maximum, self.sup_rr, cols, dev, live, 0.0)
+            if keep:
+                _fold(np.maximum, self.sup_rr, cols, dev, live, 0.0)
             dev *= (1.0 / np.sqrt(tau))[:, None]
-            _fold(np.maximum, self.sup_rw, cols, dev, live, 0.0)
+            if keep:
+                _fold(np.maximum, self.sup_rw, cols, dev, live, 0.0)
             out |= dev >= eps1
             out &= live
             new = out.any(axis=0) & ~self.exited[cols]
@@ -266,14 +272,15 @@ class _TubeObserver:
         # tracked
         exit_times = np.where(dead & ~self.exited, escaped_at - cfg.tau0,
                               self.exit_time)
-        # the fields of EnsembleStats, captured only with a verdict;
-        # end_states is transposed to one row per path once the blocks
-        # are merged
-        res = {
-            "exit_times": exit_times, "censored": ~(self.exited | dead),
-            "sup_psi_dev": self.sup_psi, "sup_r_dev_weighted": self.sup_rw,
-            "sup_r_dev_raw": self.sup_rr, "end_states": x,
-        }
+        # the fields of EnsembleStats, the deviation maxima only where
+        # kept and captured only with a verdict; end_states is transposed
+        # to one row per path once the blocks are merged
+        res = {"exit_times": exit_times, "censored": ~(self.exited | dead),
+               "end_states": x}
+        if self.DEVIATIONS:
+            res.update(sup_psi_dev=self.sup_psi,
+                       sup_r_dev_weighted=self.sup_rw,
+                       sup_r_dev_raw=self.sup_rr)
         if self.verdict:
             res["captured"] = ~dead & _captured(
                 x[0], cfg.tau0 + cfg.horizon, self.psi_hi - self.psi_lo,
@@ -284,10 +291,11 @@ class _TubeObserver:
 class _ExitObserver(_TubeObserver):
     """_TubeObserver that stops each path at its first exit from the
     tube.  Its exit times and censoring are those of the paths stepped to
-    the horizon; its other statistics stop with the path, and it gives
-    no capture verdict (exit_time_scaling reads none)."""
+    the horizon; it keeps no deviation maxima and gives no capture
+    verdict (exit_time_scaling reads neither)."""
 
     VERDICT = False
+    DEVIATIONS = False
 
     def __call__(self, k0, xs, live, cols):
         super().__call__(k0, xs, live, cols)

@@ -579,10 +579,10 @@ def em_paths(terms: Callable, x: np.ndarray, tau: np.ndarray, dt: float,
 
     def views():
         # made once per width: terms reads and writes rows, the update
-        # whole states, and step k of a chunk writes row k + 1 of the slab
-        states = list(slab)
-        return (tuple(f), tuple(gw), tuple(scratch), states,
-                [tuple(state) for state in states])
+        # whole states, and step k of a chunk writes row k + 1 of the slab;
+        # zip makes the row tuples of every state in one C loop
+        return (tuple(f), tuple(gw), tuple(scratch), list(slab),
+                list(zip(*slab.transpose(1, 0, 2))))
 
     f_rows, gw_rows, scratch_rows, states, rows = views()
     cols = np.arange(m)

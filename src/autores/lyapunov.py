@@ -102,8 +102,9 @@ def hess_V(e, tau, p: SystemParams, star):
     return H_RR * s, (H_RP + p.gamma / 2.0) * s, H_PP * s
 
 
-def dV_dtau(e, tau, p: SystemParams, star):
-    """Total derivative of V along the deviation flow, in closed form.
+def _dV_dtau(e, tau, p: SystemParams, star, V):
+    """Total derivative of V along the deviation flow, in closed form, at
+    the array tau, given V = eval_V(e, tau, p, star).
 
     Substituting the flow (-dH/dPsi - gamma R, dH/dR) collapses the
     Hamiltonian cross terms, leaving
@@ -111,8 +112,6 @@ def dV_dtau(e, tau, p: SystemParams, star):
                           - gamma^2 R Psi / 2] / (nu tau).
     """
     R, Psi = e
-    tau = np.asarray(tau, dtype=float)
-    V = eval_V(e, tau, p, star)
     dH_dR, dH_dPsi = hamiltonian_partials(e, star)
     dH_dt = hamiltonian_time_partial(e, tau, p, star)
     bracket = (dH_dt
@@ -135,15 +134,15 @@ INEQUALITIES = ("sandwich lower", "sandwich upper", "decay")
 def _inequality_slacks(R, Psi, tau, p: SystemParams, star, q: float):
     """Pointwise slack of each certified inequality; negative = violated.
 
-    R, Psi and tau broadcast, and star = ref.state(tau).  Returns one
-    array whose leading axis runs over INEQUALITIES:
+    R, Psi and the array tau broadcast, and star = ref.state(tau).
+    Returns one array whose leading axis runs over INEQUALITIES:
       sandwich_lo = V - w/4,  sandwich_hi = 3w/4 - V,  decay = -qV - dV/dtau.
     All are normalized by w so slacks are comparable across the tube.
     """
     e = (R, Psi)
     w = weighted_norm(e, tau, p)
     V = eval_V(e, tau, p, star)
-    dV = dV_dtau(e, tau, p, star)
+    dV = _dV_dtau(e, tau, p, star, V)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(w > 0, np.stack([V - 0.25 * w, 0.75 * w - V,
                                          -q * V - dV])

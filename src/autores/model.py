@@ -242,10 +242,16 @@ def error_terms(p: SystemParams, n: NoiseSchedule, tau: np.ndarray, star):
     the buffer contract of perturbed_terms, additive noise included; the
     drift is (-dH/dPsi - gamma R, dH/dR) in the operation order of
     tests/oracles.py::rhs_error, with sin and cos of psi* + Psi once a step.
+    -dH/dPsi is formed as (R + r*) sin(psi* + Psi) - r* sin psi*, which
+    rounds as the negated sum does; cos psi* and r* sin psi* are formed
+    once per node, with math's cos and sin.
     """
     s1, s2 = _intensities(n, tau)
     additive = not s1.any()
     rs, ps = star
+    psi_s = ps.tolist()
+    cos_s = np.fromiter(map(math.cos, psi_s), float, len(psi_s))
+    rsin_s = rs * np.fromiter(map(math.sin, psi_s), float, len(psi_s))
     gamma = p.gamma
 
     def terms(k, x, w, f, gw, scratch):
@@ -257,14 +263,12 @@ def error_terms(p: SystemParams, n: NoiseSchedule, tau: np.ndarray, star):
         np.cos(tmp, cos_d)
         np.sin(tmp, sin_d)
         np.add(R, cos_d, f_Psi)  # dH/dR
-        f_Psi -= math.cos(psk)
-        np.add(R, rsk, tmp)  # tmp = dH/dPsi
-        np.negative(tmp, tmp)
+        f_Psi -= cos_s[k]
+        np.add(R, rsk, tmp)  # tmp becomes -dH/dPsi
         tmp *= sin_d
-        tmp += rsk * math.sin(psk)
-        np.negative(tmp, f_R)
-        np.multiply(R, gamma, tmp)
-        f_R -= tmp
+        tmp -= rsin_s[k]
+        np.multiply(R, gamma, f_R)
+        np.subtract(tmp, f_R, f_R)
         if not additive:
             np.add(R, rsk, gw[0])
             _noise(s1[k], s2[k], gw[0], sin_d, cos_d, w, gw, tmp)

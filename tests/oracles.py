@@ -27,7 +27,8 @@ composition.  plain_rhs_primary is the unperturbed field as one
 broadcast expression, the oracle of model.rhs_primary and
 rhs_primary_into; rhs_error is the deviation system's field written
 plainly, the oracle of model.error_terms' drift.  residual_slope fits
-the decay of asymptotics.residual over a range of tau.
+the decay of asymptotics.residual over a range of tau.  dV_dtau is
+lyapunov's closed-form dV/dtau on its own, V evaluated for it.
 """
 
 import math
@@ -40,7 +41,7 @@ from scipy.interpolate import CubicSpline
 from autores import asymptotics, ensemble, integrators
 from autores.ensemble import CAPTURE_WINDOW, _captured
 from autores.integrators import IntegrationError, NoiseStream, Trajectory
-from autores.lyapunov import chain_U, dV_dtau, eval_V, weighted_norm
+from autores.lyapunov import _dV_dtau, chain_U, eval_V, weighted_norm
 from autores.model import hamiltonian_partials, scalar_field
 
 
@@ -382,6 +383,13 @@ def plain_tube_samples(d0, tau0, tau_hi, grid):
     taus = np.geomspace(tau0, tau_hi, grid)
     rr, aa, tt = np.meshgrid(radii, angles, taus, indexing="ij")
     return (rr * np.cos(aa)).ravel(), (rr * np.sin(aa)).ravel(), tt.ravel()
+
+
+def dV_dtau(e, tau, p, star):
+    """lyapunov's dV/dtau at (e, tau), with V evaluated here: the slack's
+    decay term on its own."""
+    tau = np.asarray(tau, dtype=float)
+    return _dV_dtau(e, tau, p, star, eval_V(e, tau, p, star))
 
 
 def plain_inequality_slacks(R, Psi, tau, p, ref, q):

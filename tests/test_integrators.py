@@ -813,21 +813,27 @@ def test_deviation_step_reads_reference_at_step_start(params, ref):
     # with zero intensity, an Euler-Maruyama path of the deviation system
     # kicked off the reference is the Euler map x + h f(x, star), with
     # the reference read at each step's start tau[k] (Ito), over a grid
-    # that ends on a half step
+    # that ends on a half step; the bytes are compared, signs of zero
+    # included.  The windows start on the series at tau_s = 20, on the
+    # spline below it and cross onto the series, and at the
+    # supermartingale check's start, the reference itself
+    assert ref.tau_s == 20.0
     noise = NoiseSchedule(mu=0.3, sigma1=constant_schedule(0.0),
                           sigma2=constant_schedule(0.0))
-    tau = integrators.step_grid(20.0, 20.2055, 1e-3)
-    terms = model.error_terms(params, noise, tau, ref.state(tau))
-    x = np.array([[1e-3], [-2e-3]])
-    integrators.em_paths(terms, x, tau, 1e-3, np.full(1, noise.mu),
-                         [NoiseStream(5, 0).generator()],
-                         lambda k0, xs, live, cols: None)
-    want = np.array([1e-3, -2e-3])
-    for k in range(tau.size - 1):
-        f = rhs_error(want, params, ref.state(tau[k]))
-        want = np.array([xi + (tau[k + 1] - tau[k]) * fi
-                         for xi, fi in zip(want, f)])
-    assert np.array_equal(x[:, 0], want)
+    for tau0, start in ((20.0, (1e-3, -2e-3)), (19.9, (1e-3, -2e-3)),
+                        (20.0, (0.0, 0.0))):
+        tau = integrators.step_grid(tau0, tau0 + 0.2055, 1e-3)
+        terms = model.error_terms(params, noise, tau, ref.state(tau))
+        x = np.array(start)[:, None]
+        integrators.em_paths(terms, x, tau, 1e-3, np.full(1, noise.mu),
+                             [NoiseStream(5, 0).generator()],
+                             lambda k0, xs, live, cols: None)
+        want = np.array(start)
+        for k in range(tau.size - 1):
+            f = rhs_error(want, params, ref.state(tau[k]))
+            want = np.array([xi + (tau[k + 1] - tau[k]) * fi
+                             for xi, fi in zip(want, f)])
+        assert x[:, 0].tobytes() == want.tobytes(), (tau0, start)
 
 
 def test_reference_matches_series_far_out(params, ref):

@@ -7,11 +7,11 @@ from autores.model import NoiseSchedule, constant_schedule, power_schedule
 from autores import lyapunov
 from autores.integrators import integrate_ode
 from autores.lyapunov import (NoCertificate, StabilityCertificate, certify,
-                              chain_U, chain_a, dV_dtau, eval_V, grad_V,
-                              hess_V, noise_class_check, spot_check,
-                              thresholds, thresholds_beta, weighted_norm)
-from oracles import (plain_first_violation, plain_inequality_slacks,
-                     plain_tube_samples, rhs_error)
+                              chain_U, chain_a, eval_V, grad_V, hess_V,
+                              noise_class_check, spot_check, thresholds,
+                              thresholds_beta, weighted_norm)
+from oracles import (dV_dtau, plain_first_violation,
+                     plain_inequality_slacks, plain_tube_samples, rhs_error)
 
 
 def _tube_points(d0, tau_lo, tau_hi, n, seed=5):
