@@ -10,11 +10,13 @@ noise amplitudes runs them as columns of the same blocks, each path's
 stream drawn once for all of them.  A block's statistics are read from
 every step of every running path, a chunk of steps at a time, as
 em_paths hands them over with their live-row mask, one amplitude per
-path.  A study that reads a path only up to a stopping time stops it
-there: em_paths then steps it to the end of that chunk and no further.
-The supermartingale check stops paths at the certified tube, and the
-exit-time study at their first exit; capture and deviation statistics
-read every path to the horizon.
+path.  Every study steps the perturbed system, and a tracked one reads
+a path's deviation (R, Psi) as its state minus the reference sample of
+the same node.  A study that reads a path only up to a stopping time
+stops it there: em_paths then steps it to the end of that chunk and no
+further.  The supermartingale check stops paths at the certified tube,
+and the exit-time study at their first exit; capture and deviation
+statistics read every path to the horizon.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import integrators
-from .model import SystemParams, NoiseSchedule, error_terms, perturbed_terms
+from .model import SystemParams, NoiseSchedule, perturbed_terms
 from .integrators import (NoiseStream, Trajectory, ReferenceSolution,
                           em_paths, sde_step_count, step_grid)
 from .lyapunov import (StabilityCertificate, chain_U, eval_V,
@@ -511,15 +513,16 @@ def _bootstrap(exits: np.ndarray, censored: np.ndarray, log_mu: np.ndarray,
 
 
 class _StoppedU1:
-    """Stopped comparison function U_1 of one block of error-system paths.
+    """Stopped comparison function U_1 of one block of perturbed paths.
 
-    Each path is stopped at its first node outside the certified tube d
-    <= d0 (or at a blow-up); U_1 = 4V + mu^2 h n^2 C (T + t0 - t),
-    chain_U with n = 2, is evaluated at the stopped state and time, with
-    the reference sample of the same node: at the nodes obs_idx (node 0
-    is tau0) plus the pathwise running supremum over every node, of the
-    rows em_paths marks live.  em_paths drops a stopped path at the end
-    of the chunk in which it stopped, so the observer reads none of its
+    A path's deviation (R, Psi) at a node is its state minus star's
+    reference sample there.  Each path is stopped at its first node
+    outside the certified tube d <= d0 (or at a blow-up); U_1 = 4V +
+    mu^2 h n^2 C (T + t0 - t), chain_U with n = 2, is evaluated at the
+    stopped deviation and time: at the nodes obs_idx (node 0 is tau0)
+    plus the pathwise running supremum over every node, of the rows
+    em_paths marks live.  em_paths drops a stopped path at the end of
+    the chunk in which it stopped, so the observer reads none of its
     states after the stop.
     """
 
@@ -545,10 +548,10 @@ class _StoppedU1:
         piece = max(1, U1_PIECE // w)
         for lo in range(0, n_rows, piece):
             hi = min(lo + piece, n_rows)
-            R, Psi = xs[lo:hi].transpose(1, 0, 2)
             k = slice(first + lo, first + hi)
-            np.greater(R * R + Psi * Psi, d0 * d0, out=out[lo:hi])
             tau, star = self.tau[k, None], [s[k, None] for s in self.star]
+            R, Psi = np.subtract(xs[lo:hi].transpose(1, 0, 2), star)
+            np.greater(R * R + Psi * Psi, d0 * d0, out=out[lo:hi])
             V = eval_V((R, Psi), tau, cfg.params, star)
             u[lo:hi] = chain_U(cfg.noise.mu, cfg.noise.h, 2, self.cert.C,
                                cfg.horizon, 4.0 * V, tau, cfg.tau0)
@@ -592,21 +595,23 @@ def supermartingale_check(cfg: EnsembleConfig, cert: StabilityCertificate,
                           threads: int = 1) -> dict:
     """Empirical supermartingale and maximal-inequality test for U_1.
 
-    cfg.x0 is read as the starting deviation (R, Psi) at tau0; each step
-    reads the reference at its start (error_terms).  Paths are stopped
-    at their first node outside the certified tube and observed at N_OBS
-    nodes: tau0 and the ends of N_OBS - 1 evenly spaced steps, the last
-    at the horizon.  The report carries, per observation band, whether the
-    mean is non-increasing within 2 paired standard errors, and the
-    maximal-bound ladder: the fraction of paths whose running sup of U_1
-    reaches c times the start value, for c in DOOB_LADDER, against the
-    mean-start/c bound, within 3 standard errors.  The window [tau0,
-    tau0 + horizon] must lie in the reference domain: outside it the error
-    system has no reference to deviate from.  It must also start no
-    earlier than cert.tau0, from where the certified inequalities hold,
-    and its noise schedule must be in class, since U_1's constant assumes
-    the class bound h.  threads is accepted for older callers and has no
-    effect: the blocks run on the calling thread.
+    cfg.x0 is the starting deviation (R, Psi) at tau0, with a ball start
+    around it: the perturbed system is stepped from the reference at
+    tau0 plus that deviation, and _StoppedU1 reads each path's deviation
+    node by node.  Paths are stopped at their first node outside the
+    certified tube and observed at N_OBS nodes: tau0 and the ends of
+    N_OBS - 1 evenly spaced steps, the last at the horizon.  The report
+    carries, per observation band, whether the mean is non-increasing
+    within 2 paired standard errors, and the maximal-bound ladder: the
+    fraction of paths whose running sup of U_1 reaches c times the start
+    value, for c in DOOB_LADDER, against the mean-start/c bound, within
+    3 standard errors.  The window [tau0, tau0 + horizon] must lie in the
+    reference domain: outside it a path has no reference to deviate
+    from.  It must also start no earlier than cert.tau0, from where the
+    certified inequalities hold, and its noise schedule must be in
+    class, since U_1's constant assumes the class bound h.  threads is
+    accepted for older callers and has no effect: the blocks run on the
+    calling thread.
     """
     if N != 1:
         raise NotImplementedError("only the N=1 comparison chain is testable "
@@ -618,8 +623,9 @@ def supermartingale_check(cfg: EnsembleConfig, cert: StabilityCertificate,
     # node 0, then the ends of N_OBS - 1 evenly spaced steps
     ends = np.unique(np.linspace(0, tau.size - 2, N_OBS - 1).astype(int)) + 1
     obs_idx = np.concatenate([[0], ends])
-    res = _run_blocks(cfg, [cfg.noise.mu], tau,
-                      error_terms(cfg.params, cfg.noise, tau, star),
+    start = replace(cfg, x0=(star[0][0] + cfg.x0[0], star[1][0] + cfg.x0[1]))
+    res = _run_blocks(start, [cfg.noise.mu], tau,
+                      perturbed_terms(cfg.params, cfg.noise, tau),
                       lambda m: _StoppedU1(cfg, cert, tau, star, obs_idx,
                                            m))[0]
     obs, u_sup, stopped = res["obs"], res["u_sup"], res["stopped"]

@@ -149,24 +149,18 @@ def _inequality_slacks(R, Psi, tau, p: SystemParams, star, q: float):
                         / np.maximum(w, 1e-300), np.inf)
 
 
-def _tube_samples(d0: float, tau0: float, tau_hi: float, grid: int):
-    """Polar-by-log-time sample of the tube boundary and interior: R and
-    Psi of shape (grid, grid, 1) over radius and angle, and the (grid,)
-    times, which broadcast against them."""
+def _tube_ok(d0, taus, star, p, q):
+    """(passes, worst slack, (R, Psi), slack) of the d0 tube at the
+    candidate's log-spaced times taus, star the reference state there.
+    R and Psi, of shape (grid, grid, 1) over radius and angle, sample
+    the disk's boundary and interior and broadcast against taus."""
+    grid = taus.size
     radii = np.linspace(d0 / grid, d0, grid)[:, None, None]
     angles = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)[:, None]
-    taus = np.geomspace(tau0, tau_hi, grid)
-    return radii * np.cos(angles), radii * np.sin(angles), taus
-
-
-def _tube_ok(d0, tau0, tau_hi, grid, p, ref, q):
-    """(passes, worst slack, tube, slack) of the d0 tube from tau0: the
-    tube is its samples R, Psi, taus and the reference state at taus."""
-    R, Psi, taus = _tube_samples(d0, tau0, tau_hi, grid)
-    star = ref.state(taus)
+    R, Psi = radii * np.cos(angles), radii * np.sin(angles)
     slack = _inequality_slacks(R, Psi, taus, p, star, q)
     worst = float(slack.min())
-    return worst >= 0.0, worst, (R, Psi, taus, star), slack
+    return worst >= 0.0, worst, (R, Psi), slack
 
 
 def certify(p: SystemParams, ref, d_range=(1e-3, 0.3),
@@ -198,14 +192,16 @@ def certify(p: SystemParams, ref, d_range=(1e-3, 0.3),
     tau_hi = ref.tau_max
     tau0_candidates = np.linspace(tau_range[0], tau_range[1], 9)
 
-    best = None  # (d0, tau0, margin, tube)
+    best = None  # (d0, tau0, margin, tube, taus, star)
     first_violation = None
     for tau0 in tau0_candidates:
-        ok_lo, worst_lo, tube_lo, slack = _tube_ok(d_lo, tau0, tau_hi, grid,
-                                                   p, ref, q)
+        # every radius tried at tau0 samples the same times
+        taus = np.geomspace(tau0, tau_hi, grid)
+        star = ref.state(taus)
+        ok_lo, worst_lo, tube_lo, slack = _tube_ok(d_lo, taus, star, p, q)
         if not ok_lo:
             if first_violation is None:
-                R, Psi, taus, _ = tube_lo
+                R, Psi = tube_lo
                 which, i, j, k = np.unravel_index(np.argmin(slack),
                                                   slack.shape)
                 first_violation = NoCertificate(
@@ -213,28 +209,26 @@ def certify(p: SystemParams, ref, d_range=(1e-3, 0.3),
                     tau=float(taus[k]), R=float(R[i, j, 0]),
                     Psi=float(Psi[i, j, 0]))
             continue
-        ok_hi, worst_hi, tube_hi, _ = _tube_ok(d_hi, tau0, tau_hi, grid, p,
-                                               ref, q)
+        ok_hi, worst_hi, tube_hi, _ = _tube_ok(d_hi, taus, star, p, q)
         if ok_hi:
-            best = (d_hi, float(tau0), worst_hi, tube_hi)
+            best = (d_hi, float(tau0), worst_hi, tube_hi, taus, star)
             break  # no later tau0 can beat d_hi
         # margin and tube are those of the last accepted radius
         a_, b_, margin, tube = d_lo, d_hi, worst_lo, tube_lo
         for _ in range(40):
             mid = 0.5 * (a_ + b_)
-            ok_mid, worst_mid, tube_mid, _ = _tube_ok(mid, tau0, tau_hi, grid,
-                                                      p, ref, q)
+            ok_mid, worst_mid, tube_mid, _ = _tube_ok(mid, taus, star, p, q)
             if ok_mid:
                 a_, margin, tube = mid, worst_mid, tube_mid
             else:
                 b_ = mid
         if best is None or a_ > best[0]:
-            best = (a_, float(tau0), margin, tube)
+            best = (a_, float(tau0), margin, tube, taus, star)
 
     if best is None:  # every d_lo tube failed, the first set first_violation
         return first_violation
 
-    d0, tau0, margin, (R, Psi, taus, star) = best
+    d0, tau0, margin, (R, Psi), taus, star = best
     # measure the smallest B, C fitting the winning tube
     V = eval_V((R, Psi), taus, p, star)
     gR, gP = grad_V((R, Psi), taus, p, star)

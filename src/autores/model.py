@@ -124,7 +124,8 @@ def _noise(s1, s2, r, sin_psi, cos_psi, w, gw, tmp):
     """Write G w into gw for the diffusion matrix G; the amplitude mu is
     applied by the integrator.  Rows correspond to (r, psi), columns to
     the two Wiener channels: row 1 = (sigma1 r sin psi, 0), row 2 =
-    (sigma1 cos psi, sigma2).  r may be gw[0]; tmp is a work row."""
+    (sigma1 cos psi, sigma2), at the path's amplitude r and phase psi,
+    given as sin psi and cos psi; tmp is a work row."""
     g_r, g_psi = gw
     w1, w2 = w[0], w[1]
     np.multiply(r, s1, g_r)
@@ -228,50 +229,3 @@ def hamiltonian_hessian(e, star):
     H_RPsi = -np.sin(Psi + ps)
     H_PsiPsi = -(R + rs) * np.cos(Psi + ps)
     return H_RR, H_RPsi, H_PsiPsi
-
-
-def error_terms(p: SystemParams, n: NoiseSchedule, tau: np.ndarray, star):
-    """Euler-Maruyama terms of the deviation system (R, Psi).
-
-    star = (r*, psi*) holds one reference sample per node of tau; the
-    terms of step k read it and the noise schedules at node k, the
-    step's start, as an Ito step does.  The diffusion matrix is the
-    original-variable one at the shifted state (r* + R, psi* + Psi); the
-    reference solution itself satisfies the deterministic equations, so
-    its noise terms cancel.  Returns terms(k, x, w, f, gw, scratch) under
-    the buffer contract of perturbed_terms, additive noise included; the
-    drift is (-dH/dPsi - gamma R, dH/dR) in the operation order of
-    tests/oracles.py::rhs_error, with sin and cos of psi* + Psi once a step.
-    -dH/dPsi is formed as (R + r*) sin(psi* + Psi) - r* sin psi*, which
-    rounds as the negated sum does; cos psi* and r* sin psi* are formed
-    once per node, with math's cos and sin.
-    """
-    s1, s2 = _intensities(n, tau)
-    additive = not s1.any()
-    rs, ps = star
-    psi_s = ps.tolist()
-    cos_s = np.fromiter(map(math.cos, psi_s), float, len(psi_s))
-    rsin_s = rs * np.fromiter(map(math.sin, psi_s), float, len(psi_s))
-    gamma = p.gamma
-
-    def terms(k, x, w, f, gw, scratch):
-        R, Psi = x
-        f_R, f_Psi = f
-        rsk, psk = rs[k], ps[k]
-        sin_d, cos_d, tmp = scratch
-        np.add(Psi, psk, tmp)
-        np.cos(tmp, cos_d)
-        np.sin(tmp, sin_d)
-        np.add(R, cos_d, f_Psi)  # dH/dR
-        f_Psi -= cos_s[k]
-        np.add(R, rsk, tmp)  # tmp becomes -dH/dPsi
-        tmp *= sin_d
-        tmp -= rsin_s[k]
-        np.multiply(R, gamma, f_R)
-        np.subtract(tmp, f_R, f_R)
-        if not additive:
-            np.add(R, rsk, gw[0])
-            _noise(s1[k], s2[k], gw[0], sin_d, cos_d, w, gw, tmp)
-    if additive:
-        terms.additive = s2
-    return terms

@@ -11,7 +11,8 @@ node 0); it may return a mask of paths to stop.  plain_ball_starts
 draws ball starts from the generators before any increment.  PlainTube,
 PlainStoppedU1 and plain_integrate_sde are the per-step observers the
 chunked ones replaced; each reads time and reference at the node it is
-called for.
+called for, and the two tracked ones a path's deviation as its state
+minus that reference sample.
 plain_bootstrap is exit_time_scaling's bootstrap, one resample at a time.
 plain_solve is integrators._solve and _solve_backward as a solve_ivp
 call, whose interpolants are evaluated one step at a time.
@@ -25,8 +26,9 @@ mp_series is asymptotics.expand in mpmath arithmetic, with cos and sin of
 the phase series from their own derivative recurrence instead of Taylor
 composition.  plain_rhs_primary is the unperturbed field as one
 broadcast expression, the oracle of model.rhs_primary and
-rhs_primary_into; rhs_error is the deviation system's field written
-plainly, the oracle of model.error_terms' drift.  residual_slope fits
+rhs_primary_into; rhs_error is the field of the deviation (R, Psi)
+from the reference, (-dH/dPsi - gamma R, dH/dR), the field V's decay
+and the Hamiltonian are checked along.  residual_slope fits
 the decay of asymptotics.residual over a range of tau.  dV_dtau is
 lyapunov's closed-form dV/dtau on its own, V evaluated for it.
 """
@@ -179,8 +181,10 @@ class PlainTube:
 
 
 class PlainStoppedU1:
-    """Stopped comparison function U_1 of one block of error-system paths;
-    stop_node records the node at which each path stopped (-1 if never)."""
+    """Stopped comparison function U_1 of one block of perturbed paths,
+    whose deviation at node k is the state minus the reference sample
+    (r*, psi*) of node k; stop_node records the node at which each path
+    stopped (-1 if never)."""
 
     def __init__(self, cfg, cert, tau, star, obs_idx, m):
         self.cfg, self.cert, self.obs_idx = cfg, cert, obs_idx
@@ -195,12 +199,12 @@ class PlainStoppedU1:
 
     def __call__(self, k, x, moved):
         cfg = self.cfg
-        R, Psi = x
+        tau, star = self.tau[k], (self.rs[k], self.ps[k])
+        R, Psi = x[0] - star[0], x[1] - star[1]
         out = moved & (R * R + Psi * Psi > self.cert.d0 * self.cert.d0)
         self.stopped |= out
         self.stop_node[out] = k
-        tau, star = self.tau[k], (self.rs[k], self.ps[k])
-        V = eval_V(x, tau, cfg.params, star)
+        V = eval_V((R, Psi), tau, cfg.params, star)
         np.copyto(self.u_now, chain_U(cfg.noise.mu, cfg.noise.h, 2,
                                       self.cert.C, cfg.horizon, 4.0 * V, tau,
                                       cfg.tau0), where=moved)
@@ -273,9 +277,9 @@ def set_chunk(monkeypatch, chunk, m, n, d=2,
 
 
 def n_chans_of(noise):
-    """The increment channels em_paths reads for the perturbed or
-    deviation terms of noise: the last one alone when sigma1 is zero,
-    where the terms are additive."""
+    """The increment channels em_paths reads for the perturbed terms of
+    noise: the last one alone when sigma1 is zero, where the terms are
+    additive."""
     return 1 if noise.sigma1.coeff == 0 else integrators.N_CHANNELS
 
 
@@ -370,7 +374,10 @@ def residual_slope(e, p, tau_lo=10.0, tau_hi=1000.0, samples=40):
 
 
 def rhs_error(e, p, star):
-    """Vector field of the deviation system: (-dH/dPsi - gamma R, dH/dR)."""
+    """Vector field of the deviation e = (R, Psi) from the reference
+    sample star, (-dH/dPsi - gamma R, dH/dR): the unperturbed field at
+    star + e minus its value at star.  lyapunov's dV/dtau substitutes
+    it, and the deviation tests check V's decay along it."""
     dH_dR, dH_dPsi = hamiltonian_partials(e, star)
     return -dH_dPsi - p.gamma * e[0], dH_dR
 

@@ -408,6 +408,44 @@ def test_single_path_is_ensemble_path(params, sigma1):
         assert np.array_equal(traj.states[-1], stats.end_states[j])
 
 
+def test_supermartingale_paths_are_single_paths(params, ref, cert):
+    # the supermartingale check steps the perturbed system from the
+    # reference at tau0 plus x0 and reads each path's deviation from the
+    # reference at every node: U_1 of integrate_sde's paths, with the
+    # same streams and start, minus ref.state at the recorded nodes,
+    # averaged over the paths at the observation nodes, gives the
+    # report's means bit for bit.  The window crosses the switch time
+    # tau_s = 20, where the reference goes from its spline to its
+    # series, both channels carry noise, and no path leaves the tube
+    assert ref.tau_s == 20.0
+    noise = NoiseSchedule(mu=0.1, sigma1=power_schedule(0.02, -1.0),
+                          sigma2=constant_schedule(0.5))
+    cfg = EnsembleConfig(params=params, noise=noise, tau0=19.9,
+                         horizon=0.2055, dt=1e-3, n_paths=100,
+                         master_seed=53, x0=(0.01, -0.02))
+    report = supermartingale_check(cfg, cert, N=1, ref=ref)
+    assert report["stopped_fraction"] == 0.0
+    tau1 = cfg.tau0 + cfg.horizon
+    start = [s + d for s, d in zip(ref.state(cfg.tau0), cfg.x0)]
+    paths = integrate_sde(partial(perturbed_terms, params, noise), start,
+                          cfg.tau0, tau1, cfg.dt, noise.mu,
+                          [NoiseStream(cfg.master_seed, j)
+                           for j in range(cfg.n_paths)], record_every=1)
+    tau = paths[0].times
+    assert tau[0] < 20.0 < tau[-1]
+    star = ref.state(tau)
+    dev = np.array([path.states.T for path in paths]) - star
+    u1 = chain_U(noise.mu, noise.h, 2, cert.C, cfg.horizon,
+                 4.0 * eval_V(dev.transpose(1, 2, 0), tau[:, None], params,
+                              [s[:, None] for s in star]),
+                 tau[:, None], cfg.tau0)
+    ends = np.unique(np.linspace(0, tau.size - 2,
+                                 ensemble.N_OBS - 1).astype(int)) + 1
+    means = u1[np.concatenate([[0], ends])].mean(axis=1)
+    assert report["mean_start"] == means[0]
+    assert [band["mean_after"] for band in report["bands"]] == list(means[1:])
+
+
 def test_single_path_verdict_is_ensemble_verdict():
     # classify_capture on a recorded path and the ensemble observer compute
     # the capture verdict separately; they must agree path by path.  At
@@ -591,11 +629,16 @@ def test_supermartingale_all_paths_stopped(ref, cert, cfg_maker):
 def test_supermartingale_start_reads_reference_at_tau0(params, ref, cert,
                                                        cfg_maker):
     # off the reference, U_1 at node 0 depends on (r*, psi*): the report's
-    # mean start is U_1 at tau0 with the reference read at tau0
+    # mean start is U_1 at tau0 with the reference read at tau0, at the
+    # deviation the paths start with, (r* + R0) - r* and (psi* + Psi0) -
+    # psi*, rounded as the start state is
     x0, tau0 = (0.02, -0.01), cert.tau0
     cfg = cfg_maker(mu=0.05, n_paths=100, horizon=0.5, x0=x0, tau0=tau0)
     report = supermartingale_check(cfg, cert, N=1, ref=ref)
-    V = eval_V(x0, tau0, params, ref.state(tau0))
+    star = ref.state(tau0)
+    e0 = [(s + d) - s for s, d in zip(star, x0)]
+    assert e0 != list(x0)
+    V = eval_V(e0, tau0, params, star)
     u1 = chain_U(0.05, cfg.noise.h, 2, cert.C, cfg.horizon, 4.0 * V, tau0,
                  tau0)
     assert report["mean_start"] == float(np.full(cfg.n_paths, u1).mean())

@@ -121,9 +121,9 @@ def test_certify_bisects_when_d_hi_fails(params, ref, monkeypatch):
     # there; the next candidate (5.25) passes at d_hi and ends the search
     calls = []
 
-    def tube_ok(d0, tau0, *args):
-        res = orig(d0, tau0, *args)
-        calls.append((float(tau0), d0, res[0]))
+    def tube_ok(d0, taus, *args):
+        res = orig(d0, taus, *args)
+        calls.append((float(taus[0]), d0, res[0]))
         return res
     orig = lyapunov._tube_ok
     monkeypatch.setattr(lyapunov, "_tube_ok", tube_ok)
@@ -148,11 +148,10 @@ def test_tube_slacks_match_flat_oracle(params, ref, plain_ref, grid):
     # slacks bit for bit, one row of the leading axis per inequality
     for d0, tau0, q in ((0.3, 10.0, params.gamma / 6.0), (0.5, 10.0, 5.0),
                         (2.0, 5.0, params.gamma / 6.0)):
-        R, Psi, taus = lyapunov._tube_samples(d0, tau0, ref.tau_max, grid)
+        taus = np.geomspace(tau0, ref.tau_max, grid)
+        _, _, (R, Psi), got = lyapunov._tube_ok(d0, taus, ref.state(taus),
+                                                params, q)
         assert R.shape == Psi.shape == (grid, grid, 1)
-        assert taus.shape == (grid,)
-        got = lyapunov._inequality_slacks(R, Psi, taus, params,
-                                          ref.state(taus), q)
         flat = plain_tube_samples(d0, tau0, ref.tau_max, grid)
         for mine, theirs in zip((R, Psi, taus), flat):
             assert np.array_equal(
@@ -185,8 +184,9 @@ def test_first_violation_matches_flat_oracle(params, ref, plain_ref, q):
 @pytest.mark.parametrize("grid", [32, 33])
 def test_tube_check_reads_reference_once_per_time(params, ref, monkeypatch,
                                                   grid):
-    # each tube check asks the reference for at most grid times, not one
-    # per sample of the grid^3 tube
+    # the search asks the reference for grid times once per tau0
+    # candidate, not once per sample of the grid^3 tube nor once per
+    # radius its bisection tries
     asked, per_check = [], []
 
     class Spy:
@@ -196,21 +196,22 @@ def test_tube_check_reads_reference_once_per_time(params, ref, monkeypatch,
             asked.append(np.size(tau))
             return ref.state(tau)
 
-    def tube_ok(*args):
+    def tube_ok(d0, taus, *args):
         start = len(asked)
-        res = orig(*args)
-        per_check.append(sum(asked[start:]))
+        res = orig(d0, taus, *args)
+        per_check.append((float(taus[0]), sum(asked[start:])))
         return res
     orig = lyapunov._tube_ok
     monkeypatch.setattr(lyapunov, "_tube_ok", tube_ok)
     c = certify(params, Spy(), d_range=(1e-3, 2.0), tau_range=(5.0, 6.0),
                 grid=grid)
     assert isinstance(c, StabilityCertificate)
-    # the search bisected at least one tau0 candidate
+    # the search bisected at least one tau0 candidate; no tube check
+    # reads the reference, nor does the B, C fit, which reads the
+    # winning candidate's
     assert len(per_check) > 40
-    assert 0 < min(per_check) and max(per_check) <= grid
-    # the B, C fit reads the winning tube's reference from its check
-    assert len(asked) == len(per_check)
+    assert max(n for _, n in per_check) == 0
+    assert asked == [grid] * len({tau0 for tau0, _ in per_check})
 
 
 def test_spot_check_clean(params, ref, cert):

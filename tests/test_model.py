@@ -6,7 +6,7 @@ import pytest
 from autores import SystemParams
 from autores.integrators import N_SCRATCH
 from autores.model import (NoiseSchedule, Schedule, constant_schedule,
-                           error_terms, hamiltonian, hamiltonian_hessian,
+                           hamiltonian, hamiltonian_hessian,
                            hamiltonian_partials, hamiltonian_time_partial,
                            perturbed_terms, power_schedule, rhs_primary)
 from oracles import plain_rhs_primary, rhs_error
@@ -169,17 +169,3 @@ def test_reference_is_equilibrium_of_error_field(params, ref):
         dR, dP = rhs_error((0.0, 0.0), params, ref.state(tau))
         assert abs(dR) < 1e-9
         assert abs(dP) < 1e-9
-
-
-def test_diffusion_error_is_shifted_state_matrix(params, ref):
-    n = NoiseSchedule(mu=0.1, sigma1=constant_schedule(0.4),
-                      sigma2=constant_schedule(1.0))
-    e = (0.2, -0.3)
-    tau = 20.0
-    rstar, pstar = ref.state(tau)
-    shifted = _matrix(perturbed_terms(params, n, np.array([tau])),
-                      np.array([[e[0] + rstar], [e[1] + pstar]]))
-    star = (np.array([rstar]), np.array([pstar]))
-    g = _matrix(error_terms(params, n, np.array([tau]), star),
-                np.array([[e[0]], [e[1]]]))
-    assert g == pytest.approx(shifted, rel=1e-14)

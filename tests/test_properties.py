@@ -25,7 +25,7 @@ from autores.ensemble import (EnsembleConfig, run_ensemble, run_ensembles,
 from autores.integrators import ReferenceSolution, sde_step_count, step_grid
 from autores.lyapunov import noise_class_check
 from autores.model import (NoiseSchedule, Schedule, SystemParams,
-                           constant_schedule, error_terms, perturbed_terms,
+                           constant_schedule, perturbed_terms,
                            power_schedule, rhs_primary, rhs_primary_into)
 from oracles import plain_rhs_primary, residual_slope
 
@@ -118,18 +118,15 @@ def test_step_grid_covers_window(window):
 
 @settings(max_examples=300, deadline=None)
 @given(window=_windows(), c=st.floats(-1e300, 1e300), p=st.floats(-3.0, 3.0),
-       which=st.sampled_from(["sigma1", "sigma2"]),
-       kind=st.sampled_from(["perturbed", "error"]))
+       which=st.sampled_from(["sigma1", "sigma2"]))
 # a negative power at tau0 = 0, and a power that overflows mid-grid
-@example(window=(0.0, 1.0, 0.1), c=2.0, p=-1.0, which="sigma1",
-         kind="perturbed")
-@example(window=(100.0, 1000.0, 0.5), c=1e300, p=3.0, which="sigma2",
-         kind="error")
-def test_schedule_on_grid_is_the_formula(params, window, c, p, which, kind):
+@example(window=(0.0, 1.0, 0.1), c=2.0, p=-1.0, which="sigma1")
+@example(window=(100.0, 1000.0, 0.5), c=1e300, p=3.0, which="sigma2")
+def test_schedule_on_grid_is_the_formula(params, window, c, p, which):
     # Schedule(c, p) on the node grid is c * tau ** p bit for bit, and
     # additive terms carry those bits as the sigma2 they read.  A
-    # schedule that is not finite at some node is refused by either
-    # terms factory, naming the schedule and the first such node
+    # schedule that is not finite at some node is refused by the terms
+    # factory, naming the schedule and the first such node
     tau = step_grid(*window)
     schedule = Schedule(c, p)
     with np.errstate(all="ignore"):
@@ -140,20 +137,15 @@ def test_schedule_on_grid_is_the_formula(params, window, c, p, which, kind):
     other = ({"sigma1": constant_schedule(0.0)} if which == "sigma2"
              else {"sigma2": constant_schedule(1.0)})
     noise = NoiseSchedule(mu=0.3, **{which: schedule}, **other)
-    star = (np.ones(tau.size), np.zeros(tau.size))
-
-    def make():
-        if kind == "perturbed":
-            return perturbed_terms(params, noise, tau)
-        return error_terms(params, noise, tau, star)
     bad = ~np.isfinite(want)
     if bad.any():
         first = f"tau={float(tau[np.argmax(bad)]):.6g}"
         with pytest.raises(ValueError, match=re.escape(
                 f"{which} is not finite at {first}")):
-            make()
+            perturbed_terms(params, noise, tau)
     elif which == "sigma2":
-        assert np.array_equal(_bits(make().additive), _bits(want))
+        terms = perturbed_terms(params, noise, tau)
+        assert np.array_equal(_bits(terms.additive), _bits(want))
 
 
 @st.composite
